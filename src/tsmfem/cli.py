@@ -11,7 +11,6 @@ import os
 import sys
 import time as _time
 
-import numpy as np
 import yaml
 
 from . import export
@@ -50,6 +49,18 @@ def _config_from_args(args) -> RunConfig:
 def _ensure_dir(path):
     os.makedirs(path, exist_ok=True)
     return path
+
+
+def _export_summary(outdir, mesh, summary) -> None:
+    """Moment summary artifacts: npz, VTK, force statistics, one CSV per
+    element path, and the mesh."""
+    export.save_summary(os.path.join(outdir, "uq_summary.npz"), summary)
+    export.summary_to_vtk(outdir, mesh, summary)
+    export.write_force_stats_csv(os.path.join(outdir, "forces_stats.csv"), summary)
+    for path_name in mesh.element_paths:
+        table = extract_line(summary, mesh, path_name)
+        export.write_line_csv(os.path.join(outdir, f"line_{path_name}.csv"), table)
+    save_mesh(mesh, os.path.join(outdir, "mesh.txt"))
 
 
 def cmd_mesh_gen(args) -> int:
@@ -97,14 +108,7 @@ def cmd_run_tsm(args) -> int:
     sol = run_tsm(cfg.problem, cfg.tsm, cfg.dt, cfg.snapshot_times,
                   exchange_path=exchange_path, force_stride=cfg.force_stride)
     t0 = _time.perf_counter()
-    uq = uq_summary(sol)
-    export.save_summary(os.path.join(outdir, "uq_summary.npz"), uq)
-    export.summary_to_vtk(outdir, cfg.problem.mesh, uq)
-    export.write_force_stats_csv(os.path.join(outdir, "forces_stats.csv"), uq)
-    for path_name in cfg.problem.mesh.element_paths:
-        table = extract_line(uq, cfg.problem.mesh, path_name)
-        export.write_line_csv(os.path.join(outdir, f"line_{path_name}.csv"), table)
-    save_mesh(cfg.problem.mesh, os.path.join(outdir, "mesh.txt"))
+    _export_summary(outdir, cfg.problem.mesh, uq_summary(sol))
     post = _time.perf_counter() - t0
     walls = {"order0": sol.history0.wall_time, "order1": sol.history1.wall_time,
              "post": post,
@@ -129,15 +133,9 @@ def cmd_run_mc(args) -> int:
                  workers=cfg.mc_workers, force_stride=cfg.force_stride)
     stats = mc_statistics(ens)
     wall = _time.perf_counter() - t0
-    export.save_summary(os.path.join(outdir, "uq_summary.npz"), stats)
-    export.summary_to_vtk(outdir, cfg.problem.mesh, stats)
-    export.write_force_stats_csv(os.path.join(outdir, "forces_stats.csv"), stats)
-    for path_name in cfg.problem.mesh.element_paths:
-        table = extract_line(stats, cfg.problem.mesh, path_name)
-        export.write_line_csv(os.path.join(outdir, f"line_{path_name}.csv"), table)
+    _export_summary(outdir, cfg.problem.mesh, stats)
     export._atomic_write(os.path.join(outdir, "xis.csv"),
                          "xi\n" + "\n".join(f"{x:.17g}" for x in xis) + "\n")
-    save_mesh(cfg.problem.mesh, os.path.join(outdir, "mesh.txt"))
     walls = {"total": float(ens.wall_times.sum()), "observed_wall": wall,
              "per_sample_mean": float(ens.wall_times.mean())}
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),

@@ -17,7 +17,7 @@ Two preset families exist for each geometry:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -26,7 +26,6 @@ from .material import MaterialParams
 from .mesh import (
     DirichletRamp,
     LoadCase,
-    Mesh,
     generate_double_notch,
     generate_plate_with_hole,
     load_mesh,

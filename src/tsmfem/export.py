@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import os
-from dataclasses import asdict
 
 import numpy as np
 import yaml

@@ -13,7 +13,7 @@ strain/stress arrays shape (n, 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,6 @@ reports against the time-separated solution."""
 
 from __future__ import annotations
 
-import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 

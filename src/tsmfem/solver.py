@@ -21,12 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hexa
-from .material import (
-    MaterialParams,
-    characteristic_scales,
-    stress_order0,
-    update_damage_order0,
-)
+from .material import MaterialParams, characteristic_scales
 from .mesh import LoadCase, Mesh, validate_load_case, validate_mesh
 
 _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
@@ -50,9 +45,7 @@ class InstabilityError(RuntimeError):
 class ElementQuadrature:
     """Per-element 2x2x2 Gauss data plus the assembled global operators."""
 
-    B: np.ndarray  # (nelem, 8, 6, 24) strain-displacement blocks
     detJw: np.ndarray  # (nelem, 8) Jacobian determinant * weight
-    N: np.ndarray  # (8 gp, 8 nodes) reference shape functions
     strain_op: sp.csr_matrix  # (6*ngp, ndof): u -> all strains
     force_op: sp.csr_matrix  # (ndof, 6*ngp): weighted stress -> f_int
     n_gauss: int
@@ -70,7 +63,7 @@ class ElementQuadrature:
         # dN_a/dx_j at each Gauss point of each element
         dNdx = np.einsum("gak,egkj->egaj", hexa.DN_AT_GP, Jinv)
 
-        B = np.zeros((ne, 8, 6, 24))
+        B = np.zeros((ne, 8, 6, 24))  # strain-displacement blocks
         dx, dy, dz = dNdx[..., 0], dNdx[..., 1], dNdx[..., 2]
         B[:, :, 0, 0::3] = dx
         B[:, :, 1, 1::3] = dy
@@ -94,8 +87,7 @@ class ElementQuadrature:
         ).tocsr()
         w_rows = np.repeat(detJw.reshape(ngp), 6)
         force_op = strain_op.multiply(w_rows[:, None]).T.tocsr()
-        return cls(B=B, detJw=detJw, N=hexa.N_AT_GP.copy(),
-                   strain_op=strain_op, force_op=force_op, n_gauss=ngp)
+        return cls(detJw=detJw, strain_op=strain_op, force_op=force_op, n_gauss=ngp)
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Gauss-point strains (ngp, 6) from nodal displacements (nn, 3)."""
@@ -139,6 +131,34 @@ def stable_timestep(mesh: Mesh, params: MaterialParams, safety: float = 0.5) -> 
     return float(safety * edges.min() / v)
 
 
+def set_sum_operator(node_sets, n_nodes: int) -> sp.csr_matrix:
+    """Sparse (3 * len(node_sets), 3 * n_nodes) 0/1 matrix: rows 3k, 3k+1
+    and 3k+2 sum the x, y and z entries of a nodal vector over node_sets[k]."""
+    ids = [np.asarray(n, dtype=np.int64) for n in node_sets]
+    nodes = np.concatenate([np.zeros(0, dtype=np.int64), *ids])
+    owner = np.repeat(np.arange(len(ids)), [n.size for n in ids])
+    rows = (3 * owner[:, None] + np.arange(3)).ravel()
+    cols = (3 * nodes[:, None] + np.arange(3)).ravel()
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                         shape=(3 * len(ids), 3 * n_nodes))
+
+
+def reaction_sums(sum_op: sp.csr_matrix, mass3: np.ndarray, f_int: np.ndarray,
+                  accel: np.ndarray, velocity: np.ndarray | None = None,
+                  mass_damping: float = 0.0) -> np.ndarray:
+    """Reactions (n_sets, 3): internal plus inertial (plus damping, when
+    active) nodal forces, summed per set by ``set_sum_operator``.
+
+    Each term is summed on its own, over the set's nodes in ascending
+    order, before the terms are added; summing the combined nodal vector
+    instead moves finite-difference quotients of reactions by roundoff
+    amplified 1/(2h)."""
+    r = sum_op @ f_int.ravel() + sum_op @ (mass3 * accel.ravel())
+    if mass_damping and velocity is not None:
+        r = r + mass_damping * (sum_op @ (mass3 * velocity.ravel()))
+    return r.reshape(-1, 3)
+
+
 def reaction_force(mesh: Mesh, quad: ElementQuadrature, mass: np.ndarray,
                    sigma: np.ndarray, accel: np.ndarray, node_set: np.ndarray,
                    velocity: np.ndarray | None = None,
@@ -149,20 +169,17 @@ def reaction_force(mesh: Mesh, quad: ElementQuadrature, mass: np.ndarray,
     if node_set.size == 0:
         raise ValueError("reaction requested on an empty node set")
     f_int = internal_force(mesh, quad, sigma)
-    out = f_int[node_set].sum(axis=0) + (mass[node_set, None] * accel[node_set]).sum(axis=0)
-    if mass_damping and velocity is not None:
-        out = out + mass_damping * (mass[node_set, None] * velocity[node_set]).sum(axis=0)
-    return out
+    return reaction_sums(set_sum_operator([node_set], mesh.n_nodes),
+                         np.repeat(mass, 3), f_int, accel, velocity, mass_damping)[0]
 
 
 @dataclass
 class DynamicState:
     """Explicit-dynamics state: u at step n, v at the preceding half step,
-    the last evaluated acceleration, per-Gauss-point damage, time and step."""
+    per-Gauss-point damage, time and step."""
 
     u: np.ndarray  # (nn, 3)
     v: np.ndarray  # (nn, 3), staggered half step
-    a: np.ndarray  # (nn, 3)
     d: np.ndarray  # (ngp,)
     time: float = 0.0
     step: int = 0
@@ -240,17 +257,16 @@ class ExplicitEngine:
         self.loads = loads
         self.dt = dt
         self.quad = quad or ElementQuadrature.build(mesh)
-        self.mass = lumped_mass(mesh, rho, self.quad)
-        self.mass3 = np.repeat(self.mass, 3)
+        mass = lumped_mass(mesh, rho, self.quad)
+        self.mass3 = np.repeat(mass, 3)
         self.bc = _Dirichlet(mesh, loads, dirichlet_scale)
         self.alpha = mass_damping
         b = np.asarray(loads.body_force)
-        self.f_body = (self.mass[:, None] / rho * b[None, :]).ravel()
+        self.f_body = (mass[:, None] / rho * b[None, :]).ravel()
 
     def initial_state(self) -> DynamicState:
         nn, ngp = self.mesh.n_nodes, self.quad.n_gauss
-        state = DynamicState(u=np.zeros((nn, 3)), v=np.zeros((nn, 3)),
-                             a=np.zeros((nn, 3)), d=np.zeros(ngp))
+        state = DynamicState(u=np.zeros((nn, 3)), v=np.zeros((nn, 3)), d=np.zeros(ngp))
         u = state.u.ravel()
         u[self.bc.dofs] = self.bc.value(0.0)
         return state
@@ -277,18 +293,8 @@ class ExplicitEngine:
         u = state.u.ravel() + dt * v
         u[self.bc.dofs] = self.bc.value(t + dt)
         d = damage_fn(state.d, eps, state.step)
-        return DynamicState(u=u.reshape(-1, 3), v=v.reshape(-1, 3), a=accel,
-                            d=d, time=t + dt, step=state.step + 1)
-
-
-def step_central_difference(engine: ExplicitEngine, state: DynamicState,
-                            stress_fn, damage_fn) -> DynamicState:
-    """Advance one explicit step; raises InstabilityError on non-finite state."""
-    eps, _sigma, _f, a = engine.evaluate(state, stress_fn)
-    new = engine.advance(state, eps, a, damage_fn)
-    if not np.isfinite(new.u).all():
-        raise InstabilityError(new.step, new.time)
-    return new
+        return DynamicState(u=u.reshape(-1, 3), v=v.reshape(-1, 3), d=d,
+                            time=t + dt, step=state.step + 1)
 
 
 def _snapshot_steps(output_times, dt: float, n_steps: int) -> list[int]:
@@ -324,12 +330,12 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
         meta=dict(meta or {}),
     )
     set_names = sorted({r.node_set for r in loads.dirichlet})
-    sets = {name: np.asarray(mesh.node_sets[name]) for name in set_names}
+    sum_op = set_sum_operator([mesh.node_sets[name] for name in set_names], nn)
     hist.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
                                        if r.amplitude != 0.0})
     f_steps = [s for s in range(0, n_steps + 1) if s % force_stride == 0 or s == n_steps]
     hist.force_times = np.asarray([s * dt for s in f_steps])
-    hist.forces = {name: np.zeros((len(f_steps), 3)) for name in set_names}
+    forces = np.zeros((len(f_steps), len(set_names), 3))
     f_at = {s: i for i, s in enumerate(f_steps)}
 
     state = engine.initial_state()
@@ -339,14 +345,8 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
         if exchange_hook is not None:
             exchange_hook(n, state.time, eps, state.d)
         if n in f_at:
-            i = f_at[n]
-            for name, ids in sets.items():
-                r = (f_int[ids].sum(axis=0)
-                     + (engine.mass[ids, None] * a[ids]).sum(axis=0))
-                if engine.alpha:
-                    r = r + engine.alpha * (engine.mass[ids, None]
-                                            * state.v[ids]).sum(axis=0)
-                hist.forces[name][i] = r
+            forces[f_at[n]] = reaction_sums(sum_op, engine.mass3, f_int, a,
+                                            state.v, engine.alpha)
         if n in snap_at:
             i = snap_at[n]
             hist.u[i] = state.u
@@ -359,6 +359,7 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
             raise InstabilityError(state.step, state.time)
     if not np.isfinite(state.u).all():
         raise InstabilityError(state.step, state.time)
+    hist.forces = {name: forces[:, k].copy() for k, name in enumerate(set_names)}
     hist.wall_time = _time.perf_counter() - t0
     return hist
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-import time as _time
 import zlib
 from dataclasses import dataclass, field
 
@@ -57,14 +56,11 @@ class Problem:
 
 @dataclass(frozen=True)
 class TsmConfig:
-    expansion_order: int = 1
     exchange_interval: int = 1000  # K steps between exchange records
     exchange_mode: str = "in_memory"  # or "file"
     xi_second_moment: float = 0.01
 
     def __post_init__(self):
-        if self.expansion_order != 1:
-            raise ValueError("only first-order expansion is supported")
         if self.exchange_interval < 1:
             raise ValueError("exchange_interval must be >= 1")
         if self.exchange_mode not in ("in_memory", "file"):
@@ -208,9 +204,7 @@ def write_exchange(records, path, exchange_interval: int = 1) -> None:
     gp = records[0].eps.shape[0]
     with ExchangeFileWriter(path, exchange_interval, gp) as w:
         for r in records:
-            w._write(_REC_HEAD.pack(r.step, r.time))
-            w._write(np.ascontiguousarray(r.eps, dtype="<f8").tobytes())
-            w._write(np.ascontiguousarray(r.d, dtype="<f8").tobytes())
+            w.write_record(r.step, r.time, r.eps, r.d)
 
 
 def read_exchange(path) -> InMemoryExchange:
@@ -284,25 +278,22 @@ def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,
     run_deterministic with xi = 0.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
-    if config.exchange_mode == "file":
+    to_file = config.exchange_mode == "file"
+    if to_file:
         if exchange_path is None:
             raise ValueError("file exchange mode needs an exchange_path")
         sink = ExchangeFileWriter(exchange_path, config.exchange_interval, quad.n_gauss)
-        try:
-            hist = run_deterministic(problem.mesh, problem.loads, problem.params,
-                                     0.0, dt, output_times, quad=quad,
-                                     exchange_hook=sink.hook, force_stride=force_stride,
-                                     mass_damping=problem.mass_damping)
-        finally:
-            sink.close()
-        source = ExchangeFileReader(exchange_path)
     else:
         sink = InMemoryExchange(config.exchange_interval, quad.n_gauss)
+    try:
         hist = run_deterministic(problem.mesh, problem.loads, problem.params,
                                  0.0, dt, output_times, quad=quad,
                                  exchange_hook=sink.hook, force_stride=force_stride,
                                  mass_damping=problem.mass_damping)
-        source = sink
+    finally:
+        if to_file:
+            sink.close()
+    source = ExchangeFileReader(exchange_path) if to_file else sink
     hist.meta["kind"] = "order0"
     return hist, source
 

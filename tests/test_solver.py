@@ -16,7 +16,6 @@ from tsmfem.solver import (
     reaction_force,
     run_deterministic,
     stable_timestep,
-    step_central_difference,
 )
 
 PARAMS = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e9)
@@ -150,6 +149,11 @@ def test_stable_timestep_benchmark_sanity(gen, ref_dt):
 # ---------------------------------------------------------------------------
 
 
+def _eval_pair(engine, state, stress_fn):
+    eps, _s, _f, a = engine.evaluate(state, stress_fn)
+    return eps, a
+
+
 def _fix_all(mesh, total_time):
     return LoadCase(dirichlet=(
         DirichletRamp("bottom", 0, 0.0, total_time),
@@ -172,7 +176,7 @@ def test_zero_state_is_fixed_point():
 
     state = eng.initial_state()
     for _ in range(50):
-        state = step_central_difference(eng, state, stress_fn, damage_fn)
+        state = eng.advance(state, *_eval_pair(eng, state, stress_fn), damage_fn)
     assert np.all(state.u == 0.0)
     assert np.all(state.v == 0.0)
     assert np.all(state.d == 0.0)
@@ -238,7 +242,7 @@ def test_central_difference_matches_discrete_oscillator():
     n_steps = int(np.ceil(T10 / dt))
     times, u_num = [], []
     for _ in range(n_steps):
-        state = step_central_difference(eng, state, stress_fn, damage_fn)
+        state = eng.advance(state, *_eval_pair(eng, state, stress_fn), damage_fn)
         times.append(state.time)
         u_num.append(state.u[mid[0], 1])
     times = np.asarray(times)
@@ -294,11 +298,6 @@ def test_energy_drift_after_ramp_hold():
     assert drift <= 0.01
 
 
-def _eval_pair(engine, state, stress_fn):
-    eps, _s, _f, a = engine.evaluate(state, stress_fn)
-    return eps, a
-
-
 # ---------------------------------------------------------------------------
 # reaction forces
 # ---------------------------------------------------------------------------
@@ -321,6 +320,26 @@ def test_reaction_static_uniaxial():
     sig_yy = (PARAMS.lam + 2 * PARAMS.mu) * e
     assert F_top[1] == pytest.approx(sig_yy * 1.0, rel=1e-12)
     assert np.linalg.norm(F_top + F_bot) <= 1e-6 * np.linalg.norm(F_top)
+
+
+def test_reaction_includes_mass_damping():
+    mesh = _box_mesh(1, 2, 1, 1.0, 2.0, 1.0)
+    quad = ElementQuadrature.build(mesh)
+    mass = lumped_mass(mesh, PARAMS.rho, quad)
+    rng = np.random.default_rng(7)
+    sigma = rng.normal(0.0, 1e6, (quad.n_gauss, 6))
+    accel = rng.normal(0.0, 1e2, (mesh.n_nodes, 3))
+    velocity = rng.normal(0.0, 1.0, (mesh.n_nodes, 3))
+    alpha = 50.0
+    f_int = internal_force(mesh, quad, sigma)
+    for name in ("top", "bottom"):
+        ids = mesh.node_sets[name]
+        expected = (f_int[ids] + mass[ids, None] * (accel[ids] + alpha * velocity[ids])).sum(axis=0)
+        F = reaction_force(mesh, quad, mass, sigma, accel, ids,
+                           velocity=velocity, mass_damping=alpha)
+        np.testing.assert_allclose(F, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        undamped = reaction_force(mesh, quad, mass, sigma, accel, ids, velocity=velocity)
+        assert np.abs(F - undamped).min() > 1e-6 * np.abs(expected).max()
 
 
 def test_reaction_zero_state():

@@ -5,10 +5,22 @@ post-processing."""
 import numpy as np
 import pytest
 
-from tsmfem.material import MaterialParams, stress_order1, update_damage_order1
+from tsmfem.material import (
+    MaterialParams,
+    stress_order0,
+    stress_order1,
+    update_damage_order0,
+    update_damage_order1,
+)
 from tsmfem.mesh import DirichletRamp, LoadCase, generate_plate_with_hole
 from tsmfem.montecarlo import fd_oracle
-from tsmfem.solver import ElementQuadrature, History, run_deterministic, stable_timestep
+from tsmfem.solver import (
+    DeterministicKernels,
+    ElementQuadrature,
+    History,
+    run_deterministic,
+    stable_timestep,
+)
 from tsmfem.tsm import (
     ExchangeFileReader,
     ExchangeFormatError,
@@ -47,8 +59,6 @@ def coarse_plate_problem(T=4e-3, amp=5e-3, eta=4e3):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TsmConfig(expansion_order=2)
     with pytest.raises(ValueError):
         TsmConfig(exchange_interval=0)
     with pytest.raises(ValueError):
@@ -286,6 +296,17 @@ def test_first_order_kernels_match_reference_ops():
     assert np.array_equal(s, stress_order1(d0, d1, eps0, eps1, E0))
     dnew = kern.damage(d1, eps1, 0)
     assert np.array_equal(dnew, update_damage_order1(d0, d1, eps0, eps1, dt, E0, eta))
+
+    # order 0 over two consecutive steps, so the per-step cache is refreshed
+    E = 1.1 * E0
+    det = DeterministicKernels(E, eta, dt)
+    d, eps = d0, eps0
+    for step, eps_next in ((0, eps1), (1, None)):
+        assert np.array_equal(det.stress(d, eps, step), stress_order0(d, eps, E))
+        d_next = det.damage(d, eps, step)
+        assert np.array_equal(d_next, update_damage_order0(d, eps, dt, E, eta))
+        assert not np.array_equal(d_next, d)
+        d, eps = d_next, eps_next
 
 
 def test_exchange_subsampling_error_study():
