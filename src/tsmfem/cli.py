@@ -134,7 +134,7 @@ def cmd_run_mc(args) -> int:
     stats = mc_statistics(ens)
     wall = _time.perf_counter() - t0
     _export_summary(outdir, cfg.problem.mesh, stats)
-    export._atomic_write(os.path.join(outdir, "xis.csv"),
+    export.atomic_write(os.path.join(outdir, "xis.csv"),
                          "xi\n" + "\n".join(f"{x:.17g}" for x in xis) + "\n")
     walls = {"total": float(ens.wall_times.sum()), "observed_wall": wall,
              "per_sample_mean": float(ens.wall_times.mean())}
@@ -197,7 +197,7 @@ def cmd_report_timing(args) -> int:
         lines.append(f"speedup mc / tsm = {by_kind['mc'] / by_kind['tsm']:8.2f}x")
     text = "\n".join(lines) + "\n"
     if args.out:
-        export._atomic_write(args.out, text)
+        export.atomic_write(args.out, text)
     print(text, end="")
     return 0
 

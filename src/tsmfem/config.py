@@ -117,6 +117,17 @@ def _check_keys(d: dict, allowed, path: str):
         raise ConfigError(f"unknown config key(s) {sorted(unknown)} under '{path}'")
 
 
+def _count(value, key: str) -> int:
+    """A config value that must be an integer >= 1."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ConfigError(f"{key} must be >= 1, got {n}")
+    return n
+
+
 @dataclass
 class RunConfig:
     """Fully resolved configuration plus the constructed problem objects."""
@@ -131,7 +142,6 @@ class RunConfig:
     mc_workers: int
     force_stride: int
     output_dir: str
-    source: str = ""  # preset name or mesh file path
 
     def as_dict(self) -> dict:
         return copy.deepcopy(self.raw)
@@ -179,11 +189,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                 f"unknown preset '{preset_name}' (have {sorted(PRESETS)})")
         cfg = _merge(PRESETS[preset_name], user)
         cfg["problem"] = {"preset": preset_name}
-        source = preset_name
     else:
         cfg = _merge(_preset({}, {}, [], 0.0), user)
         cfg["problem"] = {"mesh_file": mesh_file}
-        source = mesh_file
 
     _check_keys(cfg["generator"], ["kind", "width", "height", "thickness",
                                    "notch_depth", "notch_height", "hole_radius",
@@ -209,11 +217,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     # material
     mat = cfg["material"]
     try:
-        std = float(cfg["mc"]["std"])
-        xi2 = cfg["tsm"]["xi_second_moment"]
         params = MaterialParams(lam=float(mat["lam"]), mu=float(mat["mu"]),
-                                rho=float(mat["rho"]), eta=float(mat["eta"]),
-                                xi_second_moment=float(xi2) if xi2 is not None else std**2)
+                                rho=float(mat["rho"]), eta=float(mat["eta"]))
     except KeyError as exc:
         raise ConfigError(f"material.{exc.args[0]} is required") from exc
 
@@ -249,20 +254,21 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     if out.get("snapshot_times"):
         snaps = np.asarray([float(t) for t in out["snapshot_times"]])
     else:
-        n = int(out.get("n_snapshots") or 8)
+        n = _count(out["n_snapshots"], "output.n_snapshots")
         snaps = np.linspace(total_time / n, total_time, n)
 
+    mc = cfg["mc"]
+    xi2 = cfg["tsm"]["xi_second_moment"]
     tsm_cfg = TsmConfig(
         exchange_interval=int(cfg["tsm"]["exchange_interval"]),
         exchange_mode=cfg["tsm"]["exchange_mode"],
-        xi_second_moment=params.xi_second_moment,
+        xi_second_moment=float(mc["std"]) ** 2 if xi2 is None else float(xi2),
     )
-    mc = cfg["mc"]
     xi_dist = XiDistribution(kind=mc["kind"], std=float(mc["std"]),
                              truncation=float(mc["truncation"]), seed=int(mc["seed"]))
     return RunConfig(
         raw=cfg, problem=problem, dt=dt, snapshot_times=snaps, tsm=tsm_cfg,
         xi_dist=xi_dist, mc_n=int(mc["n"]), mc_workers=int(mc["workers"]),
-        force_stride=int(mc["force_stride"]), output_dir=str(out["dir"]),
-        source=str(source),
+        force_stride=_count(mc["force_stride"], "mc.force_stride"),
+        output_dir=str(out["dir"]),
     )

@@ -21,7 +21,8 @@ from .solver import History
 from .tsm import UqSummary
 
 
-def _atomic_write(path, data: str | bytes):
+def atomic_write(path, data: str | bytes):
+    """Write text or bytes via a temporary file renamed onto ``path``."""
     mode = "wb" if isinstance(data, bytes) else "w"
     tmp = f"{path}.tmp"
     with open(tmp, mode) as fh:
@@ -63,7 +64,7 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
         for name, arr in cell_scalars.items():
             out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             out.write("\n".join(f"{float(v):.17g}" for v in np.asarray(arr)) + "\n")
-    _atomic_write(path, out.getvalue())
+    atomic_write(path, out.getvalue())
 
 
 def history_to_vtk(outdir, mesh: Mesh, hist: History, prefix: str = "snapshot"):
@@ -120,7 +121,7 @@ def write_force_csv(path, times, forces: np.ndarray):
     """Reaction series: time, Fx, Fy, Fz."""
     rows = [(f"{t:.17g}", f"{f[0]:.17g}", f"{f[1]:.17g}", f"{f[2]:.17g}")
             for t, f in zip(times, forces)]
-    _atomic_write(path, _csv_string(["time", "Fx", "Fy", "Fz"], rows))
+    atomic_write(path, _csv_string(["time", "Fx", "Fy", "Fz"], rows))
 
 
 def write_force_stats_csv(path, uq: UqSummary):
@@ -129,7 +130,7 @@ def write_force_stats_csv(path, uq: UqSummary):
              *(f"{v:.17g}" for v in uq.force_std[i]))
             for i, t in enumerate(uq.force_times)]
     header = ["time", "Fx_mean", "Fy_mean", "Fz_mean", "Fx_std", "Fy_std", "Fz_std"]
-    _atomic_write(path, _csv_string(header, rows))
+    atomic_write(path, _csv_string(header, rows))
 
 
 def write_line_csv(path, table: LineTable):
@@ -141,7 +142,7 @@ def write_line_csv(path, table: LineTable):
                          f"{table.f_mean[i, j]:.17g}", f"{table.f_std[i, j]:.17g}",
                          f"{table.snorm_mean[i, j]:.17g}", f"{table.snorm_std[i, j]:.17g}"))
     header = ["time", "element", "x", "f_mean", "f_std", "stress_norm_mean", "stress_norm_std"]
-    _atomic_write(path, _csv_string(header, rows))
+    atomic_write(path, _csv_string(header, rows))
 
 
 def write_comparison_csv(outdir, report: ComparisonReport):
@@ -157,14 +158,14 @@ def write_comparison_csv(outdir, report: ComparisonReport):
                          f"{report.snorm_std_rel_err[i, e]:.17g}"))
     header = ["time", "element", "masked", "f_mean_abs_err", "f_std_rel_err",
               "snorm_mean_rel_err", "snorm_std_rel_err"]
-    _atomic_write(os.path.join(outdir, "comparison_elements.csv"),
+    atomic_write(os.path.join(outdir, "comparison_elements.csv"),
                   _csv_string(header, rows))
     summary = dict(report.summary)
     summary["force_mean_rel_err"] = report.force_mean_rel_err
     summary["force_std_rel_err"] = report.force_std_rel_err
     if report.timings:
         summary["timings"] = report.timings
-    _atomic_write(os.path.join(outdir, "comparison_summary.yaml"),
+    atomic_write(os.path.join(outdir, "comparison_summary.yaml"),
                   yaml.safe_dump(summary, sort_keys=True))
 
 
@@ -185,7 +186,7 @@ def save_summary(path, uq: UqSummary):
         force_set=np.array(uq.force_set),
         meta=np.array(yaml.safe_dump(uq.meta)),
     )
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def load_summary(path) -> UqSummary:
@@ -238,7 +239,7 @@ def write_manifest(path, config: dict, *, command: str, wall_times: dict,
     }
     if extra:
         manifest.update(_plain(extra))
-    _atomic_write(path, yaml.safe_dump(manifest, sort_keys=False))
+    atomic_write(path, yaml.safe_dump(manifest, sort_keys=False))
 
 
 def read_manifest(path) -> dict:

@@ -1,5 +1,7 @@
-"""Isotropic elasticity and the viscous damage law, including the first-order
-(sensitivity) stress and damage updates used by the time-separated scheme.
+"""Isotropic elasticity and the viscous damage law.  ``Order0Law`` and its
+exact first-order sensitivity ``Order1Law`` are the only code that evaluates
+the law: simulations call them every step, the ``*_order0/1`` functions
+wrap them.
 
 Conventions
 -----------
@@ -38,26 +40,19 @@ def stiffness_voigt(lam: float, mu: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Deterministic mean material: Lame parameters, density, viscosity,
-    and the second moment of the stiffness fluctuation variable.
+    """Deterministic mean material: Lame parameters, density, viscosity.
 
-    The random stiffness is (1 + xi) * E0 with a zero-mean scalar xi;
-    ``xi_second_moment`` is <xi^2> used by the uncertainty post-processing.
+    The random stiffness is (1 + xi) * E0 with a zero-mean scalar xi.
     """
 
     lam: float
     mu: float
     rho: float
     eta: float
-    xi_second_moment: float = 0.0
 
     def __post_init__(self):
         if min(self.lam, self.mu, self.rho, self.eta) <= 0.0:
             raise ValueError("lam, mu, rho, eta must all be positive")
-        if self.xi_second_moment < 0.0:
-            raise ValueError("xi_second_moment must be >= 0")
-        if self.xi_second_moment > 0.0 and np.sqrt(self.xi_second_moment) >= 1.0:
-            raise ValueError("sqrt(<xi^2>) must stay below 1 so 1+xi is plausible")
 
     @property
     def young(self) -> float:
@@ -90,57 +85,103 @@ def characteristic_scales(params: MaterialParams) -> dict[str, float]:
     }
 
 
+def _psi(eps, s) -> np.ndarray:
+    """Strain energy density 0.5 * eps : s from the elastic stress s = E : eps."""
+    return 0.5 * (np.asarray(eps) * s).sum(axis=-1)
+
+
 def free_energy(eps: np.ndarray, E0: np.ndarray) -> np.ndarray:
     """Undamaged strain energy density 0.5 * eps : E0 : eps (>= 0).
 
     ``eps`` may be a single 6-vector or an (n, 6) batch.
     """
     eps = np.asarray(eps)
-    return 0.5 * (eps * (eps @ E0.T)).sum(axis=-1)
+    return _psi(eps, eps @ E0.T)
 
 
-def damage_rate_order0(d0, eps0, E0, eta):
-    """Viscous damage rate exp(-d0) * Psi0(eps0) / eta."""
-    return np.exp(-d0) * free_energy(eps0, E0) / eta
+class Order0Law:
+    """Order-0 law for one stiffness E, as the solver's per-step callbacks:
+    stress exp(-d) * E : eps and the forward-Euler damage step
+    d + dt * exp(-d) * Psi(eps) / eta, which never decreases d.  The two
+    calls of a step share exp(-d) and E : eps.
+    """
+
+    def __init__(self, E: np.ndarray, eta: float, dt: float):
+        self.E = E
+        self.eta = eta
+        self.dt = dt
+        self._step = -1
+
+    def _prep(self, d, eps, step):
+        if step != self._step:
+            self._expd = np.exp(-np.asarray(d))
+            self._s = np.asarray(eps) @ self.E.T
+            self._step = step
+
+    def stress(self, d, eps, step):
+        self._prep(d, eps, step)
+        return self._expd[..., None] * self._s
+
+    def damage(self, d, eps, step):
+        self._prep(d, eps, step)
+        return d + self.dt * (self._expd * _psi(eps, self._s) / self.eta)
+
+
+class Order1Law:
+    """Order-1 law: the exact xi-derivative of ``Order0Law`` with stiffness
+    (1 + xi) * E0 at xi = 0, for the order-0 state ``hold(eps0, d0)`` caches.
+
+        sigma1 = exp(-d0) * [ (1 - d1) * E0 : eps0 + E0 : eps1 ]
+        d1'    = exp(-d0) / eta * [ (1 - d1) * Psi0(eps0) + eps1 : E0 : eps0 ]
+
+    (The cross term carries no 1/2: d/dxi of the quadratic form doubles it.)
+    """
+
+    def __init__(self, E0: np.ndarray, eta: float, dt: float):
+        self.E0 = E0
+        self.eta = eta
+        self.dt = dt
+        self.expd0 = self.s0 = self.psi0 = None
+
+    def hold(self, eps0, d0) -> "Order1Law":
+        self.expd0 = np.exp(-np.asarray(d0))
+        self.s0 = np.asarray(eps0) @ self.E0.T
+        self.psi0 = _psi(eps0, self.s0)
+        return self
+
+    def stress(self, d1, eps1):
+        s1 = np.asarray(eps1) @ self.E0.T
+        return self.expd0[..., None] * ((1.0 - np.asarray(d1))[..., None] * self.s0 + s1)
+
+    def rate(self, d1, eps1):
+        cross = (np.asarray(eps1) * self.s0).sum(axis=-1)
+        return self.expd0 / self.eta * ((1.0 - d1) * self.psi0 + cross)
+
+    def damage(self, d1, eps1):
+        """One forward-Euler step of d1."""
+        return d1 + self.dt * self.rate(d1, eps1)
 
 
 def update_damage_order0(d0, eps0, dt, E0, eta):
     """One forward-Euler step of the damage evolution; never decreases."""
-    return d0 + dt * damage_rate_order0(d0, eps0, E0, eta)
+    return Order0Law(E0, eta, dt).damage(d0, eps0, 0)
 
 
 def damage_rate_order1(d0, d1, eps0, eps1, E0, eta):
-    """Rate of the first-order damage coefficient d1 = dd/dxi at xi = 0.
-
-    Exact xi-derivative of the damage evolution with stiffness (1+xi)E0:
-
-        d1' = exp(-d0)/eta * [ (1 - d1) * Psi0(eps0) + eps1 : E0 : eps0 ]
-
-    (The cross term carries no 1/2: d/dxi of the quadratic form doubles it.)
-    """
-    s0 = np.asarray(eps0) @ E0.T
-    psi0 = 0.5 * (np.asarray(eps0) * s0).sum(axis=-1)
-    cross = (np.asarray(eps1) * s0).sum(axis=-1)
-    return np.exp(-d0) / eta * ((1.0 - d1) * psi0 + cross)
+    """Rate of the first-order damage coefficient d1 = dd/dxi at xi = 0."""
+    return Order1Law(E0, eta, 0.0).hold(eps0, d0).rate(d1, eps1)
 
 
 def update_damage_order1(d0, d1, eps0, eps1, dt, E0, eta):
     """Forward-Euler step of the first-order damage coefficient."""
-    return d1 + dt * damage_rate_order1(d0, d1, eps0, eps1, E0, eta)
+    return Order1Law(E0, eta, dt).hold(eps0, d0).damage(d1, eps1)
 
 
 def stress_order0(d0, eps0, E0):
     """Damaged stress exp(-d0) * E0 : eps0 (order-0 / deterministic law)."""
-    s = np.asarray(eps0) @ E0.T
-    return np.exp(-np.asarray(d0))[..., None] * s
+    return Order0Law(E0, 1.0, 0.0).stress(d0, eps0, 0)
 
 
 def stress_order1(d0, d1, eps0, eps1, E0):
-    """First-order stress dsigma/dxi at xi = 0:
-
-        exp(-d0) * [ (1 - d1) * E0 : eps0 + E0 : eps1 ]
-    """
-    s0 = np.asarray(eps0) @ E0.T
-    s1 = np.asarray(eps1) @ E0.T
-    d1 = np.asarray(d1)
-    return np.exp(-np.asarray(d0))[..., None] * ((1.0 - d1)[..., None] * s0 + s1)
+    """First-order stress dsigma/dxi at xi = 0."""
+    return Order1Law(E0, 1.0, 0.0).hold(eps0, d0).stress(d1, eps1)

@@ -69,10 +69,11 @@ class McEnsemble:
         return len(self.histories)
 
 
-def _run_sample(args):
+def _run_sample(args, quad: ElementQuadrature | None = None):
     problem, xi, dt, output_times, force_stride = args
     return run_deterministic(problem.mesh, problem.loads, problem.params,
-                             xi, dt, output_times, force_stride=force_stride,
+                             xi, dt, output_times, quad=quad,
+                             force_stride=force_stride,
                              mass_damping=problem.mass_damping)
 
 
@@ -90,18 +91,13 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
     if (1.0 + samples <= 0.0).any():
         raise ValueError("every sample must keep 1 + xi positive")
     histories: list[History] = []
+    jobs = [(problem, float(xi), dt, output_times, force_stride) for xi in samples]
     try:
         if workers <= 1:
             quad = quad or ElementQuadrature.build(problem.mesh)
-            for xi in samples:
-                histories.append(
-                    run_deterministic(problem.mesh, problem.loads, problem.params,
-                                      float(xi), dt, output_times,
-                                      quad=quad, force_stride=force_stride,
-                                      mass_damping=problem.mass_damping))
+            for job in jobs:
+                histories.append(_run_sample(job, quad))
         else:
-            jobs = [(problem, float(xi), dt, output_times, force_stride)
-                    for xi in samples]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for hist in pool.map(_run_sample, jobs, chunksize=4):
                     histories.append(hist)

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from . import hexa
 from .material import MaterialParams, characteristic_scales
+from .material import Order0Law as DeterministicKernels  # order-0 step callbacks
 from .mesh import LoadCase, Mesh, validate_load_case, validate_mesh
 
 _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
@@ -254,7 +255,6 @@ class ExplicitEngine:
         if mass_damping < 0.0:
             raise ValueError("mass_damping must be >= 0")
         self.mesh = mesh
-        self.loads = loads
         self.dt = dt
         self.quad = quad or ElementQuadrature.build(mesh)
         mass = lumped_mass(mesh, rho, self.quad)
@@ -313,6 +313,8 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
     """Integrate to ``loads.total_time`` recording snapshots, per-set reaction
     forces every ``force_stride`` steps, and (optionally) feeding every step's
     Gauss state to ``exchange_hook(step, time, eps, d)``."""
+    if force_stride < 1:
+        raise ValueError(f"force_stride must be >= 1, got {force_stride}")
     t0 = _time.perf_counter()
     engine = ExplicitEngine(mesh, loads, rho, dt, quad=quad,
                             dirichlet_scale=dirichlet_scale,
@@ -362,38 +364,6 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
     hist.forces = {name: forces[:, k].copy() for k, name in enumerate(set_names)}
     hist.wall_time = _time.perf_counter() - t0
     return hist
-
-
-class DeterministicKernels:
-    """Stress and damage callbacks for one stiffness realization, sharing
-    exp(-d) and the elastic stress between the two evaluations of a step.
-
-    Op-for-op identical to material.stress_order0 / update_damage_order0
-    (pinned bitwise by tests).
-    """
-
-    def __init__(self, E_eff: np.ndarray, eta: float, dt: float):
-        self.E = E_eff
-        self.eta = eta
-        self.dt = dt
-        self._step = -1
-        self._expd = None
-        self._s = None
-
-    def _prep(self, d, eps, step):
-        if step != self._step:
-            self._expd = np.exp(-d)
-            self._s = eps @ self.E.T
-            self._step = step
-
-    def stress(self, d, eps, step):
-        self._prep(d, eps, step)
-        return self._expd[:, None] * self._s
-
-    def damage(self, d, eps, step):
-        self._prep(d, eps, step)
-        psi = 0.5 * (eps * self._s).sum(axis=-1)
-        return d + self.dt * ((self._expd * psi) / self.eta)
 
 
 def run_deterministic(mesh: Mesh, loads: LoadCase, params: MaterialParams,

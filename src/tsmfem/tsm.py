@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .material import MaterialParams
+from .material import MaterialParams, Order1Law
 from .mesh import LoadCase, Mesh
 from .solver import (
     ElementQuadrature,
@@ -67,6 +67,8 @@ class TsmConfig:
             raise ValueError(f"unknown exchange_mode '{self.exchange_mode}'")
         if self.xi_second_moment < 0.0:
             raise ValueError("xi_second_moment must be >= 0")
+        if np.sqrt(self.xi_second_moment) >= 1.0:
+            raise ValueError("sqrt(<xi^2>) must stay below 1 so 1+xi is plausible")
 
 
 @dataclass
@@ -101,9 +103,7 @@ class ExchangeFileWriter:
     """Streams exchange records to disk; a CRC32 trailer seals the file."""
 
     def __init__(self, path, exchange_interval: int, gp_count: int):
-        self.path = path
         self.K = exchange_interval
-        self.gp_count = gp_count
         self._fh = open(path, "wb")
         self._crc = 0
         self._write(_HEADER.pack(_MAGIC, _VERSION, gp_count, exchange_interval))
@@ -224,49 +224,32 @@ class FirstOrderKernels:
     """Stress and damage callbacks of the sensitivity problem.
 
     The order-0 strain and damage arrive as a stepwise-constant external
-    field (zero-order hold between exchange records); per segment the
-    derived quantities exp(-d0), E0:eps0 and Psi0(eps0) are cached.
-
-    Op-for-op identical to material.stress_order1 / update_damage_order1
-    for the held (eps0, d0) (pinned by tests).
+    field: a zero-order hold of the newest exchange record at or before the
+    step, handed to ``material.Order1Law``, which evaluates the law.
     """
 
     def __init__(self, E0: np.ndarray, eta: float, dt: float, source):
-        self.E0 = E0
-        self.eta = eta
-        self.dt = dt
+        self.law = Order1Law(E0, eta, dt)
         self._it = iter(source)
         self._next = next(self._it, None)
         if self._next is None:
             raise ValueError("order-0 exchange source is empty")
-        self._expd0 = None
-        self._s0 = None
-        self._psi0 = None
 
     def _advance_to(self, step: int):
-        advanced = False
+        rec = None
         while self._next is not None and self._next.step <= step:
-            rec = self._next
-            self._next = next(self._it, None)
-            if self._next is not None and self._next.step <= step:
-                continue  # skip straight to the newest applicable record
-            self._expd0 = np.exp(-rec.d)
-            self._s0 = rec.eps @ self.E0.T
-            self._psi0 = 0.5 * (rec.eps * self._s0).sum(axis=-1)
-            advanced = True
-        if self._expd0 is None:
+            rec, self._next = self._next, next(self._it, None)
+        if rec is not None:
+            self.law.hold(rec.eps, rec.d)
+        elif self.law.s0 is None:
             raise ValueError(f"no exchange record at or before step {step}")
-        return advanced
 
     def stress(self, d1, eps1, step):
         self._advance_to(step)
-        s1 = eps1 @ self.E0.T
-        return self._expd0[:, None] * ((1.0 - d1)[:, None] * self._s0 + s1)
+        return self.law.stress(d1, eps1)
 
     def damage(self, d1, eps1, step):
-        cross = (eps1 * self._s0).sum(axis=-1)
-        rate = self._expd0 / self.eta * ((1.0 - d1) * self._psi0 + cross)
-        return d1 + self.dt * rate
+        return self.law.damage(d1, eps1)
 
 
 def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,

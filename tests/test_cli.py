@@ -1,11 +1,14 @@
 """Config resolution, artifact writers, and the CLI surface."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import tsmfem
 from tsmfem.cli import main
 from tsmfem.config import ConfigError, PRESETS, load_config
 from tsmfem.export import (
@@ -202,6 +205,23 @@ def test_cli_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem: {preset: plate_coarse_desk}\nmc: {bogus: 1}\n")
     assert main(["run-det", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("setting", ["mc.force_stride=0", "mc.force_stride=-3",
+                                     "output.n_snapshots=0"])
+def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
+    """A stride or snapshot count below 1 stops the run before it starts:
+    exit code 1 with one error line, not a traceback or a silent default."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsmfem.cli", "run-det", "--preset", "plate_coarse_desk",
+         "--out", str(tmp_path), "--set", setting],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert setting.split("=")[0] in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_io_error_exit_code(tmp_path):

@@ -1,6 +1,8 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and no
+module reaches into another module's private (single-underscore) names.
 
-``__init__.py`` is exempt because its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check because its imports are the
+package's re-exports.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tsmfem"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PACKAGE_MODULES = {p.stem for p in MODULES}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -36,3 +39,28 @@ def test_no_unused_module_imports(path):
     unused = sorted(f"{name} (line {line})"
                     for name, line in _imported_names(tree).items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_of_other_modules(path):
+    """Neither ``from .mod import _name`` nor ``mod._name`` on a package
+    module imported as ``from . import mod``, anywhere in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    reaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None and alias.name in PACKAGE_MODULES:
+                    modules.add(alias.asname or alias.name)
+                elif _is_private(alias.name):
+                    reaches.append(f"{node.module}.{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            reaches.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    assert not reaches, f"{path.name}: private names of other modules {reaches}"

@@ -368,8 +368,7 @@ def test_reaction_empty_set_rejected():
 def _coarse_plate_problem(T=2e-3, amp=5e-4):
     mesh = generate_plate_with_hole(width=0.1, height=0.075, thickness=0.0125,
                                     hole_radius=0.03125, nx=8, ny=6)
-    params = MaterialParams(lam=1e9, mu=0.8e9, rho=1000.0, eta=2e4,
-                            xi_second_moment=0.01)
+    params = MaterialParams(lam=1e9, mu=0.8e9, rho=1000.0, eta=2e4)
     loads = LoadCase(dirichlet=(
         DirichletRamp("symmetry_x", 0, 0.0, T),
         DirichletRamp("symmetry_y", 1, 0.0, T),

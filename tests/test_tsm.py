@@ -42,8 +42,7 @@ from tsmfem.tsm import (
 def coarse_plate_problem(T=4e-3, amp=5e-3, eta=4e3):
     mesh = generate_plate_with_hole(width=0.1, height=0.075, thickness=0.0125,
                                     hole_radius=0.03125, nx=8, ny=6)
-    params = MaterialParams(lam=1e9, mu=0.8e9, rho=1000.0, eta=eta,
-                            xi_second_moment=0.01)
+    params = MaterialParams(lam=1e9, mu=0.8e9, rho=1000.0, eta=eta)
     loads = LoadCase(dirichlet=(
         DirichletRamp("symmetry_x", 0, 0.0, T),
         DirichletRamp("symmetry_y", 1, 0.0, T),
@@ -63,6 +62,10 @@ def test_config_validation():
         TsmConfig(exchange_interval=0)
     with pytest.raises(ValueError):
         TsmConfig(exchange_mode="carrier_pigeon")
+    with pytest.raises(ValueError):
+        TsmConfig(xi_second_moment=-0.1)
+    with pytest.raises(ValueError):
+        TsmConfig(xi_second_moment=1.0)
 
 
 def _random_records(rng, n_rec=5, gp=7, K=3):
@@ -281,32 +284,36 @@ def test_file_and_memory_modes_agree(tmp_path):
 
 
 def test_first_order_kernels_match_reference_ops():
+    """The step callbacks evaluate the material law classes; what that does
+    not make true by construction is checked here: the order-0 cache is
+    refreshed when the step changes, and the order-1 hold takes the newest
+    exchange record at or before the step."""
     rng = np.random.default_rng(3)
     gp = 40
     E0 = MaterialParams(lam=1e9, mu=0.8e9, rho=1e3, eta=1e3).stiffness
-    eps0 = rng.normal(0, 1e-3, (gp, 6))
-    d0 = rng.uniform(0, 2, gp)
-    eps1 = rng.normal(0, 1e-3, (gp, 6))
-    d1 = rng.uniform(-1, 1, gp)
+    eps = rng.normal(0, 1e-3, (3, gp, 6))
+    d = rng.uniform(0, 2, (3, gp))
     dt, eta = 1e-6, 1e3
-    src = InMemoryExchange(1, gp)
-    src.records = [ExchangeRecord(0, 0.0, eps0, d0)]
-    kern = FirstOrderKernels(E0, eta, dt, src)
-    s = kern.stress(d1, eps1, 0)
-    assert np.array_equal(s, stress_order1(d0, d1, eps0, eps1, E0))
-    dnew = kern.damage(d1, eps1, 0)
-    assert np.array_equal(dnew, update_damage_order1(d0, d1, eps0, eps1, dt, E0, eta))
 
-    # order 0 over two consecutive steps, so the per-step cache is refreshed
+    # order 0 over two consecutive steps with different states
     E = 1.1 * E0
     det = DeterministicKernels(E, eta, dt)
-    d, eps = d0, eps0
-    for step, eps_next in ((0, eps1), (1, None)):
-        assert np.array_equal(det.stress(d, eps, step), stress_order0(d, eps, E))
-        d_next = det.damage(d, eps, step)
-        assert np.array_equal(d_next, update_damage_order0(d, eps, dt, E, eta))
-        assert not np.array_equal(d_next, d)
-        d, eps = d_next, eps_next
+    for step in (0, 1):
+        assert np.array_equal(det.stress(d[step], eps[step], step),
+                              stress_order0(d[step], eps[step], E))
+        assert np.array_equal(det.damage(d[step], eps[step], step),
+                              update_damage_order0(d[step], eps[step], dt, E, eta))
+
+    # order 1 with records at steps 0, 3 and 4: step 5 skips the step-3 record
+    src = InMemoryExchange(1, gp)
+    src.records = [ExchangeRecord(s, s * dt, eps[i], d[i]) for i, s in enumerate((0, 3, 4))]
+    kern = FirstOrderKernels(E0, eta, dt, src)
+    eps1, d1 = rng.normal(0, 1e-3, (gp, 6)), rng.uniform(-1, 1, gp)
+    for step, held in ((0, 0), (2, 0), (5, 2)):
+        assert np.array_equal(kern.stress(d1, eps1, step),
+                              stress_order1(d[held], d1, eps[held], eps1, E0))
+        assert np.array_equal(kern.damage(d1, eps1, step),
+                              update_damage_order1(d[held], d1, eps[held], eps1, dt, E0, eta))
 
 
 def test_exchange_subsampling_error_study():
