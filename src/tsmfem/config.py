@@ -118,10 +118,13 @@ def _check_keys(d: dict, allowed, path: str):
 
 
 def _count(value, key: str) -> int:
-    """A config value that must be an integer >= 1."""
+    """A config value that must be an integer >= 1; 2.5 is rejected, not
+    truncated."""
     try:
         n = int(value)
-    except (TypeError, ValueError):
+        if n != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
     if n < 1:
         raise ConfigError(f"{key} must be >= 1, got {n}")
@@ -258,9 +261,12 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         snaps = np.linspace(total_time / n, total_time, n)
 
     mc = cfg["mc"]
+    mc_n = _count(mc["n"], "mc.n")
+    if mc_n < 2:
+        raise ConfigError(f"mc.n must be >= 2 (statistics need two samples), got {mc_n}")
     xi2 = cfg["tsm"]["xi_second_moment"]
     tsm_cfg = TsmConfig(
-        exchange_interval=int(cfg["tsm"]["exchange_interval"]),
+        exchange_interval=_count(cfg["tsm"]["exchange_interval"], "tsm.exchange_interval"),
         exchange_mode=cfg["tsm"]["exchange_mode"],
         xi_second_moment=float(mc["std"]) ** 2 if xi2 is None else float(xi2),
     )
@@ -268,7 +274,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                              truncation=float(mc["truncation"]), seed=int(mc["seed"]))
     return RunConfig(
         raw=cfg, problem=problem, dt=dt, snapshot_times=snaps, tsm=tsm_cfg,
-        xi_dist=xi_dist, mc_n=int(mc["n"]), mc_workers=int(mc["workers"]),
+        xi_dist=xi_dist, mc_n=mc_n, mc_workers=int(mc["workers"]),
         force_stride=_count(mc["force_stride"], "mc.force_stride"),
         output_dir=str(out["dir"]),
     )

@@ -3,7 +3,10 @@
 The element loop is flattened into two pre-assembled sparse operators:
 ``strain_op`` maps the global displacement vector to all Gauss-point strains
 (engineering shear), and ``force_op`` maps weighted Gauss-point stresses back
-to nodal internal forces.  Stress and damage laws enter as per-Gauss-point
+to nodal internal forces.  Both store only the structural nonzeros of the
+strain-displacement matrix B, 72 per Gauss point (8 in each normal-strain
+row, 16 in each shear row, columns ascending), so a product spends no work
+on ``0 * x`` terms.  Stress and damage laws enter as per-Gauss-point
 callbacks, so the deterministic and the first-order (sensitivity) problems
 share one integrator.
 
@@ -29,6 +32,15 @@ _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
           (0, 4), (1, 5), (2, 6), (3, 7)]
 
 _NAN_CHECK_INTERVAL = 64
+
+# The 9 nonzeros of a node's 6x3 block of the strain-displacement matrix B:
+# (strain row, displacement axis, k of the dN/dx_k that fills the entry)
+_B_ROW, _B_AXIS, _B_DERIV = np.array([
+    (0, 0, 0), (1, 1, 1), (2, 2, 2),  # normal strains
+    (3, 1, 2), (3, 2, 1),  # gamma_yz = du_y/dz + du_z/dy
+    (4, 0, 2), (4, 2, 0),  # gamma_xz
+    (5, 0, 1), (5, 1, 0),  # gamma_xy
+]).T
 
 
 class InstabilityError(RuntimeError):
@@ -64,27 +76,18 @@ class ElementQuadrature:
         # dN_a/dx_j at each Gauss point of each element
         dNdx = np.einsum("gak,egkj->egaj", hexa.DN_AT_GP, Jinv)
 
-        B = np.zeros((ne, 8, 6, 24))  # strain-displacement blocks
-        dx, dy, dz = dNdx[..., 0], dNdx[..., 1], dNdx[..., 2]
-        B[:, :, 0, 0::3] = dx
-        B[:, :, 1, 1::3] = dy
-        B[:, :, 2, 2::3] = dz
-        B[:, :, 3, 1::3] = dz  # gamma_yz
-        B[:, :, 3, 2::3] = dy
-        B[:, :, 4, 0::3] = dz  # gamma_xz
-        B[:, :, 4, 2::3] = dx
-        B[:, :, 5, 0::3] = dy  # gamma_xy
-        B[:, :, 5, 1::3] = dx
-
         detJw = detJ * hexa.GAUSS_WEIGHTS[None, :]
         ngp = 8 * ne
         ndof = 3 * mesh.n_nodes
 
-        dofs = (3 * mesh.elements[:, :, None] + np.arange(3)[None, None, :]).reshape(ne, 24)
-        rows = np.repeat(np.arange(6 * ngp), 24)
-        cols = np.broadcast_to(dofs[:, None, None, :], (ne, 8, 6, 24)).ravel()
+        # only the 9 structural nonzeros per node of each 6x24 B block
+        data = dNdx[..., _B_DERIV]  # (ne, 8 gp, 8 nodes, 9)
+        rows = 6 * np.arange(ngp).reshape(ne, 8, 1, 1) + _B_ROW
+        cols = 3 * mesh.elements[:, None, :, None] + _B_AXIS
         strain_op = sp.coo_matrix(
-            (B.ravel(), (rows, cols)), shape=(6 * ngp, ndof)
+            (data.ravel(), (np.broadcast_to(rows, data.shape).ravel(),
+                            np.broadcast_to(cols, data.shape).ravel())),
+            shape=(6 * ngp, ndof),
         ).tocsr()
         w_rows = np.repeat(detJw.reshape(ngp), 6)
         force_op = strain_op.multiply(w_rows[:, None]).T.tocsr()

@@ -207,14 +207,19 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert main(["run-det", "--config", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("setting", ["mc.force_stride=0", "mc.force_stride=-3",
-                                     "output.n_snapshots=0"])
+@pytest.mark.parametrize("setting", [
+    "mc.force_stride=0", "mc.force_stride=-3", "mc.force_stride=2.5",
+    "output.n_snapshots=0", "output.n_snapshots=2.5", "tsm.exchange_interval=2.7",
+    "mc.n=1"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
-    """A stride or snapshot count below 1 stops the run before it starts:
-    exit code 1 with one error line, not a traceback or a silent default."""
+    """A count below its minimum or not an integer stops the run before it
+    starts: exit code 1 with one error line, not a traceback, a silent
+    default or truncation.  ``mc.n`` goes through run-mc, which would
+    otherwise run the whole ensemble before its statistics fail."""
+    command = "run-mc" if setting.startswith("mc.n=") else "run-det"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "tsmfem.cli", "run-det", "--preset", "plate_coarse_desk",
+        [sys.executable, "-m", "tsmfem.cli", command, "--preset", "plate_coarse_desk",
          "--out", str(tmp_path), "--set", setting],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr

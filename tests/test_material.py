@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from tsmfem.material import (
     MaterialParams,
+    _dot6,
     characteristic_scales,
     damage_rate_order1,
     free_energy,
@@ -108,6 +110,31 @@ def test_free_energy_quadratic_homogeneity(eps):
 @given(eps=strains)
 def test_free_energy_nonnegative(eps):
     assert free_energy(eps, stiffness_voigt(LAM, MU)) >= 0.0
+
+
+voigt_shapes = st.one_of(st.just((6,)), st.integers(1, 40).map(lambda n: (n, 6)))
+voigt_entries = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@given(shape=voigt_shapes, data=st.data())
+def test_voigt_contraction_is_bitwise_the_numpy_sum(shape, data):
+    """The unrolled contraction the laws use adds the six products in the
+    order numpy's ``sum(axis=-1)`` does; this fails if numpy changes its
+    reduction order for short rows."""
+    a, b = (data.draw(hnp.arrays(np.float64, shape, elements=voigt_entries))
+            for _ in range(2))
+    ref = (a * b).sum(axis=-1)
+    got = _dot6(a, b)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def test_free_energy_of_one_vector_is_a_scalar():
+    E = stiffness_voigt(LAM, MU)
+    eps = np.array([1e-3, -2e-4, 5e-4, 1e-4, 0.0, 3e-4])
+    psi = free_energy(eps, E)
+    assert np.ndim(psi) == 0
+    assert psi == free_energy(eps[None, :], E)[0]
 
 
 # ---------------------------------------------------------------------------

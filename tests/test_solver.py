@@ -5,6 +5,8 @@ the explicit integrator against closed-form dynamics, and energy bookkeeping.
 import numpy as np
 import pytest
 
+from tsmfem import hexa
+from tsmfem.config import load_config
 from tsmfem.material import MaterialParams, stress_order0
 from tsmfem.mesh import DirichletRamp, LoadCase, Mesh, _structured_box, generate_plate_with_hole
 from tsmfem.solver import (
@@ -119,6 +121,75 @@ def test_rigid_translation_zero_strain_and_force():
     assert np.abs(eps).max() <= 1e-13  # pure roundoff at 1/h ~ 1e2 gradients
     sigma = stress_order0(np.zeros(quad.n_gauss), eps, PARAMS.stiffness)
     assert np.abs(internal_force(mesh, quad, sigma)).max() <= 1e-9
+
+
+DESK_PRESETS = ["plate_coarse_desk", "plate_hole_desk", "double_notch_desk"]
+
+
+def _desk_mesh(preset):
+    return load_config(overrides={"problem": {"preset": preset}}).problem.mesh
+
+
+@pytest.mark.parametrize("preset", DESK_PRESETS)
+def test_operators_store_only_structural_nonzeros(preset):
+    """Each Gauss point's 6 strain rows hold 8 (normal) or 16 (shear)
+    entries, columns ascending, none an explicit zero; force_op is bitwise
+    the detJw-weighted transpose of strain_op."""
+    quad = ElementQuadrature.build(_desk_mesh(preset))
+    S = quad.strain_op
+    assert S.nnz == S.count_nonzero() == 72 * quad.n_gauss
+    per_row = np.diff(S.indptr).reshape(quad.n_gauss, 6)
+    assert np.array_equal(per_row, np.broadcast_to([8, 8, 8, 16, 16, 16], per_row.shape))
+    steps = np.diff(S.indices)
+    within_row = np.ones(steps.size, dtype=bool)
+    within_row[S.indptr[1:-1] - 1] = False
+    assert (steps[within_row] > 0).all()
+
+    back = quad.force_op.T.tocsr()  # strain_op's layout
+    assert quad.force_op.nnz == S.nnz
+    assert np.array_equal(back.indptr, S.indptr)
+    assert np.array_equal(back.indices, S.indices)
+    w = np.repeat(quad.detJw.ravel(), 6)
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    assert np.array_equal(back.data, S.data * w[rows])
+
+
+def _dense_b_reference(mesh):
+    """Per-element dense 6x24 B blocks and detJ*w, Gauss point by Gauss point."""
+    blocks, weights = [], []
+    for X in mesh.element_coords():
+        for g in range(8):
+            dN = hexa.DN_AT_GP[g]  # (8 nodes, 3) reference gradients
+            J = dN.T @ X
+            dx, dy, dz = (dN @ np.linalg.inv(J).T).T
+            B = np.zeros((6, 24))
+            B[0, 0::3], B[1, 1::3], B[2, 2::3] = dx, dy, dz
+            B[3, 1::3], B[3, 2::3] = dz, dy
+            B[4, 0::3], B[4, 2::3] = dz, dx
+            B[5, 0::3], B[5, 1::3] = dy, dx
+            blocks.append(B)
+            weights.append(np.linalg.det(J) * hexa.GAUSS_WEIGHTS[g])
+    return np.array(blocks).reshape(mesh.n_elements, 8, 6, 24), np.array(weights)
+
+
+def test_operator_products_match_dense_b_elementwise():
+    mesh = _desk_mesh("plate_coarse_desk")
+    quad = ElementQuadrature.build(mesh)
+    B, w = _dense_b_reference(mesh)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((mesh.n_nodes, 3))
+    s = rng.standard_normal((quad.n_gauss, 6))
+
+    dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(mesh.n_elements, 24)
+    eps_ref = np.einsum("egij,ej->egi", B, u.ravel()[dofs]).reshape(quad.n_gauss, 6)
+    f_ref = np.zeros(3 * mesh.n_nodes)
+    s_w = s.reshape(mesh.n_elements, 8, 6) * w.reshape(mesh.n_elements, 8, 1)
+    np.add.at(f_ref, dofs, np.einsum("egij,egi->ej", B, s_w))
+
+    eps = quad.strains(u)
+    assert np.abs(eps - eps_ref).max() <= 1e-13 * np.abs(eps_ref).max()
+    f = internal_force(mesh, quad, s).ravel()
+    assert np.abs(f - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
 
 
 # ---------------------------------------------------------------------------
