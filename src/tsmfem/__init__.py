@@ -4,7 +4,7 @@ reference harness."""
 
 __version__ = "0.1.0"
 
-from .material import MaterialParams, characteristic_scales, stiffness_voigt
+from .material import MaterialParams, characteristic_scales, free_energy, stiffness_voigt
 from .mesh import (
     DirichletRamp,
     LoadCase,

@@ -69,6 +69,9 @@ def _preset(generator, material, dirichlet, total_time, snapshots=8):
     }
 
 
+# the key layout every config is checked against (root and fixed sections)
+_TEMPLATE = _preset({}, {}, [], 0.0)
+
 _REFERENCE_MATERIAL = {"lam": 1.0e9, "mu": 0.8e9, "rho": 1000.0}
 
 PRESETS: dict[str, dict] = {
@@ -117,17 +120,17 @@ def _check_keys(d: dict, allowed, path: str):
         raise ConfigError(f"unknown config key(s) {sorted(unknown)} under '{path}'")
 
 
-def _count(value, key: str) -> int:
-    """A config value that must be an integer >= 1; 2.5 is rejected, not
-    truncated."""
+def _count(value, key: str, minimum: int = 1) -> int:
+    """A config value that must be an integer >= minimum; 2.5 is rejected,
+    not truncated."""
     try:
         n = int(value)
         if n != float(value):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ConfigError(f"{key} must be >= 1, got {n}")
+    if n < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {n}")
     return n
 
 
@@ -177,8 +180,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     if overrides:
         user = _merge(user, overrides)
 
-    _check_keys(user, ["problem", "generator", "material", "load", "timestep",
-                       "tsm", "mc", "output"], "<root>")
+    _check_keys(user, _TEMPLATE, "<root>")
     prob_spec = user.get("problem", {})
     _check_keys(prob_spec, ["preset", "mesh_file"], "problem")
     preset_name = prob_spec.get("preset")
@@ -193,7 +195,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         cfg = _merge(PRESETS[preset_name], user)
         cfg["problem"] = {"preset": preset_name}
     else:
-        cfg = _merge(_preset({}, {}, [], 0.0), user)
+        cfg = _merge(_TEMPLATE, user)
         cfg["problem"] = {"mesh_file": mesh_file}
 
     _check_keys(cfg["generator"], ["kind", "width", "height", "thickness",
@@ -202,12 +204,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     _check_keys(cfg["material"], ["lam", "mu", "rho", "eta"], "material")
     _check_keys(cfg["load"], ["dirichlet", "total_time", "body_force",
                               "amplitude", "ramp_end"], "load")
-    _check_keys(cfg["timestep"], ["dt", "cfl_safety", "mass_damping"], "timestep")
-    _check_keys(cfg["tsm"], ["exchange_interval", "exchange_mode",
-                             "xi_second_moment"], "tsm")
-    _check_keys(cfg["mc"], ["n", "kind", "std", "truncation", "seed",
-                            "workers", "force_stride"], "mc")
-    _check_keys(cfg["output"], ["dir", "snapshot_times", "n_snapshots"], "output")
+    for section in ("timestep", "tsm", "mc", "output"):
+        _check_keys(cfg[section], _TEMPLATE[section], section)
 
     # mesh
     if mesh_file is not None:
@@ -261,9 +259,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         snaps = np.linspace(total_time / n, total_time, n)
 
     mc = cfg["mc"]
-    mc_n = _count(mc["n"], "mc.n")
-    if mc_n < 2:
-        raise ConfigError(f"mc.n must be >= 2 (statistics need two samples), got {mc_n}")
+    mc_n = _count(mc["n"], "mc.n", minimum=2)  # statistics need two samples
     xi2 = cfg["tsm"]["xi_second_moment"]
     tsm_cfg = TsmConfig(
         exchange_interval=_count(cfg["tsm"]["exchange_interval"], "tsm.exchange_interval"),
@@ -271,10 +267,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         xi_second_moment=float(mc["std"]) ** 2 if xi2 is None else float(xi2),
     )
     xi_dist = XiDistribution(kind=mc["kind"], std=float(mc["std"]),
-                             truncation=float(mc["truncation"]), seed=int(mc["seed"]))
+                             truncation=float(mc["truncation"]),
+                             seed=_count(mc["seed"], "mc.seed", minimum=0))
     return RunConfig(
         raw=cfg, problem=problem, dt=dt, snapshot_times=snaps, tsm=tsm_cfg,
-        xi_dist=xi_dist, mc_n=mc_n, mc_workers=int(mc["workers"]),
+        xi_dist=xi_dist, mc_n=mc_n, mc_workers=_count(mc["workers"], "mc.workers"),
         force_stride=_count(mc["force_stride"], "mc.force_stride"),
         output_dir=str(out["dir"]),
     )

@@ -57,17 +57,11 @@ N_AT_GP = shape_functions(GAUSS_POINTS)
 DN_AT_GP = shape_gradients(GAUSS_POINTS)
 
 
-def jacobian_determinants(coords: np.ndarray) -> np.ndarray:
-    """det(J) at the 8 Gauss points for each element.
+def jacobians(coords: np.ndarray) -> np.ndarray:
+    """Jacobians J[e, g, k, j] = dx_j/dxi_k at the 8 Gauss points of each
+    element, from (nelem, 8, 3) nodal coordinates; shape (nelem, 8, 3, 3).
 
-    Parameters
-    ----------
-    coords : (nelem, 8, 3) nodal coordinates per element.
-
-    Returns
-    -------
-    (nelem, 8) determinants (positive for well-oriented elements).
+    The chain rule then reads dN/dx = inv(J) @ dN/dxi, i.e. for a row of
+    reference gradients dN/dxi, dN/dx = dN/dxi @ inv(J).T.
     """
-    # J[e, g, i, j] = sum_a dN[g, a, i] * x[e, a, j]
-    J = np.einsum("gai,eaj->egij", DN_AT_GP, coords)
-    return np.linalg.det(J)
+    return np.einsum("gak,eaj->egkj", DN_AT_GP, coords)

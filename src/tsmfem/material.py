@@ -1,7 +1,6 @@
 """Isotropic elasticity and the viscous damage law.  ``Order0Law`` and its
 exact first-order sensitivity ``Order1Law`` are the only code that evaluates
-the law: simulations call them every step, the ``*_order0/1`` functions
-wrap them.
+the law; simulations call them every step.
 
 Conventions
 -----------
@@ -57,10 +56,6 @@ class MaterialParams:
     @property
     def young(self) -> float:
         return self.mu * (3.0 * self.lam + 2.0 * self.mu) / (self.lam + self.mu)
-
-    @property
-    def poisson(self) -> float:
-        return self.lam / (2.0 * (self.lam + self.mu))
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -169,27 +164,3 @@ class Order1Law:
         """One forward-Euler step of d1."""
         return d1 + self.dt * self.rate(d1, eps1)
 
-
-def update_damage_order0(d0, eps0, dt, E0, eta):
-    """One forward-Euler step of the damage evolution; never decreases."""
-    return Order0Law(E0, eta, dt).damage(d0, eps0, 0)
-
-
-def damage_rate_order1(d0, d1, eps0, eps1, E0, eta):
-    """Rate of the first-order damage coefficient d1 = dd/dxi at xi = 0."""
-    return Order1Law(E0, eta, 0.0).hold(eps0, d0).rate(d1, eps1)
-
-
-def update_damage_order1(d0, d1, eps0, eps1, dt, E0, eta):
-    """Forward-Euler step of the first-order damage coefficient."""
-    return Order1Law(E0, eta, dt).hold(eps0, d0).damage(d1, eps1)
-
-
-def stress_order0(d0, eps0, E0):
-    """Damaged stress exp(-d0) * E0 : eps0 (order-0 / deterministic law)."""
-    return Order0Law(E0, 1.0, 0.0).stress(d0, eps0, 0)
-
-
-def stress_order1(d0, d1, eps0, eps1, E0):
-    """First-order stress dsigma/dxi at xi = 0."""
-    return Order1Law(E0, 1.0, 0.0).hold(eps0, d0).stress(d1, eps1)

@@ -64,7 +64,7 @@ def validate_mesh(mesh: Mesh) -> None:
             f"element {e} references node {int(mesh.elements[e].max())} "
             f"but the mesh has {n} nodes"
         )
-    detJ = hexa.jacobian_determinants(mesh.element_coords())
+    detJ = np.linalg.det(hexa.jacobians(mesh.element_coords()))
     nonpos = np.nonzero((detJ <= 0.0).any(axis=1))[0]
     if nonpos.size:
         raise ValueError(f"element {int(nonpos[0])} has non-positive Jacobian")
@@ -96,9 +96,6 @@ class DirichletRamp:
     amplitude: float  # m
     ramp_end: float  # s
 
-    def value(self, t: float) -> float:
-        return self.amplitude * min(t, self.ramp_end) / self.ramp_end
-
 
 @dataclass(frozen=True)
 class LoadCase:
@@ -120,12 +117,15 @@ class LoadCase:
 
 
 def validate_load_case(load: LoadCase, mesh: Mesh) -> None:
-    """Check set references and that the constraints block all six
-    rigid-body modes (the intent of requiring a fixed support)."""
+    """Check set references, that no constrained set is empty, and that the
+    constraints block all six rigid-body modes (the intent of requiring a
+    fixed support)."""
     pairs = []
     for d in load.dirichlet:
         if d.node_set not in mesh.node_sets:
             raise ValueError(f"unknown node set '{d.node_set}' in load case")
+        if len(mesh.node_sets[d.node_set]) == 0:
+            raise ValueError(f"node set '{d.node_set}' in load case is empty")
         for n in mesh.node_sets[d.node_set]:
             pairs.append((int(n), d.axis))
     if not pairs:
@@ -195,12 +195,13 @@ def _structured_box(nx: int, ny: int, nz: int, width: float, height: float, thic
 
 
 def _compact(nodes, elements, keep_mask):
-    """Drop removed cells and orphan nodes, renumbering both."""
+    """Drop removed cells and orphan nodes, renumbering both; also returns
+    the old -> new node map (-1 for dropped nodes)."""
     kept = elements[keep_mask]
     used = np.unique(kept)
     remap = -np.ones(nodes.shape[0], dtype=np.int64)
     remap[used] = np.arange(used.size)
-    return nodes[used], remap[kept]
+    return nodes[used], remap[kept], remap
 
 
 def _nodes_where(nodes, predicate) -> np.ndarray:
@@ -240,7 +241,7 @@ def generate_double_notch(
     in_band = np.abs(cy - 0.5 * height) < 0.5 * notch_height
     in_notch = in_band & ((cx < notch_depth) | (cx > width - notch_depth))
     keep = ~in_notch
-    nodes, elements = _compact(nodes, cells, keep)
+    nodes, elements, _ = _compact(nodes, cells, keep)
 
     tol = 0.25 * min(width / nx, height / ny)
     mesh = Mesh(nodes, elements)
@@ -287,17 +288,9 @@ def generate_plate_with_hole(
     cent = nodes[cells].mean(axis=1)
     in_hole = cent[:, 0] ** 2 + cent[:, 1] ** 2 < hole_radius**2
     keep = ~in_hole
-
-    removed_nodes = np.unique(cells[in_hole]) if in_hole.any() else np.array([], dtype=np.int64)
-    kept_nodes = np.unique(cells[keep])
-    interface = np.intersect1d(removed_nodes, kept_nodes)
-
-    used = kept_nodes
-    remap = -np.ones(nodes.shape[0], dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    elements = remap[cells[keep]]
-    hole_edge = remap[interface]
-    nodes = nodes[used]
+    # nodes shared by a removed and a kept cell, ascending
+    interface = np.intersect1d(cells[in_hole], cells[keep])
+    nodes, elements, remap = _compact(nodes, cells, keep)
 
     tol = 0.25 * min(width / nx, height / ny)
     mesh = Mesh(nodes, elements)
@@ -305,7 +298,7 @@ def generate_plate_with_hole(
     mesh.node_sets["symmetry_x"] = _nodes_where(nodes, lambda p: np.abs(p[:, 0]) < tol)
     mesh.node_sets["symmetry_y"] = _nodes_where(nodes, lambda p: np.abs(p[:, 1]) < tol)
     mesh.node_sets["front"] = _nodes_where(nodes, lambda p: np.abs(p[:, 2]) < tol)
-    mesh.node_sets["hole_edge"] = np.sort(hole_edge)
+    mesh.node_sets["hole_edge"] = remap[interface]
 
     cent = mesh.element_centroids()
     bottom_row = np.nonzero(np.abs(cent[:, 1] - 0.5 * height / ny) < tol)[0]

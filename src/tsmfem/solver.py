@@ -65,16 +65,15 @@ class ElementQuadrature:
 
     @classmethod
     def build(cls, mesh: Mesh) -> "ElementQuadrature":
-        coords = mesh.element_coords()
         ne = mesh.n_elements
-        J = np.einsum("gai,eaj->egij", hexa.DN_AT_GP, coords)
+        J = hexa.jacobians(mesh.element_coords())
         detJ = np.linalg.det(J)
         if (detJ <= 0.0).any():
             e = int(np.nonzero((detJ <= 0.0).any(axis=1))[0][0])
             raise ValueError(f"element {e} has non-positive Jacobian")
         Jinv = np.linalg.inv(J)
-        # dN_a/dx_j at each Gauss point of each element
-        dNdx = np.einsum("gak,egkj->egaj", hexa.DN_AT_GP, Jinv)
+        # dN_a/dx_j = sum_k dN_a/dxi_k * inv(J)[j, k] (chain rule, J = dx/dxi)
+        dNdx = np.einsum("gak,egjk->egaj", hexa.DN_AT_GP, Jinv)
 
         detJw = detJ * hexa.GAUSS_WEIGHTS[None, :]
         ngp = 8 * ne
@@ -109,21 +108,10 @@ def lumped_mass(mesh: Mesh, rho: float, quad: ElementQuadrature | None = None) -
     if rho <= 0.0:
         raise ValueError("density must be positive")
     quad = quad or ElementQuadrature.build(mesh)
-    vol = quad.element_volumes()
-    if (vol <= 0.0).any():
-        raise ValueError(f"element {int(np.argmin(vol))} has non-positive volume")
     # per element-node weight: sum_g N[g, a] * detJw[e, g]
     w = np.einsum("ga,eg->ea", hexa.N_AT_GP, quad.detJw)
     return rho * np.bincount(mesh.elements.ravel(), weights=w.ravel(),
                              minlength=mesh.n_nodes)
-
-
-def internal_force(mesh: Mesh, quad: ElementQuadrature, stress: np.ndarray) -> np.ndarray:
-    """Assemble nodal internal forces (nn, 3) from Gauss-point stresses (ngp, 6)."""
-    stress = np.asarray(stress)
-    if stress.shape != (quad.n_gauss, 6):
-        raise ValueError(f"stress must have shape ({quad.n_gauss}, 6)")
-    return (quad.force_op @ stress.ravel()).reshape(mesh.n_nodes, 3)
 
 
 def stable_timestep(mesh: Mesh, params: MaterialParams, safety: float = 0.5) -> float:
@@ -161,20 +149,6 @@ def reaction_sums(sum_op: sp.csr_matrix, mass3: np.ndarray, f_int: np.ndarray,
     if mass_damping and velocity is not None:
         r = r + mass_damping * (sum_op @ (mass3 * velocity.ravel()))
     return r.reshape(-1, 3)
-
-
-def reaction_force(mesh: Mesh, quad: ElementQuadrature, mass: np.ndarray,
-                   sigma: np.ndarray, accel: np.ndarray, node_set: np.ndarray,
-                   velocity: np.ndarray | None = None,
-                   mass_damping: float = 0.0) -> np.ndarray:
-    """Reaction = internal plus inertial (plus damping, when active) nodal
-    forces summed over a node set."""
-    node_set = np.asarray(node_set)
-    if node_set.size == 0:
-        raise ValueError("reaction requested on an empty node set")
-    f_int = internal_force(mesh, quad, sigma)
-    return reaction_sums(set_sum_operator([node_set], mesh.n_nodes),
-                         np.repeat(mass, 3), f_int, accel, velocity, mass_damping)[0]
 
 
 @dataclass
@@ -300,8 +274,13 @@ class ExplicitEngine:
                             time=t + dt, step=state.step + 1)
 
 
+def step_at(t: float, dt: float) -> int:
+    """The first step whose time reaches t (to roundoff): ceil(t/dt - 1e-9)."""
+    return int(np.ceil(t / dt - 1e-9))
+
+
 def _snapshot_steps(output_times, dt: float, n_steps: int) -> list[int]:
-    steps = sorted({min(n_steps, int(np.ceil(t / dt - 1e-9))) for t in output_times})
+    steps = sorted({min(n_steps, step_at(t, dt)) for t in output_times})
     return [s for s in steps if s >= 0]
 
 
@@ -322,7 +301,7 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
     engine = ExplicitEngine(mesh, loads, rho, dt, quad=quad,
                             dirichlet_scale=dirichlet_scale,
                             mass_damping=mass_damping)
-    n_steps = int(np.ceil(loads.total_time / dt - 1e-9))
+    n_steps = step_at(loads.total_time, dt)
     snap_steps = _snapshot_steps(output_times, dt, n_steps)
     snap_at = {s: i for i, s in enumerate(snap_steps)}
 

@@ -27,6 +27,7 @@ from .solver import (
     History,
     run_deterministic,
     run_with_kernels,
+    step_at,
 )
 
 _MAGIC = b"TSMX"
@@ -295,7 +296,7 @@ def run_order1(problem: Problem, order0_source, dt: float, output_times, *,
             f"exchange stream has {order0_source.gp_count} Gauss points, "
             f"mesh has {quad.n_gauss}"
         )
-    n_steps = int(np.ceil(problem.loads.total_time / dt - 1e-9))
+    n_steps = step_at(problem.loads.total_time, dt)
     expected = n_steps // order0_source.K + 1
     if order0_source.n_records < expected:
         raise ValueError(

@@ -21,11 +21,10 @@ from scipy.integrate import solve_ivp
 from tsmfem.config import load_config
 from tsmfem.material import (
     MaterialParams,
+    Order0Law,
+    Order1Law,
     free_energy,
     stiffness_voigt,
-    stress_order0,
-    update_damage_order0,
-    update_damage_order1,
 )
 from tsmfem.mesh import Mesh, _structured_box
 from tsmfem.montecarlo import (
@@ -40,7 +39,6 @@ from tsmfem.montecarlo import (
 )
 from tsmfem.solver import (
     ElementQuadrature,
-    internal_force,
     lumped_mass,
     run_deterministic,
     stable_timestep,
@@ -142,8 +140,8 @@ def material_point_integration():
     d0, d1 = np.zeros(1), np.zeros(1)
     z = np.zeros((1, 6))
     for _ in range(100_000):
-        d1 = update_damage_order1(d0, d1, eps, z, dt, E0, eta)
-        d0 = update_damage_order0(d0, eps, dt, E0, eta)
+        d1 = Order1Law(E0, eta, dt).hold(eps, d0).damage(d1, z)
+        d0 = Order0Law(E0, eta, dt).damage(d0, eps, 0)
     return float(d0[0]), float(d1[0]), (E0, eps, eta, a)
 
 
@@ -198,8 +196,8 @@ def test_criterion1_euler_convergence_order():
         d0, d1 = np.zeros(1), np.zeros(1)
         z = np.zeros((1, 6))
         for _ in range(n):
-            d1 = update_damage_order1(d0, d1, eps, z, dt, E0, eta)
-            d0 = update_damage_order0(d0, eps, dt, E0, eta)
+            d1 = Order1Law(E0, eta, dt).hold(eps, d0).damage(d1, z)
+            d0 = Order0Law(E0, eta, dt).damage(d0, eps, 0)
         errs0.append(abs(d0[0] - math.log(2.0)))
         errs1.append(abs(d1[0] - 0.5))
     r0 = [errs0[i] / errs0[i + 1] for i in range(2)]
@@ -446,8 +444,8 @@ def test_criterion6_patch_and_mass():
     A = np.array([[2e-4, 1e-4, 0.0], [0.0, -1e-4, 5e-5], [1e-4, 0.0, 3e-4]])
     u = mesh.nodes @ A.T
     params = MaterialParams(lam=1e9, mu=0.8e9, rho=1000.0, eta=1e9)
-    sigma = stress_order0(np.zeros(quad.n_gauss), quad.strains(u), params.stiffness)
-    f = internal_force(mesh, quad, sigma)
+    sigma = Order0Law(params.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), quad.strains(u), 0)
+    f = (quad.force_op @ sigma.ravel()).reshape(-1, 3)
     interior = np.nonzero(np.all((mesh.nodes > 1e-12) & (mesh.nodes < 1 - 1e-12),
                                  axis=1))[0]
     patch_res = np.abs(f[interior]).max() / np.abs(f).max()

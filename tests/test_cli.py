@@ -210,7 +210,7 @@ def test_cli_validation_error_exit_code(tmp_path):
 @pytest.mark.parametrize("setting", [
     "mc.force_stride=0", "mc.force_stride=-3", "mc.force_stride=2.5",
     "output.n_snapshots=0", "output.n_snapshots=2.5", "tsm.exchange_interval=2.7",
-    "mc.n=1"])
+    "mc.n=1", "mc.workers=0", "mc.workers=2.5", "mc.seed=3.7", "mc.seed=-1"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     """A count below its minimum or not an integer stops the run before it
     starts: exit code 1 with one error line, not a traceback, a silent

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and no
-module reaches into another module's private (single-underscore) names.
+"""Source hygiene: every module-level import in the package is used, no
+module reaches into another module's private (single-underscore) names, and
+no public function or class exists only for the tests to call.
 
 ``__init__.py`` is exempt from the import check because its imports are the
 package's re-exports.
@@ -64,3 +65,41 @@ def test_no_private_names_of_other_modules(path):
                 and node.value.id in modules and _is_private(node.attr)):
             reaches.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
     assert not reaches, f"{path.name}: private names of other modules {reaches}"
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.AST]:
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(nodes) -> set[str]:
+    """Names used under ``nodes``: bare names, names imported from a package
+    module, and ``mod.name`` on a package module."""
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                out.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in PACKAGE_MODULES):
+                out.add(node.attr)
+    return out
+
+
+def test_no_public_function_only_tests_call():
+    """Every public module-level function or class is re-exported by
+    ``__init__.py`` or used by package code: another module, or its own
+    module outside its own definition."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    exported = _referenced_names([ast.parse((PACKAGE / "__init__.py").read_text())])
+    unused = []
+    for stem, tree in trees.items():
+        elsewhere = _referenced_names(t for s, t in trees.items() if s != stem)
+        for definition in _public_definitions(tree):
+            own = _referenced_names(node for node in tree.body if node is not definition)
+            if definition.name not in exported | elsewhere | own:
+                unused.append(f"{stem}.{definition.name} (line {definition.lineno})")
+    assert not unused, f"public names that no package code uses: {unused}"

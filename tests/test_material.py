@@ -17,14 +17,11 @@ from scipy.integrate import solve_ivp
 from tsmfem.material import (
     MaterialParams,
     _dot6,
+    Order0Law,
+    Order1Law,
     characteristic_scales,
-    damage_rate_order1,
     free_energy,
     stiffness_voigt,
-    stress_order0,
-    stress_order1,
-    update_damage_order0,
-    update_damage_order1,
 )
 
 LAM, MU = 1.0e9, 0.8e9
@@ -152,7 +149,7 @@ def _uniaxial_setup(eta=1.0e3, e=1.0e-3):
 def test_damage0_zero_strain_is_fixed_point():
     E0, _, _, eta = _uniaxial_setup()
     d = np.array([0.7])
-    assert update_damage_order0(d, np.zeros((1, 6)), 1e-3, E0, eta)[0] == d[0]
+    assert Order0Law(E0, eta, 1e-3).damage(d, np.zeros((1, 6)), 0)[0] == d[0]
 
 
 def test_damage0_closed_form_and_oracle():
@@ -170,7 +167,7 @@ def test_damage0_closed_form_and_oracle():
     dt = 1e-5 / a
     d = np.zeros(1)
     for _ in range(100_000):
-        d = update_damage_order0(d, eps, dt, E0, eta)
+        d = Order0Law(E0, eta, dt).damage(d, eps, 0)
     assert d[0] == pytest.approx(math.log(2.0), rel=1e-4)
 
 
@@ -182,7 +179,7 @@ def test_damage0_euler_first_order_convergence():
         d = np.zeros(1)
         dt = T / n
         for _ in range(n):
-            d = update_damage_order0(d, eps, dt, E0, eta)
+            d = Order0Law(E0, eta, dt).damage(d, eps, 0)
         errs.append(abs(d[0] - math.log(2.0)))
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.15)
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.15)
@@ -192,7 +189,7 @@ def test_damage0_euler_first_order_convergence():
        dt=st.floats(min_value=1e-9, max_value=1e-2))
 def test_damage0_never_heals(d, eps, dt):
     E0 = stiffness_voigt(LAM, MU)
-    d_new = update_damage_order0(np.array([d]), eps[None, :], dt, E0, 1e3)
+    d_new = Order0Law(E0, 1e3, dt).damage(np.array([d]), eps[None, :], 0)
     assert d_new[0] >= d
 
 
@@ -204,7 +201,7 @@ def test_damage0_never_heals(d, eps, dt):
 def test_damage1_zero_strain_is_fixed_point():
     E0, _, _, eta = _uniaxial_setup()
     z = np.zeros((1, 6))
-    assert update_damage_order1(np.array([0.3]), np.array([0.2]), z, z, 1e-3, E0, eta)[0] == 0.2
+    assert Order1Law(E0, eta, 1e-3).hold(z, np.array([0.3])).damage(np.array([0.2]), z)[0] == 0.2
 
 
 def test_damage1_closed_form_and_oracle():
@@ -235,8 +232,8 @@ def test_damage1_closed_form_and_oracle():
     d1 = np.zeros(1)
     z = np.zeros((1, 6))
     for _ in range(100_000):
-        d1 = update_damage_order1(d0, d1, eps, z, dt, E0, eta)
-        d0 = update_damage_order0(d0, eps, dt, E0, eta)
+        d1 = Order1Law(E0, eta, dt).hold(eps, d0).damage(d1, z)
+        d0 = Order0Law(E0, eta, dt).damage(d0, eps, 0)
     assert d0[0] == pytest.approx(math.log(2.0), rel=1e-4)
     assert d1[0] == pytest.approx(0.5, rel=1e-4)
 
@@ -257,14 +254,14 @@ def test_damage1_matches_fd_of_coupled_scalar_problem():
         Er = (1 + xi) * E0
         d = np.zeros(1)
         for _ in range(n):
-            d = update_damage_order0(d, e, dt, Er, eta)
+            d = Order0Law(Er, eta, dt).damage(d, e, 0)
         return d[0]
 
     d0 = np.zeros(1)
     d1 = np.zeros(1)
     for _ in range(n):
-        d1 = update_damage_order1(d0, d1, eps, eps, dt, E0, eta)
-        d0 = update_damage_order0(d0, eps, dt, E0, eta)
+        d1 = Order1Law(E0, eta, dt).hold(eps, d0).damage(d1, eps)
+        d0 = Order0Law(E0, eta, dt).damage(d0, eps, 0)
 
     gaps = []
     for h in (2e-3, 1e-3):
@@ -283,24 +280,25 @@ def test_stress0_limits():
     E0 = stiffness_voigt(LAM, MU)
     eps = np.array([[1e-3, 2e-4, 0, 0, 0, 5e-4]])
     elastic = eps @ E0.T
-    assert np.array_equal(stress_order0(np.zeros(1), eps, E0), elastic)
-    np.testing.assert_allclose(stress_order0(np.array([math.log(2)]), eps, E0),
+    assert np.array_equal(Order0Law(E0, 1.0, 0.0).stress(np.zeros(1), eps, 0), elastic)
+    np.testing.assert_allclose(Order0Law(E0, 1.0, 0.0).stress(np.array([math.log(2)]), eps, 0),
                                0.5 * elastic, rtol=1e-15)
-    assert np.all(stress_order0(np.array([0.3]), np.zeros((1, 6)), E0) == 0.0)
+    assert np.all(Order0Law(E0, 1.0, 0.0).stress(np.array([0.3]), np.zeros((1, 6)), 0) == 0.0)
 
 
 @given(d0=st.floats(min_value=0, max_value=5), eps=strains)
 def test_stress1_reduces_to_stress0(d0, eps):
     E0 = stiffness_voigt(LAM, MU)
-    s0 = stress_order0(np.array([d0]), eps[None, :], E0)
-    s1 = stress_order1(np.array([d0]), np.zeros(1), eps[None, :], np.zeros((1, 6)), E0)
+    s0 = Order0Law(E0, 1.0, 0.0).stress(np.array([d0]), eps[None, :], 0)
+    law1 = Order1Law(E0, 1.0, 0.0).hold(eps[None, :], np.array([d0]))
+    s1 = law1.stress(np.zeros(1), np.zeros((1, 6)))
     assert np.array_equal(s0, s1)
 
 
 def test_stress1_fully_compensated():
     E0 = stiffness_voigt(LAM, MU)
     eps = np.array([[1e-3, 0, 0, 0, 0, 0]])
-    s1 = stress_order1(np.array([0.2]), np.ones(1), eps, np.zeros((1, 6)), E0)
+    s1 = Order1Law(E0, 1.0, 0.0).hold(eps, np.array([0.2])).stress(np.ones(1), np.zeros((1, 6)))
     assert np.all(s1 == 0.0)
 
 
@@ -315,7 +313,8 @@ def test_stress1_matches_fd_of_stress_law():
     def sigma(xi):
         return math.exp(-(d0 + xi * d1)) * (1 + xi) * ((eps0 + xi * eps1) @ E0.T)
 
-    s1 = stress_order1(np.array([d0]), np.array([d1]), eps0[None], eps1[None], E0)[0]
+    law1 = Order1Law(E0, 1.0, 0.0).hold(eps0[None], np.array([d0]))
+    s1 = law1.stress(np.array([d1]), eps1[None])[0]
     gaps = []
     for h in (1e-3, 5e-4):
         fd = (sigma(h) - sigma(-h)) / (2 * h)
@@ -331,7 +330,7 @@ def test_damage1_rate_cross_term_has_no_half():
     eps0 = np.array([[1e-3, 0, 0, 0, 0, 0]])
     eps1 = np.array([[2e-4, 0, 0, 0, 0, 0]])
     eta = 1e3
-    r = damage_rate_order1(np.zeros(1), np.zeros(1), eps0, eps1, E0, eta)
+    r = Order1Law(E0, eta, 0.0).hold(eps0, np.zeros(1)).rate(np.zeros(1), eps1)
     psi0 = free_energy(eps0[0], E0)
     cross = eps1[0] @ E0 @ eps0[0]
     assert r[0] == pytest.approx((psi0 + cross) / eta, rel=1e-14)

@@ -15,6 +15,7 @@ from tsmfem.mesh import (
     validate_load_case,
     validate_mesh,
 )
+from tsmfem.solver import _Dirichlet
 
 
 def test_single_cell_no_notch():
@@ -122,9 +123,12 @@ def test_duplicate_node_in_set_rejected():
 
 
 def test_ramp_value_piecewise_linear():
-    r = DirichletRamp("top", 1, 0.01, 0.5)
-    assert r.value(0.25) == pytest.approx(0.005)
-    assert r.value(0.75) == pytest.approx(0.01)  # held after ramp end
+    m = _unit_cube()
+    lc = LoadCase(dirichlet=(DirichletRamp("top", 1, 0.01, 0.5),), total_time=1.0)
+    ramp = _Dirichlet(m, lc, scale=1.0)
+    assert np.array_equal(ramp.dofs, np.sort(3 * m.node_sets["top"] + 1))
+    assert ramp.value(0.25) == pytest.approx(0.005)
+    assert ramp.value(0.75) == pytest.approx(0.01)  # held after ramp end
 
 
 def test_ramp_end_beyond_total_time_rejected():
@@ -149,6 +153,23 @@ def test_rigid_modes_must_be_blocked():
     ), total_time=1.0)
     with pytest.raises(ValueError, match="rigid"):
         validate_load_case(free_z, m)
+
+
+def test_empty_loaded_set_rejected(tmp_path):
+    """A mesh file may list a set with no nodes ("top 0"); a load case that
+    ramps it would run with no load and all-zero reactions, so it is
+    rejected, naming the set."""
+    m = _unit_cube()
+    m.node_sets["top"] = np.zeros(0, dtype=np.int64)
+    save_mesh(m, tmp_path / "empty_top.mesh")
+    m = load_mesh(tmp_path / "empty_top.mesh")
+    assert m.node_sets["top"].size == 0
+    lc = LoadCase(dirichlet=(
+        *(DirichletRamp("bottom", axis, 0.0, 1.0) for axis in range(3)),
+        DirichletRamp("top", 1, 0.01, 1.0),
+    ), total_time=1.0)
+    with pytest.raises(ValueError, match="'top' in load case is empty"):
+        validate_load_case(lc, m)
 
 
 def test_unknown_set_rejected():

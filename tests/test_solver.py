@@ -7,16 +7,16 @@ import pytest
 
 from tsmfem import hexa
 from tsmfem.config import load_config
-from tsmfem.material import MaterialParams, stress_order0
+from tsmfem.material import MaterialParams, Order0Law
 from tsmfem.mesh import DirichletRamp, LoadCase, Mesh, _structured_box, generate_plate_with_hole
 from tsmfem.solver import (
     ElementQuadrature,
     ExplicitEngine,
     InstabilityError,
-    internal_force,
     lumped_mass,
-    reaction_force,
+    reaction_sums,
     run_deterministic,
+    set_sum_operator,
     stable_timestep,
 )
 
@@ -73,7 +73,7 @@ def test_mass_conservation_plate():
 def test_zero_stress_zero_force():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
-    f = internal_force(mesh, quad, np.zeros((quad.n_gauss, 6)))
+    f = quad.force_op @ np.zeros(6 * quad.n_gauss)
     assert np.all(f == 0.0)
 
 
@@ -83,7 +83,7 @@ def test_uniform_uniaxial_stress_face_forces():
     sig = 2.0e6
     stress = np.zeros((quad.n_gauss, 6))
     stress[:, 0] = sig
-    f = internal_force(mesh, quad, stress)
+    f = (quad.force_op @ stress.ravel()).reshape(-1, 3)
     # divergence-free: forces sum to zero
     np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-9 * sig)
     right = np.nonzero(np.abs(mesh.nodes[:, 0] - 1.0) < 1e-12)[0]
@@ -92,10 +92,12 @@ def test_uniform_uniaxial_stress_face_forces():
     assert f[left, 0].sum() == pytest.approx(-sig, rel=1e-12)
 
 
-def test_patch_test_uniform_strain():
-    """Linear displacement on a 2x2x2 block: exact uniform strain/stress and
-    vanishing interior residual."""
+def _assert_linear_patch(F=np.eye(3)):
+    """Linear displacement u = A x on a 2x2x2 block mapped by x -> F x:
+    exact uniform strain/stress and vanishing interior residual."""
     mesh = _box_mesh(2, 2, 2, 1.0, 1.0, 1.0)
+    interior = np.nonzero(np.all((mesh.nodes > 1e-12) & (mesh.nodes < 1 - 1e-12), axis=1))[0]
+    mesh.nodes = mesh.nodes @ F.T
     quad = ElementQuadrature.build(mesh)
     A = np.array([[2e-4, 1e-4, 0.0], [0.0, -1e-4, 5e-5], [1e-4, 0.0, 3e-4]])
     u = mesh.nodes @ A.T
@@ -105,11 +107,28 @@ def test_patch_test_uniform_strain():
     np.testing.assert_allclose(eps, np.broadcast_to(exact, eps.shape), rtol=0,
                                atol=1e-10 * np.abs(exact).max())
 
-    sigma = stress_order0(np.zeros(quad.n_gauss), eps, PARAMS.stiffness)
-    f = internal_force(mesh, quad, sigma)
-    interior = np.nonzero(np.all((mesh.nodes > 1e-12) & (mesh.nodes < 1 - 1e-12), axis=1))[0]
+    sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
+    f = (quad.force_op @ sigma.ravel()).reshape(-1, 3)
     scale = np.abs(f).max()
     assert np.abs(f[interior]).max() <= 1e-10 * scale
+
+
+def test_patch_test_uniform_strain():
+    _assert_linear_patch()
+
+
+def test_patch_test_sheared_mesh():
+    """Sheared elements have a non-symmetric Jacobian, so this fails unless
+    the shape-function gradients use inv(J).T."""
+    _assert_linear_patch(np.array([[1.0, 0.3, 0.1], [0.05, 1.0, 0.2], [0.1, 0.4, 1.0]]))
+
+
+def test_patch_test_rotated_mesh():
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    K = np.cross(np.eye(3), axis)  # K @ v = axis x v
+    R = np.eye(3) + np.sin(0.7) * K + (1.0 - np.cos(0.7)) * K @ K
+    assert np.allclose(R @ R.T, np.eye(3)) and np.isclose(np.linalg.det(R), 1.0)
+    _assert_linear_patch(R)
 
 
 def test_rigid_translation_zero_strain_and_force():
@@ -119,8 +138,8 @@ def test_rigid_translation_zero_strain_and_force():
     u = np.broadcast_to(np.array([1e-3, -2e-3, 5e-4]), (mesh.n_nodes, 3)).copy()
     eps = quad.strains(u)
     assert np.abs(eps).max() <= 1e-13  # pure roundoff at 1/h ~ 1e2 gradients
-    sigma = stress_order0(np.zeros(quad.n_gauss), eps, PARAMS.stiffness)
-    assert np.abs(internal_force(mesh, quad, sigma)).max() <= 1e-9
+    sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
+    assert np.abs(quad.force_op @ sigma.ravel()).max() <= 1e-9
 
 
 DESK_PRESETS = ["plate_coarse_desk", "plate_hole_desk", "double_notch_desk"]
@@ -188,7 +207,7 @@ def test_operator_products_match_dense_b_elementwise():
 
     eps = quad.strains(u)
     assert np.abs(eps - eps_ref).max() <= 1e-13 * np.abs(eps_ref).max()
-    f = internal_force(mesh, quad, s).ravel()
+    f = quad.force_op @ s.ravel()
     assert np.abs(f - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
 
 
@@ -237,10 +256,7 @@ def test_zero_state_is_fixed_point():
     mesh = _unit_cube()
     loads = _fix_all(mesh, 1.0)
     eng = ExplicitEngine(mesh, loads, PARAMS.rho, 1e-4)
-    E0 = PARAMS.stiffness
-
-    def stress_fn(d, eps, n):
-        return stress_order0(d, eps, E0)
+    stress_fn = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress
 
     def damage_fn(d, eps, n):
         return d
@@ -266,8 +282,8 @@ def _measure_k(mesh, quad, pattern):
     u = np.zeros((mesh.n_nodes, 3))
     u[:, 1] = pattern
     eps = quad.strains(u)
-    sigma = stress_order0(np.zeros(quad.n_gauss), eps, E0)
-    return internal_force(mesh, quad, sigma)
+    sigma = Order0Law(E0, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
+    return (quad.force_op @ sigma.ravel()).reshape(-1, 3)
 
 
 def test_central_difference_matches_discrete_oscillator():
@@ -301,10 +317,7 @@ def test_central_difference_matches_discrete_oscillator():
 
     # re-run capturing the mid dof trajectory through the engine directly
     eng = ExplicitEngine(mesh, loads, RIGID.rho, dt)
-    E0 = RIGID.stiffness
-
-    def stress_fn(d, eps, n):
-        return stress_order0(d, eps, E0)
+    stress_fn = Order0Law(RIGID.stiffness, 1.0, 0.0).stress
 
     def damage_fn(d, eps, n):
         return d
@@ -343,9 +356,7 @@ def test_energy_drift_after_ramp_hold():
     eng = ExplicitEngine(mesh, loads, RIGID.rho, dt, quad=quad)
     E0 = RIGID.stiffness
     m3 = eng.mass3
-
-    def stress_fn(d, eps, n):
-        return stress_order0(d, eps, E0)
+    stress_fn = Order0Law(E0, 1.0, 0.0).stress
 
     def damage_fn(d, eps, n):
         return d
@@ -358,7 +369,7 @@ def test_energy_drift_after_ramp_hold():
         if new.time > t_ramp + 2 * dt:
             ke = 0.5 * float(m3 @ (v_prev * new.v.ravel()))
             eps = quad.strains(new.u)
-            sigma = stress_order0(new.d, eps, E0)
+            sigma = Order0Law(E0, 1.0, 0.0).stress(new.d, eps, 0)
             f = eng.quad.force_op @ sigma.ravel()
             pe = 0.5 * float(new.u.ravel() @ f)
             energies.append(ke + pe)
@@ -384,10 +395,10 @@ def test_reaction_static_uniaxial():
     u = np.zeros((mesh.n_nodes, 3))
     u[:, 1] = e * mesh.nodes[:, 1]  # uniaxial constrained stretch
     eps = quad.strains(u)
-    sigma = stress_order0(np.zeros(quad.n_gauss), eps, PARAMS.stiffness)
-    accel = np.zeros((mesh.n_nodes, 3))
-    F_top = reaction_force(mesh, quad, mass, sigma, accel, mesh.node_sets["top"])
-    F_bot = reaction_force(mesh, quad, mass, sigma, accel, mesh.node_sets["bottom"])
+    sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
+    sets = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]], mesh.n_nodes)
+    F_top, F_bot = reaction_sums(sets, np.repeat(mass, 3), quad.force_op @ sigma.ravel(),
+                                 np.zeros((mesh.n_nodes, 3)))
     sig_yy = (PARAMS.lam + 2 * PARAMS.mu) * e
     assert F_top[1] == pytest.approx(sig_yy * 1.0, rel=1e-12)
     assert np.linalg.norm(F_top + F_bot) <= 1e-6 * np.linalg.norm(F_top)
@@ -402,33 +413,26 @@ def test_reaction_includes_mass_damping():
     accel = rng.normal(0.0, 1e2, (mesh.n_nodes, 3))
     velocity = rng.normal(0.0, 1.0, (mesh.n_nodes, 3))
     alpha = 50.0
-    f_int = internal_force(mesh, quad, sigma)
-    for name in ("top", "bottom"):
-        ids = mesh.node_sets[name]
-        expected = (f_int[ids] + mass[ids, None] * (accel[ids] + alpha * velocity[ids])).sum(axis=0)
-        F = reaction_force(mesh, quad, mass, sigma, accel, ids,
-                           velocity=velocity, mass_damping=alpha)
-        np.testing.assert_allclose(F, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-        undamped = reaction_force(mesh, quad, mass, sigma, accel, ids, velocity=velocity)
-        assert np.abs(F - undamped).min() > 1e-6 * np.abs(expected).max()
+    f_int = quad.force_op @ sigma.ravel()
+    ids = [mesh.node_sets[name] for name in ("top", "bottom")]
+    sets, mass3 = set_sum_operator(ids, mesh.n_nodes), np.repeat(mass, 3)
+    F = reaction_sums(sets, mass3, f_int, accel, velocity, alpha)
+    undamped = reaction_sums(sets, mass3, f_int, accel, velocity)
+    f_int = f_int.reshape(-1, 3)
+    for k, n in enumerate(ids):
+        expected = (f_int[n] + mass[n, None] * (accel[n] + alpha * velocity[n])).sum(axis=0)
+        np.testing.assert_allclose(F[k], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        assert np.abs(F[k] - undamped[k]).min() > 1e-6 * np.abs(expected).max()
 
 
 def test_reaction_zero_state():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
-    F = reaction_force(mesh, quad, mass, np.zeros((quad.n_gauss, 6)),
-                       np.zeros((mesh.n_nodes, 3)), mesh.node_sets["top"])
+    F = reaction_sums(set_sum_operator([mesh.node_sets["top"]], mesh.n_nodes),
+                      np.repeat(mass, 3), quad.force_op @ np.zeros(6 * quad.n_gauss),
+                      np.zeros((mesh.n_nodes, 3)))
     assert np.all(F == 0.0)
-
-
-def test_reaction_empty_set_rejected():
-    mesh = _unit_cube()
-    quad = ElementQuadrature.build(mesh)
-    mass = lumped_mass(mesh, PARAMS.rho, quad)
-    with pytest.raises(ValueError):
-        reaction_force(mesh, quad, mass, np.zeros((quad.n_gauss, 6)),
-                       np.zeros((mesh.n_nodes, 3)), np.array([], dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +481,9 @@ def test_instability_detected():
 
     mesh, loads, _ = _coarse_plate_problem(T=3e-2)
     dt = 20 * stable_timestep(mesh, RIGID, 0.5)  # far past the CFL limit
-    E0 = RIGID.stiffness
     with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
         run_with_kernels(mesh, loads, RIGID.rho, dt, [loads.total_time],
-                         lambda d, eps, n: stress_order0(d, eps, E0),
+                         Order0Law(RIGID.stiffness, 1.0, 0.0).stress,
                          lambda d, eps, n: d)
     assert err.value.step > 0
 

@@ -5,13 +5,7 @@ post-processing."""
 import numpy as np
 import pytest
 
-from tsmfem.material import (
-    MaterialParams,
-    stress_order0,
-    stress_order1,
-    update_damage_order0,
-    update_damage_order1,
-)
+from tsmfem.material import MaterialParams, Order0Law, Order1Law
 from tsmfem.mesh import DirichletRamp, LoadCase, generate_plate_with_hole
 from tsmfem.montecarlo import fd_oracle
 from tsmfem.solver import (
@@ -300,9 +294,9 @@ def test_first_order_kernels_match_reference_ops():
     det = DeterministicKernels(E, eta, dt)
     for step in (0, 1):
         assert np.array_equal(det.stress(d[step], eps[step], step),
-                              stress_order0(d[step], eps[step], E))
+                              Order0Law(E, 1.0, 0.0).stress(d[step], eps[step], 0))
         assert np.array_equal(det.damage(d[step], eps[step], step),
-                              update_damage_order0(d[step], eps[step], dt, E, eta))
+                              Order0Law(E, eta, dt).damage(d[step], eps[step], 0))
 
     # order 1 with records at steps 0, 3 and 4: step 5 skips the step-3 record
     src = InMemoryExchange(1, gp)
@@ -311,9 +305,9 @@ def test_first_order_kernels_match_reference_ops():
     eps1, d1 = rng.normal(0, 1e-3, (gp, 6)), rng.uniform(-1, 1, gp)
     for step, held in ((0, 0), (2, 0), (5, 2)):
         assert np.array_equal(kern.stress(d1, eps1, step),
-                              stress_order1(d[held], d1, eps[held], eps1, E0))
+                              Order1Law(E0, 1.0, 0.0).hold(eps[held], d[held]).stress(d1, eps1))
         assert np.array_equal(kern.damage(d1, eps1, step),
-                              update_damage_order1(d[held], d1, eps[held], eps1, dt, E0, eta))
+                              Order1Law(E0, eta, dt).hold(eps[held], d[held]).damage(d1, eps1))
 
 
 def test_exchange_subsampling_error_study():
