@@ -9,7 +9,11 @@ Voigt order is (xx, yy, zz, yz, xz, xy) with *engineering* shear strains
 so ``eps @ E @ eps`` equals the tensor double contraction everywhere.
 
 All Gauss-point operations are vectorized: damage arrays have shape (n,),
-strain/stress arrays shape (n, 6).
+strain/stress arrays shape (n, 6).  The laws accept strains in any memory
+order and return component-major stresses (the transpose of a C-ordered
+(6, n) array), so each elementwise pass runs along rows of n entries; the
+values do not depend on the order (``(E @ eps.T).T`` is the same dgemm as
+``eps @ E.T``).
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ def _dot6(a, b) -> np.ndarray:
     return ((((p[..., 0] + p[..., 1]) + p[..., 2]) + p[..., 3]) + p[..., 4]) + p[..., 5]
 
 
+def _elastic(E, eps) -> np.ndarray:
+    """E : eps for (n, 6) strains, component-major."""
+    return (E @ np.asarray(eps).T).T
+
+
 def _psi(eps, s) -> np.ndarray:
     """Strain energy density 0.5 * eps : s from the elastic stress s = E : eps."""
     return 0.5 * _dot6(np.asarray(eps), s)
@@ -118,12 +127,12 @@ class Order0Law:
     def _prep(self, d, eps, step):
         if step != self._step:
             self._expd = np.exp(-np.asarray(d))
-            self._s = np.asarray(eps) @ self.E.T
+            self._s = _elastic(self.E, eps)
             self._step = step
 
     def stress(self, d, eps, step):
         self._prep(d, eps, step)
-        return self._expd[..., None] * self._s
+        return (self._expd * self._s.T).T
 
     def damage(self, d, eps, step):
         self._prep(d, eps, step)
@@ -148,13 +157,13 @@ class Order1Law:
 
     def hold(self, eps0, d0) -> "Order1Law":
         self.expd0 = np.exp(-np.asarray(d0))
-        self.s0 = np.asarray(eps0) @ self.E0.T
+        self.s0 = _elastic(self.E0, eps0)
         self.psi0 = _psi(eps0, self.s0)
         return self
 
     def stress(self, d1, eps1):
-        s1 = np.asarray(eps1) @ self.E0.T
-        return self.expd0[..., None] * ((1.0 - np.asarray(d1))[..., None] * self.s0 + s1)
+        s1 = _elastic(self.E0, eps1)
+        return (self.expd0 * ((1.0 - np.asarray(d1)) * self.s0.T + s1.T)).T
 
     def rate(self, d1, eps1):
         cross = _dot6(np.asarray(eps1), self.s0)

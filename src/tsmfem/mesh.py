@@ -117,20 +117,24 @@ class LoadCase:
 
 
 def validate_load_case(load: LoadCase, mesh: Mesh) -> None:
-    """Check set references, that no constrained set is empty, and that the
-    constraints block all six rigid-body modes (the intent of requiring a
-    fixed support)."""
-    pairs = []
+    """Check set references, that no constrained set is empty, that no dof
+    gets two different ramps, and that the constraints block all six
+    rigid-body modes (the intent of requiring a fixed support)."""
+    ramps: dict[tuple[int, int], DirichletRamp] = {}
     for d in load.dirichlet:
         if d.node_set not in mesh.node_sets:
             raise ValueError(f"unknown node set '{d.node_set}' in load case")
         if len(mesh.node_sets[d.node_set]) == 0:
             raise ValueError(f"node set '{d.node_set}' in load case is empty")
         for n in mesh.node_sets[d.node_set]:
-            pairs.append((int(n), d.axis))
-    if not pairs:
+            prev = ramps.setdefault((int(n), d.axis), d)
+            if (prev.amplitude, prev.ramp_end) != (d.amplitude, d.ramp_end):
+                raise ValueError(
+                    f"node {int(n)} axis {d.axis} is prescribed twice with different "
+                    f"ramps (sets '{prev.node_set}' and '{d.node_set}')")
+    if not ramps:
         raise ValueError("load case constrains no degrees of freedom")
-    pairs = sorted(set(pairs))
+    pairs = sorted(ramps)
     x = mesh.nodes
     modes = np.zeros((6, mesh.n_nodes, 3))
     modes[0, :, 0] = 1.0

@@ -5,10 +5,21 @@ The element loop is flattened into two pre-assembled sparse operators:
 (engineering shear), and ``force_op`` maps weighted Gauss-point stresses back
 to nodal internal forces.  Both store only the structural nonzeros of the
 strain-displacement matrix B, 72 per Gauss point (8 in each normal-strain
-row, 16 in each shear row, columns ascending), so a product spends no work
-on ``0 * x`` terms.  Stress and damage laws enter as per-Gauss-point
-callbacks, so the deterministic and the first-order (sensitivity) problems
-share one integrator.
+row, 16 in each shear row), so a product spends no work on ``0 * x`` terms.
+Stress and damage laws enter as per-Gauss-point callbacks, so the
+deterministic and the first-order (sensitivity) problems share one
+integrator.
+
+Memory layout: Gauss-point strains and stresses are (ngp, 6) arrays stored
+component-major, i.e. as the transpose of a C-ordered (6, ngp) array, so
+each Voigt component is one contiguous row and the laws run long inner
+loops.  ``strain_op`` row ``c * ngp + g`` holds component c of Gauss point
+g, its columns ascending; ``force_op`` column ``c * ngp + g`` matches it.
+Inside each ``force_op`` row the entries stay in Gauss-point-major
+(g, c) order, so its indices are deliberately unsorted and every force is
+the same sum as with a Gauss-point-major layout.  Only
+``ElementQuadrature.strains`` and ``ElementQuadrature.forces`` know the
+layout; everything else sees plain (ngp, 6) arrays.
 
 Dirichlet ramps are imposed by direct overwrite after the explicit update,
 with boundary velocity/acceleration taken from finite differences of the
@@ -41,6 +52,10 @@ _B_ROW, _B_AXIS, _B_DERIV = np.array([
     (4, 0, 2), (4, 2, 0),  # gamma_xz
     (5, 0, 1), (5, 1, 0),  # gamma_xy
 ]).T
+# the B-table entries of each strain row, axes ascending
+_ROW_ENTRIES = [np.nonzero(_B_ROW == c)[0] for c in range(6)]
+_ROW_NNZ = np.array([8 * b.size for b in _ROW_ENTRIES])  # 8, 8, 8, 16, 16, 16
+_ROW_START = np.concatenate([[0], np.cumsum(_ROW_NNZ)])  # offsets in a gp's 72
 
 
 class InstabilityError(RuntimeError):
@@ -59,7 +74,7 @@ class ElementQuadrature:
     """Per-element 2x2x2 Gauss data plus the assembled global operators."""
 
     detJw: np.ndarray  # (nelem, 8) Jacobian determinant * weight
-    strain_op: sp.csr_matrix  # (6*ngp, ndof): u -> all strains
+    strain_op: sp.csr_matrix  # (6*ngp, ndof): u -> all strains, component-major
     force_op: sp.csr_matrix  # (ndof, 6*ngp): weighted stress -> f_int
     n_gauss: int
 
@@ -78,23 +93,60 @@ class ElementQuadrature:
         detJw = detJ * hexa.GAUSS_WEIGHTS[None, :]
         ngp = 8 * ne
         ndof = 3 * mesh.n_nodes
+        nnz = 72 * ngp
+        idx_t = np.int32 if max(nnz, ndof) < 2**31 else np.int64
 
-        # only the 9 structural nonzeros per node of each 6x24 B block
-        data = dNdx[..., _B_DERIV]  # (ne, 8 gp, 8 nodes, 9)
-        rows = 6 * np.arange(ngp).reshape(ne, 8, 1, 1) + _B_ROW
-        cols = 3 * mesh.elements[:, None, :, None] + _B_AXIS
-        strain_op = sp.coo_matrix(
-            (data.ravel(), (np.broadcast_to(rows, data.shape).ravel(),
-                            np.broadcast_to(cols, data.shape).ravel())),
-            shape=(6 * ngp, ndof),
-        ).tocsr()
-        w_rows = np.repeat(detJw.reshape(ngp), 6)
-        force_op = strain_op.multiply(w_rows[:, None]).T.tocsr()
+        # each element's nodes by ascending id, so every row's columns ascend
+        order = np.argsort(mesh.elements, axis=1)
+        nodes = np.take_along_axis(mesh.elements, order, axis=1)
+        repeats = np.nonzero((np.diff(nodes, axis=1) == 0).any(axis=1))[0]
+        if repeats.size:
+            raise ValueError(f"element {int(repeats[0])} repeats a node")
+        dNdx = np.take_along_axis(dNdx, order[:, None, :, None], axis=2)
+
+        def row_blocks():
+            """Per strain component: the 9-per-node structural nonzeros of
+            the 6x24 B blocks, node by node (ne, 8 gp, n) and their columns
+            (ne, 1, n)."""
+            for b in _ROW_ENTRIES:
+                yield (dNdx[..., _B_DERIV[b]].reshape(ne, 8, -1),
+                       (3 * nodes[:, None, :, None] + _B_AXIS[b]).reshape(ne, 1, -1))
+
+        # force_op: the transpose of the detJw-weighted B in Gauss-point-major
+        # row order 6g + c, then renumbered to the component-major columns
+        w = np.empty((ne, 8, 72))
+        cols = np.empty((ne, 8, 72), dtype=idx_t)
+        for (vals, col), lo, hi in zip(row_blocks(), _ROW_START[:-1], _ROW_START[1:]):
+            w[:, :, lo:hi] = vals * detJw[:, :, None]
+            cols[:, :, lo:hi] = col
+        indptr = np.concatenate([[0], np.cumsum(np.tile(_ROW_NNZ, ngp))]).astype(idx_t)
+        force_op = sp.csr_matrix((w.reshape(nnz), cols.reshape(nnz), indptr),
+                                 shape=(6 * ngp, ndof)).T.tocsr()
+        del w, cols
+        gp_major_to_cm = np.arange(6 * ngp, dtype=idx_t).reshape(6, ngp).T.ravel()
+        force_op.indices[:] = gp_major_to_cm[force_op.indices]
+        force_op.has_sorted_indices = False  # never sort: it would reorder each sum
+
+        # strain_op: component-major rows c * ngp + g
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=idx_t)
+        for (vals, col), lo, hi in zip(row_blocks(), ngp * _ROW_START[:-1],
+                                       ngp * _ROW_START[1:]):
+            data[lo:hi].reshape(vals.shape)[...] = vals
+            indices[lo:hi].reshape(vals.shape)[...] = col
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(_ROW_NNZ, ngp))]).astype(idx_t)
+        strain_op = sp.csr_matrix((data, indices, indptr), shape=(6 * ngp, ndof))
         return cls(detJw=detJw, strain_op=strain_op, force_op=force_op, n_gauss=ngp)
 
     def strains(self, u: np.ndarray) -> np.ndarray:
-        """Gauss-point strains (ngp, 6) from nodal displacements (nn, 3)."""
-        return (self.strain_op @ u.ravel()).reshape(self.n_gauss, 6)
+        """Gauss-point strains (ngp, 6) from nodal displacements (nn, 3): a
+        component-major view."""
+        return (self.strain_op @ u.ravel()).reshape(6, self.n_gauss).T
+
+    def forces(self, sigma: np.ndarray) -> np.ndarray:
+        """Nodal internal forces (3 * nn,) from Gauss-point stresses (ngp, 6);
+        a component-major ``sigma`` is read without a copy."""
+        return self.force_op @ sigma.T.ravel()
 
     def element_volumes(self) -> np.ndarray:
         return self.detJw.sum(axis=1)
@@ -123,31 +175,39 @@ def stable_timestep(mesh: Mesh, params: MaterialParams, safety: float = 0.5) -> 
     return float(safety * edges.min() / v)
 
 
-def set_sum_operator(node_sets, n_nodes: int) -> sp.csr_matrix:
-    """Sparse (3 * len(node_sets), 3 * n_nodes) 0/1 matrix: rows 3k, 3k+1
-    and 3k+2 sum the x, y and z entries of a nodal vector over node_sets[k]."""
+def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Per-set sums of a nodal vector (3 entries per node), as
+    ``(op, dofs)``: ``dofs`` is the ascending union of the sets' dofs, and
+    rows 3k, 3k+1 and 3k+2 of the 0/1 matrix ``op`` sum the x, y and z
+    entries of ``vector[dofs]`` over node_sets[k], in ascending order."""
     ids = [np.asarray(n, dtype=np.int64) for n in node_sets]
     nodes = np.concatenate([np.zeros(0, dtype=np.int64), *ids])
     owner = np.repeat(np.arange(len(ids)), [n.size for n in ids])
     rows = (3 * owner[:, None] + np.arange(3)).ravel()
     cols = (3 * nodes[:, None] + np.arange(3)).ravel()
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                         shape=(3 * len(ids), 3 * n_nodes))
+    dofs = np.unique(cols)
+    op = sp.csr_matrix((np.ones(rows.size), (rows, np.searchsorted(dofs, cols))),
+                       shape=(3 * len(ids), dofs.size))
+    return op, dofs
 
 
-def reaction_sums(sum_op: sp.csr_matrix, mass3: np.ndarray, f_int: np.ndarray,
-                  accel: np.ndarray, velocity: np.ndarray | None = None,
+def reaction_sums(set_sums: tuple[sp.csr_matrix, np.ndarray], mass3: np.ndarray,
+                  f_int: np.ndarray, accel: np.ndarray,
+                  velocity: np.ndarray | None = None,
                   mass_damping: float = 0.0) -> np.ndarray:
     """Reactions (n_sets, 3): internal plus inertial (plus damping, when
-    active) nodal forces, summed per set by ``set_sum_operator``.
+    active) nodal forces, summed per set by ``set_sum_operator``; only the
+    sets' dofs are read.
 
     Each term is summed on its own, over the set's nodes in ascending
     order, before the terms are added; summing the combined nodal vector
     instead moves finite-difference quotients of reactions by roundoff
     amplified 1/(2h)."""
-    r = sum_op @ f_int.ravel() + sum_op @ (mass3 * accel.ravel())
+    op, dofs = set_sums
+    m = mass3[dofs]
+    r = op @ f_int.ravel()[dofs] + op @ (m * accel.ravel()[dofs])
     if mass_damping and velocity is not None:
-        r = r + mass_damping * (sum_op @ (mass3 * velocity.ravel()))
+        r = r + mass_damping * (op @ (m * velocity.ravel()[dofs]))
     return r.reshape(-1, 3)
 
 
@@ -252,7 +312,7 @@ class ExplicitEngine:
         """Top-of-step kinematics and kinetics: (eps, sigma, f_int, accel)."""
         eps = self.quad.strains(state.u)
         sigma = stress_fn(state.d, eps, state.step)
-        f_int = self.quad.force_op @ sigma.ravel()
+        f_int = self.quad.forces(sigma)
         a = (self.f_body - f_int) / self.mass3
         if self.alpha:
             a -= self.alpha * state.v.ravel()
@@ -314,7 +374,7 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
         meta=dict(meta or {}),
     )
     set_names = sorted({r.node_set for r in loads.dirichlet})
-    sum_op = set_sum_operator([mesh.node_sets[name] for name in set_names], nn)
+    set_sums = set_sum_operator([mesh.node_sets[name] for name in set_names])
     hist.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
                                        if r.amplitude != 0.0})
     f_steps = [s for s in range(0, n_steps + 1) if s % force_stride == 0 or s == n_steps]
@@ -329,7 +389,7 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
         if exchange_hook is not None:
             exchange_hook(n, state.time, eps, state.d)
         if n in f_at:
-            forces[f_at[n]] = reaction_sums(sum_op, engine.mass3, f_int, a,
+            forces[f_at[n]] = reaction_sums(set_sums, engine.mass3, f_int, a,
                                             state.v, engine.alpha)
         if n in snap_at:
             i = snap_at[n]

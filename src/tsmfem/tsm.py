@@ -90,7 +90,7 @@ class InMemoryExchange:
 
     def hook(self, step, time, eps, d):
         if step % self.K == 0:
-            self.records.append(ExchangeRecord(step, time, eps.copy(), d.copy()))
+            self.records.append(ExchangeRecord(step, time, eps.copy(order="K"), d.copy()))
 
     @property
     def n_records(self) -> int:
@@ -109,14 +109,16 @@ class ExchangeFileWriter:
         self._crc = 0
         self._write(_HEADER.pack(_MAGIC, _VERSION, gp_count, exchange_interval))
 
-    def _write(self, data: bytes):
+    def _write(self, data):
+        """Write and checksum ``data`` (bytes or a C-contiguous array)."""
         self._fh.write(data)
         self._crc = zlib.crc32(data, self._crc)
 
     def write_record(self, step, time, eps, d):
         self._write(_REC_HEAD.pack(step, time))
-        self._write(np.ascontiguousarray(eps, dtype="<f8").tobytes())
-        self._write(np.ascontiguousarray(d, dtype="<f8").tobytes())
+        # interleaved (ngp, 6) C-order bytes, whatever the memory order of eps
+        self._write(np.ascontiguousarray(eps, dtype="<f8"))
+        self._write(np.ascontiguousarray(d, dtype="<f8"))
 
     def hook(self, step, time, eps, d):
         if step % self.K == 0:

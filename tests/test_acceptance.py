@@ -75,13 +75,6 @@ def acc_cfg():
 
 
 @pytest.fixture(scope="module")
-def acc_det(acc_cfg):
-    cfg, outputs = acc_cfg
-    return run_deterministic(cfg.problem.mesh, cfg.problem.loads,
-                             cfg.problem.params, 0.0, cfg.dt, outputs)
-
-
-@pytest.fixture(scope="module")
 def acc_tsm(acc_cfg):
     cfg, outputs = acc_cfg
     return run_tsm(cfg.problem, TsmConfig(exchange_interval=1), cfg.dt, outputs)
@@ -365,22 +358,40 @@ def test_mc_statistics_stabilize_with_n(acc_mc):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion4_speedup(acc_det, acc_tsm, acc_mc, campaign):
+def test_criterion4_speedup(acc_cfg, acc_tsm, acc_mc, campaign):
+    """TSM costs at most 4 deterministic runs, and the per-sample MC
+    campaign at least 100 TSM runs.  The 4x ratio compares the minima of
+    three interleaved deterministic and TSM (K=1) runs on the fixtures'
+    inputs, so host-speed drift between two single samples cannot decide
+    it."""
     import time as _time
 
+    cfg, outputs = acc_cfg
     _xis, ens = acc_mc
-    t0 = _time.perf_counter()
-    uq_summary(acc_tsm, xi_second_moment=0.01)
-    post = _time.perf_counter() - t0
-    tsm_total = acc_tsm.history0.wall_time + acc_tsm.history1.wall_time + post
-    det_total = acc_det.wall_time
+
+    def tsm_seconds(sol):
+        t0 = _time.perf_counter()
+        uq_summary(sol, xi_second_moment=0.01)
+        post = _time.perf_counter() - t0
+        return sol.history0.wall_time + sol.history1.wall_time + post
+
+    det_runs, tsm_runs = [], []
+    for _ in range(3):
+        det = run_deterministic(cfg.problem.mesh, cfg.problem.loads,
+                                cfg.problem.params, 0.0, cfg.dt, outputs)
+        det_runs.append(det.wall_time)
+        tsm_runs.append(tsm_seconds(run_tsm(cfg.problem, TsmConfig(exchange_interval=1),
+                                            cfg.dt, outputs)))
+    det_min, tsm_min = min(det_runs), min(tsm_runs)
+    assert tsm_min <= 4.0 * det_min
+    tsm_total = tsm_seconds(acc_tsm)
     mc_total = float(ens.wall_times.sum())
-    assert tsm_total <= 4.0 * det_total
     speedup = mc_total / tsm_total
     assert speedup >= 100.0
-    _say(4, f"TSM {tsm_total:.2f}s = {tsm_total / det_total:.2f}x one "
-            f"deterministic run ({det_total:.2f}s); MC({MC_N}) aggregate "
-            f"{mc_total:.1f}s -> speedup {speedup:.0f}x >= 100x")
+    _say(4, f"TSM {tsm_min:.2f}s = {tsm_min / det_min:.2f}x one deterministic "
+            f"run ({det_min:.2f}s; minima of 3 interleaved runs); MC({MC_N}) "
+            f"aggregate {mc_total:.1f}s / TSM {tsm_total:.2f}s -> speedup "
+            f"{speedup:.0f}x >= 100x")
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +456,7 @@ def test_criterion6_patch_and_mass():
     u = mesh.nodes @ A.T
     params = MaterialParams(lam=1e9, mu=0.8e9, rho=1000.0, eta=1e9)
     sigma = Order0Law(params.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), quad.strains(u), 0)
-    f = (quad.force_op @ sigma.ravel()).reshape(-1, 3)
+    f = quad.forces(sigma).reshape(-1, 3)
     interior = np.nonzero(np.all((mesh.nodes > 1e-12) & (mesh.nodes < 1 - 1e-12),
                                  axis=1))[0]
     patch_res = np.abs(f[interior]).max() / np.abs(f).max()

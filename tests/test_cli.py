@@ -229,6 +229,36 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     assert not os.listdir(tmp_path)
 
 
+def test_cli_rejects_conflicting_dirichlet_ramps(tmp_path):
+    """A mesh file whose load case ramps 'top' axis 1 and holds 'all' axis 1
+    at zero: exit code 1, one error line, no traceback."""
+    from tsmfem.mesh import generate_double_notch, save_mesh
+
+    mesh = generate_double_notch(width=1, height=1, thickness=1,
+                                 notch_depth=0, notch_height=0, nx=1, ny=1)
+    mesh.node_sets["all"] = np.arange(mesh.n_nodes)
+    save_mesh(mesh, tmp_path / "cube.mesh")
+    ramps = [{"set": "bottom", "axis": a, "amplitude": 0.0, "ramp_end": 1e-3}
+             for a in range(3)]
+    ramps += [{"set": "top", "axis": 1, "amplitude": 0.01, "ramp_end": 1e-3},
+              {"set": "all", "axis": 1, "amplitude": 0.0, "ramp_end": 1e-3}]
+    cfg = tmp_path / "conflict.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "problem": {"mesh_file": str(tmp_path / "cube.mesh")},
+        "material": {"lam": 1e9, "mu": 0.8e9, "rho": 1000.0, "eta": 4e3},
+        "load": {"total_time": 1e-3, "dirichlet": ramps},
+    }))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsmfem.cli", "run-det", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "prescribed twice with different ramps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_io_error_exit_code(tmp_path):
     assert main(["compare", "--tsm", str(tmp_path / "nope"),
                  "--mc", str(tmp_path / "nope2")]) == 3

@@ -334,3 +334,76 @@ def test_damage1_rate_cross_term_has_no_half():
     psi0 = free_energy(eps0[0], E0)
     cross = eps1[0] @ E0 @ eps0[0]
     assert r[0] == pytest.approx((psi0 + cross) / eta, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# memory layout: the laws give the same bits for any input order
+# ---------------------------------------------------------------------------
+
+
+def _gauss_batch(n):
+    values = st.floats(min_value=-1e-2, max_value=1e-2, allow_nan=False)
+    return hnp.arrays(np.float64, (n, 6), elements=values)
+
+
+@st.composite
+def law_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=80))
+    E = stiffness_voigt(draw(moduli), draw(moduli)) * draw(st.floats(0.1, 1.9))
+    d = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 5.0)))
+    d1 = draw(hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    return E, d, d1, draw(_gauss_batch(n)), draw(_gauss_batch(n))
+
+
+def _check_order0_bits(E, d, eps, eta=1e3, dt=1e-6):
+    """Bitwise equal for C- and F-ordered strains, and to the gp-major
+    formula exp(-d)[:, None] * (eps @ E.T): (E @ eps.T).T must stay the
+    same dgemm as eps @ E.T.  The stress comes out component-major."""
+    s = eps @ E.T
+    stress = np.exp(-d)[:, None] * s
+    damage = d + dt * (np.exp(-d) * (0.5 * _dot6(eps, s)) / eta)
+    for e in (eps, np.asfortranarray(eps)):
+        law = Order0Law(E, eta, dt)
+        out = law.stress(d, e, 0)
+        assert out.T.flags.c_contiguous
+        assert np.array_equal(out, stress)
+        assert np.array_equal(law.damage(d, e, 0), damage)
+
+
+def _check_order1_bits(E0, d0, d1, eps0, eps1, eta=1e3, dt=1e-6):
+    s0, s1 = eps0 @ E0.T, eps1 @ E0.T
+    expd0 = np.exp(-d0)
+    stress = expd0[:, None] * ((1.0 - d1)[:, None] * s0 + s1)
+    rate = expd0 / eta * ((1.0 - d1) * (0.5 * _dot6(eps0, s0)) + _dot6(eps1, s0))
+    damage = d1 + dt * rate
+    for e0 in (eps0, np.asfortranarray(eps0)):
+        for e1 in (eps1, np.asfortranarray(eps1)):
+            law = Order1Law(E0, eta, dt).hold(e0, d0)
+            out = law.stress(d1, e1)
+            assert out.T.flags.c_contiguous
+            assert np.array_equal(out, stress)
+            assert np.array_equal(law.damage(d1, e1), damage)
+
+
+@given(law_inputs())
+@settings(max_examples=60, deadline=None)
+def test_order0_law_same_bits_for_c_and_f_order(inputs):
+    E, d, _d1, eps, _eps1 = inputs
+    _check_order0_bits(E, d, eps)
+
+
+@given(law_inputs())
+@settings(max_examples=60, deadline=None)
+def test_order1_law_same_bits_for_c_and_f_order(inputs):
+    _check_order1_bits(*inputs)
+
+
+@pytest.mark.parametrize("n", [4752, 5168])
+def test_laws_same_bits_at_desk_mesh_sizes(n):
+    """The Gauss-point counts of plate_hole_desk and double_notch_desk."""
+    rng = np.random.default_rng(n)
+    E = stiffness_voigt(LAM, MU) * 1.15
+    d, d1 = rng.random(n) * 3.0, rng.standard_normal(n)
+    eps0, eps1 = rng.standard_normal((2, n, 6)) * 1e-3
+    _check_order0_bits(E, d, eps0)
+    _check_order1_bits(E, d, d1, eps0, eps1)

@@ -172,6 +172,29 @@ def test_empty_loaded_set_rejected(tmp_path):
         validate_load_case(lc, m)
 
 
+def _top_pulled_and_all_held(m):
+    m.node_sets["all"] = np.arange(m.n_nodes)
+    return LoadCase(dirichlet=(
+        *(DirichletRamp("bottom", axis, 0.0, 1.0) for axis in range(3)),
+        DirichletRamp("top", 1, 0.01, 1.0),
+        DirichletRamp("all", 1, 0.0, 1.0),
+    ), total_time=1.0)
+
+
+def test_conflicting_dirichlet_ramps_rejected():
+    """Two ramps on one node and axis would silently resolve to the last
+    one (here: no load at all), so a dof with two different ramps is
+    rejected; identical repeats are fine."""
+    m = _unit_cube()
+    with pytest.raises(ValueError, match="prescribed twice with different ramps"):
+        validate_load_case(_top_pulled_and_all_held(m), m)
+    same = LoadCase(dirichlet=(
+        *(DirichletRamp("bottom", axis, 0.0, 1.0) for axis in range(3)),
+        DirichletRamp("all", 1, 0.0, 1.0),
+    ), total_time=1.0)
+    validate_load_case(same, m)
+
+
 def test_unknown_set_rejected():
     m = _unit_cube()
     lc = LoadCase(dirichlet=(DirichletRamp("nope", 0, 0.0, 1.0),), total_time=1.0)

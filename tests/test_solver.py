@@ -73,7 +73,7 @@ def test_mass_conservation_plate():
 def test_zero_stress_zero_force():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
-    f = quad.force_op @ np.zeros(6 * quad.n_gauss)
+    f = quad.forces(np.zeros((quad.n_gauss, 6)))
     assert np.all(f == 0.0)
 
 
@@ -83,7 +83,7 @@ def test_uniform_uniaxial_stress_face_forces():
     sig = 2.0e6
     stress = np.zeros((quad.n_gauss, 6))
     stress[:, 0] = sig
-    f = (quad.force_op @ stress.ravel()).reshape(-1, 3)
+    f = quad.forces(stress).reshape(-1, 3)
     # divergence-free: forces sum to zero
     np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-9 * sig)
     right = np.nonzero(np.abs(mesh.nodes[:, 0] - 1.0) < 1e-12)[0]
@@ -108,7 +108,7 @@ def _assert_linear_patch(F=np.eye(3)):
                                atol=1e-10 * np.abs(exact).max())
 
     sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
-    f = (quad.force_op @ sigma.ravel()).reshape(-1, 3)
+    f = quad.forces(sigma).reshape(-1, 3)
     scale = np.abs(f).max()
     assert np.abs(f[interior]).max() <= 1e-10 * scale
 
@@ -139,7 +139,7 @@ def test_rigid_translation_zero_strain_and_force():
     eps = quad.strains(u)
     assert np.abs(eps).max() <= 1e-13  # pure roundoff at 1/h ~ 1e2 gradients
     sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
-    assert np.abs(quad.force_op @ sigma.ravel()).max() <= 1e-9
+    assert np.abs(quad.forces(sigma)).max() <= 1e-9
 
 
 DESK_PRESETS = ["plate_coarse_desk", "plate_hole_desk", "double_notch_desk"]
@@ -151,26 +151,46 @@ def _desk_mesh(preset):
 
 @pytest.mark.parametrize("preset", DESK_PRESETS)
 def test_operators_store_only_structural_nonzeros(preset):
-    """Each Gauss point's 6 strain rows hold 8 (normal) or 16 (shear)
-    entries, columns ascending, none an explicit zero; force_op is bitwise
-    the detJw-weighted transpose of strain_op."""
+    """Each Gauss point's 6 strain rows (row c * ngp + g for component c of
+    Gauss point g) hold 8 (normal) or 16 (shear) entries, columns
+    ascending, none an explicit zero; force_op is bitwise the
+    detJw-weighted transpose of strain_op, each of its rows in
+    Gauss-point-major (g, c) order."""
     quad = ElementQuadrature.build(_desk_mesh(preset))
+    ngp = quad.n_gauss
     S = quad.strain_op
-    assert S.nnz == S.count_nonzero() == 72 * quad.n_gauss
-    per_row = np.diff(S.indptr).reshape(quad.n_gauss, 6)
-    assert np.array_equal(per_row, np.broadcast_to([8, 8, 8, 16, 16, 16], per_row.shape))
+    assert S.nnz == S.count_nonzero() == 72 * ngp
+    per_row = np.diff(S.indptr).reshape(6, ngp)
+    assert np.array_equal(per_row, np.broadcast_to([[8], [8], [8], [16], [16], [16]],
+                                                   per_row.shape))
     steps = np.diff(S.indices)
     within_row = np.ones(steps.size, dtype=bool)
     within_row[S.indptr[1:-1] - 1] = False
     assert (steps[within_row] > 0).all()
 
-    back = quad.force_op.T.tocsr()  # strain_op's layout
-    assert quad.force_op.nnz == S.nnz
+    F = quad.force_op
+    back = F.T.tocsr()  # strain_op's layout
+    assert F.nnz == S.nnz
     assert np.array_equal(back.indptr, S.indptr)
     assert np.array_equal(back.indices, S.indices)
-    w = np.repeat(quad.detJw.ravel(), 6)
+    w = np.tile(quad.detJw.ravel(), 6)
     rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
     assert np.array_equal(back.data, S.data * w[rows])
+    gp_major = 6 * (F.indices % ngp) + F.indices // ngp  # row 6g + c of column c * ngp + g
+    steps = np.diff(gp_major)
+    within_row = np.ones(steps.size, dtype=bool)
+    within_row[F.indptr[1:-1] - 1] = False
+    assert (steps[within_row] > 0).all()
+
+
+def test_element_with_a_repeated_node_rejected():
+    """A collapsed hexahedron (node 6 listed twice) can keep positive
+    Jacobians at the Gauss points; each strain row would then hold two
+    entries for one column, so the operators reject it by element."""
+    mesh = _box_mesh(2, 1, 1, 2.0, 1.0, 1.0)
+    mesh.elements[1, 6] = mesh.elements[1, 7]
+    with pytest.raises(ValueError, match="element 1 repeats a node"):
+        ElementQuadrature.build(mesh)
 
 
 def _dense_b_reference(mesh):
@@ -206,9 +226,11 @@ def test_operator_products_match_dense_b_elementwise():
     np.add.at(f_ref, dofs, np.einsum("egij,egi->ej", B, s_w))
 
     eps = quad.strains(u)
+    assert eps.T.flags.c_contiguous  # a component-major view
     assert np.abs(eps - eps_ref).max() <= 1e-13 * np.abs(eps_ref).max()
-    f = quad.force_op @ s.ravel()
+    f = quad.forces(s)
     assert np.abs(f - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
+    assert np.array_equal(f, quad.forces(np.asfortranarray(s)))  # same bits, any order
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +305,7 @@ def _measure_k(mesh, quad, pattern):
     u[:, 1] = pattern
     eps = quad.strains(u)
     sigma = Order0Law(E0, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
-    return (quad.force_op @ sigma.ravel()).reshape(-1, 3)
+    return quad.forces(sigma).reshape(-1, 3)
 
 
 def test_central_difference_matches_discrete_oscillator():
@@ -370,7 +392,7 @@ def test_energy_drift_after_ramp_hold():
             ke = 0.5 * float(m3 @ (v_prev * new.v.ravel()))
             eps = quad.strains(new.u)
             sigma = Order0Law(E0, 1.0, 0.0).stress(new.d, eps, 0)
-            f = eng.quad.force_op @ sigma.ravel()
+            f = eng.quad.forces(sigma)
             pe = 0.5 * float(new.u.ravel() @ f)
             energies.append(ke + pe)
         v_prev = new.v.ravel().copy()
@@ -396,8 +418,8 @@ def test_reaction_static_uniaxial():
     u[:, 1] = e * mesh.nodes[:, 1]  # uniaxial constrained stretch
     eps = quad.strains(u)
     sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
-    sets = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]], mesh.n_nodes)
-    F_top, F_bot = reaction_sums(sets, np.repeat(mass, 3), quad.force_op @ sigma.ravel(),
+    sets = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]])
+    F_top, F_bot = reaction_sums(sets, np.repeat(mass, 3), quad.forces(sigma),
                                  np.zeros((mesh.n_nodes, 3)))
     sig_yy = (PARAMS.lam + 2 * PARAMS.mu) * e
     assert F_top[1] == pytest.approx(sig_yy * 1.0, rel=1e-12)
@@ -413,9 +435,9 @@ def test_reaction_includes_mass_damping():
     accel = rng.normal(0.0, 1e2, (mesh.n_nodes, 3))
     velocity = rng.normal(0.0, 1.0, (mesh.n_nodes, 3))
     alpha = 50.0
-    f_int = quad.force_op @ sigma.ravel()
+    f_int = quad.forces(sigma)
     ids = [mesh.node_sets[name] for name in ("top", "bottom")]
-    sets, mass3 = set_sum_operator(ids, mesh.n_nodes), np.repeat(mass, 3)
+    sets, mass3 = set_sum_operator(ids), np.repeat(mass, 3)
     F = reaction_sums(sets, mass3, f_int, accel, velocity, alpha)
     undamped = reaction_sums(sets, mass3, f_int, accel, velocity)
     f_int = f_int.reshape(-1, 3)
@@ -429,8 +451,8 @@ def test_reaction_zero_state():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
-    F = reaction_sums(set_sum_operator([mesh.node_sets["top"]], mesh.n_nodes),
-                      np.repeat(mass, 3), quad.force_op @ np.zeros(6 * quad.n_gauss),
+    F = reaction_sums(set_sum_operator([mesh.node_sets["top"]]),
+                      np.repeat(mass, 3), quad.forces(np.zeros((quad.n_gauss, 6))),
                       np.zeros((mesh.n_nodes, 3)))
     assert np.all(F == 0.0)
 
