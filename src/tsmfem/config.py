@@ -29,6 +29,7 @@ from .mesh import (
     generate_double_notch,
     generate_plate_with_hole,
     load_mesh,
+    validate_load_case,
 )
 from .montecarlo import XiDistribution
 from .solver import stable_timestep
@@ -132,6 +133,19 @@ def _count(value, key: str, minimum: int = 1) -> int:
     if n < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {n}")
     return n
+
+
+def _real(value, key: str, *, positive: bool) -> float:
+    """A config value that must be a finite number, > 0 when ``positive``
+    and >= 0 otherwise; nan and inf are rejected, not run."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not np.isfinite(x) or x < 0.0 or (positive and x == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{key} must be finite and {bound}, got {value!r}")
+    return x
 
 
 @dataclass
@@ -244,11 +258,18 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                                    float(row["amplitude"]), float(row["ramp_end"])))
     loads = LoadCase(dirichlet=tuple(ramps), total_time=total_time,
                      body_force=tuple(float(v) for v in ld["body_force"]))
+    try:  # the mesh itself was validated by its generator or load_mesh
+        validate_load_case(loads, mesh)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
     ts = cfg["timestep"]
     problem = Problem(mesh=mesh, loads=loads, params=params,
-                      mass_damping=float(ts.get("mass_damping") or 0.0))
-    dt = float(ts["dt"]) if ts.get("dt") else stable_timestep(
-        mesh, params, float(ts.get("cfl_safety", 0.5)))
+                      mass_damping=_real(ts["mass_damping"], "timestep.mass_damping",
+                                         positive=False))
+    cfl_safety = _real(ts["cfl_safety"], "timestep.cfl_safety", positive=True)
+    dt = (stable_timestep(mesh, params, cfl_safety) if ts["dt"] is None
+          else _real(ts["dt"], "timestep.dt", positive=True))
 
     # snapshots
     out = cfg["output"]

@@ -120,21 +120,29 @@ def validate_load_case(load: LoadCase, mesh: Mesh) -> None:
     """Check set references, that no constrained set is empty, that no dof
     gets two different ramps, and that the constraints block all six
     rigid-body modes (the intent of requiring a fixed support)."""
-    ramps: dict[tuple[int, int], DirichletRamp] = {}
-    for d in load.dirichlet:
+    dofs, which = [], []
+    for k, d in enumerate(load.dirichlet):
         if d.node_set not in mesh.node_sets:
             raise ValueError(f"unknown node set '{d.node_set}' in load case")
-        if len(mesh.node_sets[d.node_set]) == 0:
+        ids = np.asarray(mesh.node_sets[d.node_set], dtype=np.int64)
+        if ids.size == 0:
             raise ValueError(f"node set '{d.node_set}' in load case is empty")
-        for n in mesh.node_sets[d.node_set]:
-            prev = ramps.setdefault((int(n), d.axis), d)
-            if (prev.amplitude, prev.ramp_end) != (d.amplitude, d.ramp_end):
-                raise ValueError(
-                    f"node {int(n)} axis {d.axis} is prescribed twice with different "
-                    f"ramps (sets '{prev.node_set}' and '{d.node_set}')")
-    if not ramps:
+        dofs.append(3 * ids + d.axis)
+        which.append(np.full(ids.size, k))
+    if not dofs:
         raise ValueError("load case constrains no degrees of freedom")
-    pairs = sorted(ramps)
+    dofs, which = np.concatenate(dofs), np.concatenate(which)
+    ramp = np.array([(d.amplitude, d.ramp_end) for d in load.dirichlet])
+    constrained, first, inverse = np.unique(dofs, return_index=True,
+                                            return_inverse=True)
+    owner = which[first][inverse]  # the first ramp that prescribes each dof
+    clash = np.nonzero((owner != which) & (ramp[owner] != ramp[which]).any(axis=1))[0]
+    if clash.size:
+        i = clash[0]
+        prev, d = load.dirichlet[owner[i]], load.dirichlet[which[i]]
+        raise ValueError(
+            f"node {dofs[i] // 3} axis {d.axis} is prescribed twice with different "
+            f"ramps (sets '{prev.node_set}' and '{d.node_set}')")
     x = mesh.nodes
     modes = np.zeros((6, mesh.n_nodes, 3))
     modes[0, :, 0] = 1.0
@@ -146,7 +154,7 @@ def validate_load_case(load: LoadCase, mesh: Mesh) -> None:
     modes[4, :, 2] = -x[:, 0]
     modes[5, :, 0] = -x[:, 1]
     modes[5, :, 1] = x[:, 0]
-    R = np.array([[modes[m, n, ax] for (n, ax) in pairs] for m in range(6)])
+    R = modes[:, constrained // 3, constrained % 3]
     scale = max(1.0, float(np.abs(x).max()))
     if np.linalg.matrix_rank(R, tol=1e-9 * scale) < 6:
         raise ValueError("constraints leave a rigid-body mode unconstrained")
@@ -176,26 +184,13 @@ def _structured_box(nx: int, ny: int, nz: int, width: float, height: float, thic
         axis=1,
     )
 
-    def nid(ix, iy, iz):
-        return ix + (nx + 1) * (iy + (ny + 1) * iz)
-
-    cells = []
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                cells.append(
-                    [
-                        nid(ix, iy, iz),
-                        nid(ix + 1, iy, iz),
-                        nid(ix + 1, iy + 1, iz),
-                        nid(ix, iy + 1, iz),
-                        nid(ix, iy, iz + 1),
-                        nid(ix + 1, iy, iz + 1),
-                        nid(ix + 1, iy + 1, iz + 1),
-                        nid(ix, iy + 1, iz + 1),
-                    ]
-                )
-    return nodes, np.asarray(cells, dtype=np.int64)
+    # cell (ix, iy, iz) starts at node id(ix, iy, iz); its 8 corners are
+    # fixed offsets from there, bottom face then top face, counter-clockwise
+    iz, iy, ix = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    first = (ix + (nx + 1) * (iy + (ny + 1) * iz)).ravel()
+    dy, dz = nx + 1, (nx + 1) * (ny + 1)
+    corners = np.array([0, 1, 1 + dy, dy, dz, dz + 1, dz + 1 + dy, dz + dy])
+    return nodes, (first[:, None] + corners).astype(np.int64)
 
 
 def _compact(nodes, elements, keep_mask):

@@ -108,6 +108,20 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
     return McEnsemble(xis=samples, histories=histories, wall_times=walls)
 
 
+def _snapshot_moments(fields) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and Bessel-corrected std over the ensemble of per-sample
+    (S, ...) snapshot fields, stacking one snapshot at a time: the ensemble
+    is never copied whole, and each entry is the same sum over the samples
+    as over the full stack."""
+    mean = np.empty(fields[0].shape)
+    std = np.empty_like(mean)
+    for s in range(mean.shape[0]):
+        block = np.stack([x[s] for x in fields])
+        mean[s] = block.mean(axis=0)
+        std[s] = block.std(axis=0, ddof=1)
+    return mean, std
+
+
 def mc_statistics(ensemble: McEnsemble) -> UqSummary:
     """Sample mean and Bessel-corrected (n-1) standard deviation of damage,
     damage function, stress, and loaded-set reaction force."""
@@ -118,16 +132,16 @@ def mc_statistics(ensemble: McEnsemble) -> UqSummary:
         if not (np.array_equal(h.times, h0.times)
                 and np.array_equal(h.force_times, h0.force_times)):
             raise ValueError("ensemble histories are not on a common snapshot grid")
-    d = np.stack([h.d for h in ensemble.histories])
-    f = np.exp(-d)
-    sigma = np.stack([h.sigma for h in ensemble.histories])
+    d = [h.d for h in ensemble.histories]
+    d_mean, d_std = _snapshot_moments(d)
+    f_mean, f_std = _snapshot_moments([np.exp(-x) for x in d])
+    sigma_mean, sigma_std = _snapshot_moments([h.sigma for h in ensemble.histories])
     name = loaded_set_name(h0)
     force = np.stack([h.forces[name] for h in ensemble.histories])
     return UqSummary(
         times=h0.times.copy(),
-        d_mean=d.mean(axis=0), d_std=d.std(axis=0, ddof=1),
-        f_mean=f.mean(axis=0), f_std=f.std(axis=0, ddof=1),
-        sigma_mean=sigma.mean(axis=0), sigma_std=sigma.std(axis=0, ddof=1),
+        d_mean=d_mean, d_std=d_std, f_mean=f_mean, f_std=f_std,
+        sigma_mean=sigma_mean, sigma_std=sigma_std,
         force_times=h0.force_times.copy(),
         force_mean=force.mean(axis=0), force_std=force.std(axis=0, ddof=1),
         force_set=name,

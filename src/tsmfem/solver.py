@@ -59,14 +59,18 @@ _ROW_START = np.concatenate([[0], np.cumsum(_ROW_NNZ)])  # offsets in a gp's 72
 
 
 class InstabilityError(RuntimeError):
-    """Non-finite values appeared during time integration."""
+    """Non-finite values appeared during time integration; ``xi`` names the
+    Monte Carlo sample, ``order`` the TSM order, where known."""
 
-    def __init__(self, step: int, time: float, xi: float | None = None):
+    def __init__(self, step: int, time: float, xi: float | None = None,
+                 order: int | None = None):
         tag = "" if xi is None else f" (sample xi={xi:.6g})"
+        tag += "" if order is None else f" in TSM order {order}"
         super().__init__(f"non-finite state at step {step} (t={time:.6g} s){tag}")
         self.step = step
         self.time = time
         self.xi = xi
+        self.order = order
 
 
 @dataclass
@@ -344,6 +348,98 @@ def _snapshot_steps(output_times, dt: float, n_steps: int) -> list[int]:
     return [s for s in steps if s >= 0]
 
 
+class Stepper:
+    """One explicit simulation, driven a step at a time.
+
+    Construction is the set-up: the engine, the snapshot and reaction
+    schedules, an empty ``history`` and the initial state.  Then, for each
+    step n = 0, 1, ..., ``n_steps``: ``evaluate()`` computes the top of
+    step n and records its reactions (every ``force_stride`` steps and at
+    the last) and its snapshot; while n < ``n_steps``, ``advance()`` takes
+    the central-difference update to step n + 1 and scans for non-finite
+    values every ``_NAN_CHECK_INTERVAL`` steps.  ``finish()`` checks that
+    the final state is finite and returns the ``History``.
+
+    ``run_with_kernels`` drives one stepper; ``tsm.run_tsm`` drives two in
+    lockstep.
+    """
+
+    def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
+                 output_times, stress_fn, damage_fn, *,
+                 quad: ElementQuadrature | None = None,
+                 dirichlet_scale: float = 1.0,
+                 force_stride: int = 1,
+                 mass_damping: float = 0.0,
+                 meta: dict | None = None):
+        if force_stride < 1:
+            raise ValueError(f"force_stride must be >= 1, got {force_stride}")
+        self.engine = engine = ExplicitEngine(mesh, loads, rho, dt, quad=quad,
+                                              dirichlet_scale=dirichlet_scale,
+                                              mass_damping=mass_damping)
+        self.stress_fn, self.damage_fn = stress_fn, damage_fn
+        self.n_steps = n_steps = step_at(loads.total_time, dt)
+        snap_steps = _snapshot_steps(output_times, dt, n_steps)
+        self._snap_at = {s: i for i, s in enumerate(snap_steps)}
+
+        nn, ngp = mesh.n_nodes, engine.quad.n_gauss
+        S = len(snap_steps)
+        self.history = hist = History(
+            times=np.asarray([s * dt for s in snap_steps]),
+            u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
+            force_times=np.zeros(0), forces={}, dt=dt, n_steps=n_steps,
+            meta=dict(meta or {}),
+        )
+        self._set_names = sorted({r.node_set for r in loads.dirichlet})
+        self._set_sums = set_sum_operator([mesh.node_sets[name]
+                                           for name in self._set_names])
+        hist.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
+                                           if r.amplitude != 0.0})
+        f_steps = [s for s in range(0, n_steps + 1)
+                   if s % force_stride == 0 or s == n_steps]
+        hist.force_times = np.asarray([s * dt for s in f_steps])
+        self._forces = np.zeros((len(f_steps), len(self._set_names), 3))
+        self._f_at = {s: i for i, s in enumerate(f_steps)}
+
+        self.state = engine.initial_state()
+        self._eps = self._accel = None
+
+    def evaluate(self) -> np.ndarray:
+        """Evaluate the current step and record its reactions and snapshot;
+        returns its Gauss-point strains (ngp, 6)."""
+        state, engine = self.state, self.engine
+        n = state.step
+        eps, sigma, f_int, a = engine.evaluate(state, self.stress_fn)
+        self._eps, self._accel = eps, a
+        i = self._f_at.get(n)
+        if i is not None:
+            self._forces[i] = reaction_sums(self._set_sums, engine.mass3, f_int, a,
+                                            state.v, engine.alpha)
+        i = self._snap_at.get(n)
+        if i is not None:
+            hist = self.history
+            hist.u[i] = state.u
+            hist.d[i] = state.d
+            hist.sigma[i] = sigma
+        return eps
+
+    def advance(self) -> None:
+        """The central-difference update from the evaluated step."""
+        self.state = state = self.engine.advance(self.state, self._eps, self._accel,
+                                                 self.damage_fn)
+        if state.step % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(state.u.sum()):
+            raise InstabilityError(state.step, state.time)
+
+    def finish(self) -> History:
+        """The history, once the final state is checked to be finite."""
+        state = self.state
+        if not np.isfinite(state.u).all():
+            raise InstabilityError(state.step, state.time)
+        hist = self.history
+        hist.forces = {name: self._forces[:, k].copy()
+                       for k, name in enumerate(self._set_names)}
+        return hist
+
+
 def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
                      output_times, stress_fn, damage_fn, *,
                      quad: ElementQuadrature | None = None,
@@ -355,57 +451,32 @@ def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
     """Integrate to ``loads.total_time`` recording snapshots, per-set reaction
     forces every ``force_stride`` steps, and (optionally) feeding every step's
     Gauss state to ``exchange_hook(step, time, eps, d)``."""
-    if force_stride < 1:
-        raise ValueError(f"force_stride must be >= 1, got {force_stride}")
     t0 = _time.perf_counter()
-    engine = ExplicitEngine(mesh, loads, rho, dt, quad=quad,
-                            dirichlet_scale=dirichlet_scale,
-                            mass_damping=mass_damping)
-    n_steps = step_at(loads.total_time, dt)
-    snap_steps = _snapshot_steps(output_times, dt, n_steps)
-    snap_at = {s: i for i, s in enumerate(snap_steps)}
-
-    nn, ngp = mesh.n_nodes, engine.quad.n_gauss
-    S = len(snap_steps)
-    hist = History(
-        times=np.asarray([s * dt for s in snap_steps]),
-        u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
-        force_times=np.zeros(0), forces={}, dt=dt, n_steps=n_steps,
-        meta=dict(meta or {}),
-    )
-    set_names = sorted({r.node_set for r in loads.dirichlet})
-    set_sums = set_sum_operator([mesh.node_sets[name] for name in set_names])
-    hist.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
-                                       if r.amplitude != 0.0})
-    f_steps = [s for s in range(0, n_steps + 1) if s % force_stride == 0 or s == n_steps]
-    hist.force_times = np.asarray([s * dt for s in f_steps])
-    forces = np.zeros((len(f_steps), len(set_names), 3))
-    f_at = {s: i for i, s in enumerate(f_steps)}
-
-    state = engine.initial_state()
-    while True:
-        n = state.step
-        eps, sigma, f_int, a = engine.evaluate(state, stress_fn)
+    stepper = Stepper(mesh, loads, rho, dt, output_times, stress_fn, damage_fn,
+                      quad=quad, dirichlet_scale=dirichlet_scale,
+                      force_stride=force_stride, mass_damping=mass_damping, meta=meta)
+    n_steps = stepper.n_steps
+    for n in range(n_steps + 1):
+        eps = stepper.evaluate()
         if exchange_hook is not None:
-            exchange_hook(n, state.time, eps, state.d)
-        if n in f_at:
-            forces[f_at[n]] = reaction_sums(set_sums, engine.mass3, f_int, a,
-                                            state.v, engine.alpha)
-        if n in snap_at:
-            i = snap_at[n]
-            hist.u[i] = state.u
-            hist.d[i] = state.d
-            hist.sigma[i] = sigma
-        if n >= n_steps:
-            break
-        state = engine.advance(state, eps, a, damage_fn)
-        if state.step % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(state.u.sum()):
-            raise InstabilityError(state.step, state.time)
-    if not np.isfinite(state.u).all():
-        raise InstabilityError(state.step, state.time)
-    hist.forces = {name: forces[:, k].copy() for k, name in enumerate(set_names)}
+            exchange_hook(n, stepper.state.time, eps, stepper.state.d)
+        if n < n_steps:
+            stepper.advance()
+    hist = stepper.finish()
     hist.wall_time = _time.perf_counter() - t0
     return hist
+
+
+def deterministic_kernels(params: MaterialParams, xi: float,
+                          dt: float) -> DeterministicKernels:
+    """The step callbacks of the realization with stiffness (1 + xi) * E0.
+
+    The damage driver uses the same scaled stiffness, i.e. the actual
+    realization's free energy.
+    """
+    if 1.0 + xi <= 0.0:
+        raise ValueError(f"1 + xi must be positive, got xi={xi}")
+    return DeterministicKernels((1.0 + xi) * params.stiffness, params.eta, dt)
 
 
 def run_deterministic(mesh: Mesh, loads: LoadCase, params: MaterialParams,
@@ -413,14 +484,9 @@ def run_deterministic(mesh: Mesh, loads: LoadCase, params: MaterialParams,
                       quad: ElementQuadrature | None = None,
                       exchange_hook=None, force_stride: int = 1,
                       mass_damping: float = 0.0) -> History:
-    """Full deterministic run with stiffness (1 + xi) * E0.
-
-    The damage driver uses the same scaled stiffness, i.e. the actual
-    realization's free energy.
-    """
-    if 1.0 + xi <= 0.0:
-        raise ValueError(f"1 + xi must be positive, got xi={xi}")
-    kern = DeterministicKernels((1.0 + xi) * params.stiffness, params.eta, dt)
+    """Full deterministic run with stiffness (1 + xi) * E0 (see
+    ``deterministic_kernels``)."""
+    kern = deterministic_kernels(params, xi, dt)
     return run_with_kernels(mesh, loads, params.rho, dt, output_times,
                             kern.stress, kern.damage, quad=quad,
                             exchange_hook=exchange_hook, force_stride=force_stride,

@@ -8,6 +8,12 @@ strain and damage received through a subsampled exchange stream (records
 every K steps, zero-order hold in between).  Expectation and standard
 deviation of damage, damage function, stress and reaction force follow in
 a cheap post-processing pass that only needs the second moment <xi^2>.
+
+Two exchange modes carry the stream.  File mode is the decoupled protocol:
+order 0 runs to completion writing a checksummed record file, then order 1
+reads it back.  In-memory mode advances both orders in lockstep, and order
+1 holds order 0's live state at every K-th step, so no record is stored and
+memory is O(1) in K.  Both modes give bitwise equal results.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -25,6 +32,9 @@ from .mesh import LoadCase, Mesh
 from .solver import (
     ElementQuadrature,
     History,
+    InstabilityError,
+    Stepper,
+    deterministic_kernels,
     run_deterministic,
     run_with_kernels,
     step_at,
@@ -227,16 +237,16 @@ class FirstOrderKernels:
     """Stress and damage callbacks of the sensitivity problem.
 
     The order-0 strain and damage arrive as a stepwise-constant external
-    field: a zero-order hold of the newest exchange record at or before the
-    step, handed to ``material.Order1Law``, which evaluates the law.
+    field held by ``law``, a ``material.Order1Law``, which evaluates the law.
+    With an exchange ``source``, each step holds the newest record at or
+    before it; without one, the caller holds order 0's live state through
+    ``law.hold`` (the lockstep of ``run_tsm``).
     """
 
-    def __init__(self, E0: np.ndarray, eta: float, dt: float, source):
+    def __init__(self, E0: np.ndarray, eta: float, dt: float, source=()):
         self.law = Order1Law(E0, eta, dt)
         self._it = iter(source)
         self._next = next(self._it, None)
-        if self._next is None:
-            raise ValueError("order-0 exchange source is empty")
 
     def _advance_to(self, step: int):
         rec = None
@@ -325,15 +335,21 @@ class TsmSolution:
 def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
             quad: ElementQuadrature | None = None, exchange_path=None,
             force_stride: int = 1) -> TsmSolution:
-    """Staggered pair of simulations: order-0 to completion, then order-1.
+    """The order-0 and order-1 simulations, exchanging records every K steps.
 
-    In file mode the exchange stream goes through ``exchange_path`` (a
-    temporary file when not given); in-memory mode keeps identical K-step
-    subsampling semantics so both modes agree bitwise.
+    File mode is decoupled: ``run_order0`` runs to completion, writing the
+    stream to ``exchange_path`` (a temporary file when not given), then
+    ``run_order1`` reads it back.  In-memory mode runs the two orders in
+    lockstep (``_run_lockstep``) with memory O(1) in K.  Both modes apply
+    the same K-step zero-order hold, so they agree bitwise.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
+    if config.exchange_mode == "in_memory":
+        hist0, hist1 = _run_lockstep(problem, config.exchange_interval, dt,
+                                     output_times, quad, force_stride)
+        return TsmSolution(history0=hist0, history1=hist1, config=config)
     tmp = None
-    if config.exchange_mode == "file" and exchange_path is None:
+    if exchange_path is None:
         fd, tmp = tempfile.mkstemp(suffix=".tsmx")
         os.close(fd)
         exchange_path = tmp
@@ -349,6 +365,65 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     if not np.array_equal(hist0.times, hist1.times):
         raise RuntimeError("order-0 and order-1 snapshot grids differ")
     return TsmSolution(history0=hist0, history1=hist1, config=config)
+
+
+def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
+                  quad: ElementQuadrature, force_stride: int):
+    """Order 0 and order 1 advanced in one loop; returns both histories.
+
+    At step n, order 0 evaluates and advances.  When n % K == 0, order 1's
+    law then holds order 0's strain and damage of step n: the zero-order
+    hold of the exchange stream, with no record stored.  (The update makes
+    new arrays, so step n's are still intact.)  Then order 1 evaluates and
+    advances.  Each order's ``wall_time`` is the time of its own set-up,
+    steps and finish, the hold counted as order 1's, so the two add up to
+    the time of the whole loop.  A non-finite state names its order.
+    """
+    p = problem
+    kern0 = deterministic_kernels(p.params, 0.0, dt)
+    kern1 = FirstOrderKernels(p.params.stiffness, p.params.eta, dt)
+    order = 0
+    try:
+        t = perf_counter()
+        s0 = Stepper(p.mesh, p.loads, p.params.rho, dt, output_times,
+                     kern0.stress, kern0.damage, quad=quad, force_stride=force_stride,
+                     mass_damping=p.mass_damping, meta={"xi": 0.0, "kind": "order0"})
+        t1 = perf_counter()
+        wall0 = t1 - t
+        s1 = Stepper(p.mesh, p.loads, p.params.rho, dt, output_times,
+                     kern1.stress, kern1.damage, quad=quad, dirichlet_scale=0.0,
+                     force_stride=force_stride, mass_damping=p.mass_damping,
+                     meta={"kind": "order1", "K": K})
+        t = perf_counter()
+        wall1 = t - t1
+        n_steps = s0.n_steps
+        for n in range(n_steps + 1):
+            order = 0
+            eps0 = s0.evaluate()
+            d0 = s0.state.d
+            if n < n_steps:
+                s0.advance()
+            t1 = perf_counter()
+            wall0 += t1 - t
+            order = 1
+            if n % K == 0:
+                kern1.law.hold(eps0, d0)
+            s1.evaluate()
+            if n < n_steps:
+                s1.advance()
+            t = perf_counter()
+            wall1 += t - t1
+        order = 0
+        hist0 = s0.finish()
+        t1 = perf_counter()
+        wall0 += t1 - t
+        order = 1
+        hist1 = s1.finish()
+        wall1 += perf_counter() - t1
+    except InstabilityError as exc:
+        raise InstabilityError(exc.step, exc.time, order=order) from exc
+    hist0.wall_time, hist1.wall_time = wall0, wall1
+    return hist0, hist1
 
 
 # ---------------------------------------------------------------------------

@@ -210,12 +210,18 @@ def test_cli_validation_error_exit_code(tmp_path):
 @pytest.mark.parametrize("setting", [
     "mc.force_stride=0", "mc.force_stride=-3", "mc.force_stride=2.5",
     "output.n_snapshots=0", "output.n_snapshots=2.5", "tsm.exchange_interval=2.7",
-    "mc.n=1", "mc.workers=0", "mc.workers=2.5", "mc.seed=3.7", "mc.seed=-1"])
+    "mc.n=1", "mc.workers=0", "mc.workers=2.5", "mc.seed=3.7", "mc.seed=-1",
+    "timestep.dt=0", "timestep.dt=-1e-6", "timestep.dt=.nan", "timestep.dt=.inf",
+    "timestep.cfl_safety=.inf", "timestep.cfl_safety=0", "timestep.cfl_safety=-0.5",
+    "timestep.mass_damping=-1.0", "timestep.mass_damping=.nan"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
-    """A count below its minimum or not an integer stops the run before it
-    starts: exit code 1 with one error line, not a traceback, a silent
-    default or truncation.  ``mc.n`` goes through run-mc, which would
-    otherwise run the whole ensemble before its statistics fail."""
+    """A count below its minimum or not an integer, and a time step input
+    that is not finite or out of range, stops the run before it starts:
+    exit code 1 with one error line, not a traceback, a silent default or
+    truncation.  (``timestep.dt=0`` used to fall back to the CFL estimate,
+    ``cfl_safety=.inf`` to run 0 steps.)  ``mc.n`` goes through run-mc,
+    which would otherwise run the whole ensemble before its statistics
+    fail."""
     command = "run-mc" if setting.startswith("mc.n=") else "run-det"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
     proc = subprocess.run(
@@ -231,7 +237,8 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
 
 def test_cli_rejects_conflicting_dirichlet_ramps(tmp_path):
     """A mesh file whose load case ramps 'top' axis 1 and holds 'all' axis 1
-    at zero: exit code 1, one error line, no traceback."""
+    at zero fails at config time in every run command: exit code 1, one
+    error line, no traceback, and no output directory."""
     from tsmfem.mesh import generate_double_notch, save_mesh
 
     mesh = generate_double_notch(width=1, height=1, thickness=1,
@@ -249,14 +256,41 @@ def test_cli_rejects_conflicting_dirichlet_ramps(tmp_path):
         "load": {"total_time": 1e-3, "dirichlet": ramps},
     }))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tsmfem.cli", "run-det", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "prescribed twice with different ramps" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    for command in ("run-det", "run-tsm", "run-mc"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsmfem.cli", command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "prescribed twice with different ramps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists(), command
+
+
+def test_cli_tsm_manifest_times_are_the_histories_wall_times(tmp_path, monkeypatch):
+    """The run-tsm manifest reports each order's ``History.wall_time``, which
+    in-memory (lockstep) TSM attributes per order, and adds them up with
+    the post-processing time."""
+    import tsmfem.cli as cli
+
+    solutions = []
+
+    def recording_run_tsm(*args, **kwargs):
+        solutions.append(cli_run_tsm(*args, **kwargs))
+        return solutions[-1]
+
+    cli_run_tsm = cli.run_tsm
+    monkeypatch.setattr(cli, "run_tsm", recording_run_tsm)
+    out = str(tmp_path / "out")
+    assert main(["run-tsm", "--preset", "plate_coarse_desk", "--out", out,
+                 "--set", "load.total_time=0.001", "--set", "load.ramp_end=0.001",
+                 "--set", "tsm.exchange_interval=1"]) == 0
+    (sol,) = solutions
+    walls = read_manifest(os.path.join(out, "tsm", "manifest.yaml"))["wall_times_s"]
+    assert walls["order0"] == sol.history0.wall_time > 0.0
+    assert walls["order1"] == sol.history1.wall_time > 0.0
+    assert walls["total"] == walls["order0"] + walls["order1"] + walls["post"]
 
 
 def test_cli_io_error_exit_code(tmp_path):

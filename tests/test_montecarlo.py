@@ -103,6 +103,22 @@ def test_statistics_identical_histories_zero_std(tiny_problem, tiny_dt):
     assert np.all(stats.force_std == 0.0)
 
 
+def test_statistics_equal_the_whole_stack_formulas(tiny_problem, tiny_dt):
+    """The moments are taken one snapshot at a time; each must equal, bit
+    for bit, numpy's mean and std over the whole stacked ensemble."""
+    T = tiny_problem.loads.total_time
+    ens = run_mc(tiny_problem, [-0.1, 0.02, 0.05, 0.12], tiny_dt, [T / 3, 2 * T / 3, T])
+    stats = mc_statistics(ens)
+    d = np.stack([h.d for h in ens.histories])
+    sigma = np.stack([h.sigma for h in ens.histories])
+    for got, stack in ((("d_mean", "d_std"), d), (("f_mean", "f_std"), np.exp(-d)),
+                       (("sigma_mean", "sigma_std"), sigma)):
+        mean, std = (getattr(stats, name) for name in got)
+        assert mean.shape == std.shape == stack.shape[1:]
+        assert np.array_equal(mean, stack.mean(axis=0))
+        assert np.array_equal(std, stack.std(axis=0, ddof=1))
+
+
 def test_statistics_require_two_samples(tiny_problem, tiny_dt):
     ens = run_mc(tiny_problem, [0.0], tiny_dt, [tiny_problem.loads.total_time])
     with pytest.raises(ValueError):

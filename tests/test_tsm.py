@@ -2,9 +2,13 @@
 finite-difference equivalence of the first-order fields, and the moment
 post-processing."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tsmfem.config import load_config
 from tsmfem.material import MaterialParams, Order0Law, Order1Law
 from tsmfem.mesh import DirichletRamp, LoadCase, generate_plate_with_hole
 from tsmfem.montecarlo import fd_oracle
@@ -12,6 +16,7 @@ from tsmfem.solver import (
     DeterministicKernels,
     ElementQuadrature,
     History,
+    InstabilityError,
     run_deterministic,
     stable_timestep,
 )
@@ -262,19 +267,116 @@ def test_order1_elastic_limit_one_element():
 # ---------------------------------------------------------------------------
 
 
+def _assert_same_history(a: History, b: History):
+    """Every array with its dtype and shape, every force series, the step
+    grid and the metadata are equal; only the wall time may differ."""
+    for name in ("times", "u", "d", "sigma", "force_times"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+    assert a.forces.keys() == b.forces.keys()
+    for name in a.forces:
+        x, y = a.forces[name], b.forces[name]
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
+    assert (a.dt, a.n_steps, a.meta) == (b.dt, b.n_steps, b.meta)
+
+
 def test_file_and_memory_modes_agree(tmp_path):
     problem = coarse_plate_problem(T=1e-3)
     dt = stable_timestep(problem.mesh, problem.params, 0.5)
     outputs = [problem.loads.total_time]
-    K = 25
-    mem = run_tsm(problem, TsmConfig(exchange_interval=K), dt, outputs)
-    fil = run_tsm(problem, TsmConfig(exchange_interval=K, exchange_mode="file"),
-                  dt, outputs, exchange_path=tmp_path / "x.tsmx")
-    for field in ("u", "d", "sigma"):
-        a = getattr(mem.history1, field)
-        b = getattr(fil.history1, field)
-        assert np.array_equal(a, b)  # exact: binary f64 round trip
-    assert np.array_equal(mem.history1.forces["top"], fil.history1.forces["top"])
+    for K in (1, 25):
+        mem = run_tsm(problem, TsmConfig(exchange_interval=K), dt, outputs)
+        fil = run_tsm(problem, TsmConfig(exchange_interval=K, exchange_mode="file"),
+                      dt, outputs, exchange_path=tmp_path / f"x{K}.tsmx")
+        # exact: the file is a binary f64 round trip of the held records
+        _assert_same_history(mem.history0, fil.history0)
+        _assert_same_history(mem.history1, fil.history1)
+
+
+@pytest.fixture(scope="module")
+def coarse_desk():
+    cfg = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    return cfg, ElementQuadrature.build(cfg.problem.mesh)
+
+
+@pytest.mark.parametrize("force_stride", [1, 3])
+@pytest.mark.parametrize("K", [1, 7, 25, 10**9])
+def test_lockstep_equals_decoupled_runs_bitwise(coarse_desk, K, force_stride):
+    """In-memory TSM advances both orders in one loop, holding order 0's
+    live state every K steps; the decoupled order-0 then order-1 runs
+    through a held record stream give the same bits."""
+    cfg, quad = coarse_desk
+    p, config = cfg.problem, TsmConfig(exchange_interval=K)
+    sol = run_tsm(p, config, cfg.dt, cfg.snapshot_times, quad=quad,
+                  force_stride=force_stride)
+    h0, source = run_order0(p, cfg.dt, cfg.snapshot_times, config, quad=quad,
+                            force_stride=force_stride)
+    h1 = run_order1(p, source, cfg.dt, cfg.snapshot_times, quad=quad,
+                    force_stride=force_stride)
+    _assert_same_history(sol.history0, h0)
+    _assert_same_history(sol.history1, h1)
+
+
+def test_lockstep_memory_does_not_grow_with_exchange_rate():
+    """An exchange record every step (K=1) costs in-memory TSM less than a
+    tenth of the bytes the whole record stream would hold, compared with a
+    single record (K=10**9)."""
+    problem = coarse_plate_problem(T=1e-3)
+    quad = ElementQuadrature.build(problem.mesh)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    outputs = [problem.loads.total_time]
+
+    def traced_peak(K):
+        tracemalloc.start()
+        try:
+            sol = run_tsm(problem, TsmConfig(exchange_interval=K), dt, outputs, quad=quad)
+            return tracemalloc.get_traced_memory()[1], sol.history0.n_steps
+        finally:
+            tracemalloc.stop()
+
+    peak_rare, _ = traced_peak(10**9)
+    peak_every, n_steps = traced_peak(1)
+    record_bytes = (n_steps + 1) * quad.n_gauss * 56
+    assert record_bytes > 4e6
+    assert peak_every - peak_rare < 0.1 * record_bytes
+
+
+def test_lockstep_instability_names_the_order(monkeypatch):
+    # order 0: far past the CFL limit with damage off, so nothing caps the growth
+    problem = coarse_plate_problem(T=1000.0, eta=1e300)
+    with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
+        run_tsm(problem, TsmConfig(exchange_interval=1), 1.0, [problem.loads.total_time])
+    assert (err.value.step, err.value.order) == (64, 0)
+    assert "in TSM order 0" in str(err.value)
+
+    # order 1: a stable run whose order-1 stress turns non-finite at step 70
+    stress1 = FirstOrderKernels.stress
+
+    def poisoned(self, d1, eps1, step):
+        sigma = stress1(self, d1, eps1, step)
+        return sigma * np.nan if step == 70 else sigma
+
+    monkeypatch.setattr(FirstOrderKernels, "stress", poisoned)
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    with pytest.raises(InstabilityError) as err:
+        run_tsm(problem, TsmConfig(exchange_interval=1), dt, [problem.loads.total_time])
+    assert (err.value.step, err.value.order) == (128, 1)
+    assert "in TSM order 1" in str(err.value)
+
+
+def test_lockstep_wall_times_add_up_to_the_observed_time():
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    t0 = time.perf_counter()
+    sol = run_tsm(problem, TsmConfig(exchange_interval=1), dt, [problem.loads.total_time])
+    elapsed = time.perf_counter() - t0
+    h0, h1 = sol.history0, sol.history1
+    assert h0.wall_time > 0.0 and h1.wall_time > 0.0
+    assert h0.wall_time + h1.wall_time <= elapsed
+    meta = uq_summary(sol).meta
+    assert (meta["wall_order0"], meta["wall_order1"]) == (h0.wall_time, h1.wall_time)
 
 
 def test_first_order_kernels_match_reference_ops():
