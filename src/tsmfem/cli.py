@@ -17,7 +17,7 @@ from . import export
 from .config import ConfigError, PRESETS, RunConfig, load_config
 from .mesh import MeshFormatError, save_mesh
 from .montecarlo import compare, extract_line, mc_statistics, run_mc, sample_xi
-from .solver import InstabilityError, run_deterministic
+from .solver import InstabilityError, check_xi, run_deterministic
 from .tsm import ExchangeFormatError, run_tsm, uq_summary
 
 
@@ -80,6 +80,7 @@ def cmd_mesh_gen(args) -> int:
 def cmd_run_det(args) -> int:
     cfg = _config_from_args(args)
     xi = float(args.xi)
+    check_xi(xi)
     outdir = _ensure_dir(os.path.join(cfg.output_dir, f"det_xi{xi:+g}"))
     hist = run_deterministic(cfg.problem.mesh, cfg.problem.loads,
                              cfg.problem.params, xi, cfg.dt, cfg.snapshot_times,

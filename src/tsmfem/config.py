@@ -167,13 +167,14 @@ class RunConfig:
         return copy.deepcopy(self.raw)
 
 
-def _merge(base: dict, override: dict, path="") -> dict:
-    out = copy.deepcopy(base)
+def _merge_into(out: dict, override: dict) -> dict:
+    """Merge ``override`` into ``out`` in place, section by section, and
+    return ``out``; values are copied from ``override``, never shared."""
     for k, v in override.items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v, f"{path}{k}.")
+            _merge_into(out[k], v)
         else:
-            out[k] = v
+            out[k] = copy.deepcopy(v)
     return out
 
 
@@ -192,7 +193,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
     if overrides:
-        user = _merge(user, overrides)
+        user = _merge_into(user, overrides)
 
     _check_keys(user, _TEMPLATE, "<root>")
     prob_spec = user.get("problem", {})
@@ -206,10 +207,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         if preset_name not in PRESETS:
             raise ConfigError(
                 f"unknown preset '{preset_name}' (have {sorted(PRESETS)})")
-        cfg = _merge(PRESETS[preset_name], user)
+        cfg = _merge_into(copy.deepcopy(PRESETS[preset_name]), user)
         cfg["problem"] = {"preset": preset_name}
     else:
-        cfg = _merge(_TEMPLATE, user)
+        cfg = _merge_into(copy.deepcopy(_TEMPLATE), user)
         cfg["problem"] = {"mesh_file": mesh_file}
 
     _check_keys(cfg["generator"], ["kind", "width", "height", "thickness",
@@ -232,14 +233,14 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     # material
     mat = cfg["material"]
     try:
-        params = MaterialParams(lam=float(mat["lam"]), mu=float(mat["mu"]),
-                                rho=float(mat["rho"]), eta=float(mat["eta"]))
+        params = MaterialParams(**{k: _real(mat[k], f"material.{k}", positive=True)
+                                   for k in ("lam", "mu", "rho", "eta")})
     except KeyError as exc:
         raise ConfigError(f"material.{exc.args[0]} is required") from exc
 
     # loading
     ld = cfg["load"]
-    total_time = float(ld["total_time"])
+    total_time = _real(ld["total_time"], "load.total_time", positive=True)
     table = ld.get("dirichlet")
     if not table:
         raise ConfigError("load.dirichlet is required (presets provide one)")
@@ -274,20 +275,23 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     # snapshots
     out = cfg["output"]
     if out.get("snapshot_times"):
-        snaps = np.asarray([float(t) for t in out["snapshot_times"]])
+        snaps = np.asarray([_real(t, "output.snapshot_times", positive=False)
+                            for t in out["snapshot_times"]])
     else:
         n = _count(out["n_snapshots"], "output.n_snapshots")
         snaps = np.linspace(total_time / n, total_time, n)
 
     mc = cfg["mc"]
     mc_n = _count(mc["n"], "mc.n", minimum=2)  # statistics need two samples
+    std = _real(mc["std"], "mc.std", positive=True)
     xi2 = cfg["tsm"]["xi_second_moment"]
     tsm_cfg = TsmConfig(
         exchange_interval=_count(cfg["tsm"]["exchange_interval"], "tsm.exchange_interval"),
         exchange_mode=cfg["tsm"]["exchange_mode"],
-        xi_second_moment=float(mc["std"]) ** 2 if xi2 is None else float(xi2),
+        xi_second_moment=(std**2 if xi2 is None
+                          else _real(xi2, "tsm.xi_second_moment", positive=False)),
     )
-    xi_dist = XiDistribution(kind=mc["kind"], std=float(mc["std"]),
+    xi_dist = XiDistribution(kind=mc["kind"], std=std,
                              truncation=float(mc["truncation"]),
                              seed=_count(mc["seed"], "mc.seed", minimum=0))
     return RunConfig(

@@ -54,8 +54,8 @@ class MaterialParams:
     eta: float
 
     def __post_init__(self):
-        if min(self.lam, self.mu, self.rho, self.eta) <= 0.0:
-            raise ValueError("lam, mu, rho, eta must all be positive")
+        if not all(0.0 < x < np.inf for x in (self.lam, self.mu, self.rho, self.eta)):
+            raise ValueError("lam, mu, rho, eta must all be finite and positive")
 
     @property
     def young(self) -> float:

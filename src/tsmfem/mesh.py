@@ -105,10 +105,12 @@ class LoadCase:
 
     def __post_init__(self):
         object.__setattr__(self, "dirichlet", tuple(self.dirichlet))
-        if self.total_time <= 0.0:
-            raise ValueError("total_time must be positive")
+        if not 0.0 < self.total_time < np.inf:
+            raise ValueError(f"total_time must be finite and positive, got {self.total_time}")
+        if not np.isfinite([*self.body_force, *(d.amplitude for d in self.dirichlet)]).all():
+            raise ValueError("body_force and ramp amplitudes must be finite")
         for d in self.dirichlet:
-            if d.ramp_end <= 0.0 or d.ramp_end > self.total_time:
+            if not 0.0 < d.ramp_end <= self.total_time:
                 raise ValueError(
                     f"ramp end {d.ramp_end} outside (0, total_time={self.total_time}]"
                 )

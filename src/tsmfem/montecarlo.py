@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
-from .solver import ElementQuadrature, History, InstabilityError, run_deterministic
+from .solver import ElementQuadrature, History, InstabilityError, check_xi, run_deterministic
 from .tsm import Problem, UqSummary, loaded_set_name
 
 
@@ -30,8 +30,8 @@ class XiDistribution:
     def __post_init__(self):
         if self.kind not in ("normal", "uniform"):
             raise ValueError(f"unknown distribution kind '{self.kind}'")
-        if self.std <= 0.0:
-            raise ValueError("std must be positive")
+        if not self.std > 0.0:
+            raise ValueError(f"std must be positive, got {self.std}")
         if not 0.0 < self.truncation < 1.0:
             raise ValueError("truncation bound must lie in (0, 1) so 1+xi > 0")
         if self.std >= self.truncation:
@@ -88,8 +88,8 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
     naming the offending realization.
     """
     samples = np.asarray(samples, dtype=float)
-    if (1.0 + samples <= 0.0).any():
-        raise ValueError("every sample must keep 1 + xi positive")
+    for xi in samples:
+        check_xi(xi)
     histories: list[History] = []
     jobs = [(problem, float(xi), dt, output_times, force_stride) for xi in samples]
     try:

@@ -8,7 +8,10 @@ strain-displacement matrix B, 72 per Gauss point (8 in each normal-strain
 row, 16 in each shear row), so a product spends no work on ``0 * x`` terms.
 Stress and damage laws enter as per-Gauss-point callbacks, so the
 deterministic and the first-order (sensitivity) problems share one
-integrator.
+integrator, ``ExplicitEngine``: one object per simulation that holds the
+state, records the history and times itself, driven one ``step()`` at a
+time by ``run_with_kernels`` or, for two simulations in lockstep, by
+``tsm.run_tsm``.
 
 Memory layout: Gauss-point strains and stresses are (ngp, 6) arrays stored
 component-major, i.e. as the transpose of a C-ordered (6, ngp) array, so
@@ -161,8 +164,8 @@ def lumped_mass(mesh: Mesh, rho: float, quad: ElementQuadrature | None = None) -
 
     The total equals rho times the quadrature volume exactly.
     """
-    if rho <= 0.0:
-        raise ValueError("density must be positive")
+    if not 0.0 < rho < np.inf:
+        raise ValueError("density must be finite and positive")
     quad = quad or ElementQuadrature.build(mesh)
     # per element-node weight: sum_g N[g, a] * detJw[e, g]
     w = np.einsum("ga,eg->ea", hexa.N_AT_GP, quad.detJw)
@@ -216,18 +219,6 @@ def reaction_sums(set_sums: tuple[sp.csr_matrix, np.ndarray], mass3: np.ndarray,
 
 
 @dataclass
-class DynamicState:
-    """Explicit-dynamics state: u at step n, v at the preceding half step,
-    per-Gauss-point damage, time and step."""
-
-    u: np.ndarray  # (nn, 3)
-    v: np.ndarray  # (nn, 3), staggered half step
-    d: np.ndarray  # (ngp,)
-    time: float = 0.0
-    step: int = 0
-
-
-@dataclass
 class History:
     """Snapshots at requested instants plus reaction-force time series."""
 
@@ -271,11 +262,29 @@ class _Dirichlet:
         return (self.value(t + dt) - 2.0 * self.value(t) + self.value(t - dt)) / dt**2
 
 
-class ExplicitEngine:
-    """Shared machinery for the central-difference loop.
+def step_at(t: float, dt: float) -> int:
+    """The first step whose time reaches t (to roundoff): ceil(t/dt - 1e-9)."""
+    return int(np.ceil(t / dt - 1e-9))
 
-    ``stress_fn(d, eps, step)`` returns Gauss-point stresses and
-    ``damage_fn(d, eps, step)`` the advanced damage; both are evaluated with
+
+class ExplicitEngine:
+    """One explicit central-difference simulation, driven a step at a time.
+
+    Construction is the set-up: constraints, lumped mass, the snapshot and
+    reaction schedules, an empty ``history`` and, by ``initial_state()``,
+    the state: displacements ``u``, velocities ``v`` at the preceding half
+    step, Gauss-point damage ``d``, ``time`` and the step count ``n``.
+    Each ``step()`` then runs step n = 0, 1, ..., ``n_steps``:
+    ``evaluate()``, the optional ``exchange_hook(n, time, eps, d)``, the
+    reactions (every ``force_stride`` steps and at the last) and snapshot of
+    step n, then, except after the last step, ``advance()`` to step n + 1
+    and, every ``_NAN_CHECK_INTERVAL`` steps, a scan for non-finite values.
+    ``finish()`` checks that the final state is finite and returns the
+    ``History``, whose ``wall_time`` is the time spent in the set-up, the
+    steps and ``finish()``.
+
+    ``stress_fn(d, eps, n)`` returns Gauss-point stresses and
+    ``damage_fn(d, eps, n)`` the advanced damage; both are evaluated with
     the state at the top of the step (the one-step lag of classic explicit
     stress updates vanishes with dt and is covered by convergence tests).
 
@@ -287,184 +296,142 @@ class ExplicitEngine:
     """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
-                 quad: ElementQuadrature | None = None, dirichlet_scale: float = 1.0,
-                 mass_damping: float = 0.0):
+                 output_times, stress_fn, damage_fn, *,
+                 quad: ElementQuadrature | None = None,
+                 dirichlet_scale: float = 1.0,
+                 force_stride: int = 1,
+                 mass_damping: float = 0.0,
+                 exchange_hook=None,
+                 meta: dict | None = None):
+        t0 = _time.perf_counter()
         validate_mesh(mesh)
         validate_load_case(loads, mesh)
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if mass_damping < 0.0:
-            raise ValueError("mass_damping must be >= 0")
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt}")
+        if not 0.0 <= mass_damping < np.inf:
+            raise ValueError(f"mass_damping must be finite and >= 0, got {mass_damping}")
+        if not force_stride >= 1:
+            raise ValueError(f"force_stride must be >= 1, got {force_stride}")
         self.mesh = mesh
         self.dt = dt
-        self.quad = quad or ElementQuadrature.build(mesh)
-        mass = lumped_mass(mesh, rho, self.quad)
+        self.stress_fn, self.damage_fn = stress_fn, damage_fn
+        self.exchange_hook = exchange_hook
+        self.quad = quad = quad or ElementQuadrature.build(mesh)
+        mass = lumped_mass(mesh, rho, quad)
         self.mass3 = np.repeat(mass, 3)
         self.bc = _Dirichlet(mesh, loads, dirichlet_scale)
         self.alpha = mass_damping
         b = np.asarray(loads.body_force)
         self.f_body = (mass[:, None] / rho * b[None, :]).ravel()
 
-    def initial_state(self) -> DynamicState:
-        nn, ngp = self.mesh.n_nodes, self.quad.n_gauss
-        state = DynamicState(u=np.zeros((nn, 3)), v=np.zeros((nn, 3)), d=np.zeros(ngp))
-        u = state.u.ravel()
-        u[self.bc.dofs] = self.bc.value(0.0)
-        return state
-
-    def evaluate(self, state: DynamicState, stress_fn):
-        """Top-of-step kinematics and kinetics: (eps, sigma, f_int, accel)."""
-        eps = self.quad.strains(state.u)
-        sigma = stress_fn(state.d, eps, state.step)
-        f_int = self.quad.forces(sigma)
-        a = (self.f_body - f_int) / self.mass3
-        if self.alpha:
-            a -= self.alpha * state.v.ravel()
-        a[self.bc.dofs] = self.bc.accel(state.time, self.dt)
-        return eps, sigma, f_int.reshape(-1, 3), a.reshape(-1, 3)
-
-    def advance(self, state: DynamicState, eps, accel, damage_fn) -> DynamicState:
-        """One central-difference update; Dirichlet dofs are overwritten with
-        the exact ramp values."""
-        dt, t = self.dt, state.time
-        v = state.v.ravel().copy()
-        # half-step start: the very first update advances v by dt/2
-        v += (0.5 * dt if state.step == 0 else dt) * accel.ravel()
-        v[self.bc.dofs] = (self.bc.value(t + dt) - self.bc.value(t)) / dt
-        u = state.u.ravel() + dt * v
-        u[self.bc.dofs] = self.bc.value(t + dt)
-        d = damage_fn(state.d, eps, state.step)
-        return DynamicState(u=u.reshape(-1, 3), v=v.reshape(-1, 3), d=d,
-                            time=t + dt, step=state.step + 1)
-
-
-def step_at(t: float, dt: float) -> int:
-    """The first step whose time reaches t (to roundoff): ceil(t/dt - 1e-9)."""
-    return int(np.ceil(t / dt - 1e-9))
-
-
-def _snapshot_steps(output_times, dt: float, n_steps: int) -> list[int]:
-    steps = sorted({min(n_steps, step_at(t, dt)) for t in output_times})
-    return [s for s in steps if s >= 0]
-
-
-class Stepper:
-    """One explicit simulation, driven a step at a time.
-
-    Construction is the set-up: the engine, the snapshot and reaction
-    schedules, an empty ``history`` and the initial state.  Then, for each
-    step n = 0, 1, ..., ``n_steps``: ``evaluate()`` computes the top of
-    step n and records its reactions (every ``force_stride`` steps and at
-    the last) and its snapshot; while n < ``n_steps``, ``advance()`` takes
-    the central-difference update to step n + 1 and scans for non-finite
-    values every ``_NAN_CHECK_INTERVAL`` steps.  ``finish()`` checks that
-    the final state is finite and returns the ``History``.
-
-    ``run_with_kernels`` drives one stepper; ``tsm.run_tsm`` drives two in
-    lockstep.
-    """
-
-    def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
-                 output_times, stress_fn, damage_fn, *,
-                 quad: ElementQuadrature | None = None,
-                 dirichlet_scale: float = 1.0,
-                 force_stride: int = 1,
-                 mass_damping: float = 0.0,
-                 meta: dict | None = None):
-        if force_stride < 1:
-            raise ValueError(f"force_stride must be >= 1, got {force_stride}")
-        self.engine = engine = ExplicitEngine(mesh, loads, rho, dt, quad=quad,
-                                              dirichlet_scale=dirichlet_scale,
-                                              mass_damping=mass_damping)
-        self.stress_fn, self.damage_fn = stress_fn, damage_fn
         self.n_steps = n_steps = step_at(loads.total_time, dt)
-        snap_steps = _snapshot_steps(output_times, dt, n_steps)
+        snap_steps = sorted({s for s in (min(n_steps, step_at(t, dt)) for t in output_times)
+                             if s >= 0})
         self._snap_at = {s: i for i, s in enumerate(snap_steps)}
-
-        nn, ngp = mesh.n_nodes, engine.quad.n_gauss
-        S = len(snap_steps)
-        self.history = hist = History(
-            times=np.asarray([s * dt for s in snap_steps]),
-            u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
-            force_times=np.zeros(0), forces={}, dt=dt, n_steps=n_steps,
-            meta=dict(meta or {}),
-        )
+        nn, ngp, S = mesh.n_nodes, quad.n_gauss, len(snap_steps)
+        f_steps = [s for s in range(0, n_steps + 1)
+                   if s % force_stride == 0 or s == n_steps]
+        self._f_at = {s: i for i, s in enumerate(f_steps)}
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
         self._set_sums = set_sum_operator([mesh.node_sets[name]
                                            for name in self._set_names])
-        hist.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
-                                           if r.amplitude != 0.0})
-        f_steps = [s for s in range(0, n_steps + 1)
-                   if s % force_stride == 0 or s == n_steps]
-        hist.force_times = np.asarray([s * dt for s in f_steps])
         self._forces = np.zeros((len(f_steps), len(self._set_names), 3))
-        self._f_at = {s: i for i, s in enumerate(f_steps)}
+        self.history = History(
+            times=np.asarray([s * dt for s in snap_steps]),
+            u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
+            force_times=np.asarray([s * dt for s in f_steps]), forces={},
+            dt=dt, n_steps=n_steps, meta=dict(meta or {}),
+        )
+        self.history.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
+                                                   if r.amplitude != 0.0})
+        self.initial_state()
+        self.history.wall_time = _time.perf_counter() - t0
 
-        self.state = engine.initial_state()
-        self._eps = self._accel = None
+    def initial_state(self) -> None:
+        """At rest and undamaged at step 0, the ramps at their t = 0 values."""
+        nn, ngp = self.mesh.n_nodes, self.quad.n_gauss
+        self.u, self.v, self.d = np.zeros((nn, 3)), np.zeros((nn, 3)), np.zeros(ngp)
+        self.u.ravel()[self.bc.dofs] = self.bc.value(0.0)
+        self.time, self.n = 0.0, 0
 
-    def evaluate(self) -> np.ndarray:
-        """Evaluate the current step and record its reactions and snapshot;
-        returns its Gauss-point strains (ngp, 6)."""
-        state, engine = self.state, self.engine
-        n = state.step
-        eps, sigma, f_int, a = engine.evaluate(state, self.stress_fn)
-        self._eps, self._accel = eps, a
+    def evaluate(self):
+        """Top-of-step kinematics and kinetics: (eps, sigma, f_int, accel)."""
+        eps = self.quad.strains(self.u)
+        sigma = self.stress_fn(self.d, eps, self.n)
+        f_int = self.quad.forces(sigma)
+        a = (self.f_body - f_int) / self.mass3
+        if self.alpha:
+            a -= self.alpha * self.v.ravel()
+        a[self.bc.dofs] = self.bc.accel(self.time, self.dt)
+        return eps, sigma, f_int.reshape(-1, 3), a.reshape(-1, 3)
+
+    def advance(self, eps, accel) -> None:
+        """One central-difference update into new arrays; Dirichlet dofs are
+        overwritten with the exact ramp values."""
+        dt, t = self.dt, self.time
+        v = self.v.ravel().copy()
+        # half-step start: the very first update advances v by dt/2
+        v += (0.5 * dt if self.n == 0 else dt) * accel.ravel()
+        v[self.bc.dofs] = (self.bc.value(t + dt) - self.bc.value(t)) / dt
+        u = self.u.ravel() + dt * v
+        u[self.bc.dofs] = self.bc.value(t + dt)
+        self.d = self.damage_fn(self.d, eps, self.n)
+        self.u, self.v = u.reshape(-1, 3), v.reshape(-1, 3)
+        self.time, self.n = t + dt, self.n + 1
+
+    def step(self):
+        """Run the current step (see the class docstring); returns its
+        Gauss-point strains (ngp, 6) and damage (ngp,), which later steps
+        replace but never overwrite."""
+        t0 = _time.perf_counter()
+        n, d = self.n, self.d
+        eps, sigma, f_int, a = self.evaluate()
+        if self.exchange_hook is not None:
+            self.exchange_hook(n, self.time, eps, d)
         i = self._f_at.get(n)
         if i is not None:
-            self._forces[i] = reaction_sums(self._set_sums, engine.mass3, f_int, a,
-                                            state.v, engine.alpha)
+            self._forces[i] = reaction_sums(self._set_sums, self.mass3, f_int, a,
+                                            self.v, self.alpha)
         i = self._snap_at.get(n)
         if i is not None:
             hist = self.history
-            hist.u[i] = state.u
-            hist.d[i] = state.d
+            hist.u[i] = self.u
+            hist.d[i] = d
             hist.sigma[i] = sigma
-        return eps
-
-    def advance(self) -> None:
-        """The central-difference update from the evaluated step."""
-        self.state = state = self.engine.advance(self.state, self._eps, self._accel,
-                                                 self.damage_fn)
-        if state.step % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(state.u.sum()):
-            raise InstabilityError(state.step, state.time)
+        if n < self.n_steps:
+            self.advance(eps, a)
+            if self.n % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(self.u.sum()):
+                raise InstabilityError(self.n, self.time)
+        self.history.wall_time += _time.perf_counter() - t0
+        return eps, d
 
     def finish(self) -> History:
         """The history, once the final state is checked to be finite."""
-        state = self.state
-        if not np.isfinite(state.u).all():
-            raise InstabilityError(state.step, state.time)
+        t0 = _time.perf_counter()
+        if not np.isfinite(self.u).all():
+            raise InstabilityError(self.n, self.time)
         hist = self.history
         hist.forces = {name: self._forces[:, k].copy()
                        for k, name in enumerate(self._set_names)}
+        hist.wall_time += _time.perf_counter() - t0
         return hist
 
 
 def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
-                     output_times, stress_fn, damage_fn, *,
-                     quad: ElementQuadrature | None = None,
-                     dirichlet_scale: float = 1.0,
-                     exchange_hook=None,
-                     force_stride: int = 1,
-                     mass_damping: float = 0.0,
-                     meta: dict | None = None) -> History:
-    """Integrate to ``loads.total_time`` recording snapshots, per-set reaction
-    forces every ``force_stride`` steps, and (optionally) feeding every step's
-    Gauss state to ``exchange_hook(step, time, eps, d)``."""
-    t0 = _time.perf_counter()
-    stepper = Stepper(mesh, loads, rho, dt, output_times, stress_fn, damage_fn,
-                      quad=quad, dirichlet_scale=dirichlet_scale,
-                      force_stride=force_stride, mass_damping=mass_damping, meta=meta)
-    n_steps = stepper.n_steps
-    for n in range(n_steps + 1):
-        eps = stepper.evaluate()
-        if exchange_hook is not None:
-            exchange_hook(n, stepper.state.time, eps, stepper.state.d)
-        if n < n_steps:
-            stepper.advance()
-    hist = stepper.finish()
-    hist.wall_time = _time.perf_counter() - t0
-    return hist
+                     output_times, stress_fn, damage_fn, **options) -> History:
+    """Integrate to ``loads.total_time`` with one ``ExplicitEngine``, whose
+    keyword arguments ``options`` are, and return its history."""
+    engine = ExplicitEngine(mesh, loads, rho, dt, output_times, stress_fn, damage_fn,
+                            **options)
+    for _ in range(engine.n_steps + 1):
+        engine.step()
+    return engine.finish()
+
+
+def check_xi(xi: float) -> None:
+    """Reject a stiffness fluctuation whose 1 + xi is not finite and > 0."""
+    if not 0.0 < 1.0 + xi < np.inf:
+        raise ValueError(f"1 + xi must be finite and positive, got xi={xi}")
 
 
 def deterministic_kernels(params: MaterialParams, xi: float,
@@ -474,8 +441,7 @@ def deterministic_kernels(params: MaterialParams, xi: float,
     The damage driver uses the same scaled stiffness, i.e. the actual
     realization's free energy.
     """
-    if 1.0 + xi <= 0.0:
-        raise ValueError(f"1 + xi must be positive, got xi={xi}")
+    check_xi(xi)
     return DeterministicKernels((1.0 + xi) * params.stiffness, params.eta, dt)
 
 

@@ -9,11 +9,15 @@ every K steps, zero-order hold in between).  Expectation and standard
 deviation of damage, damage function, stress and reaction force follow in
 a cheap post-processing pass that only needs the second moment <xi^2>.
 
-Two exchange modes carry the stream.  File mode is the decoupled protocol:
-order 0 runs to completion writing a checksummed record file, then order 1
-reads it back.  In-memory mode advances both orders in lockstep, and order
-1 holds order 0's live state at every K-th step, so no record is stored and
-memory is O(1) in K.  Both modes give bitwise equal results.
+Two exchange modes carry the stream, and order 1 takes it by one rule in
+both: at each step n with n % K == 0 it takes the next record, checks that
+it is step n's and holds it (``FirstOrderKernels``).  File mode is the
+decoupled protocol: order 0 runs to completion writing a checksummed
+record file (``run_order0``), then order 1 reads it back (``run_order1``).
+In-memory mode advances both orders in lockstep, one ``ExplicitEngine``
+step each, and order 0's live state reaches order 1 through a one-record
+mailbox (``InMemoryExchange``), so nothing is copied and memory is O(1)
+in K.  Both modes give bitwise equal results.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -31,9 +34,9 @@ from .material import MaterialParams, Order1Law
 from .mesh import LoadCase, Mesh
 from .solver import (
     ElementQuadrature,
+    ExplicitEngine,
     History,
     InstabilityError,
-    Stepper,
     deterministic_kernels,
     run_deterministic,
     run_with_kernels,
@@ -72,12 +75,12 @@ class TsmConfig:
     xi_second_moment: float = 0.01
 
     def __post_init__(self):
-        if self.exchange_interval < 1:
+        if not self.exchange_interval >= 1:
             raise ValueError("exchange_interval must be >= 1")
         if self.exchange_mode not in ("in_memory", "file"):
             raise ValueError(f"unknown exchange_mode '{self.exchange_mode}'")
-        if self.xi_second_moment < 0.0:
-            raise ValueError("xi_second_moment must be >= 0")
+        if not self.xi_second_moment >= 0.0:
+            raise ValueError(f"xi_second_moment must be >= 0, got {self.xi_second_moment}")
         if np.sqrt(self.xi_second_moment) >= 1.0:
             raise ValueError("sqrt(<xi^2>) must stay below 1 so 1+xi is plausible")
 
@@ -91,23 +94,28 @@ class ExchangeRecord:
 
 
 class InMemoryExchange:
-    """Sink and source for exchange records held in process memory."""
+    """The in-memory exchange stream: a one-record mailbox from order 0 to
+    order 1 in lockstep.  ``hook``, order 0's exchange hook, posts the live
+    strain and damage of every K-th step without a copy, and order 1 takes
+    the record in the same step.  (Order 0's update makes new arrays, so
+    the posted ones stay intact.)"""
 
-    def __init__(self, exchange_interval: int, gp_count: int):
+    def __init__(self, exchange_interval: int):
         self.K = exchange_interval
-        self.gp_count = gp_count
-        self.records: list[ExchangeRecord] = []
+        self._record = None
 
     def hook(self, step, time, eps, d):
         if step % self.K == 0:
-            self.records.append(ExchangeRecord(step, time, eps.copy(order="K"), d.copy()))
-
-    @property
-    def n_records(self) -> int:
-        return len(self.records)
+            self._record = ExchangeRecord(step, time, eps, d)
 
     def __iter__(self):
-        return iter(self.records)
+        return self
+
+    def __next__(self) -> ExchangeRecord:
+        record, self._record = self._record, None
+        if record is None:
+            raise StopIteration
+        return record
 
 
 class ExchangeFileWriter:
@@ -220,12 +228,9 @@ def write_exchange(records, path, exchange_interval: int = 1) -> None:
             w.write_record(r.step, r.time, r.eps, r.d)
 
 
-def read_exchange(path) -> InMemoryExchange:
-    """Load a whole exchange file into memory (validating the checksum)."""
-    reader = ExchangeFileReader(path)
-    buf = InMemoryExchange(reader.K, reader.gp_count)
-    buf.records = list(reader)
-    return buf
+def read_exchange(path) -> list[ExchangeRecord]:
+    """Every record of an exchange file, its checksum verified first."""
+    return list(ExchangeFileReader(path))
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +243,25 @@ class FirstOrderKernels:
 
     The order-0 strain and damage arrive as a stepwise-constant external
     field held by ``law``, a ``material.Order1Law``, which evaluates the law.
-    With an exchange ``source``, each step holds the newest record at or
-    before it; without one, the caller holds order 0's live state through
-    ``law.hold`` (the lockstep of ``run_tsm``).
+    One hold rule serves every exchange ``source``, an ``ExchangeFileReader``
+    or an ``InMemoryExchange``: at each step n with n % K == 0 the next
+    record is taken, checked to be step n's, and held until the next such
+    step.
     """
 
-    def __init__(self, E0: np.ndarray, eta: float, dt: float, source=()):
+    def __init__(self, E0: np.ndarray, eta: float, dt: float, source):
         self.law = Order1Law(E0, eta, dt)
-        self._it = iter(source)
-        self._next = next(self._it, None)
-
-    def _advance_to(self, step: int):
-        rec = None
-        while self._next is not None and self._next.step <= step:
-            rec, self._next = self._next, next(self._it, None)
-        if rec is not None:
-            self.law.hold(rec.eps, rec.d)
-        elif self.law.s0 is None:
-            raise ValueError(f"no exchange record at or before step {step}")
+        self.K = source.K
+        self._records = iter(source)
 
     def stress(self, d1, eps1, step):
-        self._advance_to(step)
+        if step % self.K == 0:
+            rec = next(self._records, None)
+            if rec is None or rec.step != step:
+                found = "none" if rec is None else f"step {rec.step}"
+                raise ExchangeFormatError(f"step {step} needs its exchange record, "
+                                          f"found {found}")
+            self.law.hold(rec.eps, rec.d)
         return self.law.stress(d1, eps1)
 
     def damage(self, d1, eps1, step):
@@ -266,63 +269,51 @@ class FirstOrderKernels:
 
 
 def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,
-               quad: ElementQuadrature | None = None, exchange_path=None,
+               exchange_path, quad: ElementQuadrature | None = None,
                force_stride: int = 1):
-    """Mean-stiffness simulation, emitting exchange records every K steps.
+    """Mean-stiffness simulation, writing an exchange record every K steps
+    to the file ``exchange_path``.
 
-    Returns (history, source); the history is bitwise identical to
-    run_deterministic with xi = 0.
+    Returns (history, reader): the history is bitwise identical to
+    run_deterministic with xi = 0; the reader has verified the file.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
-    to_file = config.exchange_mode == "file"
-    if to_file:
-        if exchange_path is None:
-            raise ValueError("file exchange mode needs an exchange_path")
-        sink = ExchangeFileWriter(exchange_path, config.exchange_interval, quad.n_gauss)
-    else:
-        sink = InMemoryExchange(config.exchange_interval, quad.n_gauss)
-    try:
+    with ExchangeFileWriter(exchange_path, config.exchange_interval, quad.n_gauss) as sink:
         hist = run_deterministic(problem.mesh, problem.loads, problem.params,
                                  0.0, dt, output_times, quad=quad,
                                  exchange_hook=sink.hook, force_stride=force_stride,
                                  mass_damping=problem.mass_damping)
-    finally:
-        if to_file:
-            sink.close()
-    source = ExchangeFileReader(exchange_path) if to_file else sink
     hist.meta["kind"] = "order0"
-    return hist, source
+    return hist, ExchangeFileReader(exchange_path)
 
 
-def run_order1(problem: Problem, order0_source, dt: float, output_times, *,
+def run_order1(problem: Problem, reader: ExchangeFileReader, dt: float, output_times, *,
                quad: ElementQuadrature | None = None,
                force_stride: int = 1) -> History:
-    """Sensitivity simulation consuming the order-0 exchange stream.
+    """Sensitivity simulation consuming the order-0 exchange file.
 
     All Dirichlet values are homogeneous (the prescribed ramp does not
     depend on the random variable, so its derivative vanishes).
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
-    if order0_source.gp_count != quad.n_gauss:
+    if reader.gp_count != quad.n_gauss:
         raise ExchangeFormatError(
-            f"exchange stream has {order0_source.gp_count} Gauss points, "
+            f"exchange stream has {reader.gp_count} Gauss points, "
             f"mesh has {quad.n_gauss}"
         )
     n_steps = step_at(problem.loads.total_time, dt)
-    expected = n_steps // order0_source.K + 1
-    if order0_source.n_records < expected:
+    expected = n_steps // reader.K + 1
+    if reader.n_records < expected:
         raise ValueError(
-            f"order-0 source too short: {order0_source.n_records} records, "
-            f"need {expected} to cover {n_steps} steps at K={order0_source.K}"
+            f"order-0 source too short: {reader.n_records} records, "
+            f"need {expected} to cover {n_steps} steps at K={reader.K}"
         )
-    kern = FirstOrderKernels(problem.params.stiffness, problem.params.eta, dt,
-                             order0_source)
-    hist = run_with_kernels(problem.mesh, problem.loads, problem.params.rho, dt,
+    kern = FirstOrderKernels(problem.params.stiffness, problem.params.eta, dt, reader)
+    return run_with_kernels(problem.mesh, problem.loads, problem.params.rho, dt,
                             output_times, kern.stress, kern.damage, quad=quad,
                             dirichlet_scale=0.0, force_stride=force_stride,
                             mass_damping=problem.mass_damping,
-                            meta={"kind": "order1", "K": order0_source.K})
-    return hist
+                            meta={"kind": "order1", "K": reader.K})
 
 
 @dataclass
@@ -354,16 +345,14 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
         os.close(fd)
         exchange_path = tmp
     try:
-        hist0, source = run_order0(problem, dt, output_times, config, quad=quad,
+        hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
                                    exchange_path=exchange_path,
                                    force_stride=force_stride)
-        hist1 = run_order1(problem, source, dt, output_times, quad=quad,
+        hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
                            force_stride=force_stride)
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
-    if not np.array_equal(hist0.times, hist1.times):
-        raise RuntimeError("order-0 and order-1 snapshot grids differ")
     return TsmSolution(history0=hist0, history1=hist1, config=config)
 
 
@@ -371,59 +360,37 @@ def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
                   quad: ElementQuadrature, force_stride: int):
     """Order 0 and order 1 advanced in one loop; returns both histories.
 
-    At step n, order 0 evaluates and advances.  When n % K == 0, order 1's
-    law then holds order 0's strain and damage of step n: the zero-order
-    hold of the exchange stream, with no record stored.  (The update makes
-    new arrays, so step n's are still intact.)  Then order 1 evaluates and
-    advances.  Each order's ``wall_time`` is the time of its own set-up,
-    steps and finish, the hold counted as order 1's, so the two add up to
-    the time of the whole loop.  A non-finite state names its order.
+    At step n, order 0 steps first and its exchange hook posts its strain
+    and damage to an ``InMemoryExchange`` when n % K == 0; then order 1
+    steps and holds them.  Each engine times its own set-up, steps and
+    finish, so the hold counts as order 1's time.  A non-finite state names
+    its order.
     """
     p = problem
     kern0 = deterministic_kernels(p.params, 0.0, dt)
-    kern1 = FirstOrderKernels(p.params.stiffness, p.params.eta, dt)
+    mailbox = InMemoryExchange(K)
+    kern1 = FirstOrderKernels(p.params.stiffness, p.params.eta, dt, mailbox)
+    e0 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
+                        kern0.stress, kern0.damage, quad=quad, force_stride=force_stride,
+                        mass_damping=p.mass_damping, exchange_hook=mailbox.hook,
+                        meta={"xi": 0.0, "kind": "order0"})
+    e1 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
+                        kern1.stress, kern1.damage, quad=quad, dirichlet_scale=0.0,
+                        force_stride=force_stride, mass_damping=p.mass_damping,
+                        meta={"kind": "order1", "K": K})
     order = 0
     try:
-        t = perf_counter()
-        s0 = Stepper(p.mesh, p.loads, p.params.rho, dt, output_times,
-                     kern0.stress, kern0.damage, quad=quad, force_stride=force_stride,
-                     mass_damping=p.mass_damping, meta={"xi": 0.0, "kind": "order0"})
-        t1 = perf_counter()
-        wall0 = t1 - t
-        s1 = Stepper(p.mesh, p.loads, p.params.rho, dt, output_times,
-                     kern1.stress, kern1.damage, quad=quad, dirichlet_scale=0.0,
-                     force_stride=force_stride, mass_damping=p.mass_damping,
-                     meta={"kind": "order1", "K": K})
-        t = perf_counter()
-        wall1 = t - t1
-        n_steps = s0.n_steps
-        for n in range(n_steps + 1):
+        for _ in range(e0.n_steps + 1):
             order = 0
-            eps0 = s0.evaluate()
-            d0 = s0.state.d
-            if n < n_steps:
-                s0.advance()
-            t1 = perf_counter()
-            wall0 += t1 - t
+            e0.step()
             order = 1
-            if n % K == 0:
-                kern1.law.hold(eps0, d0)
-            s1.evaluate()
-            if n < n_steps:
-                s1.advance()
-            t = perf_counter()
-            wall1 += t - t1
+            e1.step()
         order = 0
-        hist0 = s0.finish()
-        t1 = perf_counter()
-        wall0 += t1 - t
+        hist0 = e0.finish()
         order = 1
-        hist1 = s1.finish()
-        wall1 += perf_counter() - t1
+        return hist0, e1.finish()
     except InstabilityError as exc:
         raise InstabilityError(exc.step, exc.time, order=order) from exc
-    hist0.wall_time, hist1.wall_time = wall0, wall1
-    return hist0, hist1
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +430,8 @@ def uq_summary(solution: TsmSolution, xi_second_moment: float | None = None) -> 
     can be negative, e.g. the damage-function sensitivity -exp(-d0)*d1, so
     the absolute value keeps Std nonnegative)."""
     xi2 = solution.config.xi_second_moment if xi_second_moment is None else xi_second_moment
-    if xi2 < 0.0:
-        raise ValueError("xi_second_moment must be >= 0")
+    if not 0.0 <= xi2 < np.inf:
+        raise ValueError(f"xi_second_moment must be finite and >= 0, got {xi2}")
     s = float(np.sqrt(xi2))
     h0, h1 = solution.history0, solution.history1
     f_mean = np.exp(-h0.d)

@@ -66,6 +66,26 @@ def test_config_override_wins(tmp_path):
     assert cfg.raw["mc"]["std"] == 0.1  # preset value survives
 
 
+def test_load_config_changes_neither_presets_nor_overrides():
+    """``load_config`` works on copies: a retargeted Dirichlet table
+    (``load.dirichlet`` with ``load.amplitude``) rewrites neither the
+    caller's rows nor the preset table, and a second load sees the same."""
+    import copy
+
+    presets_before = copy.deepcopy(PRESETS)
+    rows = [dict(r) for r in PRESETS["plate_coarse_desk"]["load"]["dirichlet"]]
+    overrides = {"problem": {"preset": "plate_coarse_desk"},
+                 "load": {"dirichlet": rows, "amplitude": 0.002, "ramp_end": 0.004}}
+    overrides_before = copy.deepcopy(overrides)
+    cfg = load_config(overrides=overrides)
+    assert max(r.amplitude for r in cfg.problem.loads.dirichlet) == 0.002
+    assert overrides == overrides_before
+    assert PRESETS == presets_before
+    assert cfg.raw["load"]["dirichlet"] is not rows
+    again = load_config(overrides=overrides)
+    assert again.problem.loads == cfg.problem.loads
+
+
 def test_config_from_mesh_file(tmp_path):
     from tsmfem.mesh import save_mesh
 
@@ -213,24 +233,33 @@ def test_cli_validation_error_exit_code(tmp_path):
     "mc.n=1", "mc.workers=0", "mc.workers=2.5", "mc.seed=3.7", "mc.seed=-1",
     "timestep.dt=0", "timestep.dt=-1e-6", "timestep.dt=.nan", "timestep.dt=.inf",
     "timestep.cfl_safety=.inf", "timestep.cfl_safety=0", "timestep.cfl_safety=-0.5",
-    "timestep.mass_damping=-1.0", "timestep.mass_damping=.nan"])
+    "timestep.mass_damping=-1.0", "timestep.mass_damping=.nan",
+    "material.eta=.nan", "material.lam=.inf", "material.rho=0", "load.total_time=.nan",
+    "mc.std=.nan", "tsm.xi_second_moment=.nan", "tsm.xi_second_moment=.inf",
+    "output.snapshot_times=[.nan]",
+    "--xi=nan", "--xi=inf", "--xi=-1"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
-    """A count below its minimum or not an integer, and a time step input
-    that is not finite or out of range, stops the run before it starts:
-    exit code 1 with one error line, not a traceback, a silent default or
-    truncation.  (``timestep.dt=0`` used to fall back to the CFL estimate,
-    ``cfl_safety=.inf`` to run 0 steps.)  ``mc.n`` goes through run-mc,
-    which would otherwise run the whole ensemble before its statistics
-    fail."""
-    command = "run-mc" if setting.startswith("mc.n=") else "run-det"
+    """A count below its minimum or not an integer, a real input that is
+    not finite or out of range, and a ``--xi`` whose 1 + xi is not finite
+    and positive, stop the run before it starts: exit code 1 with one
+    error line, not a traceback, a silent default or truncation.
+    (``timestep.dt=0`` used to fall back to the CFL estimate,
+    ``cfl_safety=.inf`` to run 0 steps, ``tsm.xi_second_moment=.nan`` to
+    exit 0 with every standard deviation nan, and ``--xi nan`` and
+    ``material.eta=.nan`` to exit 2 at step 64.)  ``mc.n`` goes through
+    run-mc, which would otherwise run the whole ensemble before its
+    statistics fail; ``tsm.xi_second_moment`` goes through run-tsm."""
+    command = ("run-mc" if setting.startswith("mc.n=") else
+               "run-tsm" if setting.startswith("tsm.xi") else "run-det")
+    option = [setting] if setting.startswith("--") else ["--set", setting]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "tsmfem.cli", command, "--preset", "plate_coarse_desk",
-         "--out", str(tmp_path), "--set", setting],
+         "--out", str(tmp_path), *option],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert setting.split("=")[0] in proc.stderr
+    assert setting.split("=")[0].lstrip("-") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not os.listdir(tmp_path)
 

@@ -9,16 +9,19 @@ from tsmfem import hexa
 from tsmfem.config import load_config
 from tsmfem.material import MaterialParams, Order0Law
 from tsmfem.mesh import DirichletRamp, LoadCase, Mesh, _structured_box, generate_plate_with_hole
+from tsmfem.montecarlo import XiDistribution, run_mc
 from tsmfem.solver import (
     ElementQuadrature,
     ExplicitEngine,
     InstabilityError,
+    deterministic_kernels,
     lumped_mass,
     reaction_sums,
     run_deterministic,
     set_sum_operator,
     stable_timestep,
 )
+from tsmfem.tsm import Problem, TsmConfig
 
 PARAMS = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e9)
 RIGID = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e30)  # damage off
@@ -261,9 +264,8 @@ def test_stable_timestep_benchmark_sanity(gen, ref_dt):
 # ---------------------------------------------------------------------------
 
 
-def _eval_pair(engine, state, stress_fn):
-    eps, _s, _f, a = engine.evaluate(state, stress_fn)
-    return eps, a
+def _frozen_damage(d, eps, n):
+    return d
 
 
 def _fix_all(mesh, total_time):
@@ -277,18 +279,14 @@ def _fix_all(mesh, total_time):
 def test_zero_state_is_fixed_point():
     mesh = _unit_cube()
     loads = _fix_all(mesh, 1.0)
-    eng = ExplicitEngine(mesh, loads, PARAMS.rho, 1e-4)
-    stress_fn = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress
-
-    def damage_fn(d, eps, n):
-        return d
-
-    state = eng.initial_state()
+    eng = ExplicitEngine(mesh, loads, PARAMS.rho, 1e-4, [],
+                         Order0Law(PARAMS.stiffness, 1.0, 0.0).stress, _frozen_damage)
     for _ in range(50):
-        state = eng.advance(state, *_eval_pair(eng, state, stress_fn), damage_fn)
-    assert np.all(state.u == 0.0)
-    assert np.all(state.v == 0.0)
-    assert np.all(state.d == 0.0)
+        eng.step()
+    assert eng.n == 50
+    assert np.all(eng.u == 0.0)
+    assert np.all(eng.v == 0.0)
+    assert np.all(eng.d == 0.0)
 
 
 def _column_problem():
@@ -338,19 +336,15 @@ def test_central_difference_matches_discrete_oscillator():
     hist = run_deterministic(mesh, loads, RIGID, 0.0, dt, output_times=[], force_stride=10**9)
 
     # re-run capturing the mid dof trajectory through the engine directly
-    eng = ExplicitEngine(mesh, loads, RIGID.rho, dt)
-    stress_fn = Order0Law(RIGID.stiffness, 1.0, 0.0).stress
-
-    def damage_fn(d, eps, n):
-        return d
-
-    state = eng.initial_state()
+    eng = ExplicitEngine(mesh, loads, RIGID.rho, dt, [],
+                         Order0Law(RIGID.stiffness, 1.0, 0.0).stress, _frozen_damage,
+                         force_stride=10**9)
     n_steps = int(np.ceil(T10 / dt))
     times, u_num = [], []
     for _ in range(n_steps):
-        state = eng.advance(state, *_eval_pair(eng, state, stress_fn), damage_fn)
-        times.append(state.time)
-        u_num.append(state.u[mid[0], 1])
+        eng.step()
+        times.append(eng.time)
+        u_num.append(eng.u[mid[0], 1])
     times = np.asarray(times)
     u_num = np.asarray(u_num)
     # m u'' + k_mm u = -k_mt * c t  ->  u = -(k_mt/k_mm) c (t - sin(w t)/w)
@@ -375,28 +369,21 @@ def test_energy_drift_after_ramp_hold():
         DirichletRamp("bottom", 1, 0.0, t_ramp),
         DirichletRamp("top", 1, 1e-3, t_ramp),
     ), total_time=T)
-    eng = ExplicitEngine(mesh, loads, RIGID.rho, dt, quad=quad)
     E0 = RIGID.stiffness
+    eng = ExplicitEngine(mesh, loads, RIGID.rho, dt, [], Order0Law(E0, 1.0, 0.0).stress,
+                         _frozen_damage, quad=quad, force_stride=10**9)
     m3 = eng.mass3
-    stress_fn = Order0Law(E0, 1.0, 0.0).stress
-
-    def damage_fn(d, eps, n):
-        return d
-
-    state = eng.initial_state()
     energies = []
-    v_prev = state.v.ravel().copy()
     for i in range(n_steps):
-        new = eng.advance(state, *_eval_pair(eng, state, stress_fn), damage_fn)
-        if new.time > t_ramp + 2 * dt:
-            ke = 0.5 * float(m3 @ (v_prev * new.v.ravel()))
-            eps = quad.strains(new.u)
-            sigma = Order0Law(E0, 1.0, 0.0).stress(new.d, eps, 0)
+        v_prev = eng.v.ravel()
+        eng.step()
+        if eng.time > t_ramp + 2 * dt:
+            ke = 0.5 * float(m3 @ (v_prev * eng.v.ravel()))
+            eps = quad.strains(eng.u)
+            sigma = Order0Law(E0, 1.0, 0.0).stress(eng.d, eps, 0)
             f = eng.quad.forces(sigma)
-            pe = 0.5 * float(new.u.ravel() @ f)
+            pe = 0.5 * float(eng.u.ravel() @ f)
             energies.append(ke + pe)
-        v_prev = new.v.ravel().copy()
-        state = new
     energies = np.asarray(energies)
     drift = np.abs(energies - energies[0]).max() / abs(energies[0])
     assert drift <= 0.01
@@ -514,3 +501,53 @@ def test_invalid_xi_rejected():
     mesh, loads, params = _coarse_plate_problem()
     with pytest.raises(ValueError):
         run_deterministic(mesh, loads, params, -1.0, 1e-6, [])
+
+
+def _coarse_engine(**options):
+    mesh, loads, params = _coarse_plate_problem()
+    dt = options.pop("dt", stable_timestep(mesh, params, 0.5))
+    kern = deterministic_kernels(params, 0.0, dt)
+    return ExplicitEngine(mesh, loads, params.rho, dt, [], kern.stress, kern.damage,
+                          **options)
+
+
+def test_step_results_survive_the_next_steps():
+    """The strains and damage a ``step()`` returns are never overwritten by
+    later steps, so order 1 can hold order 0's arrays without a copy."""
+    eng = _coarse_engine()
+    kept = []
+    for _ in range(20):
+        eps, d = eng.step()
+        kept.append((eps, d, eps.copy(), d.copy()))
+    assert eng.n == 20 and kept[-1][1].max() > 0.0  # the damage evolves
+    for eps, d, eps_then, d_then in kept:
+        assert np.array_equal(eps, eps_then) and np.array_equal(d, d_then)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _coarse_engine(dt=_NAN),
+    lambda: _coarse_engine(dt=_INF),
+    lambda: _coarse_engine(mass_damping=_NAN),
+    lambda: _coarse_engine(mass_damping=_INF),
+    lambda: MaterialParams(lam=1e9, mu=0.8e9, rho=1e3, eta=_NAN),
+    lambda: MaterialParams(lam=_INF, mu=0.8e9, rho=1e3, eta=1e4),
+    lambda: LoadCase(dirichlet=(), total_time=_NAN),
+    lambda: LoadCase(dirichlet=(DirichletRamp("top", 1, _NAN, 1.0),), total_time=1.0),
+    lambda: LoadCase(dirichlet=(), total_time=1.0, body_force=(0.0, _NAN, 0.0)),
+    lambda: TsmConfig(xi_second_moment=_NAN),
+    lambda: XiDistribution(std=_NAN),
+    lambda: deterministic_kernels(PARAMS, _NAN, 1e-6),
+    lambda: deterministic_kernels(PARAMS, _INF, 1e-6),
+    lambda: run_mc(Problem(*_coarse_plate_problem()), [0.1, _NAN], 1e-6, []),
+], ids=["engine.dt=nan", "engine.dt=inf", "engine.mass_damping=nan",
+        "engine.mass_damping=inf", "material.eta=nan", "material.lam=inf",
+        "load.total_time=nan", "ramp.amplitude=nan", "load.body_force=nan",
+        "tsm.xi_second_moment=nan", "mc.std=nan", "kernels.xi=nan", "kernels.xi=inf",
+        "run_mc.xi=nan"])
+def test_non_finite_inputs_rejected(make):
+    """nan and inf fail where they enter the API, not steps later."""
+    with pytest.raises(ValueError):
+        make()

@@ -79,11 +79,11 @@ def test_exchange_round_trip_bitwise(tmp_path):
     records = _random_records(rng)
     p = tmp_path / "x.tsmx"
     write_exchange(records, p, exchange_interval=3)
+    reader = ExchangeFileReader(p)
+    assert (reader.K, reader.gp_count, reader.n_records) == (3, 7, len(records))
     back = read_exchange(p)
-    assert back.K == 3
-    assert back.gp_count == 7
-    assert back.n_records == len(records)
-    for a, b in zip(records, back.records):
+    assert len(back) == len(records)
+    for a, b in zip(records, back):
         assert a.step == b.step
         assert a.time == b.time
         assert np.array_equal(a.eps, b.eps)
@@ -118,22 +118,25 @@ def test_exchange_bad_magic_rejected(tmp_path):
         read_exchange(p)
 
 
-def test_gp_count_mismatch_rejected_before_simulation():
+def _zero_stream(path, gp, K=1):
+    """An exchange file of one all-zero record at step 0."""
+    write_exchange([ExchangeRecord(0, 0.0, np.zeros((gp, 6)), np.zeros(gp))], path,
+                   exchange_interval=K)
+    return ExchangeFileReader(path)
+
+
+def test_gp_count_mismatch_rejected_before_simulation(tmp_path):
     problem = coarse_plate_problem()
-    src = InMemoryExchange(1, gp_count=3)
-    src.records = [ExchangeRecord(0, 0.0, np.zeros((3, 6)), np.zeros(3))]
     with pytest.raises(ExchangeFormatError, match="Gauss"):
-        run_order1(problem, src, 1e-6, [])
+        run_order1(problem, _zero_stream(tmp_path / "x.tsmx", 3), 1e-6, [])
 
 
-def test_short_source_rejected():
+def test_short_source_rejected(tmp_path):
     problem = coarse_plate_problem()
     quad = ElementQuadrature.build(problem.mesh)
-    src = InMemoryExchange(1, gp_count=quad.n_gauss)
-    src.records = [ExchangeRecord(0, 0.0, np.zeros((quad.n_gauss, 6)),
-                                  np.zeros(quad.n_gauss))]
+    reader = _zero_stream(tmp_path / "x.tsmx", quad.n_gauss)
     with pytest.raises(ValueError, match="too short"):
-        run_order1(problem, src, 1e-6, [], quad=quad)
+        run_order1(problem, reader, 1e-6, [], quad=quad)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +144,12 @@ def test_short_source_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_order0_equals_deterministic_bitwise():
+def test_order0_equals_deterministic_bitwise(tmp_path):
     problem = coarse_plate_problem(T=1e-3)
     dt = stable_timestep(problem.mesh, problem.params, 0.5)
     cfg = TsmConfig(exchange_interval=100)
-    h0, _src = run_order0(problem, dt, [problem.loads.total_time], cfg)
+    h0, _reader = run_order0(problem, dt, [problem.loads.total_time], cfg,
+                             exchange_path=tmp_path / "x.tsmx")
     hd = run_deterministic(problem.mesh, problem.loads, problem.params, 0.0,
                            dt, [problem.loads.total_time])
     assert np.array_equal(h0.u, hd.u)
@@ -154,23 +158,24 @@ def test_order0_equals_deterministic_bitwise():
     assert np.array_equal(h0.forces["top"], hd.forces["top"])
 
 
-def test_order0_record_schedule():
+def test_order0_record_schedule(tmp_path):
     problem = coarse_plate_problem(T=1e-3)
     dt = stable_timestep(problem.mesh, problem.params, 0.5)
     K = 50
     cfg = TsmConfig(exchange_interval=K)
-    _h0, src = run_order0(problem, dt, [], cfg)
-    steps = [r.step for r in src.records]
+    run_order0(problem, dt, [], cfg, exchange_path=tmp_path / "x.tsmx")
+    steps = [r.step for r in read_exchange(tmp_path / "x.tsmx")]
     n_steps = int(np.ceil(problem.loads.total_time / dt - 1e-9))
     assert steps == list(range(0, n_steps + 1, K))
 
 
-def test_order0_damage_monotone():
+def test_order0_damage_monotone(tmp_path):
     problem = coarse_plate_problem()
     dt = stable_timestep(problem.mesh, problem.params, 0.5)
     T = problem.loads.total_time
     cfg = TsmConfig(exchange_interval=1000)
-    h0, _ = run_order0(problem, dt, np.linspace(T / 8, T, 8), cfg)
+    h0, _ = run_order0(problem, dt, np.linspace(T / 8, T, 8), cfg,
+                       exchange_path=tmp_path / "x.tsmx")
     assert np.all(np.diff(h0.d, axis=0) >= 0.0)
     f = np.exp(-h0.d)
     assert f.min() > 0.0 and f.max() <= 1.0
@@ -186,14 +191,12 @@ def _series_err(a, b):
     return np.abs(a - b).max() / scale if scale > 0 else np.abs(a - b).max()
 
 
-def test_zero_forcing_gives_zero_order1():
+def test_zero_forcing_gives_zero_order1(tmp_path):
     problem = coarse_plate_problem()
     quad = ElementQuadrature.build(problem.mesh)
-    ngp = quad.n_gauss
-    src = InMemoryExchange(10**9, gp_count=ngp)
-    src.records = [ExchangeRecord(0, 0.0, np.zeros((ngp, 6)), np.zeros(ngp))]
+    reader = _zero_stream(tmp_path / "x.tsmx", quad.n_gauss, K=10**9)
     dt = stable_timestep(problem.mesh, problem.params, 0.5)
-    h1 = run_order1(problem, src, dt, [problem.loads.total_time], quad=quad)
+    h1 = run_order1(problem, reader, dt, [problem.loads.total_time], quad=quad)
     assert np.all(h1.u == 0.0)
     assert np.all(h1.d == 0.0)
     assert np.all(h1.forces["top"] == 0.0)
@@ -302,17 +305,17 @@ def coarse_desk():
 
 @pytest.mark.parametrize("force_stride", [1, 3])
 @pytest.mark.parametrize("K", [1, 7, 25, 10**9])
-def test_lockstep_equals_decoupled_runs_bitwise(coarse_desk, K, force_stride):
+def test_lockstep_equals_decoupled_runs_bitwise(coarse_desk, K, force_stride, tmp_path):
     """In-memory TSM advances both orders in one loop, holding order 0's
     live state every K steps; the decoupled order-0 then order-1 runs
-    through a held record stream give the same bits."""
+    through an exchange file give the same bits."""
     cfg, quad = coarse_desk
     p, config = cfg.problem, TsmConfig(exchange_interval=K)
     sol = run_tsm(p, config, cfg.dt, cfg.snapshot_times, quad=quad,
                   force_stride=force_stride)
-    h0, source = run_order0(p, cfg.dt, cfg.snapshot_times, config, quad=quad,
-                            force_stride=force_stride)
-    h1 = run_order1(p, source, cfg.dt, cfg.snapshot_times, quad=quad,
+    h0, reader = run_order0(p, cfg.dt, cfg.snapshot_times, config, quad=quad,
+                            exchange_path=tmp_path / "x.tsmx", force_stride=force_stride)
+    h1 = run_order1(p, reader, cfg.dt, cfg.snapshot_times, quad=quad,
                     force_stride=force_stride)
     _assert_same_history(sol.history0, h0)
     _assert_same_history(sol.history1, h1)
@@ -379,11 +382,11 @@ def test_lockstep_wall_times_add_up_to_the_observed_time():
     assert (meta["wall_order0"], meta["wall_order1"]) == (h0.wall_time, h1.wall_time)
 
 
-def test_first_order_kernels_match_reference_ops():
+def test_first_order_kernels_match_reference_ops(tmp_path):
     """The step callbacks evaluate the material law classes; what that does
     not make true by construction is checked here: the order-0 cache is
-    refreshed when the step changes, and the order-1 hold takes the newest
-    exchange record at or before the step."""
+    refreshed when the step changes, and the order-1 hold takes a record at
+    every K-th step and keeps it in between."""
     rng = np.random.default_rng(3)
     gp = 40
     E0 = MaterialParams(lam=1e9, mu=0.8e9, rho=1e3, eta=1e3).stiffness
@@ -400,16 +403,50 @@ def test_first_order_kernels_match_reference_ops():
         assert np.array_equal(det.damage(d[step], eps[step], step),
                               Order0Law(E, eta, dt).damage(d[step], eps[step], 0))
 
-    # order 1 with records at steps 0, 3 and 4: step 5 skips the step-3 record
-    src = InMemoryExchange(1, gp)
-    src.records = [ExchangeRecord(s, s * dt, eps[i], d[i]) for i, s in enumerate((0, 3, 4))]
-    kern = FirstOrderKernels(E0, eta, dt, src)
+    # order 1 at K=2, records at steps 0, 2 and 4, every step in turn
+    path = tmp_path / "x.tsmx"
+    write_exchange([ExchangeRecord(s, s * dt, eps[i], d[i]) for i, s in enumerate((0, 2, 4))],
+                   path, exchange_interval=2)
+    kern = FirstOrderKernels(E0, eta, dt, ExchangeFileReader(path))
     eps1, d1 = rng.normal(0, 1e-3, (gp, 6)), rng.uniform(-1, 1, gp)
-    for step, held in ((0, 0), (2, 0), (5, 2)):
+    for step, held in enumerate((0, 0, 1, 1, 2, 2)):
         assert np.array_equal(kern.stress(d1, eps1, step),
                               Order1Law(E0, 1.0, 0.0).hold(eps[held], d[held]).stress(d1, eps1))
         assert np.array_equal(kern.damage(d1, eps1, step),
                               Order1Law(E0, eta, dt).hold(eps[held], d[held]).damage(d1, eps1))
+
+
+@pytest.mark.parametrize("K, steps, bad_step", [
+    (1, (0, 3, 4), 1),  # a gap: step 1 finds step 3's record
+    (3, (0, 3, 5), 6),  # off the K grid
+    (2, (0, 2), 4),  # the stream ends early
+])
+def test_order1_rejects_records_off_the_k_grid(tmp_path, K, steps, bad_step):
+    """Order 1 takes a record at every step n with n % K == 0 and checks
+    that it is step n's; any other sequence fails there, naming the step."""
+    gp = 4
+    path = tmp_path / "x.tsmx"
+    write_exchange([ExchangeRecord(s, s * 1e-6, np.zeros((gp, 6)), np.zeros(gp))
+                    for s in steps], path, exchange_interval=K)
+    E0 = MaterialParams(lam=1e9, mu=0.8e9, rho=1e3, eta=1e3).stiffness
+    kern = FirstOrderKernels(E0, 1e3, 1e-6, ExchangeFileReader(path))
+    for step in range(bad_step):
+        kern.stress(np.zeros(gp), np.zeros((gp, 6)), step)
+    with pytest.raises(ExchangeFormatError, match=f"step {bad_step} needs"):
+        kern.stress(np.zeros(gp), np.zeros((gp, 6)), bad_step)
+
+
+def test_in_memory_exchange_is_a_one_record_mailbox():
+    """The hook posts every K-th step's arrays themselves, not copies, and
+    the mailbox holds one record until it is taken."""
+    box = InMemoryExchange(2)
+    eps, d = np.ones((3, 6)), np.ones(3)
+    box.hook(1, 1e-6, eps, d)
+    assert next(box, None) is None
+    box.hook(2, 2e-6, eps, d)
+    rec = next(box)
+    assert (rec.step, rec.time) == (2, 2e-6) and rec.eps is eps and rec.d is d
+    assert next(box, None) is None
 
 
 def test_exchange_subsampling_error_study():
