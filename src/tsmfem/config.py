@@ -109,6 +109,13 @@ for _name in ("double_notch_desk", "plate_hole_desk", "plate_coarse_desk"):
 
 _GENERATORS = {"double_notch": generate_double_notch,
                "plate_hole": generate_plate_with_hole}
+# the settings each generator kind takes: counts nx and ny, and lengths,
+# of which width, height and thickness must be > 0 and the others >= 0
+_GENERATOR_KEYS = {
+    "double_notch": ("width", "height", "thickness", "notch_depth", "notch_height",
+                     "nx", "ny"),
+    "plate_hole": ("width", "height", "thickness", "hole_radius", "nx", "ny"),
+}
 
 
 class ConfigError(ValueError):
@@ -213,9 +220,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         cfg = _merge_into(copy.deepcopy(_TEMPLATE), user)
         cfg["problem"] = {"mesh_file": mesh_file}
 
-    _check_keys(cfg["generator"], ["kind", "width", "height", "thickness",
-                                   "notch_depth", "notch_height", "hole_radius",
-                                   "nx", "ny"], "generator")
+    _check_keys(cfg["generator"], ["kind", *{k for keys in _GENERATOR_KEYS.values()
+                                             for k in keys}], "generator")
     _check_keys(cfg["material"], ["lam", "mu", "rho", "eta"], "material")
     _check_keys(cfg["load"], ["dirichlet", "total_time", "body_force",
                               "amplitude", "ramp_end"], "load")
@@ -227,8 +233,15 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         mesh = load_mesh(mesh_file)
     else:
         gen = dict(cfg["generator"])
-        kind = gen.pop("kind")
-        mesh = _GENERATORS[kind](**gen)
+        kind = gen.pop("kind", None)
+        if not isinstance(kind, str) or kind not in _GENERATORS:
+            raise ConfigError(f"generator.kind must be one of {sorted(_GENERATORS)}, "
+                              f"got {kind!r}")
+        _check_keys(gen, _GENERATOR_KEYS[kind], f"generator (kind {kind})")
+        mesh = _GENERATORS[kind](**{
+            k: (_count(v, f"generator.{k}") if k in ("nx", "ny") else
+                _real(v, f"generator.{k}", positive=k in ("width", "height", "thickness")))
+            for k, v in gen.items()})
 
     # material
     mat = cfg["material"]

@@ -35,6 +35,12 @@ def atomic_write(path, data: str | bytes):
 # ---------------------------------------------------------------------------
 
 
+def _vector_lines(arr) -> str:
+    """Rows of an (n, 3) array as "x y z" lines; numbers are formatted as
+    Python floats from ``tolist()``, the same text as numpy scalars give."""
+    return "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in np.asarray(arr).tolist())
+
+
 def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
               cell_scalars: dict | None = None, title: str = "tsmfem output"):
     """Unstructured-grid snapshot: hexahedra with nodal vector fields and
@@ -44,12 +50,10 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
     out.write(title[:255] + "\n")
     out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
     out.write(f"POINTS {mesh.n_nodes} double\n")
-    for p in mesh.nodes:
-        out.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+    out.write(_vector_lines(mesh.nodes))
     ne = mesh.n_elements
     out.write(f"CELLS {ne} {9 * ne}\n")
-    for e in mesh.elements:
-        out.write("8 " + " ".join(str(int(v)) for v in e) + "\n")
+    out.writelines(f"8 {' '.join(map(str, e))}\n" for e in mesh.elements.tolist())
     out.write(f"CELL_TYPES {ne}\n")
     out.write("\n".join(["12"] * ne) + "\n")
 
@@ -57,13 +61,12 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
         out.write(f"POINT_DATA {mesh.n_nodes}\n")
         for name, arr in point_vectors.items():
             out.write(f"VECTORS {name} double\n")
-            for v in np.asarray(arr):
-                out.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+            out.write(_vector_lines(arr))
     if cell_scalars:
         out.write(f"CELL_DATA {ne}\n")
         for name, arr in cell_scalars.items():
             out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            out.write("\n".join(f"{float(v):.17g}" for v in np.asarray(arr)) + "\n")
+            out.write("\n".join(f"{v:.17g}" for v in np.asarray(arr).tolist()) + "\n")
     atomic_write(path, out.getvalue())
 
 
@@ -119,28 +122,29 @@ def _csv_string(header, rows) -> str:
 
 def write_force_csv(path, times, forces: np.ndarray):
     """Reaction series: time, Fx, Fy, Fz."""
-    rows = [(f"{t:.17g}", f"{f[0]:.17g}", f"{f[1]:.17g}", f"{f[2]:.17g}")
-            for t, f in zip(times, forces)]
+    rows = [(f"{t:.17g}", f"{fx:.17g}", f"{fy:.17g}", f"{fz:.17g}")
+            for t, (fx, fy, fz) in zip(np.asarray(times).tolist(),
+                                       np.asarray(forces).tolist())]
     atomic_write(path, _csv_string(["time", "Fx", "Fy", "Fz"], rows))
 
 
 def write_force_stats_csv(path, uq: UqSummary):
-    rows = [(f"{t:.17g}",
-             *(f"{v:.17g}" for v in uq.force_mean[i]),
-             *(f"{v:.17g}" for v in uq.force_std[i]))
-            for i, t in enumerate(uq.force_times)]
+    rows = [(f"{t:.17g}", *(f"{v:.17g}" for v in mean), *(f"{v:.17g}" for v in std))
+            for t, mean, std in zip(uq.force_times.tolist(), uq.force_mean.tolist(),
+                                    uq.force_std.tolist())]
     header = ["time", "Fx_mean", "Fy_mean", "Fz_mean", "Fx_std", "Fy_std", "Fz_std"]
     atomic_write(path, _csv_string(header, rows))
 
 
 def write_line_csv(path, table: LineTable):
     """Per-element line extraction, one row per (snapshot, path element)."""
+    ids = table.element_ids.tolist()
+    xs = [f"{x:.17g}" for x in table.positions[:, 0].tolist()]
     rows = []
-    for i, t in enumerate(table.times):
-        for j, eid in enumerate(table.element_ids):
-            rows.append((f"{t:.17g}", int(eid), f"{table.positions[j, 0]:.17g}",
-                         f"{table.f_mean[i, j]:.17g}", f"{table.f_std[i, j]:.17g}",
-                         f"{table.snorm_mean[i, j]:.17g}", f"{table.snorm_std[i, j]:.17g}"))
+    for t, *fields in zip(table.times.tolist(), table.f_mean.tolist(), table.f_std.tolist(),
+                          table.snorm_mean.tolist(), table.snorm_std.tolist()):
+        for eid, x, vals in zip(ids, xs, zip(*fields)):
+            rows.append((f"{t:.17g}", eid, x, *(f"{v:.17g}" for v in vals)))
     header = ["time", "element", "x", "f_mean", "f_std", "stress_norm_mean", "stress_norm_std"]
     atomic_write(path, _csv_string(header, rows))
 

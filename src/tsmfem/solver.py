@@ -24,6 +24,16 @@ the same sum as with a Gauss-point-major layout.  Only
 ``ElementQuadrature.strains`` and ``ElementQuadrature.forces`` know the
 layout; everything else sees plain (ngp, 6) arrays.
 
+Sparse products call scipy's CSR kernels (``csr_matvec``, and
+``csr_matvecs`` for a block of columns) directly, through ``_csr_product``.
+That is bitwise what ``op @ x`` computes, because scipy's ``@`` for a CSR
+matrix and a dense vector or block is exactly a zeroed output plus the same
+kernel call; skipping its dispatch saves a few microseconds per product.
+Reactions sum their two or three nodal terms with one such product on a
+stacked block, one term per column: the set-sum operator is 0/1, and each
+column is the same sequential sum over the set's dofs as a separate
+product of that term.
+
 Dirichlet ramps are imposed by direct overwrite after the explicit update,
 with boundary velocity/acceleration taken from finite differences of the
 ramp.  Everything is single-threaded and bitwise reproducible.
@@ -31,11 +41,13 @@ ramp.  Everything is single-threaded and bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import hexa
 from .material import MaterialParams, characteristic_scales
@@ -74,6 +86,21 @@ class InstabilityError(RuntimeError):
         self.time = time
         self.xi = xi
         self.order = order
+
+
+def _csr_product(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``op @ x`` for a float64 CSR matrix and a float64 vector (n,) or
+    block (n, k), into a fresh array: scipy's own kernel on a zeroed output,
+    as ``@`` does, without its dispatch."""
+    m, n = op.shape
+    if x.ndim == 1:
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
+    else:
+        out = np.zeros((m, x.shape[1]))
+        _sparsetools.csr_matvecs(m, n, x.shape[1], op.indptr, op.indices, op.data,
+                                 x.ravel(), out.ravel())
+    return out
 
 
 @dataclass
@@ -148,12 +175,12 @@ class ElementQuadrature:
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Gauss-point strains (ngp, 6) from nodal displacements (nn, 3): a
         component-major view."""
-        return (self.strain_op @ u.ravel()).reshape(6, self.n_gauss).T
+        return _csr_product(self.strain_op, u.ravel()).reshape(6, self.n_gauss).T
 
     def forces(self, sigma: np.ndarray) -> np.ndarray:
         """Nodal internal forces (3 * nn,) from Gauss-point stresses (ngp, 6);
         a component-major ``sigma`` is read without a copy."""
-        return self.force_op @ sigma.T.ravel()
+        return _csr_product(self.force_op, sigma.T.ravel())
 
     def element_volumes(self) -> np.ndarray:
         return self.detJw.sum(axis=1)
@@ -198,23 +225,30 @@ def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
     return op, dofs
 
 
-def reaction_sums(set_sums: tuple[sp.csr_matrix, np.ndarray], mass3: np.ndarray,
+def reaction_sums(set_sums: tuple[sp.csr_matrix, np.ndarray], set_mass: np.ndarray,
                   f_int: np.ndarray, accel: np.ndarray,
                   velocity: np.ndarray | None = None,
                   mass_damping: float = 0.0) -> np.ndarray:
     """Reactions (n_sets, 3): internal plus inertial (plus damping, when
     active) nodal forces, summed per set by ``set_sum_operator``; only the
-    sets' dofs are read.
+    sets' dofs are read, and ``set_mass`` holds the lumped masses of those
+    dofs (``mass3[dofs]``).
 
     Each term is summed on its own, over the set's nodes in ascending
     order, before the terms are added; summing the combined nodal vector
     instead moves finite-difference quotients of reactions by roundoff
-    amplified 1/(2h)."""
+    amplified 1/(2h).  The terms are the columns of one block product."""
     op, dofs = set_sums
-    m = mass3[dofs]
-    r = op @ f_int.ravel()[dofs] + op @ (m * accel.ravel()[dofs])
-    if mass_damping and velocity is not None:
-        r = r + mass_damping * (op @ (m * velocity.ravel()[dofs]))
+    damped = mass_damping and velocity is not None
+    terms = np.empty((dofs.size, 3 if damped else 2))
+    terms[:, 0] = f_int.ravel()[dofs]
+    np.multiply(set_mass, accel.ravel()[dofs], out=terms[:, 1])
+    if damped:
+        np.multiply(set_mass, velocity.ravel()[dofs], out=terms[:, 2])
+    sums = _csr_product(op, terms)
+    r = sums[:, 0] + sums[:, 1]
+    if damped:
+        r += mass_damping * sums[:, 2]
     return r.reshape(-1, 3)
 
 
@@ -235,7 +269,14 @@ class History:
 
 
 class _Dirichlet:
-    """Compiled constraint table: flat dof indices and ramp parameters."""
+    """Compiled constraint table: the constrained flat dofs, ascending, and
+    the ramp each follows, value(t) = amplitude * min(t, ramp_end) / ramp_end.
+
+    The ramp law is evaluated in Python floats once per distinct
+    (amplitude, ramp_end) pair and spread to the dofs with one ``take``;
+    each value is the same IEEE expression, in the same order, as the
+    elementwise numpy form.  (A zero amplitude keeps its sign, so 0.0 and
+    -0.0 are distinct pairs.)"""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
         pairs: dict[int, tuple[float, float]] = {}
@@ -245,21 +286,33 @@ class _Dirichlet:
                 pairs[3 * int(n) + ramp.axis] = (scale * ramp.amplitude, ramp.ramp_end)
         items = sorted(pairs.items())
         self.dofs = np.asarray([k for k, _ in items], dtype=np.int64)
-        self.amp = np.asarray([v[0] for _, v in items])
-        self.t_end = np.asarray([v[1] for _, v in items])
-        self._cache: dict[float, np.ndarray] = {}
+        slots: dict[tuple[float, float, float], int] = {}  # ramp -> its row
+        self._which = np.asarray([slots.setdefault((amp, t_end, math.copysign(1.0, amp)),
+                                                   len(slots))
+                                  for _, (amp, t_end) in items], dtype=np.intp)
+        self._ramps = [(amp, t_end) for amp, t_end, _ in slots]
+        self._t = None
 
     def value(self, t: float) -> np.ndarray:
-        v = self._cache.get(t)
-        if v is None:
-            v = self.amp * np.minimum(t, self.t_end) / self.t_end
-            if len(self._cache) > 8:
-                self._cache.clear()
-            self._cache[t] = v
-        return v
+        """The prescribed displacements at time t."""
+        return np.take([amp * min(t, t_end) / t_end for amp, t_end in self._ramps],
+                       self._which)
 
-    def accel(self, t: float, dt: float) -> np.ndarray:
-        return (self.value(t + dt) - 2.0 * self.value(t) + self.value(t - dt)) / dt**2
+    def at(self, t: float, dt: float) -> np.ndarray:
+        """Rows (acceleration, velocity, displacement) at the dofs for the
+        step from t to t + dt: the central difference of the ramp at t, the
+        velocity of the update and the value at t + dt.  The last t's rows
+        are kept, so a step's two calls evaluate them once."""
+        if (t, dt) != self._t:
+            rows = []
+            for amp, t_end in self._ramps:
+                up = amp * min(t + dt, t_end) / t_end
+                u0 = amp * min(t, t_end) / t_end
+                um = amp * min(t - dt, t_end) / t_end
+                rows.append(((up - 2.0 * u0 + um) / dt**2, (up - u0) / dt, up))
+            self._rows = np.array(rows).T.take(self._which, axis=1)
+            self._t = (t, dt)
+        return self._rows
 
 
 def step_at(t: float, dt: float) -> int:
@@ -335,6 +388,7 @@ class ExplicitEngine:
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
         self._set_sums = set_sum_operator([mesh.node_sets[name]
                                            for name in self._set_names])
+        self._set_mass = self.mass3[self._set_sums[1]]
         self._forces = np.zeros((len(f_steps), len(self._set_names), 3))
         self.history = History(
             times=np.asarray([s * dt for s in snap_steps]),
@@ -359,22 +413,25 @@ class ExplicitEngine:
         eps = self.quad.strains(self.u)
         sigma = self.stress_fn(self.d, eps, self.n)
         f_int = self.quad.forces(sigma)
-        a = (self.f_body - f_int) / self.mass3
+        a = self.f_body - f_int
+        a /= self.mass3
         if self.alpha:
             a -= self.alpha * self.v.ravel()
-        a[self.bc.dofs] = self.bc.accel(self.time, self.dt)
+        a[self.bc.dofs] = self.bc.at(self.time, self.dt)[0]
         return eps, sigma, f_int.reshape(-1, 3), a.reshape(-1, 3)
 
     def advance(self, eps, accel) -> None:
         """One central-difference update into new arrays; Dirichlet dofs are
         overwritten with the exact ramp values."""
         dt, t = self.dt, self.time
-        v = self.v.ravel().copy()
+        _, bc_v, bc_u = self.bc.at(t, dt)
         # half-step start: the very first update advances v by dt/2
-        v += (0.5 * dt if self.n == 0 else dt) * accel.ravel()
-        v[self.bc.dofs] = (self.bc.value(t + dt) - self.bc.value(t)) / dt
-        u = self.u.ravel() + dt * v
-        u[self.bc.dofs] = self.bc.value(t + dt)
+        v = (0.5 * dt if self.n == 0 else dt) * accel.ravel()
+        v += self.v.ravel()
+        v[self.bc.dofs] = bc_v
+        u = dt * v
+        u += self.u.ravel()
+        u[self.bc.dofs] = bc_u
         self.d = self.damage_fn(self.d, eps, self.n)
         self.u, self.v = u.reshape(-1, 3), v.reshape(-1, 3)
         self.time, self.n = t + dt, self.n + 1
@@ -390,7 +447,7 @@ class ExplicitEngine:
             self.exchange_hook(n, self.time, eps, d)
         i = self._f_at.get(n)
         if i is not None:
-            self._forces[i] = reaction_sums(self._set_sums, self.mass3, f_int, a,
+            self._forces[i] = reaction_sums(self._set_sums, self._set_mass, f_int, a,
                                             self.v, self.alpha)
         i = self._snap_at.get(n)
         if i is not None:

@@ -1,5 +1,7 @@
 """Config resolution, artifact writers, and the CLI surface."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -16,6 +18,9 @@ from tsmfem.export import (
     load_summary,
     read_manifest,
     save_summary,
+    write_force_csv,
+    write_force_stats_csv,
+    write_line_csv,
     write_manifest,
     write_vtk,
 )
@@ -139,6 +144,80 @@ def test_vtk_structure(tmp_path):
     assert lines[cells_at + 1] == "12"  # hexahedron
 
 
+# -0.0, subnormals, +-1e300, integral values and a plain decimal
+_AWKWARD = np.array([-0.0, 5e-324, 1e-310, 1e300, -1e300, 3.0, -7.0, 0.1, 0.0])
+
+
+def _numpy_scalar_csv(header, rows) -> str:
+    """CSV text of rows already formatted as strings (csv defaults)."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def test_writers_give_the_numpy_scalar_text(tmp_path):
+    """The writers format Python numbers from ``tolist()``; the text is the
+    one that formatting numpy scalars row by row gives, also for -0.0,
+    subnormals, +-1e300 and integral values."""
+    from dataclasses import replace
+
+    from test_tsm import _synthetic_solution
+    from tsmfem.mesh import Mesh, _structured_box
+    from tsmfem.montecarlo import LineTable
+    from tsmfem.tsm import uq_summary
+
+    def awkward(*shape):
+        return np.resize(_AWKWARD, shape)
+
+    nodes, elements = _structured_box(2, 1, 1, 1.0, 1.0, 1.0)
+    mesh = Mesh(awkward(len(nodes), 3), elements)
+    disp, cell = awkward(mesh.n_nodes, 3)[::-1], awkward(mesh.n_elements)
+    write_vtk(tmp_path / "a.vtk", mesh, {"u": disp}, {"f": cell}, title="t")
+    head = ["# vtk DataFile Version 3.0", "t", "ASCII", "DATASET UNSTRUCTURED_GRID",
+            f"POINTS {mesh.n_nodes} double"]
+    lines = (head + [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in mesh.nodes]
+             + ["CELLS 2 18"] + ["8 " + " ".join(str(int(v)) for v in e)
+                                  for e in mesh.elements]
+             + ["CELL_TYPES 2", "12", "12", f"POINT_DATA {mesh.n_nodes}", "VECTORS u double"]
+             + [f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}" for v in disp]
+             + ["CELL_DATA 2", "SCALARS f double 1", "LOOKUP_TABLE default"]
+             + [f"{float(v):.17g}" for v in cell])
+    text = (tmp_path / "a.vtk").read_text()
+    assert text == "\n".join(lines) + "\n"
+    assert "\n-0 4.9406564584124654e-324 9.9999999999999694e-311\n" in text
+
+    times, forces = awkward(7), awkward(7, 3)
+    write_force_csv(tmp_path / "f.csv", times, forces)
+    assert (tmp_path / "f.csv").read_bytes().decode() == _numpy_scalar_csv(
+        ["time", "Fx", "Fy", "Fz"],
+        [(f"{t:.17g}", f"{f[0]:.17g}", f"{f[1]:.17g}", f"{f[2]:.17g}")
+         for t, f in zip(times, forces)])
+
+    uq = uq_summary(_synthetic_solution(0.4, 0.7, 0.01))
+    F = uq.force_times.size
+    uq = replace(uq, force_times=awkward(F), force_mean=awkward(F, 3),
+                 force_std=awkward(F, 3)[::-1])
+    write_force_stats_csv(tmp_path / "s.csv", uq)
+    assert (tmp_path / "s.csv").read_bytes().decode() == _numpy_scalar_csv(
+        ["time", "Fx_mean", "Fy_mean", "Fz_mean", "Fx_std", "Fy_std", "Fz_std"],
+        [(f"{t:.17g}", *(f"{v:.17g}" for v in uq.force_mean[i]),
+          *(f"{v:.17g}" for v in uq.force_std[i])) for i, t in enumerate(uq.force_times)])
+
+    table = LineTable(path="p", element_ids=np.array([4, 0, 9]),
+                      positions=awkward(3, 3), times=awkward(2), f_mean=awkward(2, 3),
+                      f_std=awkward(2, 3)[::-1], snorm_mean=awkward(2, 3) * 3.0,
+                      snorm_std=-awkward(2, 3))
+    write_line_csv(tmp_path / "l.csv", table)
+    assert (tmp_path / "l.csv").read_bytes().decode() == _numpy_scalar_csv(
+        ["time", "element", "x", "f_mean", "f_std", "stress_norm_mean", "stress_norm_std"],
+        [(f"{t:.17g}", int(eid), f"{table.positions[j, 0]:.17g}",
+          f"{table.f_mean[i, j]:.17g}", f"{table.f_std[i, j]:.17g}",
+          f"{table.snorm_mean[i, j]:.17g}", f"{table.snorm_std[i, j]:.17g}")
+         for i, t in enumerate(table.times) for j, eid in enumerate(table.element_ids)])
+
+
 def test_summary_npz_round_trip(tmp_path):
     from test_tsm import _synthetic_solution
     from tsmfem.tsm import uq_summary
@@ -237,6 +316,8 @@ def test_cli_validation_error_exit_code(tmp_path):
     "material.eta=.nan", "material.lam=.inf", "material.rho=0", "load.total_time=.nan",
     "mc.std=.nan", "tsm.xi_second_moment=.nan", "tsm.xi_second_moment=.inf",
     "output.snapshot_times=[.nan]",
+    "generator.width=.nan", "generator.hole_radius=.inf", "generator.nx=2.5",
+    "generator.kind=foo",
     "--xi=nan", "--xi=inf", "--xi=-1"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     """A count below its minimum or not an integer, a real input that is
@@ -246,7 +327,9 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     (``timestep.dt=0`` used to fall back to the CFL estimate,
     ``cfl_safety=.inf`` to run 0 steps, ``tsm.xi_second_moment=.nan`` to
     exit 0 with every standard deviation nan, and ``--xi nan`` and
-    ``material.eta=.nan`` to exit 2 at step 64.)  ``mc.n`` goes through
+    ``material.eta=.nan`` to exit 2 at step 64; ``generator.nx=2.5`` and
+    ``generator.kind=foo`` escaped as tracebacks, and ``generator.width=.nan``
+    was reported as an empty node set.)  ``mc.n`` goes through
     run-mc, which would otherwise run the whole ensemble before its
     statistics fail; ``tsm.xi_second_moment`` goes through run-tsm."""
     command = ("run-mc" if setting.startswith("mc.n=") else

@@ -131,6 +131,43 @@ def test_ramp_value_piecewise_linear():
     assert ramp.value(0.75) == pytest.approx(0.01)  # held after ramp end
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.0, 1.7])
+def test_compiled_ramp_table_is_the_closed_form(scale):
+    """``value`` and ``at`` give, dof by dof, the bits of the numpy closed
+    form amp * min(t, t_end) / t_end and of its central differences, before
+    the start, mid-ramp, at a ramp end and past it, for zero, positive and
+    negative amplitudes; a zero amplitude keeps its sign (scale 0 times a
+    negative amplitude is -0.0)."""
+    m = _unit_cube()
+    lc = LoadCase(dirichlet=(DirichletRamp("bottom", 0, 0.0, 0.5),
+                             DirichletRamp("bottom", 1, 0.0, 0.5),
+                             DirichletRamp("front", 2, -0.003, 0.5),
+                             DirichletRamp("top", 0, 0.002, 0.25),
+                             DirichletRamp("top", 1, 0.01, 0.5)), total_time=1.0)
+    table = _Dirichlet(m, lc, scale)
+    ramp_of = {3 * int(n) + r.axis: (scale * r.amplitude, r.ramp_end)
+               for r in lc.dirichlet for n in m.node_sets[r.node_set]}
+    dofs = sorted(ramp_of)
+    amp = np.array([ramp_of[k][0] for k in dofs])
+    t_end = np.array([ramp_of[k][1] for k in dofs])
+    assert np.array_equal(table.dofs, dofs)
+
+    def closed(t):
+        return amp * np.minimum(t, t_end) / t_end
+
+    def same_bits(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    for t in (-0.1, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7):
+        assert same_bits(table.value(t), closed(t))
+        for dt in (1e-3, 0.07):
+            accel, velocity, value = table.at(t, dt)
+            assert same_bits(accel, (closed(t + dt) - 2.0 * closed(t) + closed(t - dt)) / dt**2)
+            assert same_bits(velocity, (closed(t + dt) - closed(t)) / dt)
+            assert same_bits(value, closed(t + dt))
+    assert np.array_equal(np.signbit(table.value(0.3)), np.signbit(amp))
+
+
 def test_ramp_end_beyond_total_time_rejected():
     with pytest.raises(ValueError):
         LoadCase(dirichlet=(DirichletRamp("top", 1, 0.01, 2.0),), total_time=1.0)

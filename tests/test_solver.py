@@ -2,18 +2,21 @@
 the explicit integrator against closed-form dynamics, and energy bookkeeping.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tsmfem import hexa
 from tsmfem.config import load_config
-from tsmfem.material import MaterialParams, Order0Law
+from tsmfem.material import MaterialParams, Order0Law, _dot6
 from tsmfem.mesh import DirichletRamp, LoadCase, Mesh, _structured_box, generate_plate_with_hole
 from tsmfem.montecarlo import XiDistribution, run_mc
 from tsmfem.solver import (
     ElementQuadrature,
     ExplicitEngine,
     InstabilityError,
+    _csr_product,
     deterministic_kernels,
     lumped_mass,
     reaction_sums,
@@ -21,7 +24,7 @@ from tsmfem.solver import (
     set_sum_operator,
     stable_timestep,
 )
-from tsmfem.tsm import Problem, TsmConfig
+from tsmfem.tsm import FirstOrderKernels, InMemoryExchange, Problem, TsmConfig
 
 PARAMS = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e9)
 RIGID = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e30)  # damage off
@@ -236,6 +239,29 @@ def test_operator_products_match_dense_b_elementwise():
     assert np.array_equal(f, quad.forces(np.asfortranarray(s)))  # same bits, any order
 
 
+def test_direct_kernel_is_the_scipy_product():
+    """``_csr_product`` gives the bits of ``op @ x`` for strain_op, for
+    force_op (whose indices are deliberately unsorted), for a set-sum
+    operator on a vector and on 2- and 3-column blocks, and for an
+    int64-indexed operator."""
+    mesh = _desk_mesh("plate_coarse_desk")
+    quad = ElementQuadrature.build(mesh)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(quad.strain_op.shape[1])
+    s = rng.standard_normal(quad.force_op.shape[1])
+    wide = quad.strain_op.copy()
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    op, dofs = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["symmetry_x"]])
+    cases = [(quad.strain_op, u), (quad.force_op, s), (wide, u),
+             (op, rng.standard_normal(dofs.size))]
+    cases += [(op, rng.standard_normal((dofs.size, k))) for k in (2, 3)]
+    for a, x in cases:
+        got = _csr_product(a, x)
+        assert got.dtype == np.float64 and np.array_equal(got, a @ x)
+    assert not quad.force_op.has_sorted_indices
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # stable timestep
 # ---------------------------------------------------------------------------
@@ -389,6 +415,129 @@ def test_energy_drift_after_ramp_hold():
     assert drift <= 0.01
 
 
+class _ReferenceStep:
+    """The explicit step written out from its formulas: scipy ``@`` for the
+    sparse products, the closed-form ramp amp * min(t, t_end) / t_end, the
+    three reaction terms summed by three separate products, and each law
+    evaluated from scratch.  ``stress(d, eps)`` and ``damage(d, eps)`` are
+    the law; ``self.u``, ``self.v``, ``self.d`` the state after ``step()``."""
+
+    def __init__(self, mesh, loads, rho, dt, stress, damage, scale, alpha, quad):
+        self.quad, self.dt, self.alpha = quad, dt, alpha
+        self.stress, self.damage = stress, damage
+        mass = lumped_mass(mesh, rho, quad)
+        self.mass3 = np.repeat(mass, 3)
+        self.f_body = (mass[:, None] / rho * np.asarray(loads.body_force)[None, :]).ravel()
+        ramp_of = {3 * int(n) + r.axis: (scale * r.amplitude, r.ramp_end)
+                   for r in loads.dirichlet for n in mesh.node_sets[r.node_set]}
+        self.dofs = np.array(sorted(ramp_of))
+        self.amp = np.array([ramp_of[k][0] for k in self.dofs])
+        self.t_end = np.array([ramp_of[k][1] for k in self.dofs])
+        names = sorted({r.node_set for r in loads.dirichlet})
+        self.sums, self.sum_dofs = set_sum_operator([mesh.node_sets[n] for n in names])
+        self.u = np.zeros(3 * mesh.n_nodes)
+        self.u[self.dofs] = self.ramp(0.0)
+        self.v = np.zeros(3 * mesh.n_nodes)
+        self.d = np.zeros(quad.n_gauss)
+        self.t, self.n = 0.0, 0
+
+    def ramp(self, t):
+        return self.amp * np.minimum(t, self.t_end) / self.t_end
+
+    def step(self):
+        """Returns the step's (eps, sigma, reactions) and advances."""
+        q, dt, t, alpha = self.quad, self.dt, self.t, self.alpha
+        eps = (q.strain_op @ self.u).reshape(6, q.n_gauss).T
+        sigma = self.stress(self.d, eps)
+        f = q.force_op @ sigma.T.ravel()
+        a = (self.f_body - f) / self.mass3 - alpha * self.v
+        a[self.dofs] = (self.ramp(t + dt) - 2.0 * self.ramp(t) + self.ramp(t - dt)) / dt**2
+        k, m = self.sum_dofs, self.mass3[self.sum_dofs]
+        reactions = (self.sums @ f[k] + self.sums @ (m * a[k])
+                     + alpha * (self.sums @ (m * self.v[k]))).reshape(-1, 3)
+        v = self.v + (0.5 * dt if self.n == 0 else dt) * a
+        v[self.dofs] = (self.ramp(t + dt) - self.ramp(t)) / dt
+        u = self.u + dt * v
+        u[self.dofs] = self.ramp(t + dt)
+        self.u, self.v, self.d = u, v, self.damage(self.d, eps)
+        self.t, self.n = t + dt, self.n + 1
+        return eps, sigma, reactions
+
+
+def _recorded(fn, log):
+    def stress(d, eps, n):
+        sigma = fn(d, eps, n)
+        log.append(sigma)
+        return sigma
+    return stress
+
+
+def test_step_is_bitwise_the_formulas():
+    """Order 0 with mass damping, an exchange hook and reactions at every
+    step, and order 1 fed through ``FirstOrderKernels`` every 3rd step, run
+    in lockstep on plate_coarse_desk with ramps that end at step 20: u, v,
+    d, sigma and the reactions equal ``_ReferenceStep`` bit for bit at each
+    of 50 steps."""
+    c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    p, dt = c.problem, c.dt
+    loads = replace(p.loads, dirichlet=tuple(replace(r, ramp_end=20.5 * dt)
+                                             for r in p.loads.dirichlet))
+    quad = ElementQuadrature.build(p.mesh)
+    E0, eta, alpha, K = p.params.stiffness, p.params.eta, p.mass_damping, 3
+    assert alpha > 0.0
+
+    mailbox = InMemoryExchange(K)
+    kern0 = deterministic_kernels(p.params, 0.0, dt)
+    kern1 = FirstOrderKernels(E0, eta, dt, mailbox)
+    sig0, sig1 = [], []
+    engines = [
+        ExplicitEngine(p.mesh, loads, p.params.rho, dt, [], _recorded(kern0.stress, sig0),
+                       kern0.damage, quad=quad, mass_damping=alpha,
+                       exchange_hook=mailbox.hook),
+        ExplicitEngine(p.mesh, loads, p.params.rho, dt, [], _recorded(kern1.stress, sig1),
+                       kern1.damage, quad=quad, dirichlet_scale=0.0, mass_damping=alpha),
+    ]
+
+    def stress0(d, eps):
+        return np.exp(-d)[:, None] * (E0 @ eps.T).T
+
+    def damage0(d, eps):
+        return d + dt * (np.exp(-d) * (0.5 * _dot6(eps, (E0 @ eps.T).T)) / eta)
+
+    held = {}
+
+    def stress1(d1, eps1):
+        s0 = (E0 @ held["eps"].T).T
+        return np.exp(-held["d"])[:, None] * ((1.0 - d1)[:, None] * s0 + (E0 @ eps1.T).T)
+
+    def damage1(d1, eps1):
+        s0 = (E0 @ held["eps"].T).T
+        psi0 = 0.5 * _dot6(held["eps"], s0)
+        rate = np.exp(-held["d"]) / eta * ((1.0 - d1) * psi0 + _dot6(eps1, s0))
+        return d1 + dt * rate
+
+    refs = [_ReferenceStep(p.mesh, loads, p.params.rho, dt, stress0, damage0, 1.0, alpha, quad),
+            _ReferenceStep(p.mesh, loads, p.params.rho, dt, stress1, damage1, 0.0, alpha, quad)]
+    reactions = ([], [])
+    for n in range(50):
+        d_top = refs[0].d
+        for k, (eng, ref, sig) in enumerate(zip(engines, refs, (sig0, sig1))):
+            eps, sigma, r = ref.step()
+            if k == 0 and n % K == 0:
+                held.update(eps=eps, d=d_top)
+            eng.step()
+            assert np.array_equal(sig[-1], sigma), (k, n)
+            assert np.array_equal(eng.u.ravel(), ref.u), (k, n)
+            assert np.array_equal(eng.v.ravel(), ref.v), (k, n)
+            assert np.array_equal(eng.d, ref.d), (k, n)
+            reactions[k].append(r)
+    assert refs[1].d.max() > 0.0 and np.abs(refs[1].u).max() > 0.0  # order 1 is driven
+    for eng, r in zip(engines, reactions):
+        forces = eng.finish().forces
+        got = np.stack([forces[name][:50] for name in sorted(forces)], axis=1)
+        assert np.array_equal(got, np.array(r))
+
+
 # ---------------------------------------------------------------------------
 # reaction forces
 # ---------------------------------------------------------------------------
@@ -406,7 +555,7 @@ def test_reaction_static_uniaxial():
     eps = quad.strains(u)
     sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
     sets = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]])
-    F_top, F_bot = reaction_sums(sets, np.repeat(mass, 3), quad.forces(sigma),
+    F_top, F_bot = reaction_sums(sets, np.repeat(mass, 3)[sets[1]], quad.forces(sigma),
                                  np.zeros((mesh.n_nodes, 3)))
     sig_yy = (PARAMS.lam + 2 * PARAMS.mu) * e
     assert F_top[1] == pytest.approx(sig_yy * 1.0, rel=1e-12)
@@ -424,9 +573,10 @@ def test_reaction_includes_mass_damping():
     alpha = 50.0
     f_int = quad.forces(sigma)
     ids = [mesh.node_sets[name] for name in ("top", "bottom")]
-    sets, mass3 = set_sum_operator(ids), np.repeat(mass, 3)
-    F = reaction_sums(sets, mass3, f_int, accel, velocity, alpha)
-    undamped = reaction_sums(sets, mass3, f_int, accel, velocity)
+    sets = set_sum_operator(ids)
+    set_mass = np.repeat(mass, 3)[sets[1]]
+    F = reaction_sums(sets, set_mass, f_int, accel, velocity, alpha)
+    undamped = reaction_sums(sets, set_mass, f_int, accel, velocity)
     f_int = f_int.reshape(-1, 3)
     for k, n in enumerate(ids):
         expected = (f_int[n] + mass[n, None] * (accel[n] + alpha * velocity[n])).sum(axis=0)
@@ -438,9 +588,9 @@ def test_reaction_zero_state():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
-    F = reaction_sums(set_sum_operator([mesh.node_sets["top"]]),
-                      np.repeat(mass, 3), quad.forces(np.zeros((quad.n_gauss, 6))),
-                      np.zeros((mesh.n_nodes, 3)))
+    sets = set_sum_operator([mesh.node_sets["top"]])
+    F = reaction_sums(sets, np.repeat(mass, 3)[sets[1]],
+                      quad.forces(np.zeros((quad.n_gauss, 6))), np.zeros((mesh.n_nodes, 3)))
     assert np.all(F == 0.0)
 
 
