@@ -128,30 +128,37 @@ def _check_keys(d: dict, allowed, path: str):
         raise ConfigError(f"unknown config key(s) {sorted(unknown)} under '{path}'")
 
 
-def _count(value, key: str, minimum: int = 1) -> int:
-    """A config value that must be an integer >= minimum; 2.5 is rejected,
-    not truncated."""
+def _count(value, key: str, minimum: int = 1, maximum: float = np.inf) -> int:
+    """A config value that must be an integer in [minimum, maximum]; 2.5 is
+    rejected, not truncated."""
     try:
         n = int(value)
         if n != float(value):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-    if n < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {n}")
+    if not minimum <= n <= maximum:
+        bound = f">= {minimum}" if maximum == np.inf else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{key} must be {bound}, got {n}")
     return n
 
 
-def _real(value, key: str, *, positive: bool) -> float:
-    """A config value that must be a finite number, > 0 when ``positive``
-    and >= 0 otherwise; nan and inf are rejected, not run."""
+def _number(value, key: str) -> float:
+    """A config value that must be a finite number; nan and inf are rejected."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not np.isfinite(x) or x < 0.0 or (positive and x == 0.0):
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{key} must be finite and {bound}, got {value!r}")
+    if not np.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return x
+
+
+def _real(value, key: str, *, positive: bool) -> float:
+    """A finite config value (``_number``), > 0 when ``positive``, else >= 0."""
+    x = _number(value, key)
+    if x < 0.0 or (positive and x == 0.0):
+        raise ConfigError(f"{key} must be {'> 0' if positive else '>= 0'}, got {value!r}")
     return x
 
 
@@ -257,21 +264,27 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     table = ld.get("dirichlet")
     if not table:
         raise ConfigError("load.dirichlet is required (presets provide one)")
-    if ld.get("amplitude") is not None or ld.get("ramp_end") is not None:
-        # convenience override: retarget every nonzero ramp
-        amp, end = ld.get("amplitude"), ld.get("ramp_end")
-        for row in table:
-            if end is not None:
-                row["ramp_end"] = float(end)
-            if amp is not None and row["amplitude"] != 0.0:
-                row["amplitude"] = float(amp)
+    # convenience overrides: retarget every ramp's end and every nonzero amplitude
+    amp = None if ld.get("amplitude") is None else _number(ld["amplitude"], "load.amplitude")
+    end = (None if ld.get("ramp_end") is None
+           else _real(ld["ramp_end"], "load.ramp_end", positive=True))
     ramps = []
-    for row in table:
-        _check_keys(row, ["set", "axis", "amplitude", "ramp_end"], "load.dirichlet[]")
-        ramps.append(DirichletRamp(row["set"], int(row["axis"]),
-                                   float(row["amplitude"]), float(row["ramp_end"])))
+    for i, row in enumerate(table):
+        key = f"load.dirichlet[{i}]"
+        _check_keys(row, ["set", "axis", "amplitude", "ramp_end"], key)
+        axis = _count(row["axis"], f"{key}.axis", minimum=0, maximum=2)
+        if end is not None:
+            row["ramp_end"] = end
+        a = _number(row["amplitude"], f"{key}.amplitude")
+        if amp is not None and a != 0.0:
+            row["amplitude"] = a = amp
+        ramps.append(DirichletRamp(row["set"], axis, a,
+                                   _real(row["ramp_end"], f"{key}.ramp_end", positive=True)))
+    body = ld["body_force"]
+    if not isinstance(body, (list, tuple)) or len(body) != 3:
+        raise ConfigError(f"load.body_force must be 3 numbers, got {body!r}")
     loads = LoadCase(dirichlet=tuple(ramps), total_time=total_time,
-                     body_force=tuple(float(v) for v in ld["body_force"]))
+                     body_force=tuple(_number(v, "load.body_force") for v in body))
     try:  # the mesh itself was validated by its generator or load_mesh
         validate_load_case(loads, mesh)
     except ValueError as exc:
@@ -305,7 +318,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                           else _real(xi2, "tsm.xi_second_moment", positive=False)),
     )
     xi_dist = XiDistribution(kind=mc["kind"], std=std,
-                             truncation=float(mc["truncation"]),
+                             truncation=_real(mc["truncation"], "mc.truncation",
+                                              positive=True),
                              seed=_count(mc["seed"], "mc.seed", minimum=0))
     return RunConfig(
         raw=cfg, problem=problem, dt=dt, snapshot_times=snaps, tsm=tsm_cfg,

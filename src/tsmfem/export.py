@@ -70,7 +70,7 @@ def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
     atomic_write(path, out.getvalue())
 
 
-def history_to_vtk(outdir, mesh: Mesh, hist: History, prefix: str = "snapshot"):
+def history_to_vtk(outdir, mesh: Mesh, hist: History):
     """One VTK file per snapshot: displacement plus cell-averaged damage,
     damage function, and stress norm."""
     os.makedirs(outdir, exist_ok=True)
@@ -81,14 +81,14 @@ def history_to_vtk(outdir, mesh: Mesh, hist: History, prefix: str = "snapshot"):
             "damage_function": element_average(np.exp(-hist.d[i])),
             "stress_norm": element_average(sigma_norm(hist.sigma[i])),
         }
-        p = os.path.join(outdir, f"{prefix}_{i:04d}.vtk")
+        p = os.path.join(outdir, f"snapshot_{i:04d}.vtk")
         write_vtk(p, mesh, {"displacement": hist.u[i]}, cell,
                   title=f"t={t:.9g}s")
         paths.append(p)
     return paths
 
 
-def summary_to_vtk(outdir, mesh: Mesh, uq: UqSummary, prefix: str = "uq"):
+def summary_to_vtk(outdir, mesh: Mesh, uq: UqSummary):
     """One VTK file per snapshot with expectation and Std cell fields."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
@@ -101,7 +101,7 @@ def summary_to_vtk(outdir, mesh: Mesh, uq: UqSummary, prefix: str = "uq"):
             "stress_norm_mean": element_average(sigma_norm(uq.sigma_mean[i])),
             "stress_norm_std": element_average(sigma_norm(uq.sigma_std[i])),
         }
-        p = os.path.join(outdir, f"{prefix}_{i:04d}.vtk")
+        p = os.path.join(outdir, f"uq_{i:04d}.vtk")
         write_vtk(p, mesh, None, cell, title=f"t={t:.9g}s")
         paths.append(p)
     return paths
@@ -165,8 +165,6 @@ def write_comparison_csv(outdir, report: ComparisonReport):
     atomic_write(os.path.join(outdir, "comparison_elements.csv"),
                   _csv_string(header, rows))
     summary = dict(report.summary)
-    summary["force_mean_rel_err"] = report.force_mean_rel_err
-    summary["force_std_rel_err"] = report.force_std_rel_err
     if report.timings:
         summary["timings"] = report.timings
     atomic_write(os.path.join(outdir, "comparison_summary.yaml"),

@@ -107,8 +107,9 @@ class LoadCase:
         object.__setattr__(self, "dirichlet", tuple(self.dirichlet))
         if not 0.0 < self.total_time < np.inf:
             raise ValueError(f"total_time must be finite and positive, got {self.total_time}")
-        if not np.isfinite([*self.body_force, *(d.amplitude for d in self.dirichlet)]).all():
-            raise ValueError("body_force and ramp amplitudes must be finite")
+        values = [*self.body_force, *(d.amplitude for d in self.dirichlet)]
+        if len(self.body_force) != 3 or not np.isfinite(values).all():
+            raise ValueError("body_force must be 3 finite numbers, and ramp amplitudes finite")
         for d in self.dirichlet:
             if not 0.0 < d.ramp_end <= self.total_time:
                 raise ValueError(

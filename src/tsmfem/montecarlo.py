@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Mesh
-from .solver import ElementQuadrature, History, InstabilityError, check_xi, run_deterministic
+from .solver import ElementQuadrature, History, check_xi, run_deterministic
 from .tsm import Problem, UqSummary, loaded_set_name
 
 
@@ -62,11 +62,15 @@ class McEnsemble:
 
     xis: np.ndarray
     histories: list[History]
-    wall_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def n(self) -> int:
         return len(self.histories)
+
+    @property
+    def wall_times(self) -> np.ndarray:
+        """Each realization's ``History.wall_time``, in ensemble order."""
+        return np.asarray([h.wall_time for h in self.histories])
 
 
 def _run_sample(args, quad: ElementQuadrature | None = None):
@@ -84,28 +88,21 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
 
     Runs are independent; with workers > 1 they execute in separate
     processes but the ensemble order (and therefore every statistic) is
-    that of ``samples``.  An unstable run aborts the whole ensemble,
-    naming the offending realization.
+    that of ``samples``.  An unstable run aborts the whole ensemble; its
+    ``InstabilityError`` names the first unstable realization in that
+    order, for any number of workers.
     """
     samples = np.asarray(samples, dtype=float)
     for xi in samples:
         check_xi(xi)
-    histories: list[History] = []
     jobs = [(problem, float(xi), dt, output_times, force_stride) for xi in samples]
-    try:
-        if workers <= 1:
-            quad = quad or ElementQuadrature.build(problem.mesh)
-            for job in jobs:
-                histories.append(_run_sample(job, quad))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for hist in pool.map(_run_sample, jobs, chunksize=4):
-                    histories.append(hist)
-    except InstabilityError as exc:
-        xi = samples[len(histories)]
-        raise InstabilityError(exc.step, exc.time, xi=float(xi)) from exc
-    walls = np.asarray([h.wall_time for h in histories])
-    return McEnsemble(xis=samples, histories=histories, wall_times=walls)
+    if workers <= 1:
+        quad = quad or ElementQuadrature.build(problem.mesh)
+        histories = [_run_sample(job, quad) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            histories = list(pool.map(_run_sample, jobs, chunksize=4))
+    return McEnsemble(xis=samples, histories=histories)
 
 
 def _snapshot_moments(fields) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +216,6 @@ class ComparisonReport:
     f_std_rel_err: np.ndarray  # (S, ne)
     snorm_mean_rel_err: np.ndarray  # (S, ne)
     snorm_std_rel_err: np.ndarray  # (S, ne)
-    force_mean_rel_err: float
-    force_std_rel_err: float
     summary: dict
     timings: dict = field(default_factory=dict)
 
@@ -278,7 +273,6 @@ def compare(tsm: UqSummary, mc: UqSummary, mask_threshold: float = 0.5,
         times=tsm.times.copy(), mask_threshold=mask_threshold, masked=masked,
         f_mean_abs_err=f_mean_err, f_std_rel_err=f_std_err,
         snorm_mean_rel_err=sn_mean_err, snorm_std_rel_err=sn_std_err,
-        force_mean_rel_err=force_mean_err, force_std_rel_err=force_std_err,
         summary=summary, timings=dict(timings or {}),
     )
 

@@ -10,8 +10,8 @@ Stress and damage laws enter as per-Gauss-point callbacks, so the
 deterministic and the first-order (sensitivity) problems share one
 integrator, ``ExplicitEngine``: one object per simulation that holds the
 state, records the history and times itself, driven one ``step()`` at a
-time by ``run_with_kernels`` or, for two simulations in lockstep, by
-``tsm.run_tsm``.
+time by ``run_engines``, the one integrator loop, for one simulation
+(``run_with_kernels``) or two in lockstep (``tsm.run_tsm``).
 
 Memory layout: Gauss-point strains and stresses are (ngp, 6) arrays stored
 component-major, i.e. as the transpose of a C-ordered (6, ngp) array, so
@@ -75,17 +75,18 @@ _ROW_START = np.concatenate([[0], np.cumsum(_ROW_NNZ)])  # offsets in a gp's 72
 
 class InstabilityError(RuntimeError):
     """Non-finite values appeared during time integration; ``xi`` names the
-    Monte Carlo sample, ``order`` the TSM order, where known."""
+    Monte Carlo sample, ``order`` the TSM order, where known.  The four
+    fields are its args, so it pickles whole."""
 
     def __init__(self, step: int, time: float, xi: float | None = None,
                  order: int | None = None):
-        tag = "" if xi is None else f" (sample xi={xi:.6g})"
-        tag += "" if order is None else f" in TSM order {order}"
-        super().__init__(f"non-finite state at step {step} (t={time:.6g} s){tag}")
-        self.step = step
-        self.time = time
-        self.xi = xi
-        self.order = order
+        super().__init__(step, time, xi, order)
+        self.step, self.time, self.xi, self.order = step, time, xi, order
+
+    def __str__(self) -> str:
+        tag = "" if self.xi is None else f" (sample xi={self.xi:.6g})"
+        tag += "" if self.order is None else f" in TSM order {self.order}"
+        return f"non-finite state at step {self.step} (t={self.time:.6g} s){tag}"
 
 
 def _csr_product(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -181,9 +182,6 @@ class ElementQuadrature:
         """Nodal internal forces (3 * nn,) from Gauss-point stresses (ngp, 6);
         a component-major ``sigma`` is read without a copy."""
         return _csr_product(self.force_op, sigma.T.ravel())
-
-    def element_volumes(self) -> np.ndarray:
-        return self.detJw.sum(axis=1)
 
 
 def lumped_mass(mesh: Mesh, rho: float, quad: ElementQuadrature | None = None) -> np.ndarray:
@@ -458,15 +456,19 @@ class ExplicitEngine:
         if n < self.n_steps:
             self.advance(eps, a)
             if self.n % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(self.u.sum()):
-                raise InstabilityError(self.n, self.time)
+                raise self._instability()
         self.history.wall_time += _time.perf_counter() - t0
         return eps, d
+
+    def _instability(self) -> InstabilityError:
+        meta = self.history.meta  # names the run: a realization's xi, a TSM order
+        return InstabilityError(self.n, self.time, meta.get("xi"), meta.get("order"))
 
     def finish(self) -> History:
         """The history, once the final state is checked to be finite."""
         t0 = _time.perf_counter()
         if not np.isfinite(self.u).all():
-            raise InstabilityError(self.n, self.time)
+            raise self._instability()
         hist = self.history
         hist.forces = {name: self._forces[:, k].copy()
                        for k, name in enumerate(self._set_names)}
@@ -474,15 +476,24 @@ class ExplicitEngine:
         return hist
 
 
+def run_engines(*engines: ExplicitEngine) -> list[History]:
+    """The one integrator loop: each step of the engines' common grid runs
+    on each engine in turn, then each is finished; returns their histories."""
+    grid = (engines[0].dt, engines[0].n_steps)
+    if any((e.dt, e.n_steps) != grid for e in engines):
+        raise ValueError("engines stepped together need one step grid")
+    for _ in range(grid[1] + 1):
+        for engine in engines:
+            engine.step()
+    return [engine.finish() for engine in engines]
+
+
 def run_with_kernels(mesh: Mesh, loads: LoadCase, rho: float, dt: float,
                      output_times, stress_fn, damage_fn, **options) -> History:
     """Integrate to ``loads.total_time`` with one ``ExplicitEngine``, whose
     keyword arguments ``options`` are, and return its history."""
-    engine = ExplicitEngine(mesh, loads, rho, dt, output_times, stress_fn, damage_fn,
-                            **options)
-    for _ in range(engine.n_steps + 1):
-        engine.step()
-    return engine.finish()
+    return run_engines(ExplicitEngine(mesh, loads, rho, dt, output_times,
+                                      stress_fn, damage_fn, **options))[0]
 
 
 def check_xi(xi: float) -> None:

@@ -36,9 +36,8 @@ from .solver import (
     ElementQuadrature,
     ExplicitEngine,
     History,
-    InstabilityError,
     deterministic_kernels,
-    run_deterministic,
+    run_engines,
     run_with_kernels,
     step_at,
 )
@@ -47,6 +46,7 @@ _MAGIC = b"TSMX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, gp_count, K
 _REC_HEAD = struct.Struct("<Qd")  # step, time
+_ORDER0_META = {"kind": "order0", "order": 0}  # order 0's History.meta in both modes
 
 
 class ExchangeFormatError(Exception):
@@ -277,13 +277,14 @@ def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,
     Returns (history, reader): the history is bitwise identical to
     run_deterministic with xi = 0; the reader has verified the file.
     """
-    quad = quad or ElementQuadrature.build(problem.mesh)
+    p = problem
+    quad = quad or ElementQuadrature.build(p.mesh)
+    kern = deterministic_kernels(p.params, 0.0, dt)
     with ExchangeFileWriter(exchange_path, config.exchange_interval, quad.n_gauss) as sink:
-        hist = run_deterministic(problem.mesh, problem.loads, problem.params,
-                                 0.0, dt, output_times, quad=quad,
-                                 exchange_hook=sink.hook, force_stride=force_stride,
-                                 mass_damping=problem.mass_damping)
-    hist.meta["kind"] = "order0"
+        hist = run_with_kernels(p.mesh, p.loads, p.params.rho, dt, output_times,
+                                kern.stress, kern.damage, quad=quad,
+                                exchange_hook=sink.hook, force_stride=force_stride,
+                                mass_damping=p.mass_damping, meta=_ORDER0_META)
     return hist, ExchangeFileReader(exchange_path)
 
 
@@ -313,7 +314,7 @@ def run_order1(problem: Problem, reader: ExchangeFileReader, dt: float, output_t
                             output_times, kern.stress, kern.damage, quad=quad,
                             dirichlet_scale=0.0, force_stride=force_stride,
                             mass_damping=problem.mass_damping,
-                            meta={"kind": "order1", "K": reader.K})
+                            meta={"kind": "order1", "order": 1, "K": reader.K})
 
 
 @dataclass
@@ -329,7 +330,8 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     """The order-0 and order-1 simulations, exchanging records every K steps.
 
     File mode is decoupled: ``run_order0`` runs to completion, writing the
-    stream to ``exchange_path`` (a temporary file when not given), then
+    stream to ``exchange_path`` (a file in a temporary directory when not
+    given), then
     ``run_order1`` reads it back.  In-memory mode runs the two orders in
     lockstep (``_run_lockstep``) with memory O(1) in K.  Both modes apply
     the same K-step zero-order hold, so they agree bitwise.
@@ -338,21 +340,13 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     if config.exchange_mode == "in_memory":
         hist0, hist1 = _run_lockstep(problem, config.exchange_interval, dt,
                                      output_times, quad, force_stride)
-        return TsmSolution(history0=hist0, history1=hist1, config=config)
-    tmp = None
-    if exchange_path is None:
-        fd, tmp = tempfile.mkstemp(suffix=".tsmx")
-        os.close(fd)
-        exchange_path = tmp
-    try:
-        hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
-                                   exchange_path=exchange_path,
-                                   force_stride=force_stride)
-        hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
-                           force_stride=force_stride)
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.remove(tmp)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = exchange_path or os.path.join(tmp, "exchange.tsmx")
+            hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
+                                       exchange_path=path, force_stride=force_stride)
+            hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
+                               force_stride=force_stride)
     return TsmSolution(history0=hist0, history1=hist1, config=config)
 
 
@@ -363,8 +357,7 @@ def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
     At step n, order 0 steps first and its exchange hook posts its strain
     and damage to an ``InMemoryExchange`` when n % K == 0; then order 1
     steps and holds them.  Each engine times its own set-up, steps and
-    finish, so the hold counts as order 1's time.  A non-finite state names
-    its order.
+    finish, so the hold counts as order 1's time.
     """
     p = problem
     kern0 = deterministic_kernels(p.params, 0.0, dt)
@@ -373,24 +366,12 @@ def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
     e0 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
                         kern0.stress, kern0.damage, quad=quad, force_stride=force_stride,
                         mass_damping=p.mass_damping, exchange_hook=mailbox.hook,
-                        meta={"xi": 0.0, "kind": "order0"})
+                        meta=_ORDER0_META)
     e1 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
                         kern1.stress, kern1.damage, quad=quad, dirichlet_scale=0.0,
                         force_stride=force_stride, mass_damping=p.mass_damping,
-                        meta={"kind": "order1", "K": K})
-    order = 0
-    try:
-        for _ in range(e0.n_steps + 1):
-            order = 0
-            e0.step()
-            order = 1
-            e1.step()
-        order = 0
-        hist0 = e0.finish()
-        order = 1
-        return hist0, e1.finish()
-    except InstabilityError as exc:
-        raise InstabilityError(exc.step, exc.time, order=order) from exc
+                        meta={"kind": "order1", "order": 1, "K": K})
+    return run_engines(e0, e1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +405,13 @@ def loaded_set_name(hist: History) -> str:
     return sorted(sets)[0]
 
 
-def uq_summary(solution: TsmSolution, xi_second_moment: float | None = None) -> UqSummary:
+def uq_summary(solution: TsmSolution) -> UqSummary:
     """First-order moments: means are the order-0 fields; standard
-    deviations are sqrt(<xi^2>) times |first-order field| (first-order terms
-    can be negative, e.g. the damage-function sensitivity -exp(-d0)*d1, so
-    the absolute value keeps Std nonnegative)."""
-    xi2 = solution.config.xi_second_moment if xi_second_moment is None else xi_second_moment
-    if not 0.0 <= xi2 < np.inf:
-        raise ValueError(f"xi_second_moment must be finite and >= 0, got {xi2}")
+    deviations are sqrt(<xi^2>) (``solution.config.xi_second_moment``) times
+    |first-order field| (first-order terms can be negative, e.g. the
+    damage-function sensitivity -exp(-d0)*d1, so the absolute value keeps
+    Std nonnegative)."""
+    xi2 = solution.config.xi_second_moment
     s = float(np.sqrt(xi2))
     h0, h1 = solution.history0, solution.history1
     f_mean = np.exp(-h0.d)

@@ -25,6 +25,7 @@ from tsmfem.export import (
     write_vtk,
 )
 from tsmfem.mesh import generate_plate_with_hole
+from tsmfem.montecarlo import sample_xi
 from tsmfem.solver import run_deterministic
 
 
@@ -318,6 +319,9 @@ def test_cli_validation_error_exit_code(tmp_path):
     "output.snapshot_times=[.nan]",
     "generator.width=.nan", "generator.hole_radius=.inf", "generator.nx=2.5",
     "generator.kind=foo",
+    "load.amplitude=abc", "load.ramp_end=abc", "load.body_force=[1.0,0.0]",
+    "load.body_force=[a,0,0]", "mc.truncation=abc",
+    "load.dirichlet=[{set: top, axis: 1.9, amplitude: 0.0, ramp_end: 0.008}]",
     "--xi=nan", "--xi=inf", "--xi=-1"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     """A count below its minimum or not an integer, a real input that is
@@ -329,7 +333,9 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     exit 0 with every standard deviation nan, and ``--xi nan`` and
     ``material.eta=.nan`` to exit 2 at step 64; ``generator.nx=2.5`` and
     ``generator.kind=foo`` escaped as tracebacks, and ``generator.width=.nan``
-    was reported as an empty node set.)  ``mc.n`` goes through
+    was reported as an empty node set; a Dirichlet ``axis`` of 1.9 was
+    truncated to 1, and ``load.body_force=[1.0,0.0]`` failed in numpy after
+    the output directory existed.)  ``mc.n`` goes through
     run-mc, which would otherwise run the whole ensemble before its
     statistics fail; ``tsm.xi_second_moment`` goes through run-tsm."""
     command = ("run-mc" if setting.startswith("mc.n=") else
@@ -408,6 +414,27 @@ def test_cli_tsm_manifest_times_are_the_histories_wall_times(tmp_path, monkeypat
 def test_cli_io_error_exit_code(tmp_path):
     assert main(["compare", "--tsm", str(tmp_path / "nope"),
                  "--mc", str(tmp_path / "nope2")]) == 3
+
+
+def test_cli_run_mc_instability_in_a_worker_names_the_sample(tmp_path):
+    """An ensemble that diverges in a worker process exits 2 with one error
+    line naming the first sample, as with one worker, not with a broken
+    process pool's traceback and exit code 1."""
+    unstable = ["--set", "timestep.dt=1.0", "--set", "load.total_time=2000.0",
+                "--set", "material.eta=1e300", "--set", "mc.n=4"]
+    cfg = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    first = sample_xi(cfg.xi_dist, 4)[0]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsmfem.cli", "run-mc", "--preset", "plate_coarse_desk",
+         "--out", str(tmp_path), *unstable, "--set", "mc.workers=2"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    # numpy's overflow warnings come first; the error is the one last line
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == proc.stderr.splitlines()[-1:], proc.stderr
+    assert f"(sample xi={first:.6g})" in errors[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_instability_exit_code(tmp_path):

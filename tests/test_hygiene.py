@@ -1,12 +1,16 @@
 """Source hygiene: every module-level import in the package is used, no
 module reaches into another module's private (single-underscore) names, and
-no public function or class exists only for the tests to call.
+no public function or class exists only for the tests to call, and every
+exception class survives a pickle round trip.
 
 ``__init__.py`` is exempt from the import check because its imports are the
 package's re-exports.
 """
 
 import ast
+import importlib
+import inspect
+import pickle
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,33 @@ def test_no_public_function_only_tests_call():
             if definition.name not in exported | elsewhere | own:
                 unused.append(f"{stem}.{definition.name} (line {definition.lineno})")
     assert not unused, f"public names that no package code uses: {unused}"
+
+
+# constructor arguments of the exception classes whose fields are not a message
+_EXCEPTION_ARGS = {"InstabilityError": (64, 1.0, 0.1, 1)}
+
+
+def _exception_classes() -> list[type]:
+    out = []
+    for path in MODULES:
+        module = importlib.import_module(f"tsmfem.{path.stem}")
+        out += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                if issubclass(cls, BaseException) and cls.__module__ == module.__name__]
+    return out
+
+
+def test_exception_classes_found():
+    names = {cls.__name__ for cls in _exception_classes()}
+    assert {"ConfigError", "ExchangeFormatError", "InstabilityError",
+            "MeshFormatError"} <= names
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda cls: cls.__name__)
+def test_exception_survives_a_pickle_round_trip(cls):
+    """A process pool returns a worker's exception pickled; one whose
+    ``args`` are not its constructor's arguments fails to unpickle there,
+    and the pool breaks instead of reporting it."""
+    exc = cls(*_EXCEPTION_ARGS.get(cls.__name__, ("a message",)))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))

@@ -16,7 +16,7 @@ from tsmfem.montecarlo import (
     sample_xi,
     sigma_norm,
 )
-from tsmfem.solver import run_deterministic, stable_timestep
+from tsmfem.solver import InstabilityError, run_deterministic, stable_timestep
 from tsmfem.tsm import TsmConfig, run_tsm, uq_summary
 
 from test_tsm import coarse_plate_problem
@@ -151,6 +151,40 @@ def test_fd_oracle_rejects_large_h(tiny_problem, tiny_dt):
         fd_oracle(tiny_problem, 1.5, tiny_dt, [tiny_problem.loads.total_time])
 
 
+def _unstable_plate(cfl: float):
+    """A damage-free coarse plate run for 300 steps at ``cfl`` times the
+    mean's CFL estimate: at 1.0 its realizations with xi >= 0.3 diverge to
+    a non-finite state well inside the run and those with xi <= -0.5 stay
+    finite; at 2.0 both xi = 0.5 and xi = -0.5 diverge."""
+    base = coarse_plate_problem(eta=1e300)
+    dt = cfl * stable_timestep(base.mesh, base.params, 1.0)
+    return coarse_plate_problem(T=300 * dt, eta=1e300), dt
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_mc_instability_names_the_first_unstable_sample(workers):
+    """The error of an aborted ensemble names the first unstable sample in
+    ensemble order, for any worker count: a worker's error reaches the
+    caller whole, not as a broken process pool."""
+    problem, dt = _unstable_plate(1.0)
+    samples = [-0.6, -0.5, 0.5, 0.8, 0.3]
+    with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
+        run_mc(problem, samples, dt, [problem.loads.total_time], workers=workers)
+    assert (err.value.xi, err.value.order) == (0.5, None)
+    assert "(sample xi=0.5)" in str(err.value)
+
+
+def test_fd_oracle_instability_names_the_plus_h_run():
+    """Both perturbed runs diverge; the error names the first, at +h."""
+    problem, dt = _unstable_plate(2.0)
+    with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
+        run_deterministic(problem.mesh, problem.loads, problem.params, -0.5, dt, [])
+    assert err.value.xi == -0.5
+    with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
+        fd_oracle(problem, 0.5, dt, [problem.loads.total_time])
+    assert (err.value.xi, err.value.order) == (0.5, None)
+
+
 # ---------------------------------------------------------------------------
 # comparison and line extraction
 # ---------------------------------------------------------------------------
@@ -160,10 +194,11 @@ def test_fd_oracle_rejects_large_h(tiny_problem, tiny_dt):
 def small_campaign(tiny_problem, tiny_dt):
     T = tiny_problem.loads.total_time
     outputs = [T / 2, T]
-    sol = run_tsm(tiny_problem, TsmConfig(exchange_interval=1), tiny_dt, outputs)
     xis = sample_xi(XiDistribution(std=0.1, seed=5), 16)
+    config = TsmConfig(exchange_interval=1, xi_second_moment=float((xis**2).mean()))
+    sol = run_tsm(tiny_problem, config, tiny_dt, outputs)
     ens = run_mc(tiny_problem, xis, tiny_dt, outputs)
-    tsm_uq = uq_summary(sol, xi_second_moment=float((xis**2).mean()))
+    tsm_uq = uq_summary(sol)
     mc_uq = mc_statistics(ens)
     return tiny_problem, tsm_uq, mc_uq
 
@@ -173,7 +208,7 @@ def test_compare_identical_is_zero(small_campaign):
     rep = compare(tsm_uq, tsm_uq)
     assert rep.summary["f_mean_abs_err_max"] == 0.0
     assert rep.summary["f_std_rel_err_masked"] == 0.0
-    assert rep.force_mean_rel_err == 0.0
+    assert rep.summary["force_mean_rel_err"] == 0.0
 
 
 def test_compare_mask_is_exhaustive(small_campaign):

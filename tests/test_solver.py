@@ -21,6 +21,7 @@ from tsmfem.solver import (
     lumped_mass,
     reaction_sums,
     run_deterministic,
+    run_engines,
     set_sum_operator,
     stable_timestep,
 )
@@ -67,7 +68,7 @@ def test_mass_conservation_plate():
     mesh = generate_plate_with_hole()
     quad = ElementQuadrature.build(mesh)
     m = lumped_mass(mesh, PARAMS.rho, quad)
-    vol = quad.element_volumes().sum()
+    vol = quad.detJw.sum()
     assert abs(m.sum() - PARAMS.rho * vol) <= 1e-12 * PARAMS.rho * vol
 
 
@@ -672,6 +673,15 @@ def test_step_results_survive_the_next_steps():
     assert eng.n == 20 and kept[-1][1].max() > 0.0  # the damage evolves
     for eps, d, eps_then, d_then in kept:
         assert np.array_equal(eps, eps_then) and np.array_equal(d, d_then)
+
+
+def test_run_engines_needs_one_step_grid():
+    """Engines stepped in lockstep share dt and the step count; a second
+    engine on another grid is rejected before any step runs."""
+    first = _coarse_engine()
+    with pytest.raises(ValueError, match="one step grid"):
+        run_engines(first, _coarse_engine(dt=0.5 * first.dt))
+    assert first.n == 0
 
 
 _NAN, _INF = float("nan"), float("inf")

@@ -345,28 +345,29 @@ def test_lockstep_memory_does_not_grow_with_exchange_rate():
     assert peak_every - peak_rare < 0.1 * record_bytes
 
 
-def test_lockstep_instability_names_the_order(monkeypatch):
-    # order 0: far past the CFL limit with damage off, so nothing caps the growth
-    problem = coarse_plate_problem(T=1000.0, eta=1e300)
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("mode", ["in_memory", "file"])
+def test_tsm_instability_names_the_order(monkeypatch, mode, order):
+    """A non-finite state names its TSM order, in either exchange mode."""
+    if order == 0:
+        # far past the CFL limit with damage off, so nothing caps the growth
+        problem, dt, step = coarse_plate_problem(T=1000.0, eta=1e300), 1.0, 64
+    else:
+        # a stable run whose order-1 stress turns non-finite at step 70
+        stress1 = FirstOrderKernels.stress
+
+        def poisoned(self, d1, eps1, step):
+            sigma = stress1(self, d1, eps1, step)
+            return sigma * np.nan if step == 70 else sigma
+
+        monkeypatch.setattr(FirstOrderKernels, "stress", poisoned)
+        problem = coarse_plate_problem(T=1e-3)
+        dt, step = stable_timestep(problem.mesh, problem.params, 0.5), 128
+    config = TsmConfig(exchange_interval=1, exchange_mode=mode)
     with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
-        run_tsm(problem, TsmConfig(exchange_interval=1), 1.0, [problem.loads.total_time])
-    assert (err.value.step, err.value.order) == (64, 0)
-    assert "in TSM order 0" in str(err.value)
-
-    # order 1: a stable run whose order-1 stress turns non-finite at step 70
-    stress1 = FirstOrderKernels.stress
-
-    def poisoned(self, d1, eps1, step):
-        sigma = stress1(self, d1, eps1, step)
-        return sigma * np.nan if step == 70 else sigma
-
-    monkeypatch.setattr(FirstOrderKernels, "stress", poisoned)
-    problem = coarse_plate_problem(T=1e-3)
-    dt = stable_timestep(problem.mesh, problem.params, 0.5)
-    with pytest.raises(InstabilityError) as err:
-        run_tsm(problem, TsmConfig(exchange_interval=1), dt, [problem.loads.total_time])
-    assert (err.value.step, err.value.order) == (128, 1)
-    assert "in TSM order 1" in str(err.value)
+        run_tsm(problem, config, dt, [problem.loads.total_time])
+    assert (err.value.step, err.value.xi, err.value.order) == (step, None, order)
+    assert str(err.value).endswith(f"in TSM order {order}")
 
 
 def test_lockstep_wall_times_add_up_to_the_observed_time():
