@@ -272,9 +272,12 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     for i, row in enumerate(table):
         key = f"load.dirichlet[{i}]"
         _check_keys(row, ["set", "axis", "amplitude", "ramp_end"], key)
-        axis = _count(row["axis"], f"{key}.axis", minimum=0, maximum=2)
         if end is not None:
             row["ramp_end"] = end
+        for name in ("set", "axis", "amplitude", "ramp_end"):
+            if name not in row:
+                raise ConfigError(f"{key}.{name} is required")
+        axis = _count(row["axis"], f"{key}.axis", minimum=0, maximum=2)
         a = _number(row["amplitude"], f"{key}.amplitude")
         if amp is not None and a != 0.0:
             row["amplitude"] = a = amp

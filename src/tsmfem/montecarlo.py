@@ -90,7 +90,8 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
     processes but the ensemble order (and therefore every statistic) is
     that of ``samples``.  An unstable run aborts the whole ensemble; its
     ``InstabilityError`` names the first unstable realization in that
-    order, for any number of workers.
+    order, for any number of workers; the samples not yet handed to a
+    worker by then are cancelled.
     """
     samples = np.asarray(samples, dtype=float)
     for xi in samples:
@@ -100,8 +101,15 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
         quad = quad or ElementQuadrature.build(problem.mesh)
         histories = [_run_sample(job, quad) for job in jobs]
     else:
+        # one sample per task: tasks already handed to a worker cannot be
+        # cancelled, and chunks of several samples would hand over most of
+        # a small ensemble at once
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            histories = list(pool.map(_run_sample, jobs, chunksize=4))
+            try:
+                histories = list(pool.map(_run_sample, jobs))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     return McEnsemble(xis=samples, histories=histories)
 
 

@@ -478,13 +478,18 @@ class ExplicitEngine:
 
 def run_engines(*engines: ExplicitEngine) -> list[History]:
     """The one integrator loop: each step of the engines' common grid runs
-    on each engine in turn, then each is finished; returns their histories."""
+    on each engine in turn, then each is finished; returns their histories.
+
+    A diverging state overflows before the periodic scan reports it, so
+    numpy's overflow and invalid-value warnings are off in the loop: the
+    ``InstabilityError`` is the one report."""
     grid = (engines[0].dt, engines[0].n_steps)
     if any((e.dt, e.n_steps) != grid for e in engines):
         raise ValueError("engines stepped together need one step grid")
-    for _ in range(grid[1] + 1):
-        for engine in engines:
-            engine.step()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(grid[1] + 1):
+            for engine in engines:
+                engine.step()
     return [engine.finish() for engine in engines]
 
 

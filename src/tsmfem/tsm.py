@@ -12,19 +12,32 @@ a cheap post-processing pass that only needs the second moment <xi^2>.
 Two exchange modes carry the stream, and order 1 takes it by one rule in
 both: at each step n with n % K == 0 it takes the next record, checks that
 it is step n's and holds it (``FirstOrderKernels``).  File mode is the
-decoupled protocol: order 0 runs to completion writing a checksummed
-record file (``run_order0``), then order 1 reads it back (``run_order1``).
-In-memory mode advances both orders in lockstep, one ``ExplicitEngine``
-step each, and order 0's live state reaches order 1 through a one-record
-mailbox (``InMemoryExchange``), so nothing is copied and memory is O(1)
-in K.  Both modes give bitwise equal results.
+decoupled protocol on two concurrent processes: order 0 writes the records
+to a file here (``run_order0``, ``ExchangeFileWriter``) and announces each
+one over a pipe once it is flushed; order 1 runs in a forked child process
+and reads each record once it is announced, after checking its CRC
+(``run_order1``, ``ExchangeFileReader``).  Where the platform cannot fork,
+order 0 runs to completion first.  In-memory mode advances both orders in
+lockstep, one ``ExplicitEngine`` step each, and order 0's live state
+reaches order 1 through a one-record mailbox (``InMemoryExchange``), so
+nothing is copied and memory is O(1) in K.  Both modes give bitwise equal
+results.
+
+Exchange file, format version 2 (little-endian): a 24-byte header (magic
+``TSMX``, u32 version, u64 Gauss-point count, u64 K); then one record per
+K steps: u64 step, f64 time, the (ngp, 6) strains row by row and the (ngp,)
+damage as f64, and the u32 CRC32 of those bytes; then a 12-byte trailer:
+u64 record count and the u32 stream CRC, the CRC32 of the header followed
+by every record's CRC.  Only a writer that finished writes the trailer.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import struct
 import tempfile
+import time as _time
 import zlib
 from dataclasses import dataclass, field
 
@@ -43,9 +56,12 @@ from .solver import (
 )
 
 _MAGIC = b"TSMX"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, gp_count, K
 _REC_HEAD = struct.Struct("<Qd")  # step, time
+_CRC = struct.Struct("<I")  # a record's CRC32, after its payload
+_TRAILER = struct.Struct("<QI")  # record count, stream CRC
+_SEALED = -1  # the writer's announcement of its trailer
 _ORDER0_META = {"kind": "order0", "order": 0}  # order 0's History.meta in both modes
 
 
@@ -119,103 +135,185 @@ class InMemoryExchange:
 
 
 class ExchangeFileWriter:
-    """Streams exchange records to disk; a CRC32 trailer seals the file."""
+    """Streams exchange records to disk, each followed by the CRC32 of its
+    head and payload; ``close`` seals the stream with the trailer.  Leaving
+    a ``with`` block by an exception closes the file unsealed, so no reader
+    accepts what a failed run wrote.
 
-    def __init__(self, path, exchange_interval: int, gp_count: int):
+    ``announce``, when given, is called with the number of records written
+    once the header (0) and each record are flushed, and with ``_SEALED``
+    once the trailer is: the announcements a live ``ExchangeFileReader``
+    follows."""
+
+    def __init__(self, path, exchange_interval: int, gp_count: int, announce=None):
         self.K = exchange_interval
+        self.n_records = 0
+        self._announce = announce
+        head = _HEADER.pack(_MAGIC, _VERSION, gp_count, exchange_interval)
         self._fh = open(path, "wb")
-        self._crc = 0
-        self._write(_HEADER.pack(_MAGIC, _VERSION, gp_count, exchange_interval))
+        self._fh.write(head)
+        self._crc = zlib.crc32(head)  # the stream CRC: header, then each record's CRC
+        self._published()
 
-    def _write(self, data):
-        """Write and checksum ``data`` (bytes or a C-contiguous array)."""
-        self._fh.write(data)
-        self._crc = zlib.crc32(data, self._crc)
+    def _published(self):
+        if self._announce is not None:
+            self._fh.flush()
+            self._announce(self.n_records)
 
     def write_record(self, step, time, eps, d):
-        self._write(_REC_HEAD.pack(step, time))
+        head = _REC_HEAD.pack(step, time)
         # interleaved (ngp, 6) C-order bytes, whatever the memory order of eps
-        self._write(np.ascontiguousarray(eps, dtype="<f8"))
-        self._write(np.ascontiguousarray(d, dtype="<f8"))
+        eps = np.ascontiguousarray(eps, dtype="<f8")
+        d = np.ascontiguousarray(d, dtype="<f8")
+        crc = _CRC.pack(zlib.crc32(d, zlib.crc32(eps, zlib.crc32(head))))
+        for part in (head, eps, d, crc):
+            self._fh.write(part)
+        self._crc = zlib.crc32(crc, self._crc)
+        self.n_records += 1
+        self._published()
 
     def hook(self, step, time, eps, d):
         if step % self.K == 0:
             self.write_record(step, time, eps, d)
 
     def close(self):
+        """Seal the stream: the trailer holds the record count and the
+        stream CRC."""
         if not self._fh.closed:
-            self._fh.write(struct.pack("<I", self._crc))
+            self._fh.write(_TRAILER.pack(self.n_records, self._crc))
             self._fh.close()
+            if self._announce is not None:
+                self._announce(_SEALED)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
 
 
 def _record_size(gp_count: int) -> int:
-    return _REC_HEAD.size + gp_count * 7 * 8
+    return _REC_HEAD.size + gp_count * 7 * 8 + _CRC.size
 
 
-def _read_and_check_header(fh, path):
-    head = fh.read(_HEADER.size)
+def _check_header(head: bytes, path) -> tuple[int, int]:
+    """(gp_count, K) of a file header."""
     if len(head) < _HEADER.size:
         raise ExchangeFormatError(f"{path}: truncated header")
     magic, version, gp_count, K = _HEADER.unpack(head)
     if magic != _MAGIC:
         raise ExchangeFormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
-        raise ExchangeFormatError(f"{path}: unsupported version {version}")
+        raise ExchangeFormatError(f"{path}: unsupported version {version} "
+                                  f"(this reader reads version {_VERSION})")
     return gp_count, K
 
 
 class ExchangeFileReader:
-    """Validated, streaming reader: the whole file is checksum-verified up
-    front, then records are yielded one at a time (constant memory)."""
+    """Validating, streaming reader of an exchange file.
 
-    def __init__(self, path):
+    Without ``announcements`` the file must be sealed: the constructor
+    checks the CRC of every record, then the trailer's record count and
+    stream CRC, and sets ``n_records``.  With ``announcements``, the
+    receiving end of a live writer's announcements (a ``multiprocessing``
+    connection), the file is read while it is written: each record once it
+    is announced, and the trailer once the seal is, which sets
+    ``n_records``.  ``wait_s`` is the time spent waiting for announcements.
+
+    Iteration yields the records one at a time (constant memory), each
+    only after its CRC has matched.
+    """
+
+    def __init__(self, path, announcements=None):
         self.path = path
+        self.wait_s = 0.0
+        self.n_records = None
+        self._announcements = announcements
+        self._announced = 0  # records that may be read
+        if announcements is not None:
+            self._announced = self._await()  # the header's
         with open(path, "rb") as fh:
-            self.gp_count, self.K = _read_and_check_header(fh, path)
-        size = os.path.getsize(path)
-        body = size - _HEADER.size - 4
-        rec = _record_size(self.gp_count)
-        if body < 0 or body % rec != 0:
-            raise ExchangeFormatError(
-                f"{path}: truncated or misaligned payload ({body} bytes, record={rec})"
-            )
-        self.n_records = body // rec
-        crc = 0
-        with open(path, "rb") as fh:
-            remaining = size - 4
-            while remaining > 0:
-                chunk = fh.read(min(1 << 20, remaining))
-                if not chunk:
-                    raise ExchangeFormatError(f"{path}: unexpected end of file")
-                remaining -= len(chunk)
-                crc = zlib.crc32(chunk, crc)
-            stored = struct.unpack("<I", fh.read(4))[0]
+            self._head = fh.read(_HEADER.size)
+            self.gp_count, self.K = _check_header(self._head, path)
+            self._rec = _record_size(self.gp_count)
+            if announcements is None:
+                body = os.fstat(fh.fileno()).st_size - _HEADER.size
+                if body % self._rec == 0:
+                    raise ExchangeFormatError(f"{path}: unsealed stream, no trailer "
+                                              f"(its writer did not finish)")
+                if body < _TRAILER.size or (body - _TRAILER.size) % self._rec:
+                    raise ExchangeFormatError(
+                        f"{path}: truncated or misaligned payload "
+                        f"({body} bytes, record={self._rec})")
+                self._announced = (body - _TRAILER.size) // self._rec
+                self._seal(fh, 0, zlib.crc32(self._head))
+
+    def _await(self) -> int:
+        """The writer's next announcement, waited for."""
+        t0 = _time.perf_counter()
+        try:
+            return self._announcements.recv()
+        except EOFError:
+            raise ExchangeFormatError(f"{self.path}: the writer stopped "
+                                      f"before sealing the stream") from None
+        finally:
+            self.wait_s += _time.perf_counter() - t0
+
+    def _checked(self, i: int, buf: bytes) -> bytes:
+        """The CRC field of record i, whose bytes ``buf`` are, once it matches."""
+        if len(buf) < self._rec:
+            raise ExchangeFormatError(f"{self.path}: record {i} truncated")
+        crc = buf[-_CRC.size:]
+        if _CRC.pack(zlib.crc32(memoryview(buf)[:-_CRC.size])) != crc:
+            raise ExchangeFormatError(f"{self.path}: checksum mismatch in record {i}")
+        return crc
+
+    def _seal(self, fh, i: int, crc: int) -> None:
+        """Check records i, i + 1, ... (from ``fh``'s position) and the
+        trailer after them; ``crc`` is the stream CRC up to record i."""
+        for j in range(i, self._announced):
+            crc = zlib.crc32(self._checked(j, fh.read(self._rec)), crc)
+        trailer = fh.read(_TRAILER.size)
+        if len(trailer) < _TRAILER.size:
+            raise ExchangeFormatError(f"{self.path}: truncated trailer")
+        count, stored = _TRAILER.unpack(trailer)
+        if count != self._announced:
+            raise ExchangeFormatError(f"{self.path}: trailer counts {count} records, "
+                                      f"the stream holds {self._announced}")
         if crc != stored:
-            raise ExchangeFormatError(f"{path}: checksum mismatch")
+            raise ExchangeFormatError(f"{self.path}: stream checksum mismatch")
+        self.n_records = count
 
     def __iter__(self):
-        rec = _record_size(self.gp_count)
-        prev_step = -1
+        rec, gp = self._rec, self.gp_count
+        crc, prev_step = zlib.crc32(self._head), -1
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
-            for _ in range(self.n_records):
+            i = 0
+            while True:
+                while i == self._announced and self.n_records is None:
+                    n = self._await()
+                    if n == _SEALED:
+                        self._seal(fh, i, crc)
+                    else:
+                        self._announced = n
+                if i == self._announced:
+                    return
                 buf = fh.read(rec)
+                crc = zlib.crc32(self._checked(i, buf), crc)
                 step, t = _REC_HEAD.unpack_from(buf)
                 if step <= prev_step:
                     raise ExchangeFormatError(f"{self.path}: steps not increasing at {step}")
                 prev_step = step
                 off = _REC_HEAD.size
-                eps = np.frombuffer(buf, dtype="<f8", count=self.gp_count * 6,
-                                    offset=off).reshape(self.gp_count, 6).copy()
-                off += self.gp_count * 48
-                d = np.frombuffer(buf, dtype="<f8", count=self.gp_count, offset=off).copy()
+                eps = np.frombuffer(buf, dtype="<f8", count=gp * 6,
+                                    offset=off).reshape(gp, 6).copy()
+                d = np.frombuffer(buf, dtype="<f8", count=gp, offset=off + gp * 48).copy()
                 yield ExchangeRecord(step, t, eps, d)
+                i += 1
 
 
 def write_exchange(records, path, exchange_interval: int = 1) -> None:
@@ -267,12 +365,21 @@ class FirstOrderKernels:
     def damage(self, d1, eps1, step):
         return self.law.damage(d1, eps1)
 
+    def finish(self) -> None:
+        """Check that the source ends after the last record taken; a live
+        exchange file ends at its seal, whose trailer is checked here."""
+        rec = next(self._records, None)
+        if rec is not None:
+            raise ExchangeFormatError(f"exchange stream continues past the last step "
+                                      f"with step {rec.step}")
+
 
 def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,
                exchange_path, quad: ElementQuadrature | None = None,
-               force_stride: int = 1):
+               force_stride: int = 1, announce=None):
     """Mean-stiffness simulation, writing an exchange record every K steps
-    to the file ``exchange_path``.
+    to the file ``exchange_path``; ``announce`` is the writer's (see
+    ``ExchangeFileWriter``).
 
     Returns (history, reader): the history is bitwise identical to
     run_deterministic with xi = 0; the reader has verified the file.
@@ -280,7 +387,8 @@ def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,
     p = problem
     quad = quad or ElementQuadrature.build(p.mesh)
     kern = deterministic_kernels(p.params, 0.0, dt)
-    with ExchangeFileWriter(exchange_path, config.exchange_interval, quad.n_gauss) as sink:
+    with ExchangeFileWriter(exchange_path, config.exchange_interval, quad.n_gauss,
+                            announce) as sink:
         hist = run_with_kernels(p.mesh, p.loads, p.params.rho, dt, output_times,
                                 kern.stress, kern.damage, quad=quad,
                                 exchange_hook=sink.hook, force_stride=force_stride,
@@ -291,7 +399,9 @@ def run_order0(problem: Problem, dt: float, output_times, config: TsmConfig, *,
 def run_order1(problem: Problem, reader: ExchangeFileReader, dt: float, output_times, *,
                quad: ElementQuadrature | None = None,
                force_stride: int = 1) -> History:
-    """Sensitivity simulation consuming the order-0 exchange file.
+    """Sensitivity simulation consuming the order-0 exchange file, sealed
+    or live.  The history's ``wall_time`` leaves out the time spent waiting
+    for a live file's records: that time is order 0's.
 
     All Dirichlet values are homogeneous (the prescribed ramp does not
     depend on the random variable, so its derivative vanishes).
@@ -304,17 +414,22 @@ def run_order1(problem: Problem, reader: ExchangeFileReader, dt: float, output_t
         )
     n_steps = step_at(problem.loads.total_time, dt)
     expected = n_steps // reader.K + 1
-    if reader.n_records < expected:
+    if reader.n_records is not None and reader.n_records != expected:
         raise ValueError(
-            f"order-0 source too short: {reader.n_records} records, "
-            f"need {expected} to cover {n_steps} steps at K={reader.K}"
+            f"order-0 source too {'short' if reader.n_records < expected else 'long'}: "
+            f"{reader.n_records} records, need {expected} to cover {n_steps} steps "
+            f"at K={reader.K}"
         )
     kern = FirstOrderKernels(problem.params.stiffness, problem.params.eta, dt, reader)
-    return run_with_kernels(problem.mesh, problem.loads, problem.params.rho, dt,
+    waited = reader.wait_s
+    hist = run_with_kernels(problem.mesh, problem.loads, problem.params.rho, dt,
                             output_times, kern.stress, kern.damage, quad=quad,
                             dirichlet_scale=0.0, force_stride=force_stride,
                             mass_damping=problem.mass_damping,
                             meta={"kind": "order1", "order": 1, "K": reader.K})
+    hist.wall_time -= reader.wait_s - waited
+    kern.finish()
+    return hist
 
 
 @dataclass
@@ -322,6 +437,7 @@ class TsmSolution:
     history0: History
     history1: History
     config: TsmConfig
+    order1_wait: float = 0.0  # seconds order 1 waited for order 0's records
 
 
 def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
@@ -329,25 +445,102 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
             force_stride: int = 1) -> TsmSolution:
     """The order-0 and order-1 simulations, exchanging records every K steps.
 
-    File mode is decoupled: ``run_order0`` runs to completion, writing the
-    stream to ``exchange_path`` (a file in a temporary directory when not
-    given), then
-    ``run_order1`` reads it back.  In-memory mode runs the two orders in
-    lockstep (``_run_lockstep``) with memory O(1) in K.  Both modes apply
-    the same K-step zero-order hold, so they agree bitwise.
+    File mode streams: ``run_order0`` writes the stream to
+    ``exchange_path`` (a file in a temporary directory when not given)
+    here, while ``run_order1`` reads each record once it is announced, in
+    a forked child process (``_Order1Process``).  Where the platform cannot
+    fork, ``run_order0`` runs to completion first.  In-memory mode runs
+    the two orders in lockstep (``_run_lockstep``) with memory O(1) in K.
+    Both modes apply the same K-step zero-order hold, so they agree
+    bitwise.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
+    wait = 0.0
     if config.exchange_mode == "in_memory":
         hist0, hist1 = _run_lockstep(problem, config.exchange_interval, dt,
                                      output_times, quad, force_stride)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             path = exchange_path or os.path.join(tmp, "exchange.tsmx")
-            hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
-                                       exchange_path=path, force_stride=force_stride)
-            hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
-                               force_stride=force_stride)
-    return TsmSolution(history0=hist0, history1=hist1, config=config)
+            if "fork" in multiprocessing.get_all_start_methods():
+                with _Order1Process(problem, path, dt, output_times, quad,
+                                    force_stride) as order1:
+                    hist0, _ = run_order0(problem, dt, output_times, config, quad=quad,
+                                          exchange_path=path, force_stride=force_stride,
+                                          announce=order1.announce)
+                    hist1, wait = order1.result()
+            else:
+                hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
+                                           exchange_path=path, force_stride=force_stride)
+                hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
+                                   force_stride=force_stride)
+    return TsmSolution(history0=hist0, history1=hist1, config=config, order1_wait=wait)
+
+
+class _Order1Process:
+    """Order 1 in a child process forked from this one, reading the
+    exchange file that order 0 writes here as the writer announces it.
+
+    ``announce`` is the writer's callback: it passes each announcement on
+    and, at each record, raises the child's error once the child has sent
+    one, so an order-1 failure stops order 0 at its next record.
+    ``result()`` waits for order 1's (history, wait) or raises its error.
+    Leaving the ``with`` block joins the child, terminating it first when
+    the block is left by an exception.  A plain ``Pipe`` carries both
+    directions, so no helper process is started.
+    """
+
+    def __init__(self, problem: Problem, path, dt: float, output_times,
+                 quad: ElementQuadrature, force_stride: int):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._process = ctx.Process(target=_order1_child, daemon=True,
+                                    args=(child_end, problem, path, dt, output_times,
+                                          quad, force_stride))
+        self._process.start()
+        child_end.close()
+
+    def announce(self, n: int) -> None:
+        try:
+            self._conn.send(n)
+        except ConnectionError:  # the child has ended; what it sent says why
+            pass
+        if n != _SEALED and self._conn.poll():  # before the seal, only a failure
+            self.result()
+
+    def result(self):
+        try:
+            out = self._conn.recv()
+        except EOFError:
+            self._process.join()
+            raise ChildProcessError(f"the order-1 process exited with code "
+                                    f"{self._process.exitcode} and no result") from None
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None:
+            self._process.terminate()
+        self._process.join()
+        self._conn.close()
+
+
+def _order1_child(conn, problem: Problem, path, dt: float, output_times,
+                  quad: ElementQuadrature, force_stride: int) -> None:
+    """The order-1 process: reads the stream at ``path`` as ``conn``
+    announces it and sends back (history, wait), or its exception, which
+    the parent raises."""
+    try:
+        reader = ExchangeFileReader(path, announcements=conn)
+        hist = run_order1(problem, reader, dt, output_times, quad=quad,
+                          force_stride=force_stride)
+        conn.send((hist, reader.wait_s))
+    except BaseException as exc:
+        conn.send(exc)
 
 
 def _run_lockstep(problem: Problem, K: int, dt: float, output_times,

@@ -322,6 +322,9 @@ def test_cli_validation_error_exit_code(tmp_path):
     "load.amplitude=abc", "load.ramp_end=abc", "load.body_force=[1.0,0.0]",
     "load.body_force=[a,0,0]", "mc.truncation=abc",
     "load.dirichlet=[{set: top, axis: 1.9, amplitude: 0.0, ramp_end: 0.008}]",
+    "load.dirichlet=[{axis: 1, amplitude: 0.0, ramp_end: 0.008}]",
+    "load.dirichlet=[{set: top, amplitude: 0.0, ramp_end: 0.008}]",
+    "load.dirichlet=[{set: top, axis: 1, ramp_end: 0.008}]",
     "--xi=nan", "--xi=inf", "--xi=-1"])
 def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     """A count below its minimum or not an integer, a real input that is
@@ -334,8 +337,9 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     ``material.eta=.nan`` to exit 2 at step 64; ``generator.nx=2.5`` and
     ``generator.kind=foo`` escaped as tracebacks, and ``generator.width=.nan``
     was reported as an empty node set; a Dirichlet ``axis`` of 1.9 was
-    truncated to 1, and ``load.body_force=[1.0,0.0]`` failed in numpy after
-    the output directory existed.)  ``mc.n`` goes through
+    truncated to 1, a Dirichlet row without ``set``, ``axis`` or
+    ``amplitude`` escaped as a ``KeyError``, and ``load.body_force=[1.0,0.0]``
+    failed in numpy after the output directory existed.)  ``mc.n`` goes through
     run-mc, which would otherwise run the whole ensemble before its
     statistics fail; ``tsm.xi_second_moment`` goes through run-tsm."""
     command = ("run-mc" if setting.startswith("mc.n=") else
@@ -411,6 +415,52 @@ def test_cli_tsm_manifest_times_are_the_histories_wall_times(tmp_path, monkeypat
     assert walls["total"] == walls["order0"] + walls["order1"] + walls["post"]
 
 
+def test_cli_tsm_file_mode_manifest_keeps_the_wait_out_of_the_cost(tmp_path, monkeypatch):
+    """In file mode order 1 runs in a child process, behind order 0: the
+    manifest reports the time it waited for order 0's records as
+    ``order1_wait``, outside ``order1`` and ``total``, and the run's wall
+    clock as ``elapsed``."""
+    import tsmfem.cli as cli
+
+    solutions = []
+
+    def recording_run_tsm(*args, **kwargs):
+        solutions.append(cli_run_tsm(*args, **kwargs))
+        return solutions[-1]
+
+    cli_run_tsm = cli.run_tsm
+    monkeypatch.setattr(cli, "run_tsm", recording_run_tsm)
+    out = str(tmp_path / "out")
+    assert main(["run-tsm", "--preset", "plate_coarse_desk", "--out", out,
+                 "--set", "load.total_time=0.001", "--set", "load.ramp_end=0.001",
+                 "--set", "tsm.exchange_interval=1", "--set", "tsm.exchange_mode=file"]) == 0
+    (sol,) = solutions
+    walls = read_manifest(os.path.join(out, "tsm", "manifest.yaml"))["wall_times_s"]
+    assert walls["order0"] == sol.history0.wall_time > 0.0
+    assert walls["order1"] == sol.history1.wall_time > 0.0
+    assert walls["order1_wait"] == sol.order1_wait >= 0.0
+    assert walls["total"] == walls["order0"] + walls["order1"] + walls["post"]
+    # order 1's cost and its wait both happened inside the run
+    assert walls["order1"] + walls["order1_wait"] <= walls["elapsed"]
+
+
+@pytest.mark.parametrize("command, setting", [("run-mc", "mc.workers=2"),
+                                              ("run-tsm", "tsm.exchange_mode=file")])
+def test_cli_unstable_run_prints_one_error_line(tmp_path, command, setting):
+    """A diverging run in a worker or in the order-1 process exits 2 with
+    its one error line on stderr, and no numpy warnings before it."""
+    unstable = ["--set", "timestep.dt=1.0", "--set", "load.total_time=2000.0",
+                "--set", "material.eta=1e300", "--set", "mc.n=4", "--set", setting]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsmfem.cli", command, "--preset", "plate_coarse_desk",
+         "--out", str(tmp_path), *unstable],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: non-finite state at step "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_cli_io_error_exit_code(tmp_path):
     assert main(["compare", "--tsm", str(tmp_path / "nope"),
                  "--mc", str(tmp_path / "nope2")]) == 3
@@ -430,7 +480,7 @@ def test_cli_run_mc_instability_in_a_worker_names_the_sample(tmp_path):
          "--out", str(tmp_path), *unstable, "--set", "mc.workers=2"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 2, proc.stderr
-    # numpy's overflow warnings come first; the error is the one last line
+    # the error is the one last line
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
     assert errors == proc.stderr.splitlines()[-1:], proc.stderr
     assert f"(sample xi={first:.6g})" in errors[0]

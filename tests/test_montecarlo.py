@@ -1,8 +1,13 @@
 """Sampling, ensemble statistics, the FD oracle, and comparison reports."""
 
+import functools
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from tsmfem import montecarlo
 from tsmfem.montecarlo import (
     LineTable,
     McEnsemble,
@@ -172,6 +177,34 @@ def test_run_mc_instability_names_the_first_unstable_sample(workers):
         run_mc(problem, samples, dt, [problem.loads.total_time], workers=workers)
     assert (err.value.xi, err.value.order) == (0.5, None)
     assert "(sample xi=0.5)" in str(err.value)
+
+
+_RUN_SAMPLE = montecarlo._run_sample
+
+
+def _marked_run_sample(marker_dir, job, quad=None):
+    """``montecarlo._run_sample`` that first leaves a marker file in
+    ``marker_dir``, one per sample started."""
+    fd, _ = tempfile.mkstemp(dir=marker_dir)
+    os.close(fd)
+    return _RUN_SAMPLE(job, quad)
+
+
+def test_run_mc_does_not_run_queued_samples_after_an_unstable_one(monkeypatch, tmp_path):
+    """With two workers, the first sample diverges at step 256 of 3000 while
+    the 15 stable ones behind it wait: only those already handed to a
+    worker still run (six here), the rest are cancelled.  (In chunks of
+    four samples, 13 of the 16 ran before the error was raised.)"""
+    base = coarse_plate_problem(eta=1e300)
+    dt = stable_timestep(base.mesh, base.params, 1.0)
+    problem = coarse_plate_problem(T=3000 * dt, eta=1e300)
+    monkeypatch.setattr(montecarlo, "_run_sample",
+                        functools.partial(_marked_run_sample, str(tmp_path)))
+    samples = [0.5] + [-0.6] * 15
+    with pytest.raises(InstabilityError) as err:
+        run_mc(problem, samples, dt, [problem.loads.total_time], workers=2)
+    assert (err.value.xi, err.value.step) == (0.5, 256)
+    assert len(os.listdir(tmp_path)) <= len(samples) // 2
 
 
 def test_fd_oracle_instability_names_the_plus_h_run():

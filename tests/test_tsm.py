@@ -2,6 +2,9 @@
 finite-difference equivalence of the first-order fields, and the moment
 post-processing."""
 
+import multiprocessing
+import os
+import struct
 import time
 import tracemalloc
 
@@ -22,6 +25,7 @@ from tsmfem.solver import (
 )
 from tsmfem.tsm import (
     ExchangeFileReader,
+    ExchangeFileWriter,
     ExchangeFormatError,
     ExchangeRecord,
     FirstOrderKernels,
@@ -108,6 +112,100 @@ def test_exchange_corrupted_rejected(tmp_path):
     data[60] ^= 0xFF
     p.write_bytes(bytes(data))
     with pytest.raises(ExchangeFormatError, match="checksum"):
+        read_exchange(p)
+
+
+def _record_offset(r, gp=7):
+    """Byte offset of record r in a version-2 file: the 24-byte header, then
+    records of step, time, 7 * gp doubles and a CRC32 each."""
+    return 24 + r * (16 + 56 * gp + 4)
+
+
+@pytest.mark.parametrize("r", [0, 2, 4])
+def test_exchange_flipped_byte_names_its_record(tmp_path, r):
+    rng = np.random.default_rng(10)
+    p = tmp_path / "x.tsmx"
+    write_exchange(_random_records(rng), p, exchange_interval=3)
+    data = bytearray(p.read_bytes())
+    data[_record_offset(r) + 30] ^= 0x01
+    p.write_bytes(bytes(data))
+    with pytest.raises(ExchangeFormatError, match=f"checksum mismatch in record {r}$"):
+        ExchangeFileReader(p)
+
+
+def _live_stream(path, records, K=3, seal=True):
+    """A live writer's file and the connection its announcements arrive on:
+    ``records`` written and announced, then the seal unless ``seal`` is
+    False, when the writer raises inside its ``with`` block instead."""
+    rx, tx = multiprocessing.Pipe(duplex=False)
+    try:
+        with ExchangeFileWriter(path, K, records[0].eps.shape[0], tx.send) as w:
+            for rec in records:
+                w.write_record(rec.step, rec.time, rec.eps, rec.d)
+            if not seal:
+                raise RuntimeError("order 0 failed")
+    except RuntimeError:
+        pass
+    tx.close()
+    return rx
+
+
+def test_live_exchange_reads_announced_records_and_checks_the_seal(tmp_path):
+    rng = np.random.default_rng(11)
+    records = _random_records(rng)
+    p = tmp_path / "x.tsmx"
+    reader = ExchangeFileReader(p, announcements=_live_stream(p, records))
+    assert (reader.K, reader.gp_count, reader.n_records) == (3, 7, None)
+    back = list(reader)
+    assert reader.n_records == len(back) == len(records)
+    for a, b in zip(records, back):
+        assert (a.step, a.time) == (b.step, b.time)
+        assert np.array_equal(a.eps, b.eps) and np.array_equal(a.d, b.d)
+    assert reader.wait_s >= 0.0
+    # announcing changes nothing in the file
+    write_exchange(records, tmp_path / "y.tsmx", exchange_interval=3)
+    assert p.read_bytes() == (tmp_path / "y.tsmx").read_bytes()
+
+
+def test_live_exchange_flipped_byte_fails_before_its_record_is_held(tmp_path):
+    """Order 1 takes records 0 and 1 of a live stream; record 2 fails its
+    CRC at step 6, where it would be held, and record 1 stays held."""
+    rng = np.random.default_rng(12)
+    records = _random_records(rng)
+    p = tmp_path / "x.tsmx"
+    rx = _live_stream(p, records)
+    data = bytearray(p.read_bytes())
+    data[_record_offset(2) + 30] ^= 0x01
+    p.write_bytes(bytes(data))
+    E0 = MaterialParams(lam=1e9, mu=0.8e9, rho=1e3, eta=1e3).stiffness
+    kern = FirstOrderKernels(E0, 1e3, 1e-6, ExchangeFileReader(p, announcements=rx))
+    d1, eps1 = np.zeros(7), np.zeros((7, 6))
+    for step in range(6):
+        kern.stress(d1, eps1, step)
+    with pytest.raises(ExchangeFormatError, match="checksum mismatch in record 2$"):
+        kern.stress(d1, eps1, 6)
+    assert np.array_equal(kern.law.expd0, np.exp(-records[1].d))
+
+
+def test_unsealed_exchange_rejected(tmp_path):
+    """A writer that raised leaves its records without a trailer: the file
+    is rejected whole, and a live reader fails once the records end."""
+    rng = np.random.default_rng(13)
+    records = _random_records(rng)
+    p = tmp_path / "x.tsmx"
+    rx = _live_stream(p, records, seal=False)
+    with pytest.raises(ExchangeFormatError, match="unsealed"):
+        read_exchange(p)
+    reader = iter(ExchangeFileReader(p, announcements=rx))
+    assert [next(reader).step for _ in records] == [r.step for r in records]
+    with pytest.raises(ExchangeFormatError, match="before sealing"):
+        next(reader)
+
+
+def test_exchange_version_1_rejected_by_name(tmp_path):
+    p = tmp_path / "x.tsmx"
+    p.write_bytes(struct.pack("<4sIQQ", b"TSMX", 1, 7, 3) + bytes(400))
+    with pytest.raises(ExchangeFormatError, match="unsupported version 1 "):
         read_exchange(p)
 
 
@@ -368,6 +466,86 @@ def test_tsm_instability_names_the_order(monkeypatch, mode, order):
         run_tsm(problem, config, dt, [problem.loads.total_time])
     assert (err.value.step, err.value.xi, err.value.order) == (step, None, order)
     assert str(err.value).endswith(f"in TSM order {order}")
+    assert not multiprocessing.active_children()
+
+
+def test_file_mode_runs_order1_in_a_child_that_is_joined(tmp_path, monkeypatch):
+    """File mode runs order 1 in a child process (its kernels never run in
+    this one) and joins it before returning."""
+    pids = set()
+    stress1 = FirstOrderKernels.stress
+
+    def recording(self, d1, eps1, step):
+        pids.add(os.getpid())
+        return stress1(self, d1, eps1, step)
+
+    monkeypatch.setattr(FirstOrderKernels, "stress", recording)
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    sol = run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt,
+                  [problem.loads.total_time], exchange_path=tmp_path / "x.tsmx")
+    assert not pids  # the parent never evaluated order 1
+    assert not multiprocessing.active_children()
+    assert sol.order1_wait >= 0.0
+    assert ExchangeFileReader(tmp_path / "x.tsmx").n_records == sol.history0.n_steps // 5 + 1
+
+
+def _interrupting(stress):
+    """``stress`` that raises KeyboardInterrupt at step 40."""
+
+    def interrupting(self, d, eps, step):
+        if step == 40:
+            raise KeyboardInterrupt
+        return stress(self, d, eps, step)
+
+    return interrupting
+
+
+@pytest.mark.parametrize("kernels", [DeterministicKernels, FirstOrderKernels],
+                         ids=["order0", "order1"])
+def test_file_mode_interrupt_stops_both_processes(monkeypatch, kernels):
+    """An interrupt in either order's kernel (order 1's raised in the child
+    and sent back) reaches the caller, and no child outlives it."""
+    monkeypatch.setattr(kernels, "stress", _interrupting(kernels.stress))
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    with pytest.raises(KeyboardInterrupt):
+        run_tsm(problem, TsmConfig(exchange_interval=1, exchange_mode="file"), dt, [])
+    assert not multiprocessing.active_children()
+
+
+def test_order1_failure_stops_order0_at_its_next_record(monkeypatch, tmp_path):
+    """Order 1 fails at step 70 in the child.  Order 0, which pauses at
+    step 100 until the child has failed, stops at its next record: it does
+    not run on to its last step."""
+    marker = tmp_path / "order1_failed"
+    stress0, stress1 = DeterministicKernels.stress, FirstOrderKernels.stress
+    steps0 = []
+
+    def failing(self, d1, eps1, step):
+        if step == 70:
+            marker.touch()
+            raise RuntimeError("order 1 failed at step 70")
+        return stress1(self, d1, eps1, step)
+
+    def pausing(self, d, eps, step):
+        steps0.append(step)
+        if step == 100:
+            deadline = time.monotonic() + 60.0
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)  # the child's error is sent after the marker
+        return stress0(self, d, eps, step)
+
+    monkeypatch.setattr(FirstOrderKernels, "stress", failing)
+    monkeypatch.setattr(DeterministicKernels, "stress", pausing)
+    problem = coarse_plate_problem(T=4e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    with pytest.raises(RuntimeError, match="order 1 failed at step 70"):
+        run_tsm(problem, TsmConfig(exchange_interval=1, exchange_mode="file"), dt, [])
+    n_steps = int(np.ceil(problem.loads.total_time / dt))
+    assert 70 <= max(steps0) <= 100 < n_steps
+    assert not multiprocessing.active_children()
 
 
 def test_lockstep_wall_times_add_up_to_the_observed_time():
