@@ -18,7 +18,7 @@ from .config import ConfigError, PRESETS, RunConfig, load_config
 from .mesh import MeshFormatError, save_mesh
 from .montecarlo import compare, extract_line, mc_statistics, run_mc, sample_xi
 from .solver import InstabilityError, check_xi, run_deterministic
-from .tsm import ExchangeFormatError, run_tsm, uq_summary
+from .tsm import ExchangeFormatError, peak_rss_mb, run_tsm, uq_summary
 
 
 def _parse_overrides(pairs):
@@ -124,7 +124,9 @@ def cmd_run_tsm(args) -> int:
                           extra={"kind": "tsm", "dt": cfg.dt,
                                  "n_steps": sol.history0.n_steps,
                                  "exchange_interval": cfg.tsm.exchange_interval,
-                                 "exchange_mode": cfg.tsm.exchange_mode})
+                                 "exchange_mode": cfg.tsm.exchange_mode,
+                                 "peak_rss_mb": {"parent": peak_rss_mb(),
+                                                 "order1": sol.order1_peak_rss_mb}})
     print(f"tsm: 2 runs ({walls['order0']:.2f}s + {walls['order1']:.2f}s, "
           f"order 1 waited {sol.order1_wait:.2f}s) + post {post:.2f}s, "
           f"elapsed {walls['elapsed']:.2f}s -> {outdir}")

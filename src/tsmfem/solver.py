@@ -24,15 +24,17 @@ the same sum as with a Gauss-point-major layout.  Only
 ``ElementQuadrature.strains`` and ``ElementQuadrature.forces`` know the
 layout; everything else sees plain (ngp, 6) arrays.
 
-Sparse products call scipy's CSR kernels (``csr_matvec``, and
-``csr_matvecs`` for a block of columns) directly, through ``_csr_product``.
-That is bitwise what ``op @ x`` computes, because scipy's ``@`` for a CSR
-matrix and a dense vector or block is exactly a zeroed output plus the same
-kernel call; skipping its dispatch saves a few microseconds per product.
-Reactions sum their two or three nodal terms with one such product on a
-stacked block, one term per column: the set-sum operator is 0/1, and each
-column is the same sequential sum over the set's dofs as a separate
-product of that term.
+Sparse products call scipy's CSR kernel ``csr_matvec`` directly, through
+``_csr_product``.  That is bitwise what ``op @ x`` computes, because
+scipy's ``@`` for a CSR matrix and a dense vector is exactly a zeroed
+output plus the same kernel call; skipping its dispatch saves a few
+microseconds per product.
+Reactions are two or three such products of one 0/1 set-sum operator
+over the global dofs, straight on the nodal vectors: the internal forces
+and the numpy products ``m * a`` (and ``m * v``).  Each row is the same
+ascending sequential sum of the same rounded terms as summing the
+gathered terms; as the operator's entries are 1.0, a kernel compiled with
+fused multiply-adds computes the same sums.
 
 Dirichlet ramps are imposed by direct overwrite after the explicit update,
 with boundary velocity/acceleration taken from finite differences of the
@@ -90,17 +92,12 @@ class InstabilityError(RuntimeError):
 
 
 def _csr_product(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``op @ x`` for a float64 CSR matrix and a float64 vector (n,) or
-    block (n, k), into a fresh array: scipy's own kernel on a zeroed output,
-    as ``@`` does, without its dispatch."""
+    """``op @ x`` for a float64 CSR matrix and a float64 vector (n,), into a
+    fresh array: scipy's own kernel on a zeroed output, as ``@`` does,
+    without its dispatch."""
     m, n = op.shape
-    if x.ndim == 1:
-        out = np.zeros(m)
-        _sparsetools.csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
-    else:
-        out = np.zeros((m, x.shape[1]))
-        _sparsetools.csr_matvecs(m, n, x.shape[1], op.indptr, op.indices, op.data,
-                                 x.ravel(), out.ravel())
+    out = np.zeros(m)
+    _sparsetools.csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
     return out
 
 
@@ -223,30 +220,31 @@ def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
     return op, dofs
 
 
-def reaction_sums(set_sums: tuple[sp.csr_matrix, np.ndarray], set_mass: np.ndarray,
-                  f_int: np.ndarray, accel: np.ndarray,
-                  velocity: np.ndarray | None = None,
+def reaction_operator(node_sets, n_dofs: int) -> sp.csr_matrix:
+    """The 0/1 ``set_sum_operator`` of ``node_sets`` with its columns mapped
+    to the sets' dofs, so it sums a nodal vector of ``n_dofs`` entries
+    without a gather."""
+    op, dofs = set_sum_operator(node_sets)
+    return sp.csr_matrix((op.data, dofs[op.indices], op.indptr),
+                         shape=(op.shape[0], n_dofs))
+
+
+def reaction_sums(op: sp.csr_matrix, mass3: np.ndarray, f_int: np.ndarray,
+                  accel: np.ndarray, velocity: np.ndarray | None = None,
                   mass_damping: float = 0.0) -> np.ndarray:
     """Reactions (n_sets, 3): internal plus inertial (plus damping, when
-    active) nodal forces, summed per set by ``set_sum_operator``; only the
-    sets' dofs are read, and ``set_mass`` holds the lumped masses of those
-    dofs (``mass3[dofs]``).
+    active) nodal forces, summed per set by ``op`` (``reaction_operator``);
+    ``mass3`` holds the lumped mass of every dof.
 
     Each term is summed on its own, over the set's nodes in ascending
     order, before the terms are added; summing the combined nodal vector
     instead moves finite-difference quotients of reactions by roundoff
-    amplified 1/(2h).  The terms are the columns of one block product."""
-    op, dofs = set_sums
-    damped = mass_damping and velocity is not None
-    terms = np.empty((dofs.size, 3 if damped else 2))
-    terms[:, 0] = f_int.ravel()[dofs]
-    np.multiply(set_mass, accel.ravel()[dofs], out=terms[:, 1])
-    if damped:
-        np.multiply(set_mass, velocity.ravel()[dofs], out=terms[:, 2])
-    sums = _csr_product(op, terms)
-    r = sums[:, 0] + sums[:, 1]
-    if damped:
-        r += mass_damping * sums[:, 2]
+    amplified 1/(2h).  Each term is one product on its nodal vector, and
+    ``m * a`` is formed before it, so the 0/1 kernel only adds."""
+    r = _csr_product(op, f_int.ravel())
+    r += _csr_product(op, mass3 * accel.ravel())
+    if mass_damping and velocity is not None:
+        r += mass_damping * _csr_product(op, mass3 * velocity.ravel())
     return r.reshape(-1, 3)
 
 
@@ -384,9 +382,8 @@ class ExplicitEngine:
                    if s % force_stride == 0 or s == n_steps]
         self._f_at = {s: i for i, s in enumerate(f_steps)}
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
-        self._set_sums = set_sum_operator([mesh.node_sets[name]
-                                           for name in self._set_names])
-        self._set_mass = self.mass3[self._set_sums[1]]
+        self._set_sums = reaction_operator([mesh.node_sets[name]
+                                            for name in self._set_names], self.mass3.size)
         self._forces = np.zeros((len(f_steps), len(self._set_names), 3))
         self.history = History(
             times=np.asarray([s * dt for s in snap_steps]),
@@ -445,8 +442,8 @@ class ExplicitEngine:
             self.exchange_hook(n, self.time, eps, d)
         i = self._f_at.get(n)
         if i is not None:
-            self._forces[i] = reaction_sums(self._set_sums, self._set_mass, f_int, a,
-                                            self.v, self.alpha)
+            self._forces[i] = reaction_sums(self._set_sums, self.mass3, f_int, a, self.v,
+                                            self.alpha)
         i = self._snap_at.get(n)
         if i is not None:
             hist = self.history

@@ -23,12 +23,16 @@ reaches order 1 through a one-record mailbox (``InMemoryExchange``), so
 nothing is copied and memory is O(1) in K.  Both modes give bitwise equal
 results.
 
-Exchange file, format version 2 (little-endian): a 24-byte header (magic
+Exchange file, format version 3 (little-endian): a 24-byte header (magic
 ``TSMX``, u32 version, u64 Gauss-point count, u64 K); then one record per
-K steps: u64 step, f64 time, the (ngp, 6) strains row by row and the (ngp,)
-damage as f64, and the u32 CRC32 of those bytes; then a 12-byte trailer:
-u64 record count and the u32 stream CRC, the CRC32 of the header followed
-by every record's CRC.  Only a writer that finished writes the trailer.
+K steps: u64 step, f64 time, the strains component-major (6 rows of ngp
+f64: every xx, then every yy, ...), the (ngp,) damage as f64, and the u32
+CRC32 of those bytes; then a 12-byte trailer: u64 record count and the u32
+stream CRC, the CRC32 of the header followed by every record's CRC.  Only
+a writer that finished writes the trailer.  The record layout is the
+engine's own: the writer writes the bytes of the engine's strains without
+a copy, and the reader yields the strains as a component-major (ngp, 6)
+view of the buffer each record is read into.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import struct
+import sys
 import tempfile
 import time as _time
 import zlib
@@ -56,7 +61,7 @@ from .solver import (
 )
 
 _MAGIC = b"TSMX"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, gp_count, K
 _REC_HEAD = struct.Struct("<Qd")  # step, time
 _CRC = struct.Struct("<I")  # a record's CRC32, after its payload
@@ -162,11 +167,12 @@ class ExchangeFileWriter:
 
     def write_record(self, step, time, eps, d):
         head = _REC_HEAD.pack(step, time)
-        # interleaved (ngp, 6) C-order bytes, whatever the memory order of eps
-        eps = np.ascontiguousarray(eps, dtype="<f8")
+        # component-major rows: the engine's eps.T is C-contiguous already,
+        # so only a Gauss-point-major eps is copied here
+        rows = np.ascontiguousarray(eps.T, dtype="<f8")
         d = np.ascontiguousarray(d, dtype="<f8")
-        crc = _CRC.pack(zlib.crc32(d, zlib.crc32(eps, zlib.crc32(head))))
-        for part in (head, eps, d, crc):
+        crc = _CRC.pack(zlib.crc32(d, zlib.crc32(rows, zlib.crc32(head))))
+        for part in (head, rows, d, crc):
             self._fh.write(part)
         self._crc = zlib.crc32(crc, self._crc)
         self.n_records += 1
@@ -224,7 +230,8 @@ class ExchangeFileReader:
     ``n_records``.  ``wait_s`` is the time spent waiting for announcements.
 
     Iteration yields the records one at a time (constant memory), each
-    only after its CRC has matched.
+    only after its CRC has matched.  Each record is read into a buffer of
+    its own, and its ``eps`` and ``d`` are views of that buffer.
     """
 
     def __init__(self, path, announcements=None):
@@ -262,20 +269,22 @@ class ExchangeFileReader:
         finally:
             self.wait_s += _time.perf_counter() - t0
 
-    def _checked(self, i: int, buf: bytes) -> bytes:
-        """The CRC field of record i, whose bytes ``buf`` are, once it matches."""
-        if len(buf) < self._rec:
+    def _read(self, fh, i: int, buf: np.ndarray) -> np.ndarray:
+        """Record i, read from ``fh`` into ``buf`` (its bytes); returns its
+        CRC field once it matches."""
+        if fh.readinto(buf) < self._rec:
             raise ExchangeFormatError(f"{self.path}: record {i} truncated")
         crc = buf[-_CRC.size:]
-        if _CRC.pack(zlib.crc32(memoryview(buf)[:-_CRC.size])) != crc:
+        if zlib.crc32(buf[:-_CRC.size]) != _CRC.unpack(crc)[0]:
             raise ExchangeFormatError(f"{self.path}: checksum mismatch in record {i}")
         return crc
 
     def _seal(self, fh, i: int, crc: int) -> None:
         """Check records i, i + 1, ... (from ``fh``'s position) and the
         trailer after them; ``crc`` is the stream CRC up to record i."""
+        buf = np.empty(self._rec, dtype=np.uint8)
         for j in range(i, self._announced):
-            crc = zlib.crc32(self._checked(j, fh.read(self._rec)), crc)
+            crc = zlib.crc32(self._read(fh, j, buf), crc)
         trailer = fh.read(_TRAILER.size)
         if len(trailer) < _TRAILER.size:
             raise ExchangeFormatError(f"{self.path}: truncated trailer")
@@ -302,17 +311,16 @@ class ExchangeFileReader:
                         self._announced = n
                 if i == self._announced:
                     return
-                buf = fh.read(rec)
-                crc = zlib.crc32(self._checked(i, buf), crc)
+                buf = np.empty(rec, dtype=np.uint8)  # the record's own
+                crc = zlib.crc32(self._read(fh, i, buf), crc)
                 step, t = _REC_HEAD.unpack_from(buf)
                 if step <= prev_step:
                     raise ExchangeFormatError(f"{self.path}: steps not increasing at {step}")
                 prev_step = step
                 off = _REC_HEAD.size
-                eps = np.frombuffer(buf, dtype="<f8", count=gp * 6,
-                                    offset=off).reshape(gp, 6).copy()
-                d = np.frombuffer(buf, dtype="<f8", count=gp, offset=off + gp * 48).copy()
-                yield ExchangeRecord(step, t, eps, d)
+                eps = np.frombuffer(buf, dtype="<f8", count=gp * 6, offset=off)
+                d = np.frombuffer(buf, dtype="<f8", count=gp, offset=off + gp * 48)
+                yield ExchangeRecord(step, t, eps.reshape(6, gp).T, d)
                 i += 1
 
 
@@ -438,6 +446,19 @@ class TsmSolution:
     history1: History
     config: TsmConfig
     order1_wait: float = 0.0  # seconds order 1 waited for order 0's records
+    order1_peak_rss_mb: float | None = None  # of order 1's own process, if it had one
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB, or None where there is
+    no ``resource`` module (outside POSIX).  ``ru_maxrss`` counts bytes on
+    macOS and kilobytes elsewhere."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
 
 
 def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
@@ -455,7 +476,7 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     bitwise.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
-    wait = 0.0
+    wait, rss1 = 0.0, None
     if config.exchange_mode == "in_memory":
         hist0, hist1 = _run_lockstep(problem, config.exchange_interval, dt,
                                      output_times, quad, force_stride)
@@ -468,13 +489,14 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
                     hist0, _ = run_order0(problem, dt, output_times, config, quad=quad,
                                           exchange_path=path, force_stride=force_stride,
                                           announce=order1.announce)
-                    hist1, wait = order1.result()
+                    hist1, wait, rss1 = order1.result()
             else:
                 hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
                                            exchange_path=path, force_stride=force_stride)
                 hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
                                    force_stride=force_stride)
-    return TsmSolution(history0=hist0, history1=hist1, config=config, order1_wait=wait)
+    return TsmSolution(history0=hist0, history1=hist1, config=config, order1_wait=wait,
+                       order1_peak_rss_mb=rss1)
 
 
 class _Order1Process:
@@ -484,7 +506,8 @@ class _Order1Process:
     ``announce`` is the writer's callback: it passes each announcement on
     and, at each record, raises the child's error once the child has sent
     one, so an order-1 failure stops order 0 at its next record.
-    ``result()`` waits for order 1's (history, wait) or raises its error.
+    ``result()`` waits for order 1's (history, wait, peak RSS in MB) or
+    raises its error.
     Leaving the ``with`` block joins the child, terminating it first when
     the block is left by an exception.  A plain ``Pipe`` carries both
     directions, so no helper process is started.
@@ -532,13 +555,13 @@ class _Order1Process:
 def _order1_child(conn, problem: Problem, path, dt: float, output_times,
                   quad: ElementQuadrature, force_stride: int) -> None:
     """The order-1 process: reads the stream at ``path`` as ``conn``
-    announces it and sends back (history, wait), or its exception, which
-    the parent raises."""
+    announces it and sends back (history, wait, peak RSS), or its
+    exception, which the parent raises."""
     try:
         reader = ExchangeFileReader(path, announcements=conn)
         hist = run_order1(problem, reader, dt, output_times, quad=quad,
                           force_stride=force_stride)
-        conn.send((hist, reader.wait_s))
+        conn.send((hist, reader.wait_s, peak_rss_mb()))
     except BaseException as exc:
         conn.send(exc)
 

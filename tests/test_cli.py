@@ -413,6 +413,35 @@ def test_cli_tsm_manifest_times_are_the_histories_wall_times(tmp_path, monkeypat
     assert walls["order0"] == sol.history0.wall_time > 0.0
     assert walls["order1"] == sol.history1.wall_time > 0.0
     assert walls["total"] == walls["order0"] + walls["order1"] + walls["post"]
+    # order 1 ran in this process, which reports the one peak
+    rss = read_manifest(os.path.join(out, "tsm", "manifest.yaml"))["peak_rss_mb"]
+    assert rss["parent"] > 0.0 and rss["order1"] is None
+
+
+def test_cli_tsm_manifest_without_the_resource_module(tmp_path, monkeypatch):
+    """Where ``resource`` cannot be imported (outside POSIX), run-tsm still
+    writes its manifest, with no peak memory."""
+    monkeypatch.setitem(sys.modules, "resource", None)  # import raises ImportError
+    out = str(tmp_path / "out")
+    assert main(["run-tsm", "--preset", "plate_coarse_desk", "--out", out,
+                 "--set", "load.total_time=0.001", "--set", "load.ramp_end=0.001",
+                 "--set", "tsm.exchange_interval=1"]) == 0
+    rss = read_manifest(os.path.join(out, "tsm", "manifest.yaml"))["peak_rss_mb"]
+    assert rss == {"parent": None, "order1": None}
+
+
+@pytest.mark.parametrize("platform, unit", [("linux", 1024), ("darwin", 1)])
+def test_peak_rss_reads_the_platforms_unit(monkeypatch, platform, unit):
+    """``ru_maxrss`` is kilobytes on Linux and bytes on macOS."""
+    import types
+
+    from tsmfem.tsm import peak_rss_mb
+
+    usage = types.SimpleNamespace(ru_maxrss=2_000_000)
+    fake = types.SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setitem(sys.modules, "resource", fake)
+    monkeypatch.setattr(sys, "platform", platform)
+    assert peak_rss_mb() == 2_000_000 * unit / 1e6
 
 
 def test_cli_tsm_file_mode_manifest_keeps_the_wait_out_of_the_cost(tmp_path, monkeypatch):
@@ -442,6 +471,10 @@ def test_cli_tsm_file_mode_manifest_keeps_the_wait_out_of_the_cost(tmp_path, mon
     assert walls["total"] == walls["order0"] + walls["order1"] + walls["post"]
     # order 1's cost and its wait both happened inside the run
     assert walls["order1"] + walls["order1_wait"] <= walls["elapsed"]
+    # each process reports its own peak memory
+    rss = read_manifest(os.path.join(out, "tsm", "manifest.yaml"))["peak_rss_mb"]
+    assert rss.keys() == {"parent", "order1"}
+    assert rss["parent"] > 0.0 and rss["order1"] == sol.order1_peak_rss_mb > 0.0
 
 
 @pytest.mark.parametrize("command, setting", [("run-mc", "mc.workers=2"),

@@ -17,8 +17,10 @@ from tsmfem.solver import (
     ExplicitEngine,
     InstabilityError,
     _csr_product,
+    _Dirichlet,
     deterministic_kernels,
     lumped_mass,
+    reaction_operator,
     reaction_sums,
     run_deterministic,
     run_engines,
@@ -243,8 +245,7 @@ def test_operator_products_match_dense_b_elementwise():
 def test_direct_kernel_is_the_scipy_product():
     """``_csr_product`` gives the bits of ``op @ x`` for strain_op, for
     force_op (whose indices are deliberately unsorted), for a set-sum
-    operator on a vector and on 2- and 3-column blocks, and for an
-    int64-indexed operator."""
+    operator, and for an int64-indexed operator."""
     mesh = _desk_mesh("plate_coarse_desk")
     quad = ElementQuadrature.build(mesh)
     rng = np.random.default_rng(11)
@@ -255,7 +256,6 @@ def test_direct_kernel_is_the_scipy_product():
     op, dofs = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["symmetry_x"]])
     cases = [(quad.strain_op, u), (quad.force_op, s), (wide, u),
              (op, rng.standard_normal(dofs.size))]
-    cases += [(op, rng.standard_normal((dofs.size, k))) for k in (2, 3)]
     for a, x in cases:
         got = _csr_product(a, x)
         assert got.dtype == np.float64 and np.array_equal(got, a @ x)
@@ -555,8 +555,9 @@ def test_reaction_static_uniaxial():
     u[:, 1] = e * mesh.nodes[:, 1]  # uniaxial constrained stretch
     eps = quad.strains(u)
     sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
-    sets = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]])
-    F_top, F_bot = reaction_sums(sets, np.repeat(mass, 3)[sets[1]], quad.forces(sigma),
+    op = reaction_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]],
+                           3 * mesh.n_nodes)
+    F_top, F_bot = reaction_sums(op, np.repeat(mass, 3), quad.forces(sigma),
                                  np.zeros((mesh.n_nodes, 3)))
     sig_yy = (PARAMS.lam + 2 * PARAMS.mu) * e
     assert F_top[1] == pytest.approx(sig_yy * 1.0, rel=1e-12)
@@ -574,10 +575,9 @@ def test_reaction_includes_mass_damping():
     alpha = 50.0
     f_int = quad.forces(sigma)
     ids = [mesh.node_sets[name] for name in ("top", "bottom")]
-    sets = set_sum_operator(ids)
-    set_mass = np.repeat(mass, 3)[sets[1]]
-    F = reaction_sums(sets, set_mass, f_int, accel, velocity, alpha)
-    undamped = reaction_sums(sets, set_mass, f_int, accel, velocity)
+    op, mass3 = reaction_operator(ids, 3 * mesh.n_nodes), np.repeat(mass, 3)
+    F = reaction_sums(op, mass3, f_int, accel, velocity, alpha)
+    undamped = reaction_sums(op, mass3, f_int, accel, velocity)
     f_int = f_int.reshape(-1, 3)
     for k, n in enumerate(ids):
         expected = (f_int[n] + mass[n, None] * (accel[n] + alpha * velocity[n])).sum(axis=0)
@@ -589,10 +589,74 @@ def test_reaction_zero_state():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
-    sets = set_sum_operator([mesh.node_sets["top"]])
-    F = reaction_sums(sets, np.repeat(mass, 3)[sets[1]],
-                      quad.forces(np.zeros((quad.n_gauss, 6))), np.zeros((mesh.n_nodes, 3)))
+    op = reaction_operator([mesh.node_sets["top"]], 3 * mesh.n_nodes)
+    F = reaction_sums(op, np.repeat(mass, 3), quad.forces(np.zeros((quad.n_gauss, 6))),
+                      np.zeros((mesh.n_nodes, 3)))
     assert np.all(F == 0.0)
+
+
+def _block_product_reactions(sets, mass3, f_int, accel, velocity, alpha):
+    """Reactions as a gather of each term at the sets' dofs, summed by one
+    block product with one term per column."""
+    op, dofs = sets
+    terms = np.stack([f_int.ravel()[dofs], mass3[dofs] * accel.ravel()[dofs],
+                      mass3[dofs] * velocity.ravel()[dofs]], axis=1)
+    sums = op @ terms
+    r = sums[:, 0] + sums[:, 1]
+    if alpha:
+        r += alpha * sums[:, 2]
+    return r.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("preset", DESK_PRESETS)
+def test_one_pass_reactions_are_the_block_product_bitwise(preset):
+    """The products straight on the nodal vectors give the bits of the
+    gathered block product, on a damped random state and on a zero state.
+    The operator's entries are all 1.0, so the kernel only adds."""
+    mesh = _desk_mesh(preset)
+    quad = ElementQuadrature.build(mesh)
+    mass3 = np.repeat(lumped_mass(mesh, PARAMS.rho, quad), 3)
+    names = sorted(mesh.node_sets)
+    op = reaction_operator([mesh.node_sets[n] for n in names], mass3.size)
+    sets = set_sum_operator([mesh.node_sets[n] for n in names])
+    rng = np.random.default_rng(5)
+    f_int = quad.forces(rng.normal(0.0, 1e6, (quad.n_gauss, 6))).reshape(-1, 3)
+    accel, velocity = rng.normal(0.0, 1e2, (2, mesh.n_nodes, 3))
+    zero = np.zeros((mesh.n_nodes, 3))
+    for state, alpha in (((f_int, accel, velocity), 50.0),
+                         ((f_int, accel, velocity), 0.0), ((zero, zero, zero), 50.0)):
+        got = reaction_sums(op, mass3, *state, alpha)
+        want = _block_product_reactions(sets, mass3, *state, alpha)
+        assert got.shape == want.shape == (len(names), 3)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+@pytest.mark.parametrize("amp", [0.0, -0.0, 0.004])
+def test_dirichlet_rows_are_the_ramp_formula(amp, scale):
+    """The rows of the constraint table are the bits of the elementwise
+    ramp formula, the sign of zero included, at t = 0 (where t - dt < 0),
+    at dt, mid-ramp, at the ramp end and after it, for zero and nonzero
+    amplitudes at scale 1 and at scale 0 (the first-order problem)."""
+    mesh = _unit_cube()
+    t_end, dt = 0.5, 1e-3
+    lc = LoadCase(dirichlet=(DirichletRamp("bottom", 1, 0.0, t_end),
+                             DirichletRamp("top", 1, amp, t_end)), total_time=1.0)
+    table = _Dirichlet(mesh, lc, scale)
+    amps = np.where(np.isin(table.dofs, 3 * mesh.node_sets["top"] + 1), scale * amp,
+                    scale * 0.0)
+
+    def ramp(t):
+        return amps * np.minimum(t, t_end) / t_end
+
+    def same_bits(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    for t in (0.0, dt, 0.25, t_end, 0.7):
+        accel, velocity, value = table.at(t, dt)
+        assert same_bits(accel, (ramp(t + dt) - 2.0 * ramp(t) + ramp(t - dt)) / dt**2)
+        assert same_bits(velocity, (ramp(t + dt) - ramp(t)) / dt)
+        assert same_bits(value, ramp(t + dt))
 
 
 # ---------------------------------------------------------------------------

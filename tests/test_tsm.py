@@ -7,6 +7,7 @@ import os
 import struct
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -116,9 +117,61 @@ def test_exchange_corrupted_rejected(tmp_path):
 
 
 def _record_offset(r, gp=7):
-    """Byte offset of record r in a version-2 file: the 24-byte header, then
-    records of step, time, 7 * gp doubles and a CRC32 each."""
+    """Byte offset of record r in a version-3 file: the 24-byte header, then
+    records of step, time, 7 * gp doubles (6 strain rows of gp, then the
+    damage) and a CRC32 each."""
     return 24 + r * (16 + 56 * gp + 4)
+
+
+def test_exchange_record_is_the_engine_layout(tmp_path):
+    """A record holds step, time, the bytes of eps.T (component-major
+    rows) and of d, and its CRC; the engine's component-major eps and a
+    Gauss-point-major copy of it write the same bytes."""
+    rng = np.random.default_rng(14)
+    gp = 7
+    eps = np.ascontiguousarray(rng.normal(size=(6, gp))).T  # the engine's layout
+    d = rng.uniform(0, 3, gp)
+    for k, strains in enumerate((eps, np.ascontiguousarray(eps))):
+        p = tmp_path / f"x{k}.tsmx"
+        write_exchange([ExchangeRecord(0, 0.0, strains, d)], p)
+        record = p.read_bytes()[_record_offset(0):_record_offset(1)]
+        payload = struct.pack("<Qd", 0, 0.0) + eps.T.tobytes() + d.tobytes()
+        assert record == payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_exchange_records_own_their_buffers(tmp_path):
+    """``list(reader)`` holds every record at once: each one's arrays are
+    views of a buffer of its own, the strains component-major, equal to
+    what was written."""
+    rng = np.random.default_rng(15)
+    records = _random_records(rng)
+    p = tmp_path / "x.tsmx"
+    write_exchange(records, p, exchange_interval=3)
+    back = list(ExchangeFileReader(p))
+    for i, a in enumerate(back):
+        assert a.eps.T.flags.c_contiguous  # component-major, as the engine's
+        assert not any(np.shares_memory(a.eps, b.eps) for b in back[:i])
+    for a, b in zip(records, back):
+        assert (b.eps.shape, b.d.shape) == ((7, 6), (7,))
+        assert np.array_equal(a.eps, b.eps) and np.array_equal(a.d, b.d)
+
+
+def test_exchange_cut_inside_a_record_names_it(tmp_path):
+    """A file cut inside record 3 after it was opened (sealed) or announced
+    (live) fails there, naming the record, once records 0 to 2 are read."""
+    rng = np.random.default_rng(16)
+    records = _random_records(rng)
+    p = tmp_path / "x.tsmx"
+    write_exchange(records, p, exchange_interval=3)
+    sealed = ExchangeFileReader(p)
+    live = ExchangeFileReader(p, announcements=_live_stream(p, records))
+    with open(p, "r+b") as fh:
+        fh.truncate(_record_offset(3) + 100)
+    for reader in (sealed, live):
+        stream = iter(reader)
+        assert [next(stream).step for _ in range(3)] == [0, 3, 6]
+        with pytest.raises(ExchangeFormatError, match="record 3 truncated$"):
+            next(stream)
 
 
 @pytest.mark.parametrize("r", [0, 2, 4])
@@ -206,6 +259,16 @@ def test_exchange_version_1_rejected_by_name(tmp_path):
     p = tmp_path / "x.tsmx"
     p.write_bytes(struct.pack("<4sIQQ", b"TSMX", 1, 7, 3) + bytes(400))
     with pytest.raises(ExchangeFormatError, match="unsupported version 1 "):
+        read_exchange(p)
+
+
+def test_exchange_version_2_rejected_by_name(tmp_path):
+    """Version 2 records held the strains Gauss-point-major; no reader of
+    that layout is kept."""
+    p = tmp_path / "x.tsmx"
+    p.write_bytes(struct.pack("<4sIQQ", b"TSMX", 2, 7, 3) + bytes(400))
+    with pytest.raises(ExchangeFormatError,
+                       match=r"unsupported version 2 \(this reader reads version 3\)"):
         read_exchange(p)
 
 
@@ -487,6 +550,7 @@ def test_file_mode_runs_order1_in_a_child_that_is_joined(tmp_path, monkeypatch):
     assert not pids  # the parent never evaluated order 1
     assert not multiprocessing.active_children()
     assert sol.order1_wait >= 0.0
+    assert sol.order1_peak_rss_mb > 0.0  # the child's own, sent with its history
     assert ExchangeFileReader(tmp_path / "x.tsmx").n_records == sol.history0.n_steps // 5 + 1
 
 
@@ -515,21 +579,28 @@ def test_file_mode_interrupt_stops_both_processes(monkeypatch, kernels):
 
 
 def test_order1_failure_stops_order0_at_its_next_record(monkeypatch, tmp_path):
-    """Order 1 fails at step 70 in the child.  Order 0, which pauses at
-    step 100 until the child has failed, stops at its next record: it does
-    not run on to its last step."""
-    marker = tmp_path / "order1_failed"
+    """Order 1 fails at step 70 in the child, once order 0 has reached
+    step 70 (order 1 could otherwise fail there while order 0 is still at
+    step 69, the last record it needs).  Order 0, which pauses at step 100
+    until the child has failed, stops at its next record: it does not run
+    on to its last step."""
+    marker, reached = tmp_path / "order1_failed", tmp_path / "order0_at_70"
     stress0, stress1 = DeterministicKernels.stress, FirstOrderKernels.stress
     steps0 = []
 
     def failing(self, d1, eps1, step):
         if step == 70:
+            deadline = time.monotonic() + 60.0
+            while not reached.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
             marker.touch()
             raise RuntimeError("order 1 failed at step 70")
         return stress1(self, d1, eps1, step)
 
     def pausing(self, d, eps, step):
         steps0.append(step)
+        if step == 70:
+            reached.touch()
         if step == 100:
             deadline = time.monotonic() + 60.0
             while not marker.exists() and time.monotonic() < deadline:
