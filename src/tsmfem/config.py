@@ -303,9 +303,14 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     # snapshots
     out = cfg["output"]
-    if out.get("snapshot_times"):
-        snaps = np.asarray([_real(t, "output.snapshot_times", positive=False)
-                            for t in out["snapshot_times"]])
+    times = out.get("snapshot_times")
+    if times is not None and not isinstance(times, (list, tuple)):
+        raise ConfigError(f"output.snapshot_times must be a list of times, got {times!r}")
+    if times:
+        snaps = np.asarray([_real(t, "output.snapshot_times", positive=False) for t in times])
+        if snaps.max() > total_time:
+            raise ConfigError(f"output.snapshot_times must lie in [0, load.total_time = "
+                              f"{total_time!r}], got {float(snaps.max())!r}")
     else:
         n = _count(out["n_snapshots"], "output.n_snapshots")
         snaps = np.linspace(total_time / n, total_time, n)

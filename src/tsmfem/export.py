@@ -8,6 +8,7 @@ artifacts never appear under their final name.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import os
@@ -74,24 +75,19 @@ def history_to_vtk(outdir, mesh: Mesh, hist: History):
     """One VTK file per snapshot: displacement plus cell-averaged damage,
     damage function, and stress norm."""
     os.makedirs(outdir, exist_ok=True)
-    paths = []
     for i, t in enumerate(hist.times):
         cell = {
             "damage": element_average(hist.d[i]),
             "damage_function": element_average(np.exp(-hist.d[i])),
             "stress_norm": element_average(sigma_norm(hist.sigma[i])),
         }
-        p = os.path.join(outdir, f"snapshot_{i:04d}.vtk")
-        write_vtk(p, mesh, {"displacement": hist.u[i]}, cell,
-                  title=f"t={t:.9g}s")
-        paths.append(p)
-    return paths
+        write_vtk(os.path.join(outdir, f"snapshot_{i:04d}.vtk"), mesh,
+                  {"displacement": hist.u[i]}, cell, title=f"t={t:.9g}s")
 
 
 def summary_to_vtk(outdir, mesh: Mesh, uq: UqSummary):
     """One VTK file per snapshot with expectation and Std cell fields."""
     os.makedirs(outdir, exist_ok=True)
-    paths = []
     for i, t in enumerate(uq.times):
         cell = {
             "f_mean": element_average(uq.f_mean[i]),
@@ -101,10 +97,8 @@ def summary_to_vtk(outdir, mesh: Mesh, uq: UqSummary):
             "stress_norm_mean": element_average(sigma_norm(uq.sigma_mean[i])),
             "stress_norm_std": element_average(sigma_norm(uq.sigma_std[i])),
         }
-        p = os.path.join(outdir, f"uq_{i:04d}.vtk")
-        write_vtk(p, mesh, None, cell, title=f"t={t:.9g}s")
-        paths.append(p)
-    return paths
+        write_vtk(os.path.join(outdir, f"uq_{i:04d}.vtk"), mesh, None, cell,
+                  title=f"t={t:.9g}s")
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +174,20 @@ def save_summary(path, uq: UqSummary):
     """The summary as an uncompressed npz: full-precision float64 fields
     barely compress (to about 94%), and zlib would cost more time than
     writing the bytes."""
+    members = {f.name: getattr(uq, f.name) for f in dataclasses.fields(UqSummary)}
+    members["force_set"] = np.array(uq.force_set)
+    members["meta"] = np.array(yaml.safe_dump(uq.meta))
     buf = io.BytesIO()
-    np.savez(
-        buf,
-        times=uq.times, d_mean=uq.d_mean, d_std=uq.d_std,
-        f_mean=uq.f_mean, f_std=uq.f_std,
-        sigma_mean=uq.sigma_mean, sigma_std=uq.sigma_std,
-        force_times=uq.force_times, force_mean=uq.force_mean,
-        force_std=uq.force_std,
-        force_set=np.array(uq.force_set),
-        meta=np.array(yaml.safe_dump(uq.meta)),
-    )
+    np.savez(buf, **members)
     atomic_write(path, buf.getvalue())
 
 
 def load_summary(path) -> UqSummary:
     with np.load(path, allow_pickle=False) as z:
-        return UqSummary(
-            times=z["times"], d_mean=z["d_mean"], d_std=z["d_std"],
-            f_mean=z["f_mean"], f_std=z["f_std"],
-            sigma_mean=z["sigma_mean"], sigma_std=z["sigma_std"],
-            force_times=z["force_times"], force_mean=z["force_mean"],
-            force_std=z["force_std"],
-            force_set=str(z["force_set"]),
-            meta=yaml.safe_load(str(z["meta"])),
-        )
+        members = {f.name: z[f.name] for f in dataclasses.fields(UqSummary)}
+    members["force_set"] = str(members["force_set"])
+    members["meta"] = yaml.safe_load(str(members["meta"]))
+    return UqSummary(**members)
 
 
 def _plain(obj):

@@ -336,13 +336,20 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _ints(tokens, lineno, what) -> list[int]:
+    try:
+        return [int(v) for v in tokens]
+    except ValueError as exc:
+        raise MeshFormatError(f"line {lineno}: bad {what}") from exc
+
+
 def _expect_header(tokens, keyword, lineno):
     if len(tokens) != 2 or tokens[0] != keyword:
         raise MeshFormatError(f"line {lineno}: expected '{keyword} <count>'")
-    try:
-        return int(tokens[1])
-    except ValueError as exc:
-        raise MeshFormatError(f"line {lineno}: bad count in {keyword} header") from exc
+    (count,) = _ints(tokens[1:], lineno, f"count in {keyword} header")
+    if count < 0:
+        raise MeshFormatError(f"line {lineno}: negative count in {keyword} header")
+    return count
 
 
 def load_mesh(path) -> Mesh:
@@ -383,10 +390,7 @@ def load_mesh(path) -> Mesh:
         parts = ln.split()
         if len(parts) != 8:
             raise MeshFormatError(f"line {lineno}: element record needs 8 node ids")
-        try:
-            elements[i] = [int(v) for v in parts]
-        except ValueError as exc:
-            raise MeshFormatError(f"line {lineno}: bad node id") from exc
+        elements[i] = _ints(parts, lineno, "node id")
 
     def read_named(keyword):
         lineno, header = take()
@@ -397,10 +401,10 @@ def load_mesh(path) -> Mesh:
             parts = ln.split()
             if len(parts) < 2:
                 raise MeshFormatError(f"line {lineno}: expected '<name> <count> ids...'")
-            name, n = parts[0], int(parts[1])
+            name, (n,) = parts[0], _ints(parts[1:2], lineno, f"count of '{parts[0]}'")
             if len(parts) != 2 + n:
                 raise MeshFormatError(f"line {lineno}: '{name}' lists {len(parts) - 2} ids, header says {n}")
-            out[name] = np.asarray([int(v) for v in parts[2:]], dtype=np.int64)
+            out[name] = np.asarray(_ints(parts[2:], lineno, f"id in '{name}'"), dtype=np.int64)
         return out
 
     node_sets = read_named("SETS")

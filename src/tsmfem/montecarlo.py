@@ -156,8 +156,7 @@ def mc_statistics(ensemble: McEnsemble) -> UqSummary:
 
 
 def fd_oracle(problem: Problem, h: float, dt: float, output_times, *,
-              quad: ElementQuadrature | None = None,
-              force_stride: int = 1) -> History:
+              quad: ElementQuadrature | None = None) -> History:
     """Central finite difference (field(+h) - field(-h)) / (2h) of the full
     deterministic solution: the independent reference for every first-order
     field (u, d, sigma, and reaction forces)."""
@@ -165,11 +164,9 @@ def fd_oracle(problem: Problem, h: float, dt: float, output_times, *,
         raise ValueError("need 0 < h < 1 so both perturbed runs are admissible")
     quad = quad or ElementQuadrature.build(problem.mesh)
     hp = run_deterministic(problem.mesh, problem.loads, problem.params, +h,
-                           dt, output_times, quad=quad, force_stride=force_stride,
-                           mass_damping=problem.mass_damping)
+                           dt, output_times, quad=quad, mass_damping=problem.mass_damping)
     hm = run_deterministic(problem.mesh, problem.loads, problem.params, -h,
-                           dt, output_times, quad=quad, force_stride=force_stride,
-                           mass_damping=problem.mass_damping)
+                           dt, output_times, quad=quad, mass_damping=problem.mass_damping)
     inv = 0.5 / h
     return History(
         times=hp.times.copy(),

@@ -517,14 +517,12 @@ def deterministic_kernels(params: MaterialParams, xi: float,
 
 def run_deterministic(mesh: Mesh, loads: LoadCase, params: MaterialParams,
                       xi: float, dt: float, output_times, *,
-                      quad: ElementQuadrature | None = None,
-                      exchange_hook=None, force_stride: int = 1,
+                      quad: ElementQuadrature | None = None, force_stride: int = 1,
                       mass_damping: float = 0.0) -> History:
     """Full deterministic run with stiffness (1 + xi) * E0 (see
     ``deterministic_kernels``)."""
     kern = deterministic_kernels(params, xi, dt)
     return run_with_kernels(mesh, loads, params.rho, dt, output_times,
                             kern.stress, kern.damage, quad=quad,
-                            exchange_hook=exchange_hook, force_stride=force_stride,
-                            mass_damping=mass_damping,
+                            force_stride=force_stride, mass_damping=mass_damping,
                             meta={"xi": xi, "kind": "deterministic"})

@@ -14,14 +14,13 @@ both: at each step n with n % K == 0 it takes the next record, checks that
 it is step n's and holds it (``FirstOrderKernels``).  File mode is the
 decoupled protocol on two concurrent processes: order 0 writes the records
 to a file here (``run_order0``, ``ExchangeFileWriter``) and announces each
-one over a pipe once it is flushed; order 1 runs in a forked child process
-and reads each record once it is announced, after checking its CRC
-(``run_order1``, ``ExchangeFileReader``).  Where the platform cannot fork,
-order 0 runs to completion first.  In-memory mode advances both orders in
-lockstep, one ``ExplicitEngine`` step each, and order 0's live state
-reaches order 1 through a one-record mailbox (``InMemoryExchange``), so
-nothing is copied and memory is O(1) in K.  Both modes give bitwise equal
-results.
+one over a pipe once it is flushed; order 1 runs in a child process and
+reads each record once it is announced, after checking its CRC
+(``run_order1``, ``ExchangeFileReader``).  In-memory mode advances both
+orders in lockstep, one ``ExplicitEngine`` step each, and order 0's live
+state reaches order 1 through a one-record mailbox (``InMemoryExchange``),
+so nothing is copied and memory is O(1) in K.  Both modes give bitwise
+equal results.
 
 Exchange file, format version 3 (little-endian): a 24-byte header (magic
 ``TSMX``, u32 version, u64 Gauss-point count, u64 K); then one record per
@@ -68,6 +67,10 @@ _CRC = struct.Struct("<I")  # a record's CRC32, after its payload
 _TRAILER = struct.Struct("<QI")  # record count, stream CRC
 _SEALED = -1  # the writer's announcement of its trailer
 _ORDER0_META = {"kind": "order0", "order": 0}  # order 0's History.meta in both modes
+# how file mode starts its order-1 process: fork where the platform has it,
+# since the child then starts at once; else spawn, a fresh interpreter that
+# gets everything it needs by argument
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 class ExchangeFormatError(Exception):
@@ -469,11 +472,9 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     File mode streams: ``run_order0`` writes the stream to
     ``exchange_path`` (a file in a temporary directory when not given)
     here, while ``run_order1`` reads each record once it is announced, in
-    a forked child process (``_Order1Process``).  Where the platform cannot
-    fork, ``run_order0`` runs to completion first.  In-memory mode runs
-    the two orders in lockstep (``_run_lockstep``) with memory O(1) in K.
-    Both modes apply the same K-step zero-order hold, so they agree
-    bitwise.
+    a child process (``_Order1Process``).  In-memory mode runs the two
+    orders in lockstep (``_run_lockstep``) with memory O(1) in K.  Both
+    modes apply the same K-step zero-order hold, so they agree bitwise.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
     wait, rss1 = 0.0, None
@@ -483,25 +484,19 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     else:
         with tempfile.TemporaryDirectory() as tmp:
             path = exchange_path or os.path.join(tmp, "exchange.tsmx")
-            if "fork" in multiprocessing.get_all_start_methods():
-                with _Order1Process(problem, path, dt, output_times, quad,
-                                    force_stride) as order1:
-                    hist0, _ = run_order0(problem, dt, output_times, config, quad=quad,
-                                          exchange_path=path, force_stride=force_stride,
-                                          announce=order1.announce)
-                    hist1, wait, rss1 = order1.result()
-            else:
-                hist0, reader = run_order0(problem, dt, output_times, config, quad=quad,
-                                           exchange_path=path, force_stride=force_stride)
-                hist1 = run_order1(problem, reader, dt, output_times, quad=quad,
-                                   force_stride=force_stride)
+            with _Order1Process(problem, path, dt, output_times, quad,
+                                force_stride) as order1:
+                hist0, _ = run_order0(problem, dt, output_times, config, quad=quad,
+                                      exchange_path=path, force_stride=force_stride,
+                                      announce=order1.announce)
+                hist1, wait, rss1 = order1.result()
     return TsmSolution(history0=hist0, history1=hist1, config=config, order1_wait=wait,
                        order1_peak_rss_mb=rss1)
 
 
 class _Order1Process:
-    """Order 1 in a child process forked from this one, reading the
-    exchange file that order 0 writes here as the writer announces it.
+    """Order 1 in a child process started by ``_START_METHOD``, reading
+    the exchange file that order 0 writes here as the writer announces it.
 
     ``announce`` is the writer's callback: it passes each announcement on
     and, at each record, raises the child's error once the child has sent
@@ -510,12 +505,16 @@ class _Order1Process:
     raises its error.
     Leaving the ``with`` block joins the child, terminating it first when
     the block is left by an exception.  A plain ``Pipe`` carries both
-    directions, so no helper process is started.
+    directions, so no helper process is started (spawn on POSIX starts
+    Python's own resource tracker once per interpreter).  A spawned child
+    imports the caller's main module, so a script that runs file mode where
+    the platform cannot fork guards its entry point with
+    ``if __name__ == "__main__":``.
     """
 
     def __init__(self, problem: Problem, path, dt: float, output_times,
                  quad: ElementQuadrature, force_stride: int):
-        ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context(_START_METHOD)
         self._conn, child_end = ctx.Pipe()
         self._process = ctx.Process(target=_order1_child, daemon=True,
                                     args=(child_end, problem, path, dt, output_times,

@@ -316,7 +316,8 @@ def test_cli_validation_error_exit_code(tmp_path):
     "timestep.mass_damping=-1.0", "timestep.mass_damping=.nan",
     "material.eta=.nan", "material.lam=.inf", "material.rho=0", "load.total_time=.nan",
     "mc.std=.nan", "tsm.xi_second_moment=.nan", "tsm.xi_second_moment=.inf",
-    "output.snapshot_times=[.nan]",
+    "output.snapshot_times=[.nan]", "output.snapshot_times=0.5",
+    "output.snapshot_times=[0.004,0.02]", "output.snapshot_times=[-0.001]",
     "generator.width=.nan", "generator.hole_radius=.inf", "generator.nx=2.5",
     "generator.kind=foo",
     "load.amplitude=abc", "load.ramp_end=abc", "load.body_force=[1.0,0.0]",
@@ -339,7 +340,9 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     was reported as an empty node set; a Dirichlet ``axis`` of 1.9 was
     truncated to 1, a Dirichlet row without ``set``, ``axis`` or
     ``amplitude`` escaped as a ``KeyError``, and ``load.body_force=[1.0,0.0]``
-    failed in numpy after the output directory existed.)  ``mc.n`` goes through
+    failed in numpy after the output directory existed; a scalar
+    ``output.snapshot_times`` escaped as a ``TypeError``, and a snapshot
+    time past ``load.total_time`` was clamped to the last step.)  ``mc.n`` goes through
     run-mc, which would otherwise run the whole ensemble before its
     statistics fail; ``tsm.xi_second_moment`` goes through run-tsm."""
     command = ("run-mc" if setting.startswith("mc.n=") else

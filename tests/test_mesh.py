@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tsmfem.cli import main
 from tsmfem.mesh import (
     DirichletRamp,
     LoadCase,
@@ -289,6 +290,48 @@ def test_load_rejects_malformed_records(tmp_path):
     p.write_text("# tsmfem mesh 1\nNODES 2\n0 0 0\n1 0\n")
     with pytest.raises(MeshFormatError, match="line 4"):
         load_mesh(p)
+
+
+def _run_det_exit_code(tmp_path, mesh_path) -> int:
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"problem: {{mesh_file: '{mesh_path}'}}\n")
+    return main(["run-det", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def _saved_cube_lines(tmp_path):
+    cube = generate_double_notch(width=1.0, height=1.0, thickness=1.0,
+                                 notch_depth=0.0, notch_height=0.0, nx=1, ny=1)
+    save_mesh(cube, tmp_path / "cube.mesh")
+    return (tmp_path / "cube.mesh").read_text().splitlines()
+
+
+@pytest.mark.parametrize("field", [1, 2], ids=["count", "id"])
+@pytest.mark.parametrize("section", ["SETS", "ELEMENT_PATHS"])
+def test_load_names_the_line_of_a_non_integer_set_row(tmp_path, section, field):
+    """A set or path row whose count or id is not an integer is a format
+    error naming its line, not a bare ValueError."""
+    lines = _saved_cube_lines(tmp_path)
+    row = next(i for i, ln in enumerate(lines) if ln.startswith(section)) + 1
+    parts = lines[row].split()
+    parts[field] = "x" + parts[field]
+    lines[row] = " ".join(parts)
+    (tmp_path / "bad.mesh").write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=f"line {row + 1}: bad"):
+        load_mesh(tmp_path / "bad.mesh")
+    assert _run_det_exit_code(tmp_path, tmp_path / "bad.mesh") == 3
+
+
+@pytest.mark.parametrize("section", ["NODES", "ELEMENTS", "SETS", "ELEMENT_PATHS"])
+def test_load_rejects_a_negative_section_count(tmp_path, section):
+    """A negative section count is a format error naming its line, not a
+    numpy error or an empty section."""
+    lines = _saved_cube_lines(tmp_path)
+    row = next(i for i, ln in enumerate(lines) if ln.split()[0] == section)
+    lines[row] = f"{section} -25"
+    (tmp_path / "bad.mesh").write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=f"line {row + 1}: negative count in {section}"):
+        load_mesh(tmp_path / "bad.mesh")
+    assert _run_det_exit_code(tmp_path, tmp_path / "bad.mesh") == 3
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+from tsmfem import tsm
 from tsmfem.config import load_config
 from tsmfem.material import MaterialParams, Order0Law, Order1Law
 from tsmfem.mesh import DirichletRamp, LoadCase, generate_plate_with_hole
@@ -506,10 +507,15 @@ def test_lockstep_memory_does_not_grow_with_exchange_rate():
     assert peak_every - peak_rare < 0.1 * record_bytes
 
 
-@pytest.mark.parametrize("order", [0, 1])
-@pytest.mark.parametrize("mode", ["in_memory", "file"])
-def test_tsm_instability_names_the_order(monkeypatch, mode, order):
-    """A non-finite state names its TSM order, in either exchange mode."""
+@pytest.mark.parametrize("mode, order, start_method", [
+    *(pytest.param(mode, order, tsm._START_METHOD, id=f"{mode}-{order}")
+      for mode in ("in_memory", "file") for order in (0, 1)),
+    pytest.param("file", 0, "spawn", id="file-0-spawn"),
+])
+def test_tsm_instability_names_the_order(monkeypatch, mode, order, start_method):
+    """A non-finite state names its TSM order, in either exchange mode and
+    with order 1's process spawned as where the platform cannot fork."""
+    monkeypatch.setattr(tsm, "_START_METHOD", start_method)
     if order == 0:
         # far past the CFL limit with damage off, so nothing caps the growth
         problem, dt, step = coarse_plate_problem(T=1000.0, eta=1e300), 1.0, 64
@@ -552,6 +558,29 @@ def test_file_mode_runs_order1_in_a_child_that_is_joined(tmp_path, monkeypatch):
     assert sol.order1_wait >= 0.0
     assert sol.order1_peak_rss_mb > 0.0  # the child's own, sent with its history
     assert ExchangeFileReader(tmp_path / "x.tsmx").n_records == sol.history0.n_steps // 5 + 1
+
+
+@pytest.mark.parametrize("K", [1, 7])
+def test_file_mode_spawned_order1_equals_in_memory_bitwise(coarse_desk, K, monkeypatch):
+    """Where the platform cannot fork, file mode spawns order 1's process, a
+    fresh interpreter that gets everything by argument: an order-1 kernel
+    patched in this process does not reach it.  Both histories equal
+    in-memory mode's bitwise, and the child is joined."""
+    cfg, quad = coarse_desk
+    p = cfg.problem
+    mem = run_tsm(p, TsmConfig(exchange_interval=K), cfg.dt, cfg.snapshot_times, quad=quad)
+
+    def not_here(self, d1, eps1, step):
+        raise AssertionError("order 1 ran in the parent or in a forked copy of it")
+
+    monkeypatch.setattr(FirstOrderKernels, "stress", not_here)
+    monkeypatch.setattr(tsm, "_START_METHOD", "spawn")
+    fil = run_tsm(p, TsmConfig(exchange_interval=K, exchange_mode="file"), cfg.dt,
+                  cfg.snapshot_times, quad=quad)
+    _assert_same_history(mem.history0, fil.history0)
+    _assert_same_history(mem.history1, fil.history1)
+    assert fil.order1_peak_rss_mb > 0.0
+    assert not multiprocessing.active_children()
 
 
 def _interrupting(stress):
