@@ -119,46 +119,47 @@ class LoadCase:
                 raise ValueError(f"axis must be 0, 1 or 2, got {d.axis}")
 
 
+def constrained_dofs(load: LoadCase, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Which ramp owns each constrained dof: the flat dofs 3 * node + axis
+    of ``load``'s Dirichlet rows, ascending, and for each the index in
+    ``load.dirichlet`` of the last row that names it."""
+    named = [3 * np.asarray(mesh.node_sets[d.node_set], dtype=np.int64) + d.axis
+             for d in load.dirichlet]
+    rows = np.repeat(np.arange(len(named)), [a.size for a in named])[::-1]
+    # the first of each dof in the reversed rows is its last row
+    dofs, last = np.unique(np.concatenate(named)[::-1], return_index=True)
+    return dofs, rows[last]
+
+
 def validate_load_case(load: LoadCase, mesh: Mesh) -> None:
     """Check set references, that no constrained set is empty, that no dof
     gets two different ramps, and that the constraints block all six
     rigid-body modes (the intent of requiring a fixed support)."""
-    dofs, which = [], []
-    for k, d in enumerate(load.dirichlet):
+    for d in load.dirichlet:
         if d.node_set not in mesh.node_sets:
             raise ValueError(f"unknown node set '{d.node_set}' in load case")
-        ids = np.asarray(mesh.node_sets[d.node_set], dtype=np.int64)
-        if ids.size == 0:
+        if len(mesh.node_sets[d.node_set]) == 0:
             raise ValueError(f"node set '{d.node_set}' in load case is empty")
-        dofs.append(3 * ids + d.axis)
-        which.append(np.full(ids.size, k))
-    if not dofs:
+    if not load.dirichlet:
         raise ValueError("load case constrains no degrees of freedom")
-    dofs, which = np.concatenate(dofs), np.concatenate(which)
+    constrained, owner = constrained_dofs(load, mesh)
     ramp = np.array([(d.amplitude, d.ramp_end) for d in load.dirichlet])
-    constrained, first, inverse = np.unique(dofs, return_index=True,
-                                            return_inverse=True)
-    owner = which[first][inverse]  # the first ramp that prescribes each dof
-    clash = np.nonzero((owner != which) & (ramp[owner] != ramp[which]).any(axis=1))[0]
-    if clash.size:
-        i = clash[0]
-        prev, d = load.dirichlet[owner[i]], load.dirichlet[which[i]]
-        raise ValueError(
-            f"node {dofs[i] // 3} axis {d.axis} is prescribed twice with different "
-            f"ramps (sets '{prev.node_set}' and '{d.node_set}')")
-    x = mesh.nodes
-    modes = np.zeros((6, mesh.n_nodes, 3))
-    modes[0, :, 0] = 1.0
-    modes[1, :, 1] = 1.0
-    modes[2, :, 2] = 1.0
-    modes[3, :, 1] = -x[:, 2]
-    modes[3, :, 2] = x[:, 1]
-    modes[4, :, 0] = x[:, 2]
-    modes[4, :, 2] = -x[:, 0]
-    modes[5, :, 0] = -x[:, 1]
-    modes[5, :, 1] = x[:, 0]
-    R = modes[:, constrained // 3, constrained % 3]
-    scale = max(1.0, float(np.abs(x).max()))
+    for k, d in enumerate(load.dirichlet):
+        ids = np.asarray(mesh.node_sets[d.node_set], dtype=np.int64)
+        own = owner[np.searchsorted(constrained, 3 * ids + d.axis)]
+        clash = np.nonzero((ramp[own] != ramp[k]).any(axis=1))[0]
+        if clash.size:
+            i, other = clash[0], load.dirichlet[own[clash[0]]].node_set
+            raise ValueError(f"node {ids[i]} axis {d.axis} is prescribed twice with different "
+                             f"ramps (sets '{d.node_set}' and '{other}')")
+    # rigid-body modes at the constrained dofs: 3 translations, 3 rotations e_k x position
+    node, axis = np.divmod(constrained, 3)
+    j = np.arange(constrained.size)
+    R = np.zeros((6, constrained.size))
+    R[axis, j] = 1.0
+    R[3 + (axis + 1) % 3, j] = mesh.nodes[node, (axis + 2) % 3]
+    R[3 + (axis + 2) % 3, j] = -mesh.nodes[node, (axis + 1) % 3]
+    scale = max(1.0, float(np.abs(mesh.nodes).max()))
     if np.linalg.matrix_rank(R, tol=1e-9 * scale) < 6:
         raise ValueError("constraints leave a rigid-body mode unconstrained")
 

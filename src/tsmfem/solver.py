@@ -38,7 +38,9 @@ fused multiply-adds computes the same sums.
 
 Dirichlet ramps are imposed by direct overwrite after the explicit update,
 with boundary velocity/acceleration taken from finite differences of the
-ramp.  Everything is single-threaded and bitwise reproducible.
+ramp.  Everything is single-threaded and bitwise reproducible.  Set-up
+follows the mesh and the output, not the step count: the reaction schedule
+is arithmetic on the step number.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from scipy.sparse import _sparsetools
 from . import hexa
 from .material import MaterialParams, characteristic_scales
 from .material import Order0Law as DeterministicKernels  # order-0 step callbacks
-from .mesh import LoadCase, Mesh, validate_load_case, validate_mesh
+from .mesh import LoadCase, Mesh, constrained_dofs, validate_load_case, validate_mesh
 
 _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
           (0, 4), (1, 5), (2, 6), (3, 7)]
@@ -266,7 +268,8 @@ class History:
 
 class _Dirichlet:
     """Compiled constraint table: the constrained flat dofs, ascending, and
-    the ramp each follows, value(t) = amplitude * min(t, ramp_end) / ramp_end.
+    the ramp each follows, value(t) = amplitude * min(t, ramp_end) / ramp_end
+    (the ramp of the last row that names the dof, ``mesh.constrained_dofs``).
 
     The ramp law is evaluated in Python floats once per distinct
     (amplitude, ramp_end) pair and spread to the dofs with one ``take``;
@@ -275,17 +278,13 @@ class _Dirichlet:
     -0.0 are distinct pairs.)"""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
-        pairs: dict[int, tuple[float, float]] = {}
-        for ramp in loads.dirichlet:
-            ids = mesh.node_sets[ramp.node_set]
-            for n in ids:
-                pairs[3 * int(n) + ramp.axis] = (scale * ramp.amplitude, ramp.ramp_end)
-        items = sorted(pairs.items())
-        self.dofs = np.asarray([k for k, _ in items], dtype=np.int64)
-        slots: dict[tuple[float, float, float], int] = {}  # ramp -> its row
-        self._which = np.asarray([slots.setdefault((amp, t_end, math.copysign(1.0, amp)),
-                                                   len(slots))
-                                  for _, (amp, t_end) in items], dtype=np.intp)
+        self.dofs, owner = constrained_dofs(loads, mesh)
+        keys = [(a, r.ramp_end, math.copysign(1.0, a))
+                for r in loads.dirichlet for a in [scale * r.amplitude]]
+        slots = {}  # ramp -> its slot; a row that owns no dof gets none (-1 below)
+        for k in owner[np.sort(np.unique(owner, return_index=True)[1])]:  # rows along the dofs
+            slots.setdefault(keys[k], len(slots))
+        self._which = np.array([slots.get(key, -1) for key in keys], dtype=np.intp)[owner]
         self._ramps = [(amp, t_end) for amp, t_end, _ in slots]
         self._t = None
 
@@ -378,17 +377,17 @@ class ExplicitEngine:
                              if s >= 0})
         self._snap_at = {s: i for i, s in enumerate(snap_steps)}
         nn, ngp, S = mesh.n_nodes, quad.n_gauss, len(snap_steps)
-        f_steps = [s for s in range(0, n_steps + 1)
-                   if s % force_stride == 0 or s == n_steps]
-        self._f_at = {s: i for i, s in enumerate(f_steps)}
+        # reactions at steps 0, s, 2s, ... and the last (exact in float64)
+        self._force_stride = s = min(force_stride, n_steps)
+        force_times = np.minimum(np.arange(0.0, n_steps + s, s), n_steps) * dt
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
         self._set_sums = reaction_operator([mesh.node_sets[name]
                                             for name in self._set_names], self.mass3.size)
-        self._forces = np.zeros((len(f_steps), len(self._set_names), 3))
+        self._forces = np.zeros((force_times.size, len(self._set_names), 3))
         self.history = History(
             times=np.asarray([s * dt for s in snap_steps]),
             u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
-            force_times=np.asarray([s * dt for s in f_steps]), forces={},
+            force_times=force_times, forces={},
             dt=dt, n_steps=n_steps, meta=dict(meta or {}),
         )
         self.history.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
@@ -440,10 +439,9 @@ class ExplicitEngine:
         eps, sigma, f_int, a = self.evaluate()
         if self.exchange_hook is not None:
             self.exchange_hook(n, self.time, eps, d)
-        i = self._f_at.get(n)
-        if i is not None:
-            self._forces[i] = reaction_sums(self._set_sums, self.mass3, f_int, a, self.v,
-                                            self.alpha)
+        if n % self._force_stride == 0 or n == self.n_steps:  # in row ceil(n / s)
+            self._forces[-(-n // self._force_stride)] = reaction_sums(
+                self._set_sums, self.mass3, f_int, a, self.v, self.alpha)
         i = self._snap_at.get(n)
         if i is not None:
             hist = self.history

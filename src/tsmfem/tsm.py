@@ -36,8 +36,10 @@ view of the buffer each record is read into.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import pickle
 import struct
 import sys
 import tempfile
@@ -470,7 +472,8 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     """The order-0 and order-1 simulations, exchanging records every K steps.
 
     File mode streams: ``run_order0`` writes the stream to
-    ``exchange_path`` (a file in a temporary directory when not given)
+    ``exchange_path`` (a file in a temporary directory, made only when no
+    path is given)
     here, while ``run_order1`` reads each record once it is announced, in
     a child process (``_Order1Process``).  In-memory mode runs the two
     orders in lockstep (``_run_lockstep``) with memory O(1) in K.  Both
@@ -482,8 +485,10 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
         hist0, hist1 = _run_lockstep(problem, config.exchange_interval, dt,
                                      output_times, quad, force_stride)
     else:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = exchange_path or os.path.join(tmp, "exchange.tsmx")
+        tmp_dir = (tempfile.TemporaryDirectory() if exchange_path is None
+                   else contextlib.nullcontext())
+        with tmp_dir as tmp:
+            path = exchange_path if tmp is None else os.path.join(tmp, "exchange.tsmx")
             with _Order1Process(problem, path, dt, output_times, quad,
                                 force_stride) as order1:
                 hist0, _ = run_order0(problem, dt, output_times, config, quad=quad,
@@ -506,21 +511,32 @@ class _Order1Process:
     Leaving the ``with`` block joins the child, terminating it first when
     the block is left by an exception.  A plain ``Pipe`` carries both
     directions, so no helper process is started (spawn on POSIX starts
-    Python's own resource tracker once per interpreter).  A spawned child
-    imports the caller's main module, so a script that runs file mode where
-    the platform cannot fork guards its entry point with
-    ``if __name__ == "__main__":``.
+    Python's own resource tracker once per interpreter).
+
+    The child starts with only its end of the pipe; the problem and the
+    quadrature follow over the pipe once it has started, so a start never
+    waits on a child that cannot read.  A spawned child imports the
+    caller's main module, so a script that runs file mode where the
+    platform cannot fork guards its entry point with
+    ``if __name__ == "__main__":``; a child that dies importing it makes
+    the first announcement raise ``ChildProcessError`` with its exit code.
     """
 
     def __init__(self, problem: Problem, path, dt: float, output_times,
                  quad: ElementQuadrature, force_stride: int):
         ctx = multiprocessing.get_context(_START_METHOD)
         self._conn, child_end = ctx.Pipe()
-        self._process = ctx.Process(target=_order1_child, daemon=True,
-                                    args=(child_end, problem, path, dt, output_times,
-                                          quad, force_stride))
+        self._process = ctx.Process(target=_order1_child, args=(child_end,), daemon=True)
         self._process.start()
         child_end.close()
+        try:
+            _send_out_of_band(self._conn, (problem, path, dt, output_times, quad,
+                                           force_stride))
+        except ConnectionError:  # the child has ended; ``announce`` says how
+            pass
+        except BaseException:  # the child would wait for its problem forever
+            self.__exit__(BaseException)
+            raise
 
     def announce(self, n: int) -> None:
         try:
@@ -551,12 +567,34 @@ class _Order1Process:
         self._conn.close()
 
 
-def _order1_child(conn, problem: Problem, path, dt: float, output_times,
-                  quad: ElementQuadrature, force_stride: int) -> None:
-    """The order-1 process: reads the stream at ``path`` as ``conn``
-    announces it and sends back (history, wait, peak RSS), or its
+def _send_out_of_band(conn, obj) -> None:
+    """Send ``obj`` as a pickle (protocol 5) without its array data, then
+    the bytes of each array straight from the array's memory, so the sender
+    makes no copy of them (the quadrature is megabytes)."""
+    buffers = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    views = [b.raw() for b in buffers]
+    conn.send((head, [v.nbytes for v in views]))
+    for view in views:
+        conn.send_bytes(view)
+
+
+def _recv_out_of_band(conn):
+    """The object ``_send_out_of_band`` sent; its arrays are writable."""
+    head, sizes = conn.recv()
+    buffers = [bytearray(n) for n in sizes]
+    for buf in buffers:
+        conn.recv_bytes_into(buf)
+    return pickle.loads(head, buffers=buffers)
+
+
+def _order1_child(conn) -> None:
+    """The order-1 process: receives (problem, path, dt, output_times,
+    quad, force_stride) over ``conn``, reads the stream at ``path`` as
+    ``conn`` announces it and sends back (history, wait, peak RSS), or its
     exception, which the parent raises."""
     try:
+        problem, path, dt, output_times, quad, force_stride = _recv_out_of_band(conn)
         reader = ExchangeFileReader(path, announcements=conn)
         hist = run_order1(problem, reader, dt, output_times, quad=quad,
                           force_stride=force_stride)

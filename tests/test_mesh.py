@@ -1,9 +1,12 @@
 """Mesh generators, validation, load cases, and the text file round trip."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tsmfem.cli import main
+from tsmfem.config import PRESETS, load_config
 from tsmfem.mesh import (
     DirichletRamp,
     LoadCase,
@@ -167,6 +170,47 @@ def test_compiled_ramp_table_is_the_closed_form(scale):
             assert same_bits(velocity, (closed(t + dt) - closed(t)) / dt)
             assert same_bits(value, closed(t + dt))
     assert np.array_equal(np.signbit(table.value(0.3)), np.signbit(amp))
+
+
+def _per_node_table(mesh, loads, scale):
+    """The constraint table as a per-node dict builds it: dofs ascending,
+    the last row naming a dof wins, one slot per distinct (amplitude,
+    ramp end, sign of the amplitude), numbered along the dofs."""
+    ramp_of = {}
+    for r in loads.dirichlet:
+        for n in mesh.node_sets[r.node_set]:
+            ramp_of[3 * int(n) + r.axis] = (scale * r.amplitude, r.ramp_end)
+    items = sorted(ramp_of.items())
+    slots = {}
+    which = [slots.setdefault((amp, t_end, math.copysign(1.0, amp)), len(slots))
+             for _, (amp, t_end) in items]
+    return (np.asarray([k for k, _ in items], dtype=np.int64),
+            np.asarray(which, dtype=np.intp), [(amp, t_end) for amp, t_end, _ in slots])
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.0])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_constraint_table_is_the_per_node_construction(preset, scale):
+    """On every preset's load case, and on one where later rows name dofs
+    of earlier ones (a -0.0 hold over every node's z, a pull of 'top' in
+    x), the dofs, each dof's slot and the slots' ramps, the sign of a zero
+    amplitude included, are bitwise those of the per-node construction."""
+    cfg = load_config(overrides={"problem": {"preset": preset}})
+    mesh, loads = cfg.problem.mesh, cfg.problem.loads
+    mesh.node_sets["all"] = np.arange(mesh.n_nodes)
+    overlapping = LoadCase(dirichlet=(
+        *loads.dirichlet, DirichletRamp("all", 2, -0.0, loads.total_time),
+        DirichletRamp("top", 0, 0.003, 0.5 * loads.total_time),
+        DirichletRamp("top", 0, -0.002, loads.total_time)), total_time=loads.total_time)
+    for lc in (loads, overlapping):
+        table = _Dirichlet(mesh, lc, scale)
+        dofs, which, ramps = _per_node_table(mesh, lc, scale)
+        assert table.dofs.dtype == dofs.dtype and np.array_equal(table.dofs, dofs)
+        assert table._which.dtype == which.dtype and np.array_equal(table._which, which)
+        assert [tuple(map(float.hex, r)) for r in table._ramps] == \
+            [tuple(map(float.hex, r)) for r in ramps]
+    # 0.0, -0.0 and, at scale 1, the pulls in y and in x; the later x pull wins
+    assert len(table._ramps) == (4 if scale else 2)
 
 
 def test_ramp_end_beyond_total_time_rejected():

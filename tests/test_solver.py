@@ -2,6 +2,7 @@
 the explicit integrator against closed-form dynamics, and energy bookkeeping.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -685,6 +686,49 @@ def test_run_deterministic_reproducible_bitwise():
     assert np.array_equal(h1.u, h2.u)
     assert np.array_equal(h1.d, h2.d)
     assert np.array_equal(h1.forces["top"], h2.forces["top"])
+
+
+def test_force_schedule_is_every_stride_th_step_and_the_last():
+    """Reactions are recorded at steps 0, s, 2s, ... and at the last step,
+    for s = 1, a stride that does not divide the step count, the step count
+    and larger ones: rows, ``force_times`` and ``forces`` are bitwise those
+    of a list of the recorded steps s and their times s * dt, with the
+    reactions of a stride-1 run at those steps."""
+    mesh, loads, params = _coarse_plate_problem(T=4e-4)
+    dt = stable_timestep(mesh, params, 0.5)
+    every = run_deterministic(mesh, loads, params, 0.0, dt, [])
+    n_steps = every.n_steps
+    odd = next(s for s in range(3, n_steps) if n_steps % s)
+    for stride in (1, odd, n_steps, n_steps + 1, 10**30):
+        hist = run_deterministic(mesh, loads, params, 0.0, dt, [], force_stride=stride)
+        steps = [s for s in range(n_steps + 1) if s % stride == 0 or s == n_steps]
+        times = np.asarray([s * dt for s in steps])
+        assert hist.force_times.dtype == times.dtype and np.array_equal(hist.force_times, times)
+        assert hist.forces.keys() == every.forces.keys()
+        for name, series in hist.forces.items():
+            assert series.shape == (len(steps), 3)
+            assert np.array_equal(series, every.forces[name][steps])
+            assert np.array_equal(np.signbit(series), np.signbit(every.forces[name][steps]))
+
+
+def test_engine_set_up_follows_the_mesh_and_the_output_not_the_step_count():
+    """Building the engine of the full-scale double notch, 714,921 steps,
+    allocates its reaction rows and their times and at most 8 MB beside
+    them: nothing per step but the recorded reactions."""
+    cfg = load_config(overrides={"problem": {"preset": "double_notch"}})
+    p = cfg.problem
+    quad = ElementQuadrature.build(p.mesh)
+    kern = deterministic_kernels(p.params, 0.0, cfg.dt)
+    tracemalloc.start()
+    try:
+        engine = ExplicitEngine(p.mesh, p.loads, p.params.rho, cfg.dt, cfg.snapshot_times,
+                                kern.stress, kern.damage, quad=quad,
+                                mass_damping=p.mass_damping)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.n_steps == 714921
+    assert peak <= engine._forces.nbytes + engine.history.force_times.nbytes + 8e6
 
 
 def test_xi_runs_bracket_damage():

@@ -5,6 +5,8 @@ post-processing."""
 import multiprocessing
 import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 import zlib
@@ -581,6 +583,57 @@ def test_file_mode_spawned_order1_equals_in_memory_bitwise(coarse_desk, K, monke
     _assert_same_history(mem.history1, fil.history1)
     assert fil.order1_peak_rss_mb > 0.0
     assert not multiprocessing.active_children()
+
+
+_UNGUARDED_SCRIPT = """
+from tsmfem import tsm
+from tsmfem.config import load_config
+
+tsm._START_METHOD = "spawn"
+cfg = load_config(overrides={"problem": {"preset": "plate_coarse_desk"},
+                             "tsm": {"exchange_mode": "file"}})
+tsm.run_tsm(cfg.problem, cfg.tsm, cfg.dt, cfg.snapshot_times)
+"""
+
+
+def test_spawned_order1_that_cannot_import_main_fails_not_hangs(tmp_path):
+    """A spawned child imports the caller's main module; a script without
+    an ``if __name__ == "__main__":`` guard makes the child run file mode
+    itself while bootstrapping, and die.  The script then fails with a
+    ``ChildProcessError`` naming the exit code, within the timeout."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT)
+    src = os.path.dirname(os.path.dirname(tsm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "ChildProcessError: the order-1 process exited with code 1" in proc.stderr
+
+
+def test_file_mode_problem_that_cannot_be_sent_fails_and_stops_the_child():
+    """The problem reaches order 1's process over its pipe; one that cannot
+    be pickled raises in the caller, and the waiting child is stopped."""
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    outputs = (t for t in [problem.loads.total_time])  # a generator does not pickle
+    with pytest.raises(TypeError):
+        run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt, outputs)
+    assert not multiprocessing.active_children()
+
+
+def test_file_mode_with_a_path_makes_no_temporary_directory(tmp_path, monkeypatch):
+    """Given ``exchange_path``, file mode writes there and creates no
+    temporary directory."""
+    def no_tmp():
+        raise AssertionError("file mode created a temporary directory")
+
+    monkeypatch.setattr(tsm.tempfile, "TemporaryDirectory", no_tmp)
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    sol = run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt,
+                  [problem.loads.total_time], exchange_path=tmp_path / "x.tsmx")
+    assert ExchangeFileReader(tmp_path / "x.tsmx").n_records == sol.history0.n_steps // 5 + 1
 
 
 def _interrupting(stress):
