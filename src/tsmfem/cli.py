@@ -95,7 +95,7 @@ def cmd_run_det(args) -> int:
                           command=f"run-det --xi {xi}",
                           wall_times={"run": hist.wall_time, "total": hist.wall_time},
                           extra={"kind": "det", "xi": xi, "dt": cfg.dt,
-                                 "n_steps": hist.n_steps})
+                                 "n_steps": hist.n_steps, "peak_rss_mb": peak_rss_mb()})
     print(f"deterministic run (xi={xi:+g}): {hist.n_steps} steps, "
           f"{hist.wall_time:.2f}s -> {outdir}")
     return 0
@@ -143,15 +143,17 @@ def cmd_run_mc(args) -> int:
     stats = mc_statistics(ens)
     wall = _time.perf_counter() - t0
     _export_summary(outdir, cfg.problem.mesh, stats)
-    export.atomic_write(os.path.join(outdir, "xis.csv"),
-                         "xi\n" + "\n".join(f"{x:.17g}" for x in xis) + "\n")
+    with export.atomic_write(os.path.join(outdir, "xis.csv")) as fh:
+        fh.write("xi\n")
+        fh.writelines(f"{x:.17g}\n" for x in xis)
     walls = {"total": float(ens.wall_times.sum()), "observed_wall": wall,
              "per_sample_mean": float(ens.wall_times.mean())}
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),
                           command=f"run-mc (n={cfg.mc_n})", wall_times=walls,
                           seeds={"xi": cfg.xi_dist.seed},
                           extra={"kind": "mc", "n": cfg.mc_n, "dt": cfg.dt,
-                                 "xi_second_moment_empirical": float((xis**2).mean())})
+                                 "xi_second_moment_empirical": float((xis**2).mean()),
+                                 "peak_rss_mb": peak_rss_mb()})
     print(f"mc: {cfg.mc_n} runs, aggregate {walls['total']:.1f}s "
           f"(wall {wall:.1f}s, workers={cfg.mc_workers}) -> {outdir}")
     return 0
@@ -206,7 +208,8 @@ def cmd_report_timing(args) -> int:
         lines.append(f"speedup mc / tsm = {by_kind['mc'] / by_kind['tsm']:8.2f}x")
     text = "\n".join(lines) + "\n"
     if args.out:
-        export.atomic_write(args.out, text)
+        with export.atomic_write(args.out) as fh:
+            fh.write(text)
     print(text, end="")
     return 0
 

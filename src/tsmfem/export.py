@@ -1,16 +1,21 @@
 """Artifact writers: VTK legacy ASCII snapshots, CSV time series and line
 tables, npz-serialized moment summaries, and reproducibility manifests.
 
-All writers go through an atomic temp-file + rename so partially written
-artifacts never appear under their final name.
+Every writer streams into an atomic temp file (``atomic_write``): the
+artifact is written to ``<path>.tmp``, which is renamed onto ``path`` once
+it is complete and removed if the writer fails, so a partially written
+artifact never appears under its final name and no ``.tmp`` is left behind.
+Memory stays bounded whatever the artifact's size: rows of text are
+formatted and written ``_BLOCK_ROWS`` at a time, and the npz goes straight
+into the file, so no writer holds its whole artifact, or a list of all its
+rows, in memory.
 """
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import dataclasses
 import hashlib
-import io
 import os
 
 import numpy as np
@@ -21,14 +26,41 @@ from .montecarlo import ComparisonReport, LineTable, element_average, sigma_norm
 from .solver import History
 from .tsm import UqSummary
 
+_BLOCK_ROWS = 4096  # rows of text formatted and written at a time
+_G = "%.17g"  # a float's text, the same as f"{v:.17g}" gives
 
-def atomic_write(path, data: str | bytes):
-    """Write text or bytes via a temporary file renamed onto ``path``."""
-    mode = "wb" if isinstance(data, bytes) else "w"
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """The file object of ``<path>.tmp``, opened with ``mode``, for a
+    ``with`` body to stream into.  When the body finishes the file is
+    closed and renamed onto ``path``; when it raises, the temp file is
+    removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_rows(fh, fmt: str, n_rows: int, columns) -> None:
+    """Rows ``fmt % row`` for rows 0, ..., n_rows - 1, formatted and
+    written ``_BLOCK_ROWS`` at a time.  ``columns(rows)`` returns the
+    values of the rows in the slice ``rows``, one array per field; they
+    are formatted as the Python numbers of ``tolist()``, the same text as
+    formatting numpy scalars gives."""
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        cols = [c.tolist() for c in columns(slice(lo, min(lo + _BLOCK_ROWS, n_rows)))]
+        fh.write("".join([fmt % row for row in zip(*cols)]))
+
+
+def _grid(rows: slice, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the rows ``rows`` of a table with row i * n + j."""
+    return np.divmod(np.arange(rows.start, rows.stop), n)
 
 
 # ---------------------------------------------------------------------------
@@ -36,39 +68,38 @@ def atomic_write(path, data: str | bytes):
 # ---------------------------------------------------------------------------
 
 
-def _vector_lines(arr) -> str:
-    """Rows of an (n, 3) array as "x y z" lines; numbers are formatted as
-    Python floats from ``tolist()``, the same text as numpy scalars give."""
-    return "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in np.asarray(arr).tolist())
+_VECTOR = f"{_G} {_G} {_G}\n"
 
 
 def write_vtk(path, mesh: Mesh, point_vectors: dict | None = None,
               cell_scalars: dict | None = None, title: str = "tsmfem output"):
     """Unstructured-grid snapshot: hexahedra with nodal vector fields and
     per-element scalar fields."""
-    out = io.StringIO()
-    out.write("# vtk DataFile Version 3.0\n")
-    out.write(title[:255] + "\n")
-    out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-    out.write(f"POINTS {mesh.n_nodes} double\n")
-    out.write(_vector_lines(mesh.nodes))
     ne = mesh.n_elements
-    out.write(f"CELLS {ne} {9 * ne}\n")
-    out.writelines(f"8 {' '.join(map(str, e))}\n" for e in mesh.elements.tolist())
-    out.write(f"CELL_TYPES {ne}\n")
-    out.write("\n".join(["12"] * ne) + "\n")
+    with atomic_write(path) as out:
+        out.write("# vtk DataFile Version 3.0\n")
+        out.write(title[:255] + "\n")
+        out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        out.write(f"POINTS {mesh.n_nodes} double\n")
+        _write_rows(out, _VECTOR, mesh.n_nodes, lambda r: mesh.nodes[r].T)
+        out.write(f"CELLS {ne} {9 * ne}\n")
+        _write_rows(out, "8" + " %d" * 8 + "\n", ne, lambda r: mesh.elements[r].T)
+        out.write(f"CELL_TYPES {ne}\n")
+        for lo in range(0, ne, _BLOCK_ROWS):
+            out.write("12\n" * min(_BLOCK_ROWS, ne - lo))
 
-    if point_vectors:
-        out.write(f"POINT_DATA {mesh.n_nodes}\n")
-        for name, arr in point_vectors.items():
-            out.write(f"VECTORS {name} double\n")
-            out.write(_vector_lines(arr))
-    if cell_scalars:
-        out.write(f"CELL_DATA {ne}\n")
-        for name, arr in cell_scalars.items():
-            out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            out.write("\n".join(f"{v:.17g}" for v in np.asarray(arr).tolist()) + "\n")
-    atomic_write(path, out.getvalue())
+        if point_vectors:
+            out.write(f"POINT_DATA {mesh.n_nodes}\n")
+            for name, arr in point_vectors.items():
+                out.write(f"VECTORS {name} double\n")
+                arr = np.asarray(arr)
+                _write_rows(out, _VECTOR, len(arr), lambda r: arr[r].T)
+        if cell_scalars:
+            out.write(f"CELL_DATA {ne}\n")
+            for name, arr in cell_scalars.items():
+                out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                arr = np.asarray(arr)
+                _write_rows(out, _G + "\n", len(arr), lambda r: [arr[r]])
 
 
 def history_to_vtk(outdir, mesh: Mesh, hist: History):
@@ -106,63 +137,62 @@ def summary_to_vtk(outdir, mesh: Mesh, uq: UqSummary):
 # ---------------------------------------------------------------------------
 
 
-def _csv_string(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _write_csv(path, header, fields, n_rows: int, columns) -> None:
+    """A CSV file of ``n_rows`` rows whose fields have the printf formats
+    ``fields``, as ``csv.writer`` writes it: comma-separated, CRLF line
+    ends and, since neither the header words nor numbers hold a comma, a
+    quote or a line end, nothing quoted.  ``columns`` is ``_write_rows``'s."""
+    with atomic_write(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, ",".join(fields) + "\r\n", n_rows, columns)
 
 
 def write_force_csv(path, times, forces: np.ndarray):
     """Reaction series: time, Fx, Fy, Fz."""
-    rows = [(f"{t:.17g}", f"{fx:.17g}", f"{fy:.17g}", f"{fz:.17g}")
-            for t, (fx, fy, fz) in zip(np.asarray(times).tolist(),
-                                       np.asarray(forces).tolist())]
-    atomic_write(path, _csv_string(["time", "Fx", "Fy", "Fz"], rows))
+    times, forces = np.asarray(times), np.asarray(forces)
+    _write_csv(path, ["time", "Fx", "Fy", "Fz"], [_G] * 4, min(len(times), len(forces)),
+               lambda r: [times[r], *forces[r].T])
 
 
 def write_force_stats_csv(path, uq: UqSummary):
-    rows = [(f"{t:.17g}", *(f"{v:.17g}" for v in mean), *(f"{v:.17g}" for v in std))
-            for t, mean, std in zip(uq.force_times.tolist(), uq.force_mean.tolist(),
-                                    uq.force_std.tolist())]
     header = ["time", "Fx_mean", "Fy_mean", "Fz_mean", "Fx_std", "Fy_std", "Fz_std"]
-    atomic_write(path, _csv_string(header, rows))
+    _write_csv(path, header, [_G] * 7, len(uq.force_times),
+               lambda r: [uq.force_times[r], *uq.force_mean[r].T, *uq.force_std[r].T])
 
 
 def write_line_csv(path, table: LineTable):
     """Per-element line extraction, one row per (snapshot, path element)."""
-    ids = table.element_ids.tolist()
-    xs = [f"{x:.17g}" for x in table.positions[:, 0].tolist()]
-    rows = []
-    for t, *fields in zip(table.times.tolist(), table.f_mean.tolist(), table.f_std.tolist(),
-                          table.snorm_mean.tolist(), table.snorm_std.tolist()):
-        for eid, x, vals in zip(ids, xs, zip(*fields)):
-            rows.append((f"{t:.17g}", eid, x, *(f"{v:.17g}" for v in vals)))
+    n = len(table.element_ids)
+
+    def columns(rows):
+        i, j = _grid(rows, n)
+        return [table.times[i], table.element_ids[j], table.positions[j, 0],
+                table.f_mean[i, j], table.f_std[i, j],
+                table.snorm_mean[i, j], table.snorm_std[i, j]]
+
     header = ["time", "element", "x", "f_mean", "f_std", "stress_norm_mean", "stress_norm_std"]
-    atomic_write(path, _csv_string(header, rows))
+    _write_csv(path, header, [_G, "%d", *[_G] * 5], len(table.times) * n, columns)
 
 
 def write_comparison_csv(outdir, report: ComparisonReport):
     os.makedirs(outdir, exist_ok=True)
-    rows = []
     S, ne = report.f_mean_abs_err.shape
-    for i in range(S):
-        for e in range(ne):
-            rows.append((f"{report.times[i]:.17g}", e, int(report.masked[i, e]),
-                         f"{report.f_mean_abs_err[i, e]:.17g}",
-                         f"{report.f_std_rel_err[i, e]:.17g}",
-                         f"{report.snorm_mean_rel_err[i, e]:.17g}",
-                         f"{report.snorm_std_rel_err[i, e]:.17g}"))
+
+    def columns(rows):
+        i, e = _grid(rows, ne)
+        return [report.times[i], e, report.masked[i, e].astype(int),
+                report.f_mean_abs_err[i, e], report.f_std_rel_err[i, e],
+                report.snorm_mean_rel_err[i, e], report.snorm_std_rel_err[i, e]]
+
     header = ["time", "element", "masked", "f_mean_abs_err", "f_std_rel_err",
               "snorm_mean_rel_err", "snorm_std_rel_err"]
-    atomic_write(os.path.join(outdir, "comparison_elements.csv"),
-                  _csv_string(header, rows))
+    _write_csv(os.path.join(outdir, "comparison_elements.csv"), header,
+               [_G, "%d", "%d", *[_G] * 4], S * ne, columns)
     summary = dict(report.summary)
     if report.timings:
         summary["timings"] = report.timings
-    atomic_write(os.path.join(outdir, "comparison_summary.yaml"),
-                  yaml.safe_dump(summary, sort_keys=True))
+    with atomic_write(os.path.join(outdir, "comparison_summary.yaml")) as fh:
+        yaml.safe_dump(summary, fh, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +207,8 @@ def save_summary(path, uq: UqSummary):
     members = {f.name: getattr(uq, f.name) for f in dataclasses.fields(UqSummary)}
     members["force_set"] = np.array(uq.force_set)
     members["meta"] = np.array(yaml.safe_dump(uq.meta))
-    buf = io.BytesIO()
-    np.savez(buf, **members)
-    atomic_write(path, buf.getvalue())
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **members)
 
 
 def load_summary(path) -> UqSummary:
@@ -227,7 +256,8 @@ def write_manifest(path, config: dict, *, command: str, wall_times: dict,
     }
     if extra:
         manifest.update(_plain(extra))
-    atomic_write(path, yaml.safe_dump(manifest, sort_keys=False))
+    with atomic_write(path) as fh:
+        yaml.safe_dump(manifest, fh, sort_keys=False)
 
 
 def read_manifest(path) -> dict:

@@ -383,7 +383,8 @@ class ExplicitEngine:
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
         self._set_sums = reaction_operator([mesh.node_sets[name]
                                             for name in self._set_names], self.mass3.size)
-        self._forces = np.zeros((force_times.size, len(self._set_names), 3))
+        # one contiguous (rows, 3) series per set, handed out by finish()
+        self._forces = np.zeros((len(self._set_names), force_times.size, 3))
         self.history = History(
             times=np.asarray([s * dt for s in snap_steps]),
             u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
@@ -440,7 +441,7 @@ class ExplicitEngine:
         if self.exchange_hook is not None:
             self.exchange_hook(n, self.time, eps, d)
         if n % self._force_stride == 0 or n == self.n_steps:  # in row ceil(n / s)
-            self._forces[-(-n // self._force_stride)] = reaction_sums(
+            self._forces[:, -(-n // self._force_stride)] = reaction_sums(
                 self._set_sums, self.mass3, f_int, a, self.v, self.alpha)
         i = self._snap_at.get(n)
         if i is not None:
@@ -460,13 +461,13 @@ class ExplicitEngine:
         return InstabilityError(self.n, self.time, meta.get("xi"), meta.get("order"))
 
     def finish(self) -> History:
-        """The history, once the final state is checked to be finite."""
+        """The history, once the final state is checked to be finite; each
+        set's reaction series is a view of the engine's own rows."""
         t0 = _time.perf_counter()
         if not np.isfinite(self.u).all():
             raise self._instability()
         hist = self.history
-        hist.forces = {name: self._forces[:, k].copy()
-                       for k, name in enumerate(self._set_names)}
+        hist.forces = dict(zip(self._set_names, self._forces))
         hist.wall_time += _time.perf_counter() - t0
         return hist
 

@@ -69,6 +69,7 @@ _CRC = struct.Struct("<I")  # a record's CRC32, after its payload
 _TRAILER = struct.Struct("<QI")  # record count, stream CRC
 _SEALED = -1  # the writer's announcement of its trailer
 _ORDER0_META = {"kind": "order0", "order": 0}  # order 0's History.meta in both modes
+_CHUNK = 1 << 16  # bytes of array data per message to and from order 1's process
 # how file mode starts its order-1 process: fork where the platform has it,
 # since the child then starts at once; else spawn, a fresh interpreter that
 # gets everything it needs by argument
@@ -480,6 +481,7 @@ def run_tsm(problem: Problem, config: TsmConfig, dt: float, output_times, *,
     modes apply the same K-step zero-order hold, so they agree bitwise.
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
+    output_times = list(output_times)  # both orders read it, so no one-shot iterable
     wait, rss1 = 0.0, None
     if config.exchange_mode == "in_memory":
         hist0, hist1 = _run_lockstep(problem, config.exchange_interval, dt,
@@ -530,8 +532,8 @@ class _Order1Process:
         self._process.start()
         child_end.close()
         try:
-            _send_out_of_band(self._conn, (problem, path, dt, output_times, quad,
-                                           force_stride))
+            _send_out_of_band(self._conn, *_pickle_out_of_band(
+                (problem, path, dt, output_times, quad, force_stride)))
         except ConnectionError:  # the child has ended; ``announce`` says how
             pass
         except BaseException:  # the child would wait for its problem forever
@@ -548,14 +550,11 @@ class _Order1Process:
 
     def result(self):
         try:
-            out = self._conn.recv()
+            return _recv_out_of_band(self._conn)
         except EOFError:
             self._process.join()
             raise ChildProcessError(f"the order-1 process exited with code "
                                     f"{self._process.exitcode} and no result") from None
-        if isinstance(out, BaseException):
-            raise out
-        return out
 
     def __enter__(self):
         return self
@@ -567,40 +566,60 @@ class _Order1Process:
         self._conn.close()
 
 
-def _send_out_of_band(conn, obj) -> None:
-    """Send ``obj`` as a pickle (protocol 5) without its array data, then
-    the bytes of each array straight from the array's memory, so the sender
-    makes no copy of them (the quadrature is megabytes)."""
+def _pickle_out_of_band(obj) -> tuple[bytes, list[memoryview]]:
+    """``obj`` as a pickle (protocol 5) without its array data, and the
+    memory of each array: the arguments of ``_send_out_of_band``.  Any
+    pickling error is raised here, before anything is sent."""
     buffers = []
     head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    views = [b.raw() for b in buffers]
+    return head, [b.raw() for b in buffers]
+
+
+def _send_out_of_band(conn, head: bytes, views: list[memoryview]) -> None:
+    """Send a pickled object (``_pickle_out_of_band``): the pickle with the
+    array sizes, then the bytes of each array straight from the array's
+    memory, so the sender makes no copy of them (the quadrature and a
+    history are megabytes).  The bytes go in messages of at most
+    ``_CHUNK`` bytes, as the receiver stages each message before it copies
+    it into place."""
     conn.send((head, [v.nbytes for v in views]))
     for view in views:
-        conn.send_bytes(view)
+        for lo in range(0, view.nbytes, _CHUNK):
+            conn.send_bytes(view, lo, min(_CHUNK, view.nbytes - lo))
 
 
 def _recv_out_of_band(conn):
-    """The object ``_send_out_of_band`` sent; its arrays are writable."""
-    head, sizes = conn.recv()
+    """The object ``_send_out_of_band`` sent, its arrays writable and in
+    the buffers received, so none is copied again; an exception sent in
+    its place with ``conn.send`` is raised."""
+    msg = conn.recv()
+    if isinstance(msg, BaseException):
+        raise msg
+    head, sizes = msg
     buffers = [bytearray(n) for n in sizes]
     for buf in buffers:
-        conn.recv_bytes_into(buf)
+        for lo in range(0, len(buf), _CHUNK):
+            conn.recv_bytes_into(buf, lo)
     return pickle.loads(head, buffers=buffers)
 
 
 def _order1_child(conn) -> None:
     """The order-1 process: receives (problem, path, dt, output_times,
     quad, force_stride) over ``conn``, reads the stream at ``path`` as
-    ``conn`` announces it and sends back (history, wait, peak RSS), or its
-    exception, which the parent raises."""
+    ``conn`` announces it and sends back (history, wait, peak RSS) out of
+    band, or its exception, which the parent raises.  Once the result's
+    first message is sent, an error can no longer be sent after it: it
+    ends the process, and the parent raises ``ChildProcessError``."""
     try:
         problem, path, dt, output_times, quad, force_stride = _recv_out_of_band(conn)
         reader = ExchangeFileReader(path, announcements=conn)
         hist = run_order1(problem, reader, dt, output_times, quad=quad,
                           force_stride=force_stride)
-        conn.send((hist, reader.wait_s, peak_rss_mb()))
+        result = _pickle_out_of_band((hist, reader.wait_s, peak_rss_mb()))
     except BaseException as exc:
         conn.send(exc)
+        return
+    _send_out_of_band(conn, *result)
 
 
 def _run_lockstep(problem: Problem, K: int, dt: float, output_times,

@@ -219,6 +219,152 @@ def test_writers_give_the_numpy_scalar_text(tmp_path):
          for i, t in enumerate(table.times) for j, eid in enumerate(table.element_ids)])
 
 
+def _awkward_random(rng, *shape):
+    """Floats of every magnitude and sign, with the awkward values mixed in."""
+    x = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    x[~np.isfinite(x)] = 1.5
+    x.ravel()[:_AWKWARD.size] = _AWKWARD[:x.size]
+    return x
+
+
+def _g(v) -> str:
+    return f"{v:.17g}"
+
+
+def test_streamed_writers_cross_block_boundaries_byte_for_byte(tmp_path):
+    """Every streamed writer, on 2 blocks + 1 rows, writes the bytes that
+    formatting numpy scalars row by row gives: ``csv.writer`` on a
+    ``StringIO`` for the CSVs, the legacy layout for VTK."""
+    from dataclasses import replace
+
+    from test_tsm import _synthetic_solution
+    from tsmfem.export import _BLOCK_ROWS, write_comparison_csv
+    from tsmfem.mesh import Mesh
+    from tsmfem.montecarlo import ComparisonReport, LineTable
+    from tsmfem.tsm import uq_summary
+
+    rng = np.random.default_rng(17)
+    n = 2 * _BLOCK_ROWS + 1
+    S, m = 3, n // 3  # a grid of S * m = n rows
+    assert S * m == n
+
+    times, forces = _awkward_random(rng, n), _awkward_random(rng, n, 3)
+    write_force_csv(tmp_path / "f.csv", times, forces)
+    assert (tmp_path / "f.csv").read_bytes().decode() == _numpy_scalar_csv(
+        ["time", "Fx", "Fy", "Fz"],
+        [(_g(t), *map(_g, f)) for t, f in zip(times, forces)])
+
+    uq = replace(uq_summary(_synthetic_solution(0.4, 0.7, 0.01)),
+                 force_times=times, force_mean=forces, force_std=_awkward_random(rng, n, 3))
+    write_force_stats_csv(tmp_path / "s.csv", uq)
+    assert (tmp_path / "s.csv").read_bytes().decode() == _numpy_scalar_csv(
+        ["time", "Fx_mean", "Fy_mean", "Fz_mean", "Fx_std", "Fy_std", "Fz_std"],
+        [(_g(t), *map(_g, uq.force_mean[i]), *map(_g, uq.force_std[i]))
+         for i, t in enumerate(uq.force_times)])
+
+    table = LineTable(path="p", element_ids=rng.permutation(m),
+                      positions=_awkward_random(rng, m, 3), times=_awkward_random(rng, S),
+                      f_mean=_awkward_random(rng, S, m), f_std=_awkward_random(rng, S, m),
+                      snorm_mean=_awkward_random(rng, S, m),
+                      snorm_std=_awkward_random(rng, S, m))
+    write_line_csv(tmp_path / "l.csv", table)
+    assert (tmp_path / "l.csv").read_bytes().decode() == _numpy_scalar_csv(
+        ["time", "element", "x", "f_mean", "f_std", "stress_norm_mean", "stress_norm_std"],
+        [(_g(t), int(eid), _g(table.positions[j, 0]), _g(table.f_mean[i, j]),
+          _g(table.f_std[i, j]), _g(table.snorm_mean[i, j]), _g(table.snorm_std[i, j]))
+         for i, t in enumerate(table.times) for j, eid in enumerate(table.element_ids)])
+
+    report = ComparisonReport(times=_awkward_random(rng, S), mask_threshold=0.5,
+                              masked=rng.random((S, m)) < 0.5,
+                              f_mean_abs_err=_awkward_random(rng, S, m),
+                              f_std_rel_err=_awkward_random(rng, S, m),
+                              snorm_mean_rel_err=_awkward_random(rng, S, m),
+                              snorm_std_rel_err=_awkward_random(rng, S, m),
+                              summary={"n": 1}, timings={"tsm_total_s": 2.5})
+    write_comparison_csv(tmp_path / "cmp", report)
+    assert (tmp_path / "cmp" / "comparison_elements.csv").read_bytes().decode() == \
+        _numpy_scalar_csv(
+            ["time", "element", "masked", "f_mean_abs_err", "f_std_rel_err",
+             "snorm_mean_rel_err", "snorm_std_rel_err"],
+            [(_g(report.times[i]), e, int(report.masked[i, e]),
+              _g(report.f_mean_abs_err[i, e]), _g(report.f_std_rel_err[i, e]),
+              _g(report.snorm_mean_rel_err[i, e]), _g(report.snorm_std_rel_err[i, e]))
+             for i in range(S) for e in range(m)])
+    assert yaml.safe_load((tmp_path / "cmp" / "comparison_summary.yaml").read_text()) == \
+        {"n": 1, "timings": {"tsm_total_s": 2.5}}
+
+    mesh = Mesh(_awkward_random(rng, n, 3), rng.integers(0, n, size=(n, 8)))
+    disp, cell = _awkward_random(rng, n, 3), _awkward_random(rng, n)
+    write_vtk(tmp_path / "a.vtk", mesh, {"u": disp}, {"f": cell}, title="t")
+    lines = (["# vtk DataFile Version 3.0", "t", "ASCII", "DATASET UNSTRUCTURED_GRID",
+              f"POINTS {n} double"] + [" ".join(map(_g, p)) for p in mesh.nodes]
+             + [f"CELLS {n} {9 * n}"] + ["8 " + " ".join(str(int(v)) for v in e)
+                                         for e in mesh.elements]
+             + [f"CELL_TYPES {n}"] + ["12"] * n + [f"POINT_DATA {n}", "VECTORS u double"]
+             + [" ".join(map(_g, v)) for v in disp]
+             + [f"CELL_DATA {n}", "SCALARS f double 1", "LOOKUP_TABLE default"]
+             + [_g(v) for v in cell])
+    assert (tmp_path / "a.vtk").read_text() == "\n".join(lines) + "\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_force_stats_csv_memory_does_not_grow_with_length(tmp_path):
+    """Writing the reaction statistics streams them a block at a time: the
+    traced peak of 40,000 rows stays within 1 MB of that of 20,000 rows
+    (building the whole text or a list of rows grows about 0.9 KB a row)."""
+    import tracemalloc
+    from dataclasses import replace
+
+    from test_tsm import _synthetic_solution
+    from tsmfem.tsm import uq_summary
+
+    rng = np.random.default_rng(3)
+    base = uq_summary(_synthetic_solution(0.4, 0.7, 0.01))
+
+    def traced_peak(n):
+        uq = replace(base, force_times=np.arange(n) * 0.1, force_mean=rng.random((n, 3)),
+                     force_std=rng.random((n, 3)))
+        tracemalloc.start()
+        try:
+            write_force_stats_csv(tmp_path / f"s{n}.csv", uq)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(20_000), traced_peak(40_000)
+    assert large - small < 1e6, (small, large)
+
+
+def test_a_writer_that_fails_midway_leaves_no_file(tmp_path):
+    """A writer that raises after its first block leaves neither the
+    artifact nor its temp file; an artifact already there is kept as it
+    was."""
+    from dataclasses import replace
+
+    from test_tsm import _synthetic_solution
+    from tsmfem import export
+    from tsmfem.tsm import uq_summary
+
+    class FailingSecondBlock(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice) and key.start >= export._BLOCK_ROWS:
+                raise RuntimeError("failed midway")
+            return super().__getitem__(key)
+
+    n = 2 * export._BLOCK_ROWS + 1
+    uq = replace(uq_summary(_synthetic_solution(0.4, 0.7, 0.01)),
+                 force_times=np.arange(n) * 0.1, force_mean=np.ones((n, 3)),
+                 force_std=np.ones((n, 3)).view(FailingSecondBlock))
+    fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    for path in (fresh, kept):
+        with pytest.raises(RuntimeError, match="failed midway"):
+            write_force_stats_csv(path, uq)
+    assert not fresh.exists()
+    assert kept.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
 def test_summary_npz_round_trip(tmp_path):
     from test_tsm import _synthetic_solution
     from tsmfem.tsm import uq_summary
@@ -431,6 +577,17 @@ def test_cli_tsm_manifest_without_the_resource_module(tmp_path, monkeypatch):
                  "--set", "tsm.exchange_interval=1"]) == 0
     rss = read_manifest(os.path.join(out, "tsm", "manifest.yaml"))["peak_rss_mb"]
     assert rss == {"parent": None, "order1": None}
+    assert main(["run-det", "--preset", "plate_coarse_desk", "--out", out,
+                 "--set", "load.total_time=0.001", "--set", "load.ramp_end=0.001"]) == 0
+    assert read_manifest(os.path.join(out, "det_xi+0", "manifest.yaml"))["peak_rss_mb"] is None
+
+
+def test_cli_det_and_mc_manifests_record_this_process_peak_rss(cli_artifacts):
+    """run-det and run-mc record this process's peak memory, as run-tsm
+    records the parent's."""
+    for run in ("det_xi+0", "mc"):
+        man = read_manifest(os.path.join(cli_artifacts, run, "manifest.yaml"))
+        assert isinstance(man["peak_rss_mb"], float) and man["peak_rss_mb"] > 0.0, run
 
 
 @pytest.mark.parametrize("platform, unit", [("linux", 1024), ("darwin", 1)])

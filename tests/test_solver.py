@@ -711,6 +711,27 @@ def test_force_schedule_is_every_stride_th_step_and_the_last():
             assert np.array_equal(np.signbit(series), np.signbit(every.forces[name][steps]))
 
 
+def test_finish_hands_out_views_of_the_reaction_rows():
+    """Each set's reaction series is a contiguous view of the engine's own
+    rows, not a copy: finish() allocates no second set of series."""
+    eng = _coarse_engine()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(eng.n_steps + 1):
+            eng.step()
+    tracemalloc.start()
+    try:
+        hist = eng.finish()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(hist.forces) == eng._set_names and len(hist.forces) > 1
+    for k, series in enumerate(hist.forces.values()):
+        assert np.shares_memory(series, eng._forces)
+        assert series.flags.c_contiguous and series.shape == (eng.n_steps + 1, 3)
+        assert np.array_equal(series, eng._forces[k])
+    assert peak < 0.1 * eng._forces.nbytes
+
+
 def test_engine_set_up_follows_the_mesh_and_the_output_not_the_step_count():
     """Building the engine of the full-scale double notch, 714,921 steps,
     allocates its reaction rows and their times and at most 8 MB beside

@@ -4,6 +4,7 @@ post-processing."""
 
 import multiprocessing
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -614,11 +615,102 @@ def test_spawned_order1_that_cannot_import_main_fails_not_hangs(tmp_path):
 def test_file_mode_problem_that_cannot_be_sent_fails_and_stops_the_child():
     """The problem reaches order 1's process over its pipe; one that cannot
     be pickled raises in the caller, and the waiting child is stopped."""
+    class LocalTime(float):  # a class defined here does not pickle
+        pass
+
     problem = coarse_plate_problem(T=1e-3)
     dt = stable_timestep(problem.mesh, problem.params, 0.5)
-    outputs = (t for t in [problem.loads.total_time])  # a generator does not pickle
-    with pytest.raises(TypeError):
+    outputs = [LocalTime(problem.loads.total_time)]
+    with pytest.raises((pickle.PicklingError, AttributeError), match="local"):
         run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt, outputs)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("mode", ["in_memory", "file"])
+def test_one_shot_output_times_reach_both_orders(mode):
+    """``output_times`` may be a generator: both orders record the same
+    snapshots as from a list, in either exchange mode."""
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    T = problem.loads.total_time
+    config = TsmConfig(exchange_interval=5, exchange_mode=mode)
+    listed = run_tsm(problem, config, dt, [T / 2, T])
+    once = run_tsm(problem, config, dt, (t for t in [T / 2, T]))
+    assert listed.history1.d.shape[0] == 2
+    _assert_same_history(once.history0, listed.history0)
+    _assert_same_history(once.history1, listed.history1)
+    uq_summary(once)
+    assert not multiprocessing.active_children()
+
+
+def test_order1_result_arrives_out_of_band_without_a_second_copy(monkeypatch):
+    """Order 1's history crosses from its process as a pickle without the
+    array data and the data straight into the buffers the arrays keep:
+    receiving it traces about one copy of the history, not the pickled
+    bytes and then the decoded arrays."""
+    peaks = []
+    result = tsm._Order1Process.result
+
+    def traced_result(self):
+        tracemalloc.start()
+        try:
+            out = result(self)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(tsm._Order1Process, "result", traced_result)
+    problem = coarse_plate_problem(T=4e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    outputs = np.linspace(0.0, problem.loads.total_time, 40)
+    sol = run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt,
+                  outputs)
+    h1 = sol.history1
+    nbytes = sum(a.nbytes for a in (h1.times, h1.u, h1.d, h1.sigma, h1.force_times,
+                                    *h1.forces.values()))
+    assert nbytes > 5e5
+    assert peaks[0] < 1.2 * nbytes, (peaks[0], nbytes)
+    assert h1.sigma.flags.writeable
+
+
+def test_order1_failure_in_pickling_its_result_reaches_the_parent(monkeypatch):
+    """A history that cannot be pickled fails in order 1's process before
+    anything is sent, so the parent raises the child's own error."""
+    run = tsm.run_order1
+
+    def unpicklable(*args, **kwargs):
+        hist = run(*args, **kwargs)
+        hist.meta["callback"] = lambda: None
+        return hist
+
+    monkeypatch.setattr(tsm, "run_order1", unpicklable)
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    with pytest.raises((pickle.PicklingError, AttributeError), match="lambda"):
+        run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt,
+                [problem.loads.total_time])
+    assert not multiprocessing.active_children()
+
+
+def test_order1_failure_while_sending_its_result_is_a_child_process_error(monkeypatch):
+    """Order 1's process fails after the first message of its result: the
+    parent, waiting for the array data, raises ``ChildProcessError``
+    naming the exit code, and no child is left."""
+    send, parent = tsm._send_out_of_band, os.getpid()
+
+    def failing_in_the_child(conn, head, views):
+        if os.getpid() == parent:  # the problem, sent to the child
+            return send(conn, head, views)
+        conn.send((head, [v.nbytes for v in views]))
+        raise RuntimeError("order 1 failed while sending its result")
+
+    monkeypatch.setattr(tsm, "_send_out_of_band", failing_in_the_child)
+    problem = coarse_plate_problem(T=1e-3)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    with pytest.raises(ChildProcessError, match="exited with code 1 and no result"):
+        run_tsm(problem, TsmConfig(exchange_interval=5, exchange_mode="file"), dt,
+                [problem.loads.total_time])
     assert not multiprocessing.active_children()
 
 
