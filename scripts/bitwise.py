@@ -24,6 +24,18 @@ and, for floats, ``signbit``), every decoded record of every exchange file
 CLI artifact, of each npz member on its own; manifests and a summary's
 ``meta`` are hashed without their wall-time, elapsed and peak-RSS fields.  It prints the counts, and
 exits 1 naming the first difference.
+
+    python3 scripts/bitwise.py --ref <git-ref> --bound RTOL
+
+checks a stated bound instead, for changes that move outputs at roundoff.
+Arrays are grouped into families by the last result field on their path
+(``u``, ``d``, ``sigma``, ``forces``, ``d_std``, ...; dict keys and list
+indices do not count).  For each family it prints the largest
+``max|a - b| / max|b|`` over its arrays, ``b`` from the ref, and lists the
+exchange records and artifacts whose sha256 changed (a hash cannot be
+bounded).  It exits 1 naming the worst family when that exceeds RTOL, or
+naming a name that is missing, or an array that changed its dtype or
+shape.
 """
 
 from __future__ import annotations
@@ -56,7 +68,8 @@ _TIMING_FIELDS = {"meta", "wall_time", "order1_wait", "order1_peak_rss_mb"}
 
 def _flatten(name: str, obj, arrays: dict) -> None:
     """Every array of a result, by path: dataclass fields (timings left
-    out), dict entries and list items; numbers become 0-d arrays."""
+    out) as ``/field``, dict entries as ``[key]`` and list items as
+    ``[index]``; numbers become 0-d arrays."""
     if isinstance(obj, np.ndarray):
         arrays[name] = obj
     elif isinstance(obj, (int, float, np.number)) and not isinstance(obj, bool):
@@ -67,10 +80,10 @@ def _flatten(name: str, obj, arrays: dict) -> None:
                 _flatten(f"{name}/{f.name}", getattr(obj, f.name), arrays)
     elif isinstance(obj, dict):
         for key, value in obj.items():
-            _flatten(f"{name}/{key}", value, arrays)
+            _flatten(f"{name}[{key}]", value, arrays)
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
-            _flatten(f"{name}/{i}", value, arrays)
+            _flatten(f"{name}[{i}]", value, arrays)
 
 
 def _record_digests(name: str, path, digests: dict) -> None:
@@ -194,11 +207,24 @@ def counts(outputs: tuple[dict, dict]) -> dict[str, int]:
             "artifact hashes": len(digests) - records}
 
 
-def _array_difference(name: str, a: np.ndarray, b: np.ndarray) -> str | None:
-    if a.dtype != b.dtype:
-        return f"{name}: dtype {a.dtype} != {b.dtype}"
-    if a.shape != b.shape:
-        return f"{name}: shape {a.shape} != {b.shape}"
+def structural_difference(ref: tuple[dict, dict], new: tuple[dict, dict]) -> str | None:
+    """The first name present in only one tree's outputs, or array whose
+    dtype or shape changed, or None."""
+    for kind, a, b in (("array", ref[0], new[0]), ("digest", ref[1], new[1])):
+        only = [name for name in (*a, *b) if (name in a) != (name in b)]
+        if only:
+            side = "reference" if only[0] in a else "this tree"
+            return f"{kind} {only[0]}: only in the {side}"
+    for name, a in ref[0].items():
+        b = new[0][name]
+        if a.dtype != b.dtype:
+            return f"{name}: dtype {a.dtype} != {b.dtype}"
+        if a.shape != b.shape:
+            return f"{name}: shape {a.shape} != {b.shape}"
+    return None
+
+
+def _value_difference(name: str, a: np.ndarray, b: np.ndarray) -> str | None:
     floats = a.dtype.kind == "f"
     same = a == b
     if floats:
@@ -216,19 +242,59 @@ def first_difference(ref: tuple[dict, dict], new: tuple[dict, dict]) -> str | No
     """The first difference between two trees' outputs, in the protocol's
     order, or None: a name present in only one, an array's dtype, shape,
     value or sign bit, or a digest."""
-    for kind, a, b in (("array", ref[0], new[0]), ("digest", ref[1], new[1])):
-        only = [name for name in (*a, *b) if (name in a) != (name in b)]
-        if only:
-            side = "reference" if only[0] in a else "this tree"
-            return f"{kind} {only[0]}: only in the {side}"
+    structural = structural_difference(ref, new)
+    if structural is not None:
+        return structural
     for name, a in ref[0].items():
-        diff = _array_difference(name, a, new[0][name])
+        diff = _value_difference(name, a, new[0][name])
         if diff is not None:
             return diff
     for name, digest in ref[1].items():
         if new[1][name] != digest:
             return f"{name}: sha256 {digest[:12]}... != {new[1][name][:12]}..."
     return None
+
+
+def family(name: str) -> str:
+    """An array's family: the last result field on its path."""
+    return name.rsplit("/", 1)[-1].split("[", 1)[0]
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """``max|a - b| / max|b|`` over the entries (finite ``b`` only); 0 when
+    every entry is equal, NaN to NaN included; inf when an entry differs
+    by a non-finite amount or ``b`` is 0."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    if not differ.any():
+        return 0.0
+    gap = np.abs(a - b)[differ].max()
+    scale = np.abs(b[np.isfinite(b)]).max(initial=0.0)
+    return float(gap / scale) if np.isfinite(gap) and scale > 0.0 else np.inf
+
+
+def deviations(ref: dict, new: dict) -> dict[str, float]:
+    """The largest ``relative_difference`` of each family's arrays, by
+    family, in the protocol's order; both trees hold the same names."""
+    worst: dict[str, float] = {}
+    for name, b in ref.items():
+        key = family(name)
+        worst[key] = max(worst.get(key, 0.0), relative_difference(new[name], b))
+    return worst
+
+
+def bound_failure(worst: dict[str, float], rtol: float) -> str | None:
+    """None when every family of ``deviations`` is within ``rtol``; else
+    names the worst family."""
+    name = max(worst, key=worst.get)
+    if worst[name] > rtol:
+        return f"family {name} deviates by {worst[name]:.3g} > {rtol:g}"
+    return None
+
+
+def changed_digests(ref: dict, new: dict) -> list[str]:
+    """The digest names whose sha256 differs, in the protocol's order."""
+    return [name for name, digest in ref.items() if new.get(name) != digest]
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +320,35 @@ def _run_protocol(tree: Path, out: Path) -> None:
         raise RuntimeError(f"the protocol failed in {tree}:\n{proc.stderr}")
 
 
+def _report_bound(ref: tuple[dict, dict], new: tuple[dict, dict], rtol: float) -> int:
+    structural = structural_difference(ref, new)
+    if structural is not None:
+        print(f"DIFFERENT: {structural}")
+        return 1
+    worst = deviations(ref[0], new[0])
+    print("largest max|a - b| / max|b| per array family:")
+    for name, dev in worst.items():
+        print(f"  {name}: {dev:.3g}")
+    changed = changed_digests(ref[1], new[1])
+    artifacts = [name for name in changed if not name.startswith("exchange/")]
+    print(f"changed: {len(changed) - len(artifacts)} exchange records, "
+          f"{len(artifacts)} artifact hashes")
+    for name in artifacts:
+        print(f"  {name}")
+    failure = bound_failure(worst, rtol)
+    if failure is not None:
+        print(f"ABOVE BOUND: {failure}")
+        return 1
+    print(f"within bound {rtol:g}: worst family {max(worst, key=worst.get)}")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--ref", help="git ref to compare this tree with")
+    ap.add_argument("--bound", type=float, metavar="RTOL",
+                    help="check each array family's relative deviation against RTOL "
+                         "instead of bitwise equality")
     ap.add_argument("--produce", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.produce is not None:
@@ -273,6 +365,8 @@ def main(argv=None) -> int:
     n_ref, n_new = counts(ref), counts(new)
     print(f"{args.ref}: " + ", ".join(f"{v} {k}" for k, v in n_ref.items()))
     print("this tree: " + ", ".join(f"{v} {k}" for k, v in n_new.items()))
+    if args.bound is not None:
+        return _report_bound(ref, new, args.bound)
     diff = first_difference(ref, new)
     if diff is not None:
         print(f"DIFFERENT: {diff}")

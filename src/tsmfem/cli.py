@@ -95,7 +95,8 @@ def cmd_run_det(args) -> int:
                           command=f"run-det --xi {xi}",
                           wall_times={"run": hist.wall_time, "total": hist.wall_time},
                           extra={"kind": "det", "xi": xi, "dt": cfg.dt,
-                                 "n_steps": hist.n_steps, "peak_rss_mb": peak_rss_mb()})
+                                 "n_steps": hist.n_steps, "product": hist.meta["product"],
+                                 "peak_rss_mb": peak_rss_mb()})
     print(f"deterministic run (xi={xi:+g}): {hist.n_steps} steps, "
           f"{hist.wall_time:.2f}s -> {outdir}")
     return 0
@@ -125,6 +126,7 @@ def cmd_run_tsm(args) -> int:
                                  "n_steps": sol.history0.n_steps,
                                  "exchange_interval": cfg.tsm.exchange_interval,
                                  "exchange_mode": cfg.tsm.exchange_mode,
+                                 "product": sol.history0.meta["product"],
                                  "peak_rss_mb": {"parent": peak_rss_mb(),
                                                  "order1": sol.order1_peak_rss_mb}})
     print(f"tsm: 2 runs ({walls['order0']:.2f}s + {walls['order1']:.2f}s, "
@@ -153,6 +155,7 @@ def cmd_run_mc(args) -> int:
                           seeds={"xi": cfg.xi_dist.seed},
                           extra={"kind": "mc", "n": cfg.mc_n, "dt": cfg.dt,
                                  "xi_second_moment_empirical": float((xis**2).mean()),
+                                 "product": ens.histories[0].meta["product"],
                                  "peak_rss_mb": peak_rss_mb()})
     print(f"mc: {cfg.mc_n} runs, aggregate {walls['total']:.1f}s "
           f"(wall {wall:.1f}s, workers={cfg.mc_workers}) -> {outdir}")

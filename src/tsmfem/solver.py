@@ -1,13 +1,35 @@
 """Explicit central-difference structural dynamics on hexahedral meshes.
 
-The element loop is flattened into two pre-assembled sparse operators:
-``strain_op`` maps the global displacement vector to all Gauss-point strains
-(engineering shear), and ``force_op`` maps weighted Gauss-point stresses back
-to nodal internal forces.  Both store only the structural nonzeros of the
-strain-displacement matrix B, 72 per Gauss point (8 in each normal-strain
-row, 16 in each shear row), so a product spends no work on ``0 * x`` terms.
-Stress and damage laws enter as per-Gauss-point callbacks, so the
-deterministic and the first-order (sensitivity) problems share one
+The element loop is flattened into two products per step, both owned by
+``ElementQuadrature``: ``strains`` maps the global displacements to all
+Gauss-point strains (engineering shear), and ``forces`` maps Gauss-point
+stresses back to nodal internal forces.  ``build`` selects one of two forms
+from the mesh:
+
+* **Element gemm** (Hughes, Levit & Winget, CMAME 36, 1983), when the mesh
+  has one element shape: every element's dN/dx (in its own VTK node order)
+  and detJ * w lie within ``CONGRUENT_RTOL`` (relative, a roundoff-level
+  constant) of element 0's, as on every structured generator grid.  The
+  products are then dense BLAS products with element 0's B: the gathered
+  (n_elements, 24) element displacements times B^T, one (24, 8) block per
+  strain component, for the strains; the (n_elements, 48) element stresses
+  times the weighted B, summed per dof in ascending element order, for the
+  forces.  The results differ from the CSR form at roundoff:
+  BLAS sums in its own order, and element 0's B stands in for blocks that
+  differ from it by at most the tolerance.  Each product runs over all
+  elements in one call and is never split into calls over fewer rows:
+  BLAS can give a row other bits in a product of another row count (a
+  single-row product takes another routine).  The number of BLAS threads
+  does not change the bits (1 and 2 OpenBLAS threads are tested).
+* **CSR** otherwise (a distorted or unstructured mesh): the
+  pre-assembled sparse operators ``strain_op`` and ``force_op``, which
+  store only the structural nonzeros of the strain-displacement matrix B,
+  72 per Gauss point (8 in each normal-strain row, 16 in each shear row).
+  They are built on every mesh, as the fallback and as the reference.
+
+``ElementQuadrature.product`` names the form, and ``History.meta["product"]``
+records it.  Stress and damage laws enter as per-Gauss-point callbacks, so
+the deterministic and the first-order (sensitivity) problems share one
 integrator, ``ExplicitEngine``: one object per simulation that holds the
 state, records the history and times itself, driven one ``step()`` at a
 time by ``run_engines``, the one integrator loop, for one simulation
@@ -16,31 +38,33 @@ time by ``run_engines``, the one integrator loop, for one simulation
 Memory layout: Gauss-point strains and stresses are (ngp, 6) arrays stored
 component-major, i.e. as the transpose of a C-ordered (6, ngp) array, so
 each Voigt component is one contiguous row and the laws run long inner
-loops.  ``strain_op`` row ``c * ngp + g`` holds component c of Gauss point
-g, its columns ascending; ``force_op`` column ``c * ngp + g`` matches it.
-Inside each ``force_op`` row the entries stay in Gauss-point-major
-(g, c) order, so its indices are deliberately unsorted and every force is
-the same sum as with a Gauss-point-major layout.  Only
-``ElementQuadrature.strains`` and ``ElementQuadrature.forces`` know the
-layout; everything else sees plain (ngp, 6) arrays.
+loops.  Gauss point g = 8 e + q is Gauss point q of element e.
+``strain_op`` row ``c * ngp + g`` holds component c of Gauss point g, its
+columns ascending; ``force_op`` column ``c * ngp + g`` matches it.  Inside
+each ``force_op`` row the entries stay in Gauss-point-major (g, c) order,
+so its indices are deliberately unsorted and every force is the same sum
+as with a Gauss-point-major layout.  Only ``ElementQuadrature.strains`` and
+``ElementQuadrature.forces`` know the layout; everything else sees plain
+(ngp, 6) arrays.
 
 Sparse products call scipy's CSR kernel ``csr_matvec`` directly, through
 ``_csr_product``.  That is bitwise what ``op @ x`` computes, because
 scipy's ``@`` for a CSR matrix and a dense vector is exactly a zeroed
 output plus the same kernel call; skipping its dispatch saves a few
-microseconds per product.
-Reactions are two or three such products of one 0/1 set-sum operator
-over the global dofs, straight on the nodal vectors: the internal forces
-and the numpy products ``m * a`` (and ``m * v``).  Each row is the same
-ascending sequential sum of the same rounded terms as summing the
-gathered terms; as the operator's entries are 1.0, a kernel compiled with
-fused multiply-adds computes the same sums.
+microseconds per product.  So the CSR form is bitwise ``op @ x``.
+Reactions, and the element gemm form's per-dof sums, are such products of
+0/1 operators: the reaction set-sum operator over the global dofs,
+straight on the nodal vectors (the internal forces and the numpy products
+``m * a`` and ``m * v``), and the element-force assembly operator.  Each
+row is the same ascending sequential sum of the same rounded terms as
+summing the gathered terms; as the operators' entries are 1.0, a kernel
+compiled with fused multiply-adds computes the same sums.
 
 Dirichlet ramps are imposed by direct overwrite after the explicit update,
 with boundary velocity/acceleration taken from finite differences of the
-ramp.  Everything is single-threaded and bitwise reproducible.  Set-up
-follows the mesh and the output, not the step count: the reaction schedule
-is arithmetic on the step number.
+ramp.  The program starts no thread of its own, and its results are
+bitwise reproducible.  Set-up follows the mesh and the output, not the
+step count: the reaction schedule is arithmetic on the step number.
 """
 
 from __future__ import annotations
@@ -62,6 +86,11 @@ _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
           (0, 4), (1, 5), (2, 6), (3, 7)]
 
 _NAN_CHECK_INTERVAL = 64
+
+# Relative spread across elements of dN/dx and of detJ * w under which a
+# mesh has one element shape and its products take the element gemm form.
+# Roundoff level: structured generator grids spread by at most 7.5e-15.
+CONGRUENT_RTOL = 1e-12
 
 # The 9 nonzeros of a node's 6x3 block of the strain-displacement matrix B:
 # (strain row, displacement axis, k of the dN/dx_k that fills the entry)
@@ -103,14 +132,38 @@ def _csr_product(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_shape(a: np.ndarray) -> bool:
+    """Whether the per-element values ``a[e]`` spread by at most
+    ``CONGRUENT_RTOL`` of element 0's largest, entry by entry."""
+    spread = a.max(axis=0) - a.min(axis=0)
+    return bool(spread.max() <= CONGRUENT_RTOL * np.abs(a[0]).max())
+
+
 @dataclass
 class ElementQuadrature:
-    """Per-element 2x2x2 Gauss data plus the assembled global operators."""
+    """Per-element 2x2x2 Gauss data, the assembled CSR operators, and, on a
+    mesh of one element shape, element 0's dense blocks (see the module
+    docstring for the selection and the layout).
+
+    ``strains`` and ``forces`` are the two products.  On the CSR path they
+    are bitwise ``strain_op @ u`` and ``force_op @ sigma``; on the element
+    gemm path they agree with those to roundoff (1e-13 relative on the
+    generator meshes)."""
 
     detJw: np.ndarray  # (nelem, 8) Jacobian determinant * weight
     strain_op: sp.csr_matrix  # (6*ngp, ndof): u -> all strains, component-major
     force_op: sp.csr_matrix  # (ndof, 6*ngp): weighted stress -> f_int
     n_gauss: int
+    # the element gemm form; None on a mesh of more than one element shape
+    element_dofs: np.ndarray | None = None  # (nelem, 24): dof 3a + axis of VTK node a
+    strain_block: np.ndarray | None = None  # (6, 24, 8): element 0's B^T per component
+    force_block: np.ndarray | None = None  # (48, 24): element 0's detJw-weighted B
+    assembly: sp.csr_matrix | None = None  # (ndof, 24 nelem) 0/1: element forces -> f_int
+
+    @property
+    def product(self) -> str:
+        """The form of both products: ``"element_gemm"`` or ``"csr"``."""
+        return "csr" if self.element_dofs is None else "element_gemm"
 
     @classmethod
     def build(cls, mesh: Mesh) -> "ElementQuadrature":
@@ -129,6 +182,8 @@ class ElementQuadrature:
         ndof = 3 * mesh.n_nodes
         nnz = 72 * ngp
         idx_t = np.int32 if max(nnz, ndof) < 2**31 else np.int64
+        dense = (_element_blocks(mesh.elements, dNdx[0], detJw[0], ndof, idx_t)
+                 if _one_shape(dNdx) and _one_shape(detJw) else {})
 
         # each element's nodes by ascending id, so every row's columns ascend
         order = np.argsort(mesh.elements, axis=1)
@@ -170,17 +225,50 @@ class ElementQuadrature:
             indices[lo:hi].reshape(vals.shape)[...] = col
         indptr = np.concatenate([[0], np.cumsum(np.repeat(_ROW_NNZ, ngp))]).astype(idx_t)
         strain_op = sp.csr_matrix((data, indices, indptr), shape=(6 * ngp, ndof))
-        return cls(detJw=detJw, strain_op=strain_op, force_op=force_op, n_gauss=ngp)
+        return cls(detJw=detJw, strain_op=strain_op, force_op=force_op, n_gauss=ngp,
+                   **dense)
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Gauss-point strains (ngp, 6) from nodal displacements (nn, 3): a
         component-major view."""
-        return _csr_product(self.strain_op, u.ravel()).reshape(6, self.n_gauss).T
+        if self.element_dofs is None:
+            return _csr_product(self.strain_op, u.ravel()).reshape(6, self.n_gauss).T
+        # (6, nelem, 8): one (nelem, 24) x (24, 8) product per component
+        eps = np.matmul(u.ravel()[self.element_dofs], self.strain_block)
+        return eps.reshape(6, self.n_gauss).T
 
     def forces(self, sigma: np.ndarray) -> np.ndarray:
         """Nodal internal forces (3 * nn,) from Gauss-point stresses (ngp, 6);
-        a component-major ``sigma`` is read without a copy."""
-        return _csr_product(self.force_op, sigma.T.ravel())
+        on the CSR path a component-major ``sigma`` is read without a copy,
+        on the element gemm path every ``sigma`` is copied into one
+        C-ordered (nelem, 48) block, so its memory order never changes a
+        bit."""
+        if self.element_dofs is None:
+            return _csr_product(self.force_op, sigma.T.ravel())
+        ne = self.element_dofs.shape[0]
+        block = np.empty((ne, 6, 8))  # element e's stresses, component-major
+        block[...] = sigma.T.reshape(6, ne, 8).transpose(1, 0, 2)
+        return _csr_product(self.assembly, (block.reshape(ne, 48) @ self.force_block).ravel())
+
+
+def _element_blocks(elements: np.ndarray, dNdx0: np.ndarray, detJw0: np.ndarray,
+                    ndof: int, idx_t) -> dict:
+    """The element gemm form's fields of ``ElementQuadrature``, from element
+    0's dN/dx (8 gp, 8 nodes, 3) and detJ * w (8 gp)."""
+    ne = elements.shape[0]
+    B = np.zeros((6, 8, 8, 3))  # (component, gp, node, axis)
+    B[_B_ROW, :, :, _B_AXIS] = dNdx0[:, :, _B_DERIV].transpose(2, 0, 1)
+    B = B.reshape(6, 8, 24)
+    dofs = (3 * elements[:, :, None] + np.arange(3)).reshape(ne, 24)
+    # row k of the assembly sums the forces on dof k, in ascending element order
+    flat = dofs.ravel()
+    cols = np.argsort(flat, kind="stable").astype(idx_t)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=ndof))]).astype(idx_t)
+    return dict(element_dofs=dofs,
+                strain_block=np.ascontiguousarray(B.transpose(0, 2, 1)),
+                force_block=(B * detJw0[None, :, None]).reshape(48, 24),
+                assembly=sp.csr_matrix((np.ones(flat.size), cols, indptr),
+                                       shape=(ndof, flat.size)))
 
 
 def lumped_mass(mesh: Mesh, rho: float, quad: ElementQuadrature | None = None) -> np.ndarray:
@@ -393,6 +481,7 @@ class ExplicitEngine:
         )
         self.history.meta["loaded_sets"] = sorted({r.node_set for r in loads.dirichlet
                                                    if r.amplitude != 0.0})
+        self.history.meta["product"] = quad.product  # the two forms differ at roundoff
         self.initial_state()
         self.history.wall_time = _time.perf_counter() - t0
 

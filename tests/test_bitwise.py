@@ -1,6 +1,8 @@
 """The comparison of ``scripts/bitwise.py``, on synthetic outputs: identical
 outputs pass; one ulp, the sign of a zero, a dtype, a shape, a digest or a
-missing name each fail, naming the array or digest."""
+missing name each fail, naming the array or digest.  In ``--bound`` mode a
+deviation within the bound passes, one above it fails naming its family,
+and a changed digest is listed, not bounded."""
 
 import importlib.util
 from pathlib import Path
@@ -85,3 +87,54 @@ def test_nan_equals_nan_of_the_same_sign(bitwise):
     assert bitwise.first_difference(ref, new) is None
     new[0]["det/u"][0, 0, 0] = -np.nan
     assert bitwise.first_difference(ref, new).startswith("det/u: differs at index (0, 0, 0)")
+
+
+@pytest.mark.parametrize("name, named", [
+    ("det/xi0_stride1/u", "u"),
+    ("det/xi0.15_stride7/forces[top]", "forces"),
+    ("mc/ensemble/histories[3]/sigma", "sigma"),
+    ("tsm/coarse_file_K7/summary/force_std", "force_std"),
+])
+def test_family_is_the_last_result_field(bitwise, name, named):
+    assert bitwise.family(name) == named
+
+
+def test_relative_difference(bitwise):
+    b = np.array([1.0, -4.0, np.nan, 0.0])
+    assert bitwise.relative_difference(b.copy(), b) == 0.0  # NaN to NaN is equal
+    a = b.copy()
+    a[0] += 1e-3
+    assert bitwise.relative_difference(a, b) == pytest.approx(1e-3 / 4.0, rel=1e-9)
+    a[2] = 1.0
+    assert bitwise.relative_difference(a, b) == np.inf  # a NaN that went away
+    assert bitwise.relative_difference(np.ones(2), np.zeros(2)) == np.inf
+    assert bitwise.relative_difference(np.arange(3), np.arange(3)) == 0.0
+
+
+def test_bound_passes_within_and_names_the_family_above(bitwise):
+    ref = _outputs()
+    new = _copy(ref)
+    new[0]["det/u"] = ref[0]["det/u"] * (1.0 + 1e-14)
+    new[1]["cli/det/forces_top.csv"] = "ef" * 32
+    assert bitwise.first_difference(ref, new) is not None  # not bitwise equal
+    assert bitwise.structural_difference(ref, new) is None
+    worst = bitwise.deviations(ref[0], new[0])
+    assert list(worst) == ["u", "n_steps", "forces", "xis"]
+    assert 0.0 < worst["u"] <= 2e-14 and worst["n_steps"] == worst["xis"] == 0.0
+    assert bitwise.bound_failure(worst, 1e-12) is None
+    failure = bitwise.bound_failure(worst, 1e-15)
+    assert failure is not None and failure.startswith("family u deviates by"), failure
+    assert bitwise.changed_digests(ref[1], new[1]) == ["cli/det/forces_top.csv"]
+
+
+@pytest.mark.parametrize("change, named", [
+    (_dtype, "mc/xis: dtype int64 != int32"),
+    (_shape, "det/u: shape (4, 5, 3) != (3, 5, 3)"),
+    (_missing, "array det/n_steps: only in the reference"),
+])
+def test_bound_mode_fails_on_a_structural_difference(bitwise, change, named):
+    ref = _outputs()
+    new = _copy(ref)
+    change(*new)
+    diff = bitwise.structural_difference(ref, new)
+    assert diff is not None and diff.startswith(named), diff

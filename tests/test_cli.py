@@ -582,6 +582,15 @@ def test_cli_tsm_manifest_without_the_resource_module(tmp_path, monkeypatch):
     assert read_manifest(os.path.join(out, "det_xi+0", "manifest.yaml"))["peak_rss_mb"] is None
 
 
+def test_cli_manifests_record_the_product_form(cli_artifacts):
+    """run-det, run-tsm and run-mc name the form of the element products,
+    as the two forms differ at roundoff: plate_coarse_desk has one element
+    shape."""
+    for run in ("det_xi+0", "tsm", "mc"):
+        man = read_manifest(os.path.join(cli_artifacts, run, "manifest.yaml"))
+        assert man["product"] == "element_gemm", run
+
+
 def test_cli_det_and_mc_manifests_record_this_process_peak_rss(cli_artifacts):
     """run-det and run-mc record this process's peak memory, as run-tsm
     records the parent's."""

@@ -243,6 +243,113 @@ def test_operator_products_match_dense_b_elementwise():
     assert np.array_equal(f, quad.forces(np.asfortranarray(s)))  # same bits, any order
 
 
+def _distorted(mesh):
+    """A copy of ``mesh`` with one node that belongs to no node set moved
+    along x by 1e-3 of the shortest edge, so its elements take more than
+    one shape."""
+    free = np.setdiff1d(np.arange(mesh.n_nodes), np.concatenate(list(mesh.node_sets.values())))
+    coords = mesh.element_coords()
+    nodes = mesh.nodes.copy()
+    nodes[free[0], 0] += 1e-3 * np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1).min()
+    return replace(mesh, nodes=nodes)
+
+
+def _csr_only(quad):
+    """The same quadrature without its element gemm form."""
+    return replace(quad, element_dofs=None, strain_block=None, force_block=None,
+                   assembly=None)
+
+
+@pytest.mark.parametrize("preset", DESK_PRESETS)
+def test_product_form_follows_the_element_shapes(preset):
+    """Every desk mesh has one element shape and takes the element gemm
+    form; its copy with one node moved by 1e-3 of an edge takes the CSR
+    form, whose products are bitwise ``op @ x``."""
+    mesh = _desk_mesh(preset)
+    assert ElementQuadrature.build(mesh).product == "element_gemm"
+    quad = ElementQuadrature.build(_distorted(mesh))
+    assert quad.product == "csr" and quad.element_dofs is None
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((mesh.n_nodes, 3))
+    s = rng.standard_normal((6, quad.n_gauss)).T
+    assert np.array_equal(quad.strains(u),
+                          (quad.strain_op @ u.ravel()).reshape(6, quad.n_gauss).T)
+    assert np.array_equal(quad.forces(s), quad.force_op @ s.T.ravel())
+
+
+@pytest.mark.parametrize("preset", DESK_PRESETS)
+def test_element_gemm_products_match_csr(preset):
+    """Both element gemm products agree with the CSR operators to 1e-13
+    relative, for stresses in either memory order."""
+    quad = ElementQuadrature.build(_desk_mesh(preset))
+    csr = _csr_only(quad)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((quad.strain_op.shape[1] // 3, 3))
+    s = rng.standard_normal((6, quad.n_gauss)).T
+    eps, eps_csr = quad.strains(u), csr.strains(u)
+    assert eps.T.flags.c_contiguous  # the same component-major view
+    assert np.abs(eps - eps_csr).max() <= 1e-13 * np.abs(eps_csr).max()
+    f, f_csr = quad.forces(s), csr.forces(s)
+    assert np.abs(f - f_csr).max() <= 1e-13 * np.abs(f_csr).max()
+    assert np.array_equal(f, quad.forces(np.ascontiguousarray(s)))
+
+
+def test_element_gemm_run_within_bound_of_csr():
+    """A whole plate_coarse_desk run with element gemm products stays within
+    1e-12 (u, d, sigma, relative to the field's maximum) and 1e-11 (each
+    reaction series, relative to its own maximum) of the same run with the
+    CSR products; the history names its form."""
+    c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    p = c.problem
+    quad = ElementQuadrature.build(p.mesh)
+    runs = [run_deterministic(p.mesh, p.loads, p.params, 0.0, c.dt, c.snapshot_times,
+                              quad=q, mass_damping=p.mass_damping) for q in (quad, _csr_only(quad))]
+    gemm, csr = runs
+    assert (gemm.meta["product"], csr.meta["product"]) == ("element_gemm", "csr")
+    assert gemm.d.max() > 0.0
+    for field in ("u", "d", "sigma"):
+        a, b = getattr(gemm, field), getattr(csr, field)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), field
+    for name, b in csr.forces.items():
+        assert np.abs(gemm.forces[name] - b).max() <= 1e-11 * np.abs(b).max(), name
+
+
+def test_element_gemm_history_does_not_depend_on_blas_threads():
+    """The bits of the element gemm products do not depend on the number
+    of BLAS threads: a double_notch_desk run (646 elements, the force
+    product large enough for OpenBLAS to use both threads) gives the same
+    bits with 1 and 2 OpenBLAS threads, each in a process of its own."""
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import hashlib
+from tsmfem.config import load_config
+from tsmfem.solver import run_deterministic
+c = load_config(overrides={"problem": {"preset": "double_notch_desk"},
+                           "load": {"total_time": 6e-4, "ramp_end": 6e-4}})
+p = c.problem
+h = run_deterministic(p.mesh, p.loads, p.params, 0.0, c.dt, c.snapshot_times,
+                      mass_damping=p.mass_damping)
+assert h.meta["product"] == "element_gemm" and h.d.max() > 0.0
+digest = hashlib.sha256()
+for a in (h.u, h.d, h.sigma, *h.forces.values()):
+    digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
+
+
 def test_direct_kernel_is_the_scipy_product():
     """``_csr_product`` gives the bits of ``op @ x`` for strain_op, for
     force_op (whose indices are deliberately unsorted), for a set-sum
@@ -418,11 +525,14 @@ def test_energy_drift_after_ramp_hold():
 
 
 class _ReferenceStep:
-    """The explicit step written out from its formulas: scipy ``@`` for the
-    sparse products, the closed-form ramp amp * min(t, t_end) / t_end, the
-    three reaction terms summed by three separate products, and each law
-    evaluated from scratch.  ``stress(d, eps)`` and ``damage(d, eps)`` are
-    the law; ``self.u``, ``self.v``, ``self.d`` the state after ``step()``."""
+    """The explicit step written out from its formulas: the two element
+    products in the form the quadrature selected (gather, ``@`` with the
+    stored blocks and scipy ``@`` with the 0/1 assembly; or scipy ``@``
+    with the CSR operators), the closed-form ramp
+    amp * min(t, t_end) / t_end, the three reaction terms summed by three
+    separate products, and each law evaluated from scratch.
+    ``stress(d, eps)`` and ``damage(d, eps)`` are the law; ``self.u``,
+    ``self.v``, ``self.d`` the state after ``step()``."""
 
     def __init__(self, mesh, loads, rho, dt, stress, damage, scale, alpha, quad):
         self.quad, self.dt, self.alpha = quad, dt, alpha
@@ -449,9 +559,17 @@ class _ReferenceStep:
     def step(self):
         """Returns the step's (eps, sigma, reactions) and advances."""
         q, dt, t, alpha = self.quad, self.dt, self.t, self.alpha
-        eps = (q.strain_op @ self.u).reshape(6, q.n_gauss).T
+        if q.element_dofs is None:
+            eps = (q.strain_op @ self.u).reshape(6, q.n_gauss).T
+        else:
+            eps = (self.u[q.element_dofs] @ q.strain_block).reshape(6, q.n_gauss).T
         sigma = self.stress(self.d, eps)
-        f = q.force_op @ sigma.T.ravel()
+        if q.element_dofs is None:
+            f = q.force_op @ sigma.T.ravel()
+        else:
+            ne = q.element_dofs.shape[0]
+            block = np.ascontiguousarray(sigma.T.reshape(6, ne, 8).transpose(1, 0, 2))
+            f = q.assembly @ (block.reshape(ne, 48) @ q.force_block).ravel()
         a = (self.f_body - f) / self.mass3 - alpha * self.v
         a[self.dofs] = (self.ramp(t + dt) - 2.0 * self.ramp(t) + self.ramp(t - dt)) / dt**2
         k, m = self.sum_dofs, self.mass3[self.sum_dofs]
@@ -474,17 +592,22 @@ def _recorded(fn, log):
     return stress
 
 
-def test_step_is_bitwise_the_formulas():
+@pytest.mark.parametrize("product", ["element_gemm", "csr"])
+def test_step_is_bitwise_the_formulas(product):
     """Order 0 with mass damping, an exchange hook and reactions at every
     step, and order 1 fed through ``FirstOrderKernels`` every 3rd step, run
-    in lockstep on plate_coarse_desk with ramps that end at step 20: u, v,
-    d, sigma and the reactions equal ``_ReferenceStep`` bit for bit at each
-    of 50 steps."""
+    in lockstep on plate_coarse_desk (one element shape: element gemm
+    products) and on its copy with one node moved (CSR products), with
+    ramps that end at step 20: u, v, d, sigma and the reactions equal
+    ``_ReferenceStep`` bit for bit at each of 50 steps."""
     c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
     p, dt = c.problem, c.dt
+    if product == "csr":
+        p = replace(p, mesh=_distorted(p.mesh))
     loads = replace(p.loads, dirichlet=tuple(replace(r, ramp_end=20.5 * dt)
                                              for r in p.loads.dirichlet))
     quad = ElementQuadrature.build(p.mesh)
+    assert quad.product == product
     E0, eta, alpha, K = p.params.stiffness, p.params.eta, p.mass_damping, 3
     assert alpha > 0.0
 
