@@ -15,12 +15,17 @@ tree", uncommitted changes included).  The protocol:
   ``mc_statistics``, on ``plate_coarse_desk``;
 * file-mode ``run_tsm`` on ``plate_hole_desk`` (K = 4) and
   ``double_notch_desk`` (K = 25);
+* on ``plate_coarse_desk`` with one free node moved by 1e-3 of the
+  shortest edge, so its elements take more than one shape and the CSR
+  products: ``run_deterministic`` (xi = 0.15, force stride 7) and
+  file-mode ``run_tsm`` (K = 7);
 * the CLI's ``mesh-gen``, ``run-det``, ``run-tsm`` in both exchange modes
   and ``run-mc`` (4 samples) on ``plate_coarse_desk``.
 
 It compares every array of every result (dtype, shape, ``np.array_equal``
 and, for floats, ``signbit``), every decoded record of every exchange file
-(the sha256 of its step, time, strains and damage), and the sha256 of every
+(the sha256 of its step, time, strains and damage, Gauss points in the
+public order whatever the file's format version), and the sha256 of every
 CLI artifact, of each npz member on its own; manifests and a summary's
 ``meta`` are hashed without their wall-time, elapsed and peak-RSS fields.  It prints the counts, and
 exits 1 naming the first difference.
@@ -33,7 +38,9 @@ Arrays are grouped into families by the last result field on their path
 indices do not count).  For each family it prints the largest
 ``max|a - b| / max|b|`` over its arrays, ``b`` from the ref, and lists the
 exchange records and artifacts whose sha256 changed (a hash cannot be
-bounded).  It exits 1 naming the worst family when that exceeds RTOL, or
+bounded), and names the protocol's runs whose every array, record and
+artifact stayed bitwise equal.  It exits 1 naming the worst family when
+that exceeds RTOL, or
 naming a name that is missing, or an array that changed its dtype or
 shape.
 """
@@ -47,6 +54,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tarfile
@@ -86,16 +94,43 @@ def _flatten(name: str, obj, arrays: dict) -> None:
             _flatten(f"{name}[{i}]", value, arrays)
 
 
+def _public_order(a: np.ndarray) -> np.ndarray:
+    """Gauss-point values (ngp, ...) from the engine's order q * nelem + e
+    to the public order 8 e + q (``solver.to_public_order``, which a ref
+    from before format version 4 does not have)."""
+    ne = a.shape[0] // 8
+    return a.reshape(8, ne, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
+
+
 def _record_digests(name: str, path, digests: dict) -> None:
     """One sha256 per decoded exchange record: step, time, then the strains
-    (Gauss-point-major) and damage as float64 bytes."""
+    (Gauss-point-major) and damage as float64 bytes, Gauss points in the
+    public order 8 e + q.  The file header's version says the order:
+    version 4 records hold the engine's, earlier ones the public order.  So
+    a change that only renumbers Gauss points changes no record digest."""
     from tsmfem.tsm import ExchangeFileReader
 
+    with open(path, "rb") as fh:
+        _magic, version = struct.unpack("<4sI", fh.read(8))
     for i, rec in enumerate(ExchangeFileReader(path)):
+        eps, d = rec.eps, rec.d
+        if version >= 4:
+            eps, d = _public_order(eps), _public_order(d)
         h = hashlib.sha256(f"{rec.step} {float(rec.time).hex()}".encode())
-        h.update(np.ascontiguousarray(rec.eps, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(rec.d, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(eps, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(d, dtype="<f8").tobytes())
         digests[f"{name}/record{i}"] = h.hexdigest()
+
+
+def _one_node_moved(mesh):
+    """A copy of ``mesh`` with its first node outside every node set moved
+    along x by 1e-3 of the shortest edge: its elements take more than one
+    shape, so its products take the CSR form."""
+    free = np.setdiff1d(np.arange(mesh.n_nodes), np.concatenate(list(mesh.node_sets.values())))
+    coords = mesh.element_coords()
+    nodes = mesh.nodes.copy()
+    nodes[free[0], 0] += 1e-3 * np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1).min()
+    return dataclasses.replace(mesh, nodes=nodes)
 
 
 def _timings_dropped(text: str) -> bytes:
@@ -172,6 +207,12 @@ def produce(out: Path) -> None:
     for preset, K in (("plate_hole_desk", 4), ("double_notch_desk", 25)):
         tsm_run(f"tsm/{preset}_file_K{K}", load_config(
             overrides={"problem": {"preset": preset}}), "file", K)
+    csr = dataclasses.replace(coarse, problem=dataclasses.replace(
+        p, mesh=_one_node_moved(p.mesh)))
+    hist = run_deterministic(csr.problem.mesh, p.loads, p.params, 0.15, dt, times,
+                             force_stride=7, mass_damping=p.mass_damping)
+    _flatten("det/csr_xi0.15_stride7", hist, arrays)
+    tsm_run("tsm/csr_file_K7", csr, "file", 7)
 
     base = ["--preset", "plate_coarse_desk"]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -297,6 +338,27 @@ def changed_digests(ref: dict, new: dict) -> list[str]:
     return [name for name, digest in ref.items() if new.get(name) != digest]
 
 
+def run_of(name: str) -> str:
+    """The protocol run an array or digest belongs to: its first two path
+    components (one, for a name of two), an exchange record's counted as
+    its run's (``exchange/tsm/x/record3`` is run ``tsm/x``)."""
+    parts = name.removeprefix("exchange/").split("/")
+    return "/".join(parts[:2]) if len(parts) > 2 else parts[0]
+
+
+def bitwise_equal_runs(ref: tuple[dict, dict], new: tuple[dict, dict]) -> list[str]:
+    """The runs, in the protocol's order, whose every array is bitwise
+    equal (``first_difference``'s test) and whose every digest is
+    unchanged; both trees hold the same names."""
+    runs = {run_of(name): True for name in (*ref[0], *ref[1])}
+    for name, a in ref[0].items():
+        if _value_difference(name, a, new[0][name]) is not None:
+            runs[run_of(name)] = False
+    for name in changed_digests(ref[1], new[1]):
+        runs[run_of(name)] = False
+    return [run for run, equal in runs.items() if equal]
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -335,6 +397,10 @@ def _report_bound(ref: tuple[dict, dict], new: tuple[dict, dict], rtol: float) -
           f"{len(artifacts)} artifact hashes")
     for name in artifacts:
         print(f"  {name}")
+    equal = bitwise_equal_runs(ref, new)
+    print(f"bitwise equal: {len(equal)} of {len({run_of(n) for n in (*ref[0], *ref[1])})} runs")
+    for run in equal:
+        print(f"  {run}")
     failure = bound_failure(worst, rtol)
     if failure is not None:
         print(f"ABOVE BOUND: {failure}")

@@ -51,7 +51,16 @@ def validate_mesh(mesh: Mesh) -> None:
     """Check connectivity bounds, Jacobian positivity, and set sanity.
 
     Raises ValueError naming the first offending element or set.
+    ``solver.ElementQuadrature.build`` makes the same checks, in the same
+    order, on the Jacobians it computes anyway.
     """
+    validate_connectivity(mesh)
+    validate_jacobians(np.linalg.det(hexa.jacobians(mesh.element_coords())))
+    validate_sets(mesh)
+
+
+def validate_connectivity(mesh: Mesh) -> None:
+    """Array shapes, and every element's nodes within the mesh."""
     n = mesh.n_nodes
     if mesh.nodes.ndim != 2 or mesh.nodes.shape[1] != 3:
         raise ValueError("nodes must be an (n, 3) array")
@@ -64,17 +73,25 @@ def validate_mesh(mesh: Mesh) -> None:
             f"element {e} references node {int(mesh.elements[e].max())} "
             f"but the mesh has {n} nodes"
         )
-    detJ = np.linalg.det(hexa.jacobians(mesh.element_coords()))
+
+
+def validate_jacobians(detJ: np.ndarray) -> None:
+    """Positive Jacobian determinants (n_elements, 8) at the Gauss points."""
     nonpos = np.nonzero((detJ <= 0.0).any(axis=1))[0]
     if nonpos.size:
         raise ValueError(f"element {int(nonpos[0])} has non-positive Jacobian")
+
+
+def validate_sets(mesh: Mesh) -> None:
+    """Node sets of distinct existing nodes, and element paths of existing
+    elements, each consecutive pair sharing a face."""
+    n, m = mesh.n_nodes, mesh.n_elements
     for name, ids in mesh.node_sets.items():
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise ValueError(f"node set '{name}' references nonexistent nodes")
         if np.unique(ids).size != ids.size:
             raise ValueError(f"node set '{name}' contains duplicate nodes")
-    m = mesh.n_elements
     for name, ids in mesh.element_paths.items():
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= m):

@@ -9,28 +9,32 @@ from the mesh:
 * **Element gemm** (Hughes, Levit & Winget, CMAME 36, 1983), when the mesh
   has one element shape: every element's dN/dx (in its own VTK node order)
   and detJ * w lie within ``CONGRUENT_RTOL`` (relative, a roundoff-level
-  constant) of element 0's, as on every structured generator grid.  The
-  products are then dense BLAS products with element 0's B: the gathered
-  (n_elements, 24) element displacements times B^T, one (24, 8) block per
-  strain component, for the strains; the (n_elements, 48) element stresses
-  times the weighted B, summed per dof in ascending element order, for the
-  forces.  The results differ from the CSR form at roundoff:
-  BLAS sums in its own order, and element 0's B stands in for blocks that
-  differ from it by at most the tolerance.  Each product runs over all
-  elements in one call and is never split into calls over fewer rows:
-  BLAS can give a row other bits in a product of another row count (a
-  single-row product takes another routine).  The number of BLAS threads
-  does not change the bits (1 and 2 OpenBLAS threads are tested).
+  constant) of element 0's, as on every structured generator grid.  Each
+  product is then one plain 2-D BLAS product with element 0's B, on the
+  arrays as they lie, with no transposing copy: the (48, 24) B, row
+  8 c + q, times the (24, n_elements) gathered element displacements for
+  the strains; the (24, 48) weighted B^T times the (48, n_elements)
+  element stresses, then a 0/1 operator that sums each dof's element
+  forces in ascending element order, for the forces.  The results differ
+  from the CSR form at roundoff: BLAS sums in its own order, and element
+  0's B stands in for blocks that differ from it by at most the
+  tolerance.  Each product runs over all elements in one call and is
+  never split into calls over fewer columns: BLAS can give a column other
+  bits in a product of another size (a single-column product takes
+  another routine).  The number of BLAS threads does not change the bits
+  (1 and 2 OpenBLAS threads are tested).
 * **CSR** otherwise (a distorted or unstructured mesh): the
   pre-assembled sparse operators ``strain_op`` and ``force_op``, which
   store only the structural nonzeros of the strain-displacement matrix B,
   72 per Gauss point (8 in each normal-strain row, 16 in each shear row).
-  They are built on every mesh, as the fallback and as the reference.
+  They exist on every mesh, as the fallback and as the reference; on a
+  mesh of one element shape they are built on first access only.
 
 ``ElementQuadrature.product`` names the form, and ``History.meta["product"]``
-records it.  Stress and damage laws enter as per-Gauss-point callbacks, so
-the deterministic and the first-order (sensitivity) problems share one
-integrator, ``ExplicitEngine``: one object per simulation that holds the
+records it.  ``ElementQuadrature.build`` validates the mesh, so a
+simulation validates it once per quadrature.  Stress and damage laws enter
+as per-Gauss-point callbacks, so the deterministic and the first-order
+(sensitivity) problems share one integrator, ``ExplicitEngine``: one object per simulation that holds the
 state, records the history and times itself, driven one ``step()`` at a
 time by ``run_engines``, the one integrator loop, for one simulation
 (``run_with_kernels``) or two in lockstep (``tsm.run_tsm``).
@@ -38,14 +42,20 @@ time by ``run_engines``, the one integrator loop, for one simulation
 Memory layout: Gauss-point strains and stresses are (ngp, 6) arrays stored
 component-major, i.e. as the transpose of a C-ordered (6, ngp) array, so
 each Voigt component is one contiguous row and the laws run long inner
-loops.  Gauss point g = 8 e + q is Gauss point q of element e.
-``strain_op`` row ``c * ngp + g`` holds component c of Gauss point g, its
-columns ascending; ``force_op`` column ``c * ngp + g`` matches it.  Inside
-each ``force_op`` row the entries stay in Gauss-point-major (g, c) order,
-so its indices are deliberately unsorted and every force is the same sum
-as with a Gauss-point-major layout.  Only ``ElementQuadrature.strains`` and
-``ElementQuadrature.forces`` know the layout; everything else sees plain
-(ngp, 6) arrays.
+loops.  Inside each component row the engine numbers Gauss point q of
+element e as g = q * n_elements + e, in both forms, so a component-major
+array is the C-ordered (48, n_elements) block (component, point,
+element) that the element gemm products read and write.  ``strain_op``
+row ``c * ngp + g`` holds component c of Gauss point g, its columns
+ascending; ``force_op`` column ``c * ngp + g`` matches it.  Inside each
+``force_op`` row the entries stay in the public Gauss-point-major order
+(8 e + q, c), so its indices are deliberately unsorted, and each CSR row
+is the same sum in the same order as with the public numbering.  The
+laws act point by point and never see the order.  ``History``, and
+everything built on it, keeps the public order g = 8 e + q:
+``ExplicitEngine`` permutes ``d`` and ``sigma`` to it (``to_public_order``)
+only when it records a snapshot.  The exchange stream carries the
+engine's order (``tsm``, format version 4).
 
 Sparse products call scipy's CSR kernel ``csr_matvec`` directly, through
 ``_csr_product``.  That is bitwise what ``op @ x`` computes, because
@@ -72,6 +82,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,7 +91,15 @@ from scipy.sparse import _sparsetools
 from . import hexa
 from .material import MaterialParams, characteristic_scales
 from .material import Order0Law as DeterministicKernels  # order-0 step callbacks
-from .mesh import LoadCase, Mesh, constrained_dofs, validate_load_case, validate_mesh
+from .mesh import (
+    LoadCase,
+    Mesh,
+    constrained_dofs,
+    validate_connectivity,
+    validate_jacobians,
+    validate_load_case,
+    validate_sets,
+)
 
 _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
           (0, 4), (1, 5), (2, 6), (3, 7)]
@@ -141,23 +160,24 @@ def _one_shape(a: np.ndarray) -> bool:
 
 @dataclass
 class ElementQuadrature:
-    """Per-element 2x2x2 Gauss data, the assembled CSR operators, and, on a
-    mesh of one element shape, element 0's dense blocks (see the module
-    docstring for the selection and the layout).
+    """Per-element 2x2x2 Gauss data of a validated mesh, the two products
+    in one of two forms, and the Gauss-point order they share (see the
+    module docstring for the selection and the layout).
 
     ``strains`` and ``forces`` are the two products.  On the CSR path they
     are bitwise ``strain_op @ u`` and ``force_op @ sigma``; on the element
     gemm path they agree with those to roundoff (1e-13 relative on the
-    generator meshes)."""
+    generator meshes).  ``strain_op`` and ``force_op`` exist on every
+    mesh; on a mesh of one element shape they are built from ``mesh`` on
+    first access, as no step reads them there."""
 
-    detJw: np.ndarray  # (nelem, 8) Jacobian determinant * weight
-    strain_op: sp.csr_matrix  # (6*ngp, ndof): u -> all strains, component-major
-    force_op: sp.csr_matrix  # (ndof, 6*ngp): weighted stress -> f_int
+    mesh: Mesh  # the mesh it was built for
+    detJw: np.ndarray  # (nelem, 8) Jacobian determinant * weight, [e, q]
     n_gauss: int
     # the element gemm form; None on a mesh of more than one element shape
-    element_dofs: np.ndarray | None = None  # (nelem, 24): dof 3a + axis of VTK node a
-    strain_block: np.ndarray | None = None  # (6, 24, 8): element 0's B^T per component
-    force_block: np.ndarray | None = None  # (48, 24): element 0's detJw-weighted B
+    element_dofs: np.ndarray | None = None  # (24, nelem): row 3a + axis, VTK node a
+    strain_block: np.ndarray | None = None  # (48, 24): element 0's B, row 8c + q
+    force_block: np.ndarray | None = None  # (24, 48): element 0's detJw-weighted B^T
     assembly: sp.csr_matrix | None = None  # (ndof, 24 nelem) 0/1: element forces -> f_int
 
     @property
@@ -165,110 +185,153 @@ class ElementQuadrature:
         """The form of both products: ``"element_gemm"`` or ``"csr"``."""
         return "csr" if self.element_dofs is None else "element_gemm"
 
+    @property
+    def strain_op(self) -> sp.csr_matrix:
+        """(6 ngp, ndof): u -> all strains, row c * ngp + g."""
+        return self._csr[0]
+
+    @property
+    def force_op(self) -> sp.csr_matrix:
+        """(ndof, 6 ngp): stresses, column c * ngp + g -> f_int."""
+        return self._csr[1]
+
+    @cached_property
+    def _csr(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        J = hexa.jacobians(self.mesh.element_coords())
+        return _csr_operators(self.mesh, _gradients(J), self.detJw)
+
     @classmethod
     def build(cls, mesh: Mesh) -> "ElementQuadrature":
-        ne = mesh.n_elements
+        """The quadrature of ``mesh``, which it validates first: the checks
+        and messages of ``mesh.validate_mesh``, on its own Jacobians, then
+        a check that no element repeats a node."""
+        validate_connectivity(mesh)
         J = hexa.jacobians(mesh.element_coords())
         detJ = np.linalg.det(J)
-        if (detJ <= 0.0).any():
-            e = int(np.nonzero((detJ <= 0.0).any(axis=1))[0][0])
-            raise ValueError(f"element {e} has non-positive Jacobian")
-        Jinv = np.linalg.inv(J)
-        # dN_a/dx_j = sum_k dN_a/dxi_k * inv(J)[j, k] (chain rule, J = dx/dxi)
-        dNdx = np.einsum("gak,egjk->egaj", hexa.DN_AT_GP, Jinv)
-
-        detJw = detJ * hexa.GAUSS_WEIGHTS[None, :]
-        ngp = 8 * ne
-        ndof = 3 * mesh.n_nodes
-        nnz = 72 * ngp
-        idx_t = np.int32 if max(nnz, ndof) < 2**31 else np.int64
-        dense = (_element_blocks(mesh.elements, dNdx[0], detJw[0], ndof, idx_t)
-                 if _one_shape(dNdx) and _one_shape(detJw) else {})
-
-        # each element's nodes by ascending id, so every row's columns ascend
-        order = np.argsort(mesh.elements, axis=1)
-        nodes = np.take_along_axis(mesh.elements, order, axis=1)
-        repeats = np.nonzero((np.diff(nodes, axis=1) == 0).any(axis=1))[0]
+        validate_jacobians(detJ)
+        validate_sets(mesh)
+        repeats = np.nonzero((np.diff(np.sort(mesh.elements, axis=1), axis=1) == 0)
+                             .any(axis=1))[0]
         if repeats.size:
             raise ValueError(f"element {int(repeats[0])} repeats a node")
-        dNdx = np.take_along_axis(dNdx, order[:, None, :, None], axis=2)
-
-        def row_blocks():
-            """Per strain component: the 9-per-node structural nonzeros of
-            the 6x24 B blocks, node by node (ne, 8 gp, n) and their columns
-            (ne, 1, n)."""
-            for b in _ROW_ENTRIES:
-                yield (dNdx[..., _B_DERIV[b]].reshape(ne, 8, -1),
-                       (3 * nodes[:, None, :, None] + _B_AXIS[b]).reshape(ne, 1, -1))
-
-        # force_op: the transpose of the detJw-weighted B in Gauss-point-major
-        # row order 6g + c, then renumbered to the component-major columns
-        w = np.empty((ne, 8, 72))
-        cols = np.empty((ne, 8, 72), dtype=idx_t)
-        for (vals, col), lo, hi in zip(row_blocks(), _ROW_START[:-1], _ROW_START[1:]):
-            w[:, :, lo:hi] = vals * detJw[:, :, None]
-            cols[:, :, lo:hi] = col
-        indptr = np.concatenate([[0], np.cumsum(np.tile(_ROW_NNZ, ngp))]).astype(idx_t)
-        force_op = sp.csr_matrix((w.reshape(nnz), cols.reshape(nnz), indptr),
-                                 shape=(6 * ngp, ndof)).T.tocsr()
-        del w, cols
-        gp_major_to_cm = np.arange(6 * ngp, dtype=idx_t).reshape(6, ngp).T.ravel()
-        force_op.indices[:] = gp_major_to_cm[force_op.indices]
-        force_op.has_sorted_indices = False  # never sort: it would reorder each sum
-
-        # strain_op: component-major rows c * ngp + g
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=idx_t)
-        for (vals, col), lo, hi in zip(row_blocks(), ngp * _ROW_START[:-1],
-                                       ngp * _ROW_START[1:]):
-            data[lo:hi].reshape(vals.shape)[...] = vals
-            indices[lo:hi].reshape(vals.shape)[...] = col
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(_ROW_NNZ, ngp))]).astype(idx_t)
-        strain_op = sp.csr_matrix((data, indices, indptr), shape=(6 * ngp, ndof))
-        return cls(detJw=detJw, strain_op=strain_op, force_op=force_op, n_gauss=ngp,
-                   **dense)
+        dNdx = _gradients(J)
+        detJw = detJ * hexa.GAUSS_WEIGHTS[None, :]
+        if _one_shape(dNdx) and _one_shape(detJw):
+            return cls(mesh=mesh, detJw=detJw, n_gauss=detJw.size,
+                       **_element_blocks(mesh, dNdx[0], detJw[0]))
+        quad = cls(mesh=mesh, detJw=detJw, n_gauss=detJw.size)
+        quad._csr = _csr_operators(mesh, dNdx, detJw)  # the products read them
+        return quad
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """Gauss-point strains (ngp, 6) from nodal displacements (nn, 3): a
-        component-major view."""
+        component-major view, Gauss points in the engine's order."""
         if self.element_dofs is None:
             return _csr_product(self.strain_op, u.ravel()).reshape(6, self.n_gauss).T
-        # (6, nelem, 8): one (nelem, 24) x (24, 8) product per component
-        eps = np.matmul(u.ravel()[self.element_dofs], self.strain_block)
+        # one (48, 24) x (24, nelem) product: component c of Gauss point q of
+        # element e lands at [8c + q, e], i.e. at c * ngp + q * nelem + e
+        eps = self.strain_block @ u.ravel().take(self.element_dofs)
         return eps.reshape(6, self.n_gauss).T
 
     def forces(self, sigma: np.ndarray) -> np.ndarray:
-        """Nodal internal forces (3 * nn,) from Gauss-point stresses (ngp, 6);
-        on the CSR path a component-major ``sigma`` is read without a copy,
-        on the element gemm path every ``sigma`` is copied into one
-        C-ordered (nelem, 48) block, so its memory order never changes a
-        bit."""
+        """Nodal internal forces (3 * nn,) from Gauss-point stresses (ngp, 6)
+        in the engine's order.  A component-major ``sigma`` is read without
+        a copy; any other is copied into that order first, so its memory
+        order never changes a bit."""
         if self.element_dofs is None:
             return _csr_product(self.force_op, sigma.T.ravel())
-        ne = self.element_dofs.shape[0]
-        block = np.empty((ne, 6, 8))  # element e's stresses, component-major
-        block[...] = sigma.T.reshape(6, ne, 8).transpose(1, 0, 2)
-        return _csr_product(self.assembly, (block.reshape(ne, 48) @ self.force_block).ravel())
+        # sigma.T is (6, 8, nelem): the (48, nelem) element stresses as they lie
+        block = np.ascontiguousarray(sigma.T).reshape(48, -1)
+        return _csr_product(self.assembly, (self.force_block @ block).ravel())
 
 
-def _element_blocks(elements: np.ndarray, dNdx0: np.ndarray, detJw0: np.ndarray,
-                    ndof: int, idx_t) -> dict:
+def _gradients(J: np.ndarray) -> np.ndarray:
+    """dN/dx (nelem, 8 gp, 8 nodes, 3) from the Jacobians J = dx/dxi:
+    dN_a/dx_j = sum_k dN_a/dxi_k * inv(J)[j, k] (chain rule)."""
+    return np.einsum("gak,egjk->egaj", hexa.DN_AT_GP, np.linalg.inv(J))
+
+
+def _index_type(mesh: Mesh):
+    """The index dtype of the sparse operators of ``mesh``."""
+    return np.int32 if max(576 * mesh.n_elements, 3 * mesh.n_nodes) < 2**31 else np.int64
+
+
+def _csr_operators(mesh: Mesh, dNdx: np.ndarray,
+                   detJw: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``strain_op`` and ``force_op`` from every element's dN/dx and detJ * w."""
+    ne = mesh.n_elements
+    ngp, ndof = 8 * ne, 3 * mesh.n_nodes
+    nnz = 72 * ngp
+    idx_t = _index_type(mesh)
+    # each element's nodes by ascending id, so every row's columns ascend
+    order = np.argsort(mesh.elements, axis=1)
+    nodes = np.take_along_axis(mesh.elements, order, axis=1)
+    dNdx = np.take_along_axis(dNdx, order[:, None, :, None], axis=2)
+
+    def row_blocks():
+        """Per strain component: the 9-per-node structural nonzeros of
+        the 6x24 B blocks, node by node (ne, 8 gp, n) and their columns
+        (ne, 1, n)."""
+        for b in _ROW_ENTRIES:
+            yield (dNdx[..., _B_DERIV[b]].reshape(ne, 8, -1),
+                   (3 * nodes[:, None, :, None] + _B_AXIS[b]).reshape(ne, 1, -1))
+
+    # force_op: the transpose of the detJw-weighted B in Gauss-point-major
+    # row order 6 (8e + q) + c, then renumbered to the component-major
+    # columns of the engine's order
+    w = np.empty((ne, 8, 72))
+    cols = np.empty((ne, 8, 72), dtype=idx_t)
+    for (vals, col), lo, hi in zip(row_blocks(), _ROW_START[:-1], _ROW_START[1:]):
+        w[:, :, lo:hi] = vals * detJw[:, :, None]
+        cols[:, :, lo:hi] = col
+    indptr = np.concatenate([[0], np.cumsum(np.tile(_ROW_NNZ, ngp))]).astype(idx_t)
+    force_op = sp.csr_matrix((w.reshape(nnz), cols.reshape(nnz), indptr),
+                             shape=(6 * ngp, ndof)).T.tocsr()
+    del w, cols
+    position = to_public_order(np.arange(ngp, dtype=idx_t))  # of Gauss point 8e + q
+    gp_major_to_cm = (position[:, None] + ngp * np.arange(6, dtype=idx_t)).ravel()
+    force_op.indices[:] = gp_major_to_cm[force_op.indices]
+    force_op.has_sorted_indices = False  # never sort: it would reorder each sum
+
+    # strain_op: component-major rows c * ngp + q * ne + e
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx_t)
+    for (vals, col), lo, hi in zip(row_blocks(), ngp * _ROW_START[:-1],
+                                   ngp * _ROW_START[1:]):
+        data[lo:hi].reshape(8, ne, -1)[...] = vals.transpose(1, 0, 2)
+        indices[lo:hi].reshape(8, ne, -1)[...] = col.transpose(1, 0, 2)
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(_ROW_NNZ, ngp))]).astype(idx_t)
+    return sp.csr_matrix((data, indices, indptr), shape=(6 * ngp, ndof)), force_op
+
+
+def _element_blocks(mesh: Mesh, dNdx0: np.ndarray, detJw0: np.ndarray) -> dict:
     """The element gemm form's fields of ``ElementQuadrature``, from element
     0's dN/dx (8 gp, 8 nodes, 3) and detJ * w (8 gp)."""
-    ne = elements.shape[0]
+    ne = mesh.n_elements
+    idx_t = _index_type(mesh)
     B = np.zeros((6, 8, 8, 3))  # (component, gp, node, axis)
     B[_B_ROW, :, :, _B_AXIS] = dNdx0[:, :, _B_DERIV].transpose(2, 0, 1)
-    B = B.reshape(6, 8, 24)
-    dofs = (3 * elements[:, :, None] + np.arange(3)).reshape(ne, 24)
-    # row k of the assembly sums the forces on dof k, in ascending element order
+    B = B.reshape(48, 24)
+    dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(ne, 24)
+    # row k of the assembly sums the forces on dof k in ascending element
+    # order; element e's force on its local dof j is entry j * ne + e of the
+    # (24, ne) element forces
     flat = dofs.ravel()
-    cols = np.argsort(flat, kind="stable").astype(idx_t)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=ndof))]).astype(idx_t)
-    return dict(element_dofs=dofs,
-                strain_block=np.ascontiguousarray(B.transpose(0, 2, 1)),
-                force_block=(B * detJw0[None, :, None]).reshape(48, 24),
-                assembly=sp.csr_matrix((np.ones(flat.size), cols, indptr),
-                                       shape=(ndof, flat.size)))
+    entries = np.argsort(flat, kind="stable")  # 24 e + j
+    cols = ((entries % 24) * ne + entries // 24).astype(idx_t)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=3 * mesh.n_nodes))])
+    return dict(element_dofs=np.ascontiguousarray(dofs.T),
+                strain_block=B,
+                force_block=np.ascontiguousarray((B * np.tile(detJw0, 6)[:, None]).T),
+                assembly=sp.csr_matrix((np.ones(flat.size), cols, indptr.astype(idx_t)),
+                                       shape=(3 * mesh.n_nodes, flat.size)))
+
+
+def to_public_order(a: np.ndarray) -> np.ndarray:
+    """The values of a Gauss-point array (ngp, ...) in the engine's order
+    q * nelem + e, in the public order 8 e + q."""
+    ne = a.shape[0] // 8
+    return a.reshape(8, ne, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
 
 
 def lumped_mass(mesh: Mesh, rho: float, quad: ElementQuadrature | None = None) -> np.ndarray:
@@ -340,7 +403,8 @@ def reaction_sums(op: sp.csr_matrix, mass3: np.ndarray, f_int: np.ndarray,
 
 @dataclass
 class History:
-    """Snapshots at requested instants plus reaction-force time series."""
+    """Snapshots at requested instants plus reaction-force time series;
+    Gauss points in the public order 8 e + q."""
 
     times: np.ndarray  # (S,)
     u: np.ndarray  # (S, nn, 3)
@@ -409,11 +473,12 @@ class ExplicitEngine:
     Construction is the set-up: constraints, lumped mass, the snapshot and
     reaction schedules, an empty ``history`` and, by ``initial_state()``,
     the state: displacements ``u``, velocities ``v`` at the preceding half
-    step, Gauss-point damage ``d``, ``time`` and the step count ``n``.
+    step, Gauss-point damage ``d`` (in the engine's order, as every
+    Gauss-point array of a step), ``time`` and the step count ``n``.
     Each ``step()`` then runs step n = 0, 1, ..., ``n_steps``:
     ``evaluate()``, the optional ``exchange_hook(n, time, eps, d)``, the
     reactions (every ``force_stride`` steps and at the last) and snapshot of
-    step n, then, except after the last step, ``advance()`` to step n + 1
+    step n (``d`` and ``sigma`` in the public order), then, except after the last step, ``advance()`` to step n + 1
     and, every ``_NAN_CHECK_INTERVAL`` steps, a scan for non-finite values.
     ``finish()`` checks that the final state is finite and returns the
     ``History``, whose ``wall_time`` is the time spent in the set-up, the
@@ -440,7 +505,8 @@ class ExplicitEngine:
                  exchange_hook=None,
                  meta: dict | None = None):
         t0 = _time.perf_counter()
-        validate_mesh(mesh)
+        # a quadrature is built from a mesh it validates; a given one was
+        quad = quad or ElementQuadrature.build(mesh)
         validate_load_case(loads, mesh)
         if not 0.0 < dt < np.inf:
             raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -452,7 +518,7 @@ class ExplicitEngine:
         self.dt = dt
         self.stress_fn, self.damage_fn = stress_fn, damage_fn
         self.exchange_hook = exchange_hook
-        self.quad = quad = quad or ElementQuadrature.build(mesh)
+        self.quad = quad
         mass = lumped_mass(mesh, rho, quad)
         self.mass3 = np.repeat(mass, 3)
         self.bc = _Dirichlet(mesh, loads, dirichlet_scale)
@@ -536,8 +602,8 @@ class ExplicitEngine:
         if i is not None:
             hist = self.history
             hist.u[i] = self.u
-            hist.d[i] = d
-            hist.sigma[i] = sigma
+            hist.d[i] = to_public_order(d)
+            hist.sigma[i] = to_public_order(sigma)
         if n < self.n_steps:
             self.advance(eps, a)
             if self.n % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(self.u.sum()):

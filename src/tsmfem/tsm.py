@@ -22,16 +22,18 @@ state reaches order 1 through a one-record mailbox (``InMemoryExchange``),
 so nothing is copied and memory is O(1) in K.  Both modes give bitwise
 equal results.
 
-Exchange file, format version 3 (little-endian): a 24-byte header (magic
+Exchange file, format version 4 (little-endian): a 24-byte header (magic
 ``TSMX``, u32 version, u64 Gauss-point count, u64 K); then one record per
 K steps: u64 step, f64 time, the strains component-major (6 rows of ngp
 f64: every xx, then every yy, ...), the (ngp,) damage as f64, and the u32
 CRC32 of those bytes; then a 12-byte trailer: u64 record count and the u32
 stream CRC, the CRC32 of the header followed by every record's CRC.  Only
 a writer that finished writes the trailer.  The record layout is the
-engine's own: the writer writes the bytes of the engine's strains without
-a copy, and the reader yields the strains as a component-major (ngp, 6)
-view of the buffer each record is read into.
+engine's own, Gauss points in the engine's order q * n_elements + e
+(version 3 held them in the public order 8 e + q): the writer writes the
+bytes of the engine's strains and damage without a copy, and the reader
+yields the strains as a component-major (ngp, 6) view of the buffer each
+record is read into.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .solver import (
 )
 
 _MAGIC = b"TSMX"
-_VERSION = 3
+_VERSION = 4
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, gp_count, K
 _REC_HEAD = struct.Struct("<Qd")  # step, time
 _CRC = struct.Struct("<I")  # a record's CRC32, after its payload
@@ -521,7 +523,8 @@ class _Order1Process:
     caller's main module, so a script that runs file mode where the
     platform cannot fork guards its entry point with
     ``if __name__ == "__main__":``; a child that dies importing it makes
-    the first announcement raise ``ChildProcessError`` with its exit code.
+    the next announcement, or ``result()``, raise ``ChildProcessError``
+    with its exit code.
     """
 
     def __init__(self, problem: Problem, path, dt: float, output_times,
@@ -551,7 +554,7 @@ class _Order1Process:
     def result(self):
         try:
             return _recv_out_of_band(self._conn)
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # reset: it died with bytes unread
             self._process.join()
             raise ChildProcessError(f"the order-1 process exited with code "
                                     f"{self._process.exitcode} and no result") from None

@@ -138,3 +138,44 @@ def test_bound_mode_fails_on_a_structural_difference(bitwise, change, named):
     change(*new)
     diff = bitwise.structural_difference(ref, new)
     assert diff is not None and diff.startswith(named), diff
+
+
+@pytest.mark.parametrize("name, run", [
+    ("det/xi0_stride1/forces[top]", "det/xi0_stride1"),
+    ("fd_oracle/u", "fd_oracle"),
+    ("exchange/tsm/csr_file_K7/record3", "tsm/csr_file_K7"),
+    ("cli/det/forces_top.csv", "cli/det"),
+])
+def test_run_of_a_name(bitwise, name, run):
+    assert bitwise.run_of(name) == run
+
+
+def test_bitwise_equal_runs_leave_out_any_changed_array_or_digest(bitwise):
+    ref = _outputs()
+    new = _copy(ref)
+    assert bitwise.bitwise_equal_runs(ref, new) == ["det", "tsm", "mc", "cli/det"]
+    _one_ulp(*new)
+    assert bitwise.bitwise_equal_runs(ref, new) == ["tsm", "mc", "cli/det"]
+    _digest(*new)  # an exchange record of run tsm
+    assert bitwise.bitwise_equal_runs(ref, new) == ["mc", "cli/det"]
+
+
+def test_record_digest_is_that_of_the_public_gauss_point_order(bitwise, tmp_path):
+    """A version-4 record holds Gauss point q of element e at q * nelem + e;
+    its digest hashes the values at 8 e + q, as a version-3 record held
+    them, so renumbering Gauss points changes no digest."""
+    import hashlib
+
+    from tsmfem.tsm import ExchangeRecord, write_exchange
+
+    rng = np.random.default_rng(4)
+    eps, d = rng.normal(size=(3, 8, 6)), rng.normal(size=(3, 8))  # [e, q]
+    path = tmp_path / "x.tsmx"
+    write_exchange([ExchangeRecord(0, 0.5, eps.transpose(1, 0, 2).reshape(24, 6),
+                                   d.T.ravel())], path)  # at q * 3 + e
+    digests = {}
+    bitwise._record_digests("x", path, digests)
+    want = hashlib.sha256(f"0 {(0.5).hex()}".encode())
+    want.update(eps.tobytes())
+    want.update(d.tobytes())
+    assert digests == {"x/record0": want.hexdigest()}

@@ -1,6 +1,8 @@
 """Mesh generators, validation, load cases, and the text file round trip."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +121,42 @@ def test_duplicate_node_in_set_rejected():
     m.node_sets["dup"] = np.array([0, 0, 1])
     with pytest.raises(ValueError, match="dup"):
         validate_mesh(m)
+
+
+def _bad_node_set(mesh):
+    return replace(mesh, node_sets={**mesh.node_sets, "dup": np.array([0, 0, 1])})
+
+
+def _bad_element_path(mesh):
+    far = int(np.argmax(mesh.element_centroids()[:, 0]))
+    return replace(mesh, element_paths={**mesh.element_paths, "gap": np.array([0, far])})
+
+
+@pytest.mark.parametrize("runner", ["run_deterministic", "run_tsm", "run_mc"])
+@pytest.mark.parametrize("defect", [_bad_node_set, _bad_element_path])
+def test_every_runner_rejects_a_bad_set_or_path_as_validate_mesh_does(defect, runner):
+    """The engine no longer validates a mesh it is given a quadrature for;
+    ``ElementQuadrature.build`` validates it, once per quadrature.  A node
+    set with a duplicate, or an element path with a gap, still fails each
+    runner with the ValueError of ``validate_mesh``, before any step."""
+    from tsmfem.montecarlo import run_mc
+    from tsmfem.solver import ElementQuadrature, run_deterministic
+    from tsmfem.tsm import run_tsm
+
+    cfg = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    p = replace(cfg.problem, mesh=defect(cfg.problem.mesh))
+    with pytest.raises(ValueError) as want:
+        validate_mesh(p.mesh)
+    runs = {
+        "run_deterministic": lambda: run_deterministic(p.mesh, p.loads, p.params, 0.0,
+                                                       cfg.dt, []),
+        "run_tsm": lambda: run_tsm(p, cfg.tsm, cfg.dt, []),
+        "run_mc": lambda: run_mc(p, [0.0], cfg.dt, []),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        runs[runner]()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        ElementQuadrature.build(p.mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from tsmfem.solver import (
     run_engines,
     set_sum_operator,
     stable_timestep,
+    to_public_order,
 )
 from tsmfem.tsm import FirstOrderKernels, InMemoryExchange, Problem, TsmConfig
 
@@ -46,6 +47,13 @@ def _box_mesh(nx, ny, nz, w, h, t):
 
 def _unit_cube():
     return _box_mesh(1, 1, 1, 1.0, 1.0, 1.0)
+
+
+def _engine_order(a):
+    """Gauss-point values (ngp, ...) in the public order 8 e + q, in the
+    engine's order q * nelem + e: ``to_public_order`` undone."""
+    ne = a.shape[0] // 8
+    return a.reshape(ne, 8, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +170,13 @@ def _desk_mesh(preset):
 @pytest.mark.parametrize("preset", DESK_PRESETS)
 def test_operators_store_only_structural_nonzeros(preset):
     """Each Gauss point's 6 strain rows (row c * ngp + g for component c of
-    Gauss point g) hold 8 (normal) or 16 (shear) entries, columns
-    ascending, none an explicit zero; force_op is bitwise the
-    detJw-weighted transpose of strain_op, each of its rows in
-    Gauss-point-major (g, c) order."""
+    Gauss point g = q * nelem + e) hold 8 (normal) or 16 (shear) entries,
+    columns ascending, none an explicit zero; force_op is bitwise the
+    detJw-weighted transpose of strain_op, each of its rows in the public
+    Gauss-point-major (8 e + q, c) order, so every CSR sum is the one the
+    public numbering gives."""
     quad = ElementQuadrature.build(_desk_mesh(preset))
-    ngp = quad.n_gauss
+    ngp, ne = quad.n_gauss, quad.n_gauss // 8
     S = quad.strain_op
     assert S.nnz == S.count_nonzero() == 72 * ngp
     per_row = np.diff(S.indptr).reshape(6, ngp)
@@ -183,10 +192,11 @@ def test_operators_store_only_structural_nonzeros(preset):
     assert F.nnz == S.nnz
     assert np.array_equal(back.indptr, S.indptr)
     assert np.array_equal(back.indices, S.indices)
-    w = np.tile(quad.detJw.ravel(), 6)
+    w = np.tile(quad.detJw.T.ravel(), 6)  # detJw[e, q] at q * nelem + e
     rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
     assert np.array_equal(back.data, S.data * w[rows])
-    gp_major = 6 * (F.indices % ngp) + F.indices // ngp  # row 6g + c of column c * ngp + g
+    g = F.indices % ngp  # column c * ngp + g, g = q * nelem + e
+    gp_major = 6 * (8 * (g % ne) + g // ne) + F.indices // ngp  # 6 (8 e + q) + c
     steps = np.diff(gp_major)
     within_row = np.ones(steps.size, dtype=bool)
     within_row[F.indptr[1:-1] - 1] = False
@@ -235,9 +245,11 @@ def test_operator_products_match_dense_b_elementwise():
     s_w = s.reshape(mesh.n_elements, 8, 6) * w.reshape(mesh.n_elements, 8, 1)
     np.add.at(f_ref, dofs, np.einsum("egij,egi->ej", B, s_w))
 
-    eps = quad.strains(u)
+    eps = quad.strains(u)  # in the engine's order q * nelem + e
     assert eps.T.flags.c_contiguous  # a component-major view
+    eps = to_public_order(eps)
     assert np.abs(eps - eps_ref).max() <= 1e-13 * np.abs(eps_ref).max()
+    s = _engine_order(s)
     f = quad.forces(s)
     assert np.abs(f - f_ref).max() <= 1e-13 * np.abs(f_ref).max()
     assert np.array_equal(f, quad.forces(np.asfortranarray(s)))  # same bits, any order
@@ -275,6 +287,47 @@ def test_product_form_follows_the_element_shapes(preset):
     assert np.array_equal(quad.strains(u),
                           (quad.strain_op @ u.ravel()).reshape(6, quad.n_gauss).T)
     assert np.array_equal(quad.forces(s), quad.force_op @ s.T.ravel())
+
+
+def test_csr_operators_are_built_on_first_access_on_one_shape_meshes():
+    """On a mesh of one element shape no step reads the CSR operators, so
+    ``build`` leaves them out and the quadrature pickles without them; the
+    first access builds them once.  On a mesh of more shapes ``build``
+    makes them."""
+    import pickle
+
+    mesh = _desk_mesh("plate_hole_desk")
+    quad = ElementQuadrature.build(mesh)
+    assert quad.product == "element_gemm" and "_csr" not in vars(quad)
+    lean = len(pickle.dumps(quad))
+    S, F = quad.strain_op, quad.force_op
+    assert quad.strain_op is S and quad.force_op is F
+    stored = sum(a.nbytes for op in (S, F) for a in (op.data, op.indices, op.indptr))
+    assert len(pickle.dumps(quad)) >= lean + stored
+    assert "_csr" in vars(ElementQuadrature.build(_distorted(mesh)))
+
+
+def test_snapshots_are_in_the_public_gauss_point_order():
+    """The engine steps with Gauss point q of element e at q * nelem + e
+    and records ``d`` and ``sigma`` at 8 e + q (``to_public_order``)."""
+    c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    p = c.problem
+    quad = ElementQuadrature.build(p.mesh)
+    kern = deterministic_kernels(p.params, 0.0, c.dt)
+    seen = []
+    engine = ExplicitEngine(p.mesh, p.loads, p.params.rho, c.dt, [30 * c.dt],
+                            _recorded(kern.stress, seen), kern.damage, quad=quad,
+                            mass_damping=p.mass_damping)
+    for _ in range(31):
+        d = engine.d
+        engine.step()
+    hist = engine.history
+    assert d.max() > 0.0
+    assert np.array_equal(hist.d[0], to_public_order(d))
+    assert np.array_equal(hist.sigma[0], to_public_order(seen[-1]))
+    # detJw[e, q] lies at 8 e + q in the public order, at q * nelem + e in the engine's
+    assert np.array_equal(_engine_order(quad.detJw.ravel()), quad.detJw.T.ravel())
+    assert np.array_equal(to_public_order(quad.detJw.T.ravel()), quad.detJw.ravel())
 
 
 @pytest.mark.parametrize("preset", DESK_PRESETS)
@@ -316,9 +369,10 @@ def test_element_gemm_run_within_bound_of_csr():
 
 def test_element_gemm_history_does_not_depend_on_blas_threads():
     """The bits of the element gemm products do not depend on the number
-    of BLAS threads: a double_notch_desk run (646 elements, the force
-    product large enough for OpenBLAS to use both threads) gives the same
-    bits with 1 and 2 OpenBLAS threads, each in a process of its own."""
+    of BLAS threads: a double_notch_desk run (646 elements, so the
+    (48, 24) x (24, 646) strain and (24, 48) x (48, 646) force products are
+    large enough for OpenBLAS to use both threads) gives the same bits with
+    1 and 2 OpenBLAS threads, each in a process of its own."""
     import os
     import subprocess
     import sys
@@ -562,14 +616,13 @@ class _ReferenceStep:
         if q.element_dofs is None:
             eps = (q.strain_op @ self.u).reshape(6, q.n_gauss).T
         else:
-            eps = (self.u[q.element_dofs] @ q.strain_block).reshape(6, q.n_gauss).T
+            eps = (q.strain_block @ self.u[q.element_dofs]).reshape(6, q.n_gauss).T
         sigma = self.stress(self.d, eps)
         if q.element_dofs is None:
             f = q.force_op @ sigma.T.ravel()
         else:
-            ne = q.element_dofs.shape[0]
-            block = np.ascontiguousarray(sigma.T.reshape(6, ne, 8).transpose(1, 0, 2))
-            f = q.assembly @ (block.reshape(ne, 48) @ q.force_block).ravel()
+            block = np.ascontiguousarray(sigma.T).reshape(48, -1)  # (component, q, e)
+            f = q.assembly @ (q.force_block @ block).ravel()
         a = (self.f_body - f) / self.mass3 - alpha * self.v
         a[self.dofs] = (self.ramp(t + dt) - 2.0 * self.ramp(t) + self.ramp(t - dt)) / dt**2
         k, m = self.sum_dofs, self.mass3[self.sum_dofs]

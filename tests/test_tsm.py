@@ -121,7 +121,7 @@ def test_exchange_corrupted_rejected(tmp_path):
 
 
 def _record_offset(r, gp=7):
-    """Byte offset of record r in a version-3 file: the 24-byte header, then
+    """Byte offset of record r in a version-4 file: the 24-byte header, then
     records of step, time, 7 * gp doubles (6 strain rows of gp, then the
     damage) and a CRC32 each."""
     return 24 + r * (16 + 56 * gp + 4)
@@ -272,7 +272,21 @@ def test_exchange_version_2_rejected_by_name(tmp_path):
     p = tmp_path / "x.tsmx"
     p.write_bytes(struct.pack("<4sIQQ", b"TSMX", 2, 7, 3) + bytes(400))
     with pytest.raises(ExchangeFormatError,
-                       match=r"unsupported version 2 \(this reader reads version 3\)"):
+                       match=r"unsupported version 2 \(this reader reads version 4\)"):
+        read_exchange(p)
+
+
+def test_exchange_version_3_rejected_by_name(tmp_path):
+    """Version 3 records held the Gauss points in the public order 8 e + q,
+    version 4 in the engine's order q * n_elements + e; a version-3 file
+    of the right size is still rejected by its version."""
+    p = tmp_path / "x.tsmx"
+    gp = 8
+    record = struct.pack("<Qd", 0, 0.0) + bytes(56 * gp)
+    record += struct.pack("<I", zlib.crc32(record))
+    p.write_bytes(struct.pack("<4sIQQ", b"TSMX", 3, gp, 1) + record + bytes(12))
+    with pytest.raises(ExchangeFormatError,
+                       match=r"unsupported version 3 \(this reader reads version 4\)"):
         read_exchange(p)
 
 
