@@ -300,6 +300,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     cfl_safety = _real(ts["cfl_safety"], "timestep.cfl_safety", positive=True)
     dt = (stable_timestep(mesh, params, cfl_safety) if ts["dt"] is None
           else _real(ts["dt"], "timestep.dt", positive=True))
+    if not problem.mass_damping * dt < 2.0:  # else |1 - mass_damping * dt| >= 1
+        raise ConfigError(f"timestep.mass_damping * timestep.dt must be < 2, got "
+                          f"timestep.mass_damping={problem.mass_damping!r} and "
+                          f"timestep.dt={dt!r}")
 
     # snapshots
     out = cfg["output"]

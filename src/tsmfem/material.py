@@ -97,53 +97,63 @@ def _elastic(E, eps) -> np.ndarray:
     return (E @ np.asarray(eps).T).T
 
 
-def _psi(eps, s) -> np.ndarray:
-    """Strain energy density 0.5 * eps : s from the elastic stress s = E : eps."""
-    return 0.5 * _dot6(np.asarray(eps), s)
-
-
 def free_energy(eps: np.ndarray, E0: np.ndarray) -> np.ndarray:
     """Undamaged strain energy density 0.5 * eps : E0 : eps (>= 0).
 
     ``eps`` may be a single 6-vector or an (n, 6) batch.
     """
     eps = np.asarray(eps)
-    return _psi(eps, eps @ E0.T)
+    return 0.5 * _dot6(eps, eps @ E0.T)
+
+
+def _law_products(E, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-d), E : eps and eps : E : eps (twice the strain energy) of one
+    state, the products both laws read; the Voigt reduction adds the same
+    terms in the same order as ``_dot6``."""
+    eps = np.asarray(eps)
+    expd = np.negative(d)
+    np.exp(expd, out=expd)
+    s = _elastic(E, eps)
+    return expd, s, np.add.reduce(eps * s, axis=-1)
 
 
 class Order0Law:
     """Order-0 law for one stiffness E, as the solver's per-step callbacks:
     stress exp(-d) * E : eps and the forward-Euler damage step
-    d + dt * exp(-d) * Psi(eps) / eta, which never decreases d.  The two
-    calls of a step share exp(-d) and E : eps.
+    d + dt * exp(-d) * Psi(eps) / eta, which never decreases d, formed as
+    d + (0.5 * dt / eta) * (exp(-d) * eps : E : eps).  The two calls of a
+    step share exp(-d), E : eps and eps : E : eps (``products``).
     """
 
     def __init__(self, E: np.ndarray, eta: float, dt: float):
         self.E = E
         self.eta = eta
         self.dt = dt
+        self._rate_dt = 0.5 * dt / eta
         self._step = -1
 
     def _prep(self, d, eps, step):
         if step != self._step:
-            expd = np.negative(d, dtype=float)
-            self._expd = np.exp(expd, out=expd)
-            self._s = _elastic(self.E, eps)
+            self._expd, self._s, self._energy2 = _law_products(self.E, d, eps)
             self._step = step
+
+    def products(self, d, eps, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp(-d), E : eps, eps : E : eps) of the state (d, eps) of
+        ``step``, formed once per step and never changed afterwards: what
+        ``Order1Law.hold`` reads."""
+        self._prep(d, eps, step)
+        return self._expd, self._s, self._energy2
 
     def stress(self, d, eps, step):
         self._prep(d, eps, step)
         return (self._expd * self._s.T).T
 
     def damage(self, d, eps, step):
-        """d + dt * (exp(-d) * Psi / eta), formed in place on the one Voigt
-        reduction (the same sums as ``_dot6``)."""
+        """d + (0.5 * dt / eta) * (exp(-d) * eps : E : eps), into a new
+        array."""
         self._prep(d, eps, step)
-        r = np.add.reduce(eps * self._s, axis=-1)
-        r *= 0.5
-        r *= self._expd
-        r /= self.eta
-        r *= self.dt
+        r = self._energy2 * self._expd
+        r *= self._rate_dt
         r += d
         return r
 
@@ -165,11 +175,16 @@ class Order1Law:
         self.expd0 = self.s0 = self.psi0 = None
         self._d1 = self._omd1 = None
 
-    def hold(self, eps0, d0) -> "Order1Law":
-        self.expd0 = np.exp(-np.asarray(d0))
+    def hold(self, eps0, d0, products=None) -> "Order1Law":
+        """Hold the order-0 state (eps0, d0).  ``products``, when given, is
+        ``Order0Law.products`` of that state at the stiffness E0, whose
+        arrays are held as they are; otherwise the same operations form
+        them here, so either way the bits are the same."""
+        if products is None:
+            products = _law_products(self.E0, d0, eps0)
+        self.expd0, self.s0, energy2 = products
         self._expd0_eta = self.expd0 / self.eta
-        self.s0 = _elastic(self.E0, eps0)
-        self.psi0 = _psi(eps0, self.s0)
+        self.psi0 = 0.5 * energy2
         return self
 
     def _one_minus(self, d1) -> np.ndarray:

@@ -63,18 +63,29 @@ scipy's ``@`` for a CSR matrix and a dense vector is exactly a zeroed
 output plus the same kernel call; skipping its dispatch saves a few
 microseconds per product.  So the CSR form is bitwise ``op @ x``.
 Reactions, and the element gemm form's per-dof sums, are such products of
-0/1 operators: the reaction set-sum operator over the global dofs,
-straight on the nodal vectors (the internal forces and the numpy products
-``m * a`` and ``m * v``), and the element-force assembly operator.  Each
-row is the same ascending sequential sum of the same rounded terms as
-summing the gathered terms; as the operators' entries are 1.0, a kernel
-compiled with fused multiply-adds computes the same sums.
+0/1 operators: the reaction set-sum operator over the reaction sets' dofs
+(``set_sum_operator``), on each term gathered there (the internal forces
+and the numpy products ``m * a`` and ``m * v``), and the element-force
+assembly operator.  Each row is the same ascending sequential sum of the
+same rounded terms as summing the gathered terms; as the operators'
+entries are 1.0, a kernel compiled with fused multiply-adds computes the
+same sums.
 
-Dirichlet ramps are imposed by direct overwrite after the explicit update,
-with boundary velocity/acceleration taken from finite differences of the
-ramp.  The program starts no thread of its own, and its results are
-bitwise reproducible.  Set-up follows the mesh and the output, not the
-step count: the reaction schedule is arithmetic on the step number.
+The explicit update is one fused velocity update per step,
+v' = c * v + w * (f_body - f_int), with the per-dof w = dt / m and
+c = 1 - alpha * dt formed at set-up: the central difference with
+mass-proportional damping (Belytschko, Liu & Moran, *Nonlinear Finite
+Elements for Continua and Structures*, 2000), rearranged, so no
+acceleration vector is formed.  Dirichlet ramps are imposed by direct
+overwrite of the velocity and displacement after the update, with the
+boundary velocity taken from a finite difference of the ramp.  Reactions
+are formed only on the steps that record them, and only at the reaction
+sets' dofs, where the acceleration, and at the constrained dofs the
+ramp's central-difference acceleration, is formed.  Ramps of zero
+amplitude are never re-evaluated.  The program starts no thread of its
+own, and its results are bitwise reproducible.  Set-up follows the mesh
+and the output, not the step count: the reaction schedule is arithmetic
+on the step number.
 """
 
 from __future__ import annotations
@@ -357,11 +368,14 @@ def stable_timestep(mesh: Mesh, params: MaterialParams, safety: float = 0.5) -> 
     return float(safety * edges.min() / v)
 
 
-def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
+def set_sum_operator(node_sets, terms: int = 1) -> tuple[sp.csr_matrix, np.ndarray]:
     """Per-set sums of a nodal vector (3 entries per node), as
     ``(op, dofs)``: ``dofs`` is the ascending union of the sets' dofs, and
     rows 3k, 3k+1 and 3k+2 of the 0/1 matrix ``op`` sum the x, y and z
-    entries of ``vector[dofs]`` over node_sets[k], in ascending order."""
+    entries of ``vector[dofs]`` over node_sets[k], in ascending order.
+    With ``terms`` > 1, ``op`` sums ``terms`` such vectors, stacked, each
+    on its own: ``terms`` copies of that matrix on the block diagonal, so
+    one product gives each term's sums."""
     ids = [np.asarray(n, dtype=np.int64) for n in node_sets]
     nodes = np.concatenate([np.zeros(0, dtype=np.int64), *ids])
     owner = np.repeat(np.arange(len(ids)), [n.size for n in ids])
@@ -370,34 +384,32 @@ def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
     dofs = np.unique(cols)
     op = sp.csr_matrix((np.ones(rows.size), (rows, np.searchsorted(dofs, cols))),
                        shape=(3 * len(ids), dofs.size))
+    if terms > 1:  # each row's entries in op's order
+        n_rows, n_cols = op.shape
+        indptr = np.concatenate([op.indptr[:-1] + i * op.nnz for i in range(terms)]
+                                + [[terms * op.nnz]])
+        op = sp.csr_matrix((np.tile(op.data, terms),
+                            np.concatenate([op.indices + i * n_cols for i in range(terms)]),
+                            indptr), shape=(terms * n_rows, terms * n_cols))
     return op, dofs
 
 
-def reaction_operator(node_sets, n_dofs: int) -> sp.csr_matrix:
-    """The 0/1 ``set_sum_operator`` of ``node_sets`` with its columns mapped
-    to the sets' dofs, so it sums a nodal vector of ``n_dofs`` entries
-    without a gather."""
-    op, dofs = set_sum_operator(node_sets)
-    return sp.csr_matrix((op.data, dofs[op.indices], op.indptr),
-                         shape=(op.shape[0], n_dofs))
-
-
-def reaction_sums(op: sp.csr_matrix, mass3: np.ndarray, f_int: np.ndarray,
-                  accel: np.ndarray, velocity: np.ndarray | None = None,
+def reaction_sums(op: sp.csr_matrix, terms: np.ndarray,
                   mass_damping: float = 0.0) -> np.ndarray:
     """Reactions (n_sets, 3): internal plus inertial (plus damping, when
-    active) nodal forces, summed per set by ``op`` (``reaction_operator``);
-    ``mass3`` holds the lumped mass of every dof.
+    active) nodal forces.  ``terms`` holds, at the dofs of
+    ``set_sum_operator(node_sets, terms=len(terms))``, whose ``op`` it
+    takes, the rows f_int, m * a and, with ``mass_damping``, m * v.
 
     Each term is summed on its own, over the set's nodes in ascending
-    order, before the terms are added; summing the combined nodal vector
-    instead moves finite-difference quotients of reactions by roundoff
-    amplified 1/(2h).  Each term is one product on its nodal vector, and
-    ``m * a`` is formed before it, so the 0/1 kernel only adds."""
-    r = _csr_product(op, f_int.ravel())
-    r += _csr_product(op, mass3 * accel.ravel())
-    if mass_damping and velocity is not None:
-        r += mass_damping * _csr_product(op, mass3 * velocity.ravel())
+    order, before the terms are added; summing the combined vector instead
+    moves finite-difference quotients of reactions by roundoff amplified
+    1/(2h).  The products ``m * a`` and ``m * v`` are formed before the
+    sums, so the 0/1 kernel only adds."""
+    sums = _csr_product(op, terms.ravel()).reshape(len(terms), -1)
+    r = sums[0] + sums[1]
+    if mass_damping:
+        r += mass_damping * sums[2]
     return r.reshape(-1, 3)
 
 
@@ -423,11 +435,19 @@ class _Dirichlet:
     the ramp each follows, value(t) = amplitude * min(t, ramp_end) / ramp_end
     (the ramp of the last row that names the dof, ``mesh.constrained_dofs``).
 
-    The ramp law is evaluated in Python floats once per distinct
-    (amplitude, ramp_end) pair and spread to the dofs with one ``take``;
-    each value is the same IEEE expression, in the same order, as the
-    elementwise numpy form.  (A zero amplitude keeps its sign, so 0.0 and
-    -0.0 are distinct pairs.)"""
+    For the step from t to t + dt (t >= 0) the engine reads ``update``,
+    the rows (velocity, value) at the dofs: (u(t + dt) - u(t)) / dt and
+    u(t + dt); on a step that records reactions it also reads
+    ``acceleration``, the central difference
+    (u(t + dt) - 2 u(t) + u(t - dt)) / dt**2.  The ramp law is evaluated in
+    Python floats once per distinct (amplitude, ramp_end) pair and spread
+    to the dofs with one ``take``; each value is the same IEEE expression,
+    in the same order, as the elementwise numpy form.  Only ramps of
+    nonzero amplitude are evaluated, once per step for every read: for
+    t >= 0 a zero amplitude's rows are constant, acceleration and velocity
+    +0.0 and the value the amplitude, its sign of zero kept (so 0.0 and
+    -0.0 are distinct pairs).  Without a nonzero amplitude, as in the
+    first-order problem (scale 0), the rows are formed once."""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
         self.dofs, owner = constrained_dofs(loads, mesh)
@@ -438,28 +458,43 @@ class _Dirichlet:
             slots.setdefault(keys[k], len(slots))
         self._which = np.array([slots.get(key, -1) for key in keys], dtype=np.intp)[owner]
         self._ramps = [(amp, t_end) for amp, t_end, _ in slots]
-        self._t = None
+        # per slot: acceleration, velocity and value, the moving ramps' set per step
+        self._slots = np.zeros((3, len(self._ramps)))
+        self._slots[2] = [amp for amp, _ in self._ramps]
+        self._moving = [(k, amp, t_end) for k, (amp, t_end) in enumerate(self._ramps)
+                        if amp != 0.0]
+        self._rows = self._slots[1:].take(self._which, axis=1)
+        self._t, self._now = None, []  # the step of the rows; (u(t + dt), u(t)) per moving ramp
 
     def value(self, t: float) -> np.ndarray:
         """The prescribed displacements at time t."""
         return np.take([amp * min(t, t_end) / t_end for amp, t_end in self._ramps],
                        self._which)
 
-    def at(self, t: float, dt: float) -> np.ndarray:
-        """Rows (acceleration, velocity, displacement) at the dofs for the
-        step from t to t + dt: the central difference of the ramp at t, the
-        velocity of the update and the value at t + dt.  The last t's rows
-        are kept, so a step's two calls evaluate them once."""
-        if (t, dt) != self._t:
-            rows = []
-            for amp, t_end in self._ramps:
+    def update(self, t: float, dt: float) -> np.ndarray:
+        """The rows (velocity, value) (2, n_dofs) of the step from t to
+        t + dt: the velocity of the update and the value at t + dt."""
+        if self._moving and (t, dt) != self._t:
+            self._now = []
+            for k, amp, t_end in self._moving:
                 up = amp * min(t + dt, t_end) / t_end
                 u0 = amp * min(t, t_end) / t_end
-                um = amp * min(t - dt, t_end) / t_end
-                rows.append(((up - 2.0 * u0 + um) / dt**2, (up - u0) / dt, up))
-            self._rows = np.array(rows).T.take(self._which, axis=1)
+                self._slots[1, k] = (up - u0) / dt
+                self._slots[2, k] = up
+                self._now.append((up, u0))
+            self._rows = self._slots[1:].take(self._which, axis=1)
             self._t = (t, dt)
         return self._rows
+
+    def acceleration(self, t: float, dt: float, slots=None) -> np.ndarray:
+        """The acceleration row at t, the central difference of the ramp:
+        at every dof, or at the dofs whose slots (``_which[positions]``)
+        ``slots`` lists."""
+        self.update(t, dt)
+        for (k, amp, t_end), (up, u0) in zip(self._moving, self._now):
+            um = amp * min(t - dt, t_end) / t_end
+            self._slots[0, k] = (up - 2.0 * u0 + um) / dt**2
+        return self._slots[0].take(self._which if slots is None else slots)
 
 
 def step_at(t: float, dt: float) -> int:
@@ -470,30 +505,46 @@ def step_at(t: float, dt: float) -> int:
 class ExplicitEngine:
     """One explicit central-difference simulation, driven a step at a time.
 
-    Construction is the set-up: constraints, lumped mass, the snapshot and
-    reaction schedules, an empty ``history`` and, by ``initial_state()``,
-    the state: displacements ``u``, velocities ``v`` at the preceding half
-    step, Gauss-point damage ``d`` (in the engine's order, as every
-    Gauss-point array of a step), ``time`` and the step count ``n``.
-    Each ``step()`` then runs step n = 0, 1, ..., ``n_steps``:
-    ``evaluate()``, the optional ``exchange_hook(n, time, eps, d)``, the
-    reactions (every ``force_stride`` steps and at the last) and snapshot of
-    step n (``d`` and ``sigma`` in the public order), then, except after the last step, ``advance()`` to step n + 1
-    and, every ``_NAN_CHECK_INTERVAL`` steps, a scan for non-finite values.
-    ``finish()`` checks that the final state is finite and returns the
-    ``History``, whose ``wall_time`` is the time spent in the set-up, the
-    steps and ``finish()``.
+    Construction is the set-up: constraints, lumped mass, the update's
+    factors, the snapshot and reaction schedules, an empty ``history`` and,
+    by ``initial_state()``, the state: displacements ``u``, velocities
+    ``v`` at the preceding half step, Gauss-point damage ``d`` (in the
+    engine's order, as every Gauss-point array of a step), ``time`` and
+    the step count ``n``.  Each ``step()`` then runs step n = 0, 1, ...,
+    ``n_steps``: ``evaluate()``, the optional
+    ``exchange_hook(n, time, eps, d)``, the reactions (every
+    ``force_stride`` steps and at the last) and snapshot of step n (``d``
+    and ``sigma`` in the public order), then, except after the last step,
+    ``advance()`` to step n + 1 and, every ``_NAN_CHECK_INTERVAL`` steps, a
+    scan for non-finite values.  ``finish()`` checks that the final state
+    is finite and returns the ``History``, whose ``wall_time`` is the time
+    spent in the set-up, the steps and ``finish()``.
 
     ``stress_fn(d, eps, n)`` returns Gauss-point stresses and
     ``damage_fn(d, eps, n)`` the advanced damage; both are evaluated with
     the state at the top of the step (the one-step lag of classic explicit
     stress updates vanishes with dt and is covered by convergence tests).
 
-    ``mass_damping`` is an optional mass-proportional damping rate (1/s)
-    that drains the element-scale transients explicit integration keeps
-    alive forever (the usual noise-control device of explicit codes).  It
-    does not depend on the stiffness fluctuation, so the sensitivity
-    problem uses exactly the same term.
+    ``mass_damping`` is an optional mass-proportional damping rate alpha
+    (1/s) that drains the element-scale transients explicit integration
+    keeps alive forever (the usual noise-control device of explicit
+    codes).  It does not depend on the stiffness fluctuation, so the
+    sensitivity problem uses exactly the same term.  alpha * dt must stay
+    below 2, where the damping factor 1 - alpha * dt reaches -1.
+
+    The update is the central difference with mass-proportional damping
+    (Belytschko, Liu & Moran, 2000), rearranged into one fused velocity
+    update, v' = c * v + w * (f_body - f_int), with the per-dof
+    w = dt / m and c = 1 - alpha * dt formed at set-up (dt / 2m and
+    1 - alpha * dt / 2 for the first half step); with no body force the
+    subtraction is skipped, w being stored negated.  This is
+    v + dt * ((f_body - f_int) / m - alpha * v) rearranged, and no
+    acceleration vector is formed.  The constrained dofs are then
+    overwritten with the ramp's velocity and value (``_Dirichlet``).
+    Reactions are formed only on the steps that record them, at the dofs
+    of the reaction sets: the acceleration (f_body - f_int) / m - alpha * v
+    there, the ramp's acceleration at the constrained ones, and each term
+    summed by ``reaction_sums``.
     """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
@@ -512,6 +563,9 @@ class ExplicitEngine:
             raise ValueError(f"dt must be finite and positive, got {dt}")
         if not 0.0 <= mass_damping < np.inf:
             raise ValueError(f"mass_damping must be finite and >= 0, got {mass_damping}")
+        if not mass_damping * dt < 2.0:
+            raise ValueError(f"mass_damping * dt must be < 2, got mass_damping="
+                             f"{mass_damping} and dt={dt}")
         if not force_stride >= 1:
             raise ValueError(f"force_stride must be >= 1, got {force_stride}")
         self.mesh = mesh
@@ -525,6 +579,10 @@ class ExplicitEngine:
         self.alpha = mass_damping
         b = np.asarray(loads.body_force)
         self.f_body = (mass[:, None] / rho * b[None, :]).ravel()
+        self._body = bool(b.any())
+        w = dt / self.mass3
+        self._w = w if self._body else np.negative(w, out=w)
+        self._c = 1.0 - mass_damping * dt
 
         self.n_steps = n_steps = step_at(loads.total_time, dt)
         snap_steps = sorted({s for s in (min(n_steps, step_at(t, dt)) for t in output_times)
@@ -535,8 +593,18 @@ class ExplicitEngine:
         self._force_stride = s = min(force_stride, n_steps)
         force_times = np.minimum(np.arange(0.0, n_steps + s, s), n_steps) * dt
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
-        self._set_sums = reaction_operator([mesh.node_sets[name]
-                                            for name in self._set_names], self.mass3.size)
+        # the reaction terms f_int, m * a and, with damping, m * v
+        self._set_sums, k = set_sum_operator([mesh.node_sets[name]
+                                              for name in self._set_names],
+                                             terms=3 if mass_damping else 2)
+        self._set_dofs, self._set_mass = k, self.mass3[k]
+        # (f_body - f) / m at the sets' dofs: f / (-m) without body force
+        self._set_body = self.f_body[k] if self._body else None
+        self._set_mass_neg = -self._set_mass
+        # the sets' constrained dofs: their positions in k and their ramps' slots
+        at = np.minimum(np.searchsorted(self.bc.dofs, k), self.bc.dofs.size - 1)
+        self._set_fixed = np.nonzero(self.bc.dofs[at] == k)[0]
+        self._set_fixed_slots = self.bc._which[at[self._set_fixed]]
         # one contiguous (rows, 3) series per set, handed out by finish()
         self._forces = np.zeros((len(self._set_names), force_times.size, 3))
         self.history = History(
@@ -559,25 +627,26 @@ class ExplicitEngine:
         self.time, self.n = 0.0, 0
 
     def evaluate(self):
-        """Top-of-step kinematics and kinetics: (eps, sigma, f_int, accel)."""
+        """Top-of-step kinematics and kinetics: (eps, sigma, f_int), the
+        internal forces a flat (3 * nn,) vector."""
         eps = self.quad.strains(self.u)
         sigma = self.stress_fn(self.d, eps, self.n)
-        f_int = self.quad.forces(sigma)
-        a = self.f_body - f_int
-        a /= self.mass3
-        if self.alpha:
-            a -= self.alpha * self.v.ravel()
-        a[self.bc.dofs] = self.bc.at(self.time, self.dt)[0]
-        return eps, sigma, f_int.reshape(-1, 3), a.reshape(-1, 3)
+        return eps, sigma, self.quad.forces(sigma)
 
-    def advance(self, eps, accel) -> None:
-        """One central-difference update into new arrays; Dirichlet dofs are
-        overwritten with the exact ramp values."""
+    def advance(self, eps, f_int) -> None:
+        """One central-difference update into new arrays (see the class
+        docstring); Dirichlet dofs are overwritten with the exact ramp
+        values."""
         dt, t = self.dt, self.time
-        _, bc_v, bc_u = self.bc.at(t, dt)
+        bc_v, bc_u = self.bc.update(t, dt)
         # half-step start: the very first update advances v by dt/2
-        v = (0.5 * dt if self.n == 0 else dt) * accel.ravel()
-        v += self.v.ravel()
+        w, c = (self._w, self._c) if self.n else (0.5 * self._w, 1.0 - self.alpha * (0.5 * dt))
+        if self._body:
+            v = self.f_body - f_int
+            v *= w
+        else:
+            v = w * f_int
+        v += c * self.v.ravel() if self.alpha else self.v.ravel()
         v[self.bc.dofs] = bc_v
         u = dt * v
         u += self.u.ravel()
@@ -586,18 +655,40 @@ class ExplicitEngine:
         self.u, self.v = u.reshape(-1, 3), v.reshape(-1, 3)
         self.time, self.n = t + dt, self.n + 1
 
+    def reactions(self, f_int) -> np.ndarray:
+        """The reactions (n_sets, 3) of the current step, from its internal
+        forces: each term at the sets' dofs, the acceleration
+        (f_body - f_int) / m - alpha * v formed there, f_int / (-m) without
+        body force, and overwritten with the ramp's at the constrained
+        ones."""
+        k, m = self._set_dofs, self._set_mass
+        terms = np.empty((3 if self.alpha else 2, k.size))
+        # k lies in range: "clip" only spares the bounds check's buffered copy
+        f = f_int.take(k, out=terms[0], mode="clip")
+        if self._body:
+            a = self._set_body - f
+            a /= m
+        else:
+            a = f / self._set_mass_neg
+        if self.alpha:
+            v = self.v.ravel().take(k, out=terms[2], mode="clip")
+            a -= self.alpha * v
+            v *= m
+        a[self._set_fixed] = self.bc.acceleration(self.time, self.dt, self._set_fixed_slots)
+        np.multiply(m, a, out=terms[1])
+        return reaction_sums(self._set_sums, terms, self.alpha)
+
     def step(self):
         """Run the current step (see the class docstring); returns its
         Gauss-point strains (ngp, 6) and damage (ngp,), which later steps
         replace but never overwrite."""
         t0 = _time.perf_counter()
         n, d = self.n, self.d
-        eps, sigma, f_int, a = self.evaluate()
+        eps, sigma, f_int = self.evaluate()
         if self.exchange_hook is not None:
             self.exchange_hook(n, self.time, eps, d)
         if n % self._force_stride == 0 or n == self.n_steps:  # in row ceil(n / s)
-            self._forces[:, -(-n // self._force_stride)] = reaction_sums(
-                self._set_sums, self.mass3, f_int, a, self.v, self.alpha)
+            self._forces[:, -(-n // self._force_stride)] = self.reactions(f_int)
         i = self._snap_at.get(n)
         if i is not None:
             hist = self.history
@@ -605,7 +696,7 @@ class ExplicitEngine:
             hist.d[i] = to_public_order(d)
             hist.sigma[i] = to_public_order(sigma)
         if n < self.n_steps:
-            self.advance(eps, a)
+            self.advance(eps, f_int)
             if self.n % _NAN_CHECK_INTERVAL == 0 and not np.isfinite(self.u.sum()):
                 raise self._instability()
         self.history.wall_time += _time.perf_counter() - t0

@@ -120,6 +120,8 @@ class ExchangeRecord:
     time: float
     eps: np.ndarray  # (ngp, 6) order-0 strain
     d: np.ndarray  # (ngp,) order-0 damage
+    # order 0's law products of (eps, d), ``Order0Law.products``; None in a file
+    products: tuple | None = None
 
 
 class InMemoryExchange:
@@ -127,15 +129,19 @@ class InMemoryExchange:
     order 1 in lockstep.  ``hook``, order 0's exchange hook, posts the live
     strain and damage of every K-th step without a copy, and order 1 takes
     the record in the same step.  (Order 0's update makes new arrays, so
-    the posted ones stay intact.)"""
+    the posted ones stay intact.)  ``products``, when given, is order 0's
+    ``Order0Law.products``: each record then carries the law products
+    order 0 formed for its state, so order 1's hold forms none."""
 
-    def __init__(self, exchange_interval: int):
+    def __init__(self, exchange_interval: int, products=None):
         self.K = exchange_interval
+        self._products = products
         self._record = None
 
     def hook(self, step, time, eps, d):
         if step % self.K == 0:
-            self._record = ExchangeRecord(step, time, eps, d)
+            products = None if self._products is None else self._products(d, eps, step)
+            self._record = ExchangeRecord(step, time, eps, d, products)
 
     def __iter__(self):
         return self
@@ -375,7 +381,7 @@ class FirstOrderKernels:
                 found = "none" if rec is None else f"step {rec.step}"
                 raise ExchangeFormatError(f"step {step} needs its exchange record, "
                                           f"found {found}")
-            self.law.hold(rec.eps, rec.d)
+            self.law.hold(rec.eps, rec.d, rec.products)
         return self.law.stress(d1, eps1)
 
     def damage(self, d1, eps1, step):
@@ -630,13 +636,14 @@ def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
     """Order 0 and order 1 advanced in one loop; returns both histories.
 
     At step n, order 0 steps first and its exchange hook posts its strain
-    and damage to an ``InMemoryExchange`` when n % K == 0; then order 1
-    steps and holds them.  Each engine times its own set-up, steps and
-    finish, so the hold counts as order 1's time.
+    and damage, with the law products order 0 formed for them, to an
+    ``InMemoryExchange`` when n % K == 0; then order 1 steps and holds
+    them.  Each engine times its own set-up, steps and finish, so the hold
+    counts as order 1's time.
     """
     p = problem
     kern0 = deterministic_kernels(p.params, 0.0, dt)
-    mailbox = InMemoryExchange(K)
+    mailbox = InMemoryExchange(K, products=kern0.products)
     kern1 = FirstOrderKernels(p.params.stiffness, p.params.eta, dt, mailbox)
     e0 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
                         kern0.stress, kern0.damage, quad=quad, force_stride=force_stride,

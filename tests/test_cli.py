@@ -460,6 +460,7 @@ def test_cli_validation_error_exit_code(tmp_path):
     "timestep.dt=0", "timestep.dt=-1e-6", "timestep.dt=.nan", "timestep.dt=.inf",
     "timestep.cfl_safety=.inf", "timestep.cfl_safety=0", "timestep.cfl_safety=-0.5",
     "timestep.mass_damping=-1.0", "timestep.mass_damping=.nan",
+    "timestep.mass_damping=700000",
     "material.eta=.nan", "material.lam=.inf", "material.rho=0", "load.total_time=.nan",
     "mc.std=.nan", "tsm.xi_second_moment=.nan", "tsm.xi_second_moment=.inf",
     "output.snapshot_times=[.nan]", "output.snapshot_times=0.5",
@@ -488,7 +489,9 @@ def test_cli_rejects_bad_counts_at_config_time(tmp_path, setting):
     ``amplitude`` escaped as a ``KeyError``, and ``load.body_force=[1.0,0.0]``
     failed in numpy after the output directory existed; a scalar
     ``output.snapshot_times`` escaped as a ``TypeError``, and a snapshot
-    time past ``load.total_time`` was clamped to the last step.)  ``mc.n`` goes through
+    time past ``load.total_time`` was clamped to the last step, and
+    ``timestep.mass_damping=700000``, whose damping factor
+    |1 - mass_damping * dt| exceeds 1, exited 2 at step 512.)  ``mc.n`` goes through
     run-mc, which would otherwise run the whole ensemble before its
     statistics fail; ``tsm.xi_second_moment`` goes through run-tsm."""
     command = ("run-mc" if setting.startswith("mc.n=") else
@@ -651,8 +654,9 @@ def test_cli_tsm_file_mode_manifest_keeps_the_wait_out_of_the_cost(tmp_path, mon
 def test_cli_unstable_run_prints_one_error_line(tmp_path, command, setting):
     """A diverging run in a worker or in the order-1 process exits 2 with
     its one error line on stderr, and no numpy warnings before it."""
-    unstable = ["--set", "timestep.dt=1.0", "--set", "load.total_time=2000.0",
-                "--set", "material.eta=1e300", "--set", "mc.n=4", "--set", setting]
+    unstable = ["--set", "timestep.dt=1.0", "--set", "timestep.mass_damping=0",
+                "--set", "load.total_time=2000.0", "--set", "material.eta=1e300",
+                "--set", "mc.n=4", "--set", setting]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "tsmfem.cli", command, "--preset", "plate_coarse_desk",
@@ -672,8 +676,9 @@ def test_cli_run_mc_instability_in_a_worker_names_the_sample(tmp_path):
     """An ensemble that diverges in a worker process exits 2 with one error
     line naming the first sample, as with one worker, not with a broken
     process pool's traceback and exit code 1."""
-    unstable = ["--set", "timestep.dt=1.0", "--set", "load.total_time=2000.0",
-                "--set", "material.eta=1e300", "--set", "mc.n=4"]
+    unstable = ["--set", "timestep.dt=1.0", "--set", "timestep.mass_damping=0",
+                "--set", "load.total_time=2000.0", "--set", "material.eta=1e300",
+                "--set", "mc.n=4"]
     cfg = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
     first = sample_xi(cfg.xi_dist, 4)[0]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
@@ -694,6 +699,7 @@ def test_cli_instability_exit_code(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["run-det", "--preset", "plate_coarse_desk", "--out", out,
                      "--xi", "0", "--set", "timestep.dt=1.0",
+                     "--set", "timestep.mass_damping=0",
                      "--set", "load.total_time=2000.0",
                      "--set", "material.eta=1e300"])
     assert code == 2

@@ -361,7 +361,7 @@ def _check_order0_bits(E, d, eps, eta=1e3, dt=1e-6):
     same dgemm as eps @ E.T.  The stress comes out component-major."""
     s = eps @ E.T
     stress = np.exp(-d)[:, None] * s
-    damage = d + dt * (np.exp(-d) * (0.5 * _dot6(eps, s)) / eta)
+    damage = d + (0.5 * dt / eta) * (np.exp(-d) * _dot6(eps, s))
     for e in (eps, np.asfortranarray(eps)):
         law = Order0Law(E, eta, dt)
         out = law.stress(d, e, 0)

@@ -175,11 +175,12 @@ def test_ramp_value_piecewise_linear():
 
 @pytest.mark.parametrize("scale", [1.0, 0.0, 1.7])
 def test_compiled_ramp_table_is_the_closed_form(scale):
-    """``value`` and ``at`` give, dof by dof, the bits of the numpy closed
-    form amp * min(t, t_end) / t_end and of its central differences, before
-    the start, mid-ramp, at a ramp end and past it, for zero, positive and
-    negative amplitudes; a zero amplitude keeps its sign (scale 0 times a
-    negative amplitude is -0.0)."""
+    """``value``, ``update`` and ``acceleration`` give, dof by dof, the
+    bits of the numpy closed form amp * min(t, t_end) / t_end and of its
+    differences, ``value`` also before the start, the rows of a step at its
+    start (t = 0), mid-ramp, at a ramp end and past it, for zero, positive
+    and negative amplitudes; a zero amplitude keeps its sign (scale 0 times
+    a negative amplitude is -0.0)."""
     m = _unit_cube()
     lc = LoadCase(dirichlet=(DirichletRamp("bottom", 0, 0.0, 0.5),
                              DirichletRamp("bottom", 1, 0.0, 0.5),
@@ -202,8 +203,9 @@ def test_compiled_ramp_table_is_the_closed_form(scale):
 
     for t in (-0.1, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7):
         assert same_bits(table.value(t), closed(t))
-        for dt in (1e-3, 0.07):
-            accel, velocity, value = table.at(t, dt)
+        for dt in () if t < 0.0 else (1e-3, 0.07):  # steps start at t >= 0
+            velocity, value = table.update(t, dt)
+            accel = table.acceleration(t, dt)
             assert same_bits(accel, (closed(t + dt) - 2.0 * closed(t) + closed(t - dt)) / dt**2)
             assert same_bits(velocity, (closed(t + dt) - closed(t)) / dt)
             assert same_bits(value, closed(t + dt))

@@ -21,7 +21,6 @@ from tsmfem.solver import (
     _Dirichlet,
     deterministic_kernels,
     lumped_mass,
-    reaction_operator,
     reaction_sums,
     run_deterministic,
     run_engines,
@@ -583,7 +582,10 @@ class _ReferenceStep:
     products in the form the quadrature selected (gather, ``@`` with the
     stored blocks and scipy ``@`` with the 0/1 assembly; or scipy ``@``
     with the CSR operators), the closed-form ramp
-    amp * min(t, t_end) / t_end, the three reaction terms summed by three
+    amp * min(t, t_end) / t_end, the velocity update
+    v' = c * v + w * (f_body - f) with w = dt / m and c = 1 - alpha * dt
+    (dt / 2 in both at the first step), the three reaction terms
+    (f, m * a and m * v, a = (f_body - f) / m - alpha * v) summed by three
     separate products, and each law evaluated from scratch.
     ``stress(d, eps)`` and ``damage(d, eps)`` are the law; ``self.u``,
     ``self.v``, ``self.d`` the state after ``step()``."""
@@ -628,7 +630,8 @@ class _ReferenceStep:
         k, m = self.sum_dofs, self.mass3[self.sum_dofs]
         reactions = (self.sums @ f[k] + self.sums @ (m * a[k])
                      + alpha * (self.sums @ (m * self.v[k]))).reshape(-1, 3)
-        v = self.v + (0.5 * dt if self.n == 0 else dt) * a
+        h = 0.5 * dt if self.n == 0 else dt
+        v = (1.0 - alpha * h) * self.v + h / self.mass3 * (self.f_body - f)
         v[self.dofs] = (self.ramp(t + dt) - self.ramp(t)) / dt
         u = self.u + dt * v
         u[self.dofs] = self.ramp(t + dt)
@@ -648,7 +651,8 @@ def _recorded(fn, log):
 @pytest.mark.parametrize("product", ["element_gemm", "csr"])
 def test_step_is_bitwise_the_formulas(product):
     """Order 0 with mass damping, an exchange hook and reactions at every
-    step, and order 1 fed through ``FirstOrderKernels`` every 3rd step, run
+    step, and order 1 fed through ``FirstOrderKernels`` every 3rd step with
+    the law products order 0 formed (``Order0Law.products``), run
     in lockstep on plate_coarse_desk (one element shape: element gemm
     products) and on its copy with one node moved (CSR products), with
     ramps that end at step 20: u, v, d, sigma and the reactions equal
@@ -664,8 +668,8 @@ def test_step_is_bitwise_the_formulas(product):
     E0, eta, alpha, K = p.params.stiffness, p.params.eta, p.mass_damping, 3
     assert alpha > 0.0
 
-    mailbox = InMemoryExchange(K)
     kern0 = deterministic_kernels(p.params, 0.0, dt)
+    mailbox = InMemoryExchange(K, products=kern0.products)
     kern1 = FirstOrderKernels(E0, eta, dt, mailbox)
     sig0, sig1 = [], []
     engines = [
@@ -680,7 +684,7 @@ def test_step_is_bitwise_the_formulas(product):
         return np.exp(-d)[:, None] * (E0 @ eps.T).T
 
     def damage0(d, eps):
-        return d + dt * (np.exp(-d) * (0.5 * _dot6(eps, (E0 @ eps.T).T)) / eta)
+        return d + (0.5 * dt / eta) * (np.exp(-d) * _dot6(eps, (E0 @ eps.T).T))
 
     held = {}
 
@@ -721,6 +725,17 @@ def test_step_is_bitwise_the_formulas(product):
 # ---------------------------------------------------------------------------
 
 
+def _set_reactions(mesh, names, mass, f_int, accel, velocity=None, alpha=0.0):
+    """``reaction_sums`` of nodal vectors (nn, 3) on the sets ``names``:
+    each term gathered at the sets' dofs."""
+    op, k = set_sum_operator([mesh.node_sets[n] for n in names], terms=3 if alpha else 2)
+    m = np.repeat(mass, 3)[k]
+    terms = [f_int.ravel()[k], m * accel.ravel()[k]]
+    if alpha:
+        terms.append(m * velocity.ravel()[k])
+    return reaction_sums(op, np.array(terms), alpha)
+
+
 def test_reaction_static_uniaxial():
     """Uniform axial stress state: |F| = sigma * A on the loaded face and
     top/bottom reactions cancel to machine precision."""
@@ -732,10 +747,8 @@ def test_reaction_static_uniaxial():
     u[:, 1] = e * mesh.nodes[:, 1]  # uniaxial constrained stretch
     eps = quad.strains(u)
     sigma = Order0Law(PARAMS.stiffness, 1.0, 0.0).stress(np.zeros(quad.n_gauss), eps, 0)
-    op = reaction_operator([mesh.node_sets["top"], mesh.node_sets["bottom"]],
-                           3 * mesh.n_nodes)
-    F_top, F_bot = reaction_sums(op, np.repeat(mass, 3), quad.forces(sigma),
-                                 np.zeros((mesh.n_nodes, 3)))
+    F_top, F_bot = _set_reactions(mesh, ["top", "bottom"], mass, quad.forces(sigma),
+                                  np.zeros((mesh.n_nodes, 3)))
     sig_yy = (PARAMS.lam + 2 * PARAMS.mu) * e
     assert F_top[1] == pytest.approx(sig_yy * 1.0, rel=1e-12)
     assert np.linalg.norm(F_top + F_bot) <= 1e-6 * np.linalg.norm(F_top)
@@ -751,12 +764,11 @@ def test_reaction_includes_mass_damping():
     velocity = rng.normal(0.0, 1.0, (mesh.n_nodes, 3))
     alpha = 50.0
     f_int = quad.forces(sigma)
-    ids = [mesh.node_sets[name] for name in ("top", "bottom")]
-    op, mass3 = reaction_operator(ids, 3 * mesh.n_nodes), np.repeat(mass, 3)
-    F = reaction_sums(op, mass3, f_int, accel, velocity, alpha)
-    undamped = reaction_sums(op, mass3, f_int, accel, velocity)
+    names = ["top", "bottom"]
+    F = _set_reactions(mesh, names, mass, f_int, accel, velocity, alpha)
+    undamped = _set_reactions(mesh, names, mass, f_int, accel)
     f_int = f_int.reshape(-1, 3)
-    for k, n in enumerate(ids):
+    for k, n in enumerate(mesh.node_sets[name] for name in names):
         expected = (f_int[n] + mass[n, None] * (accel[n] + alpha * velocity[n])).sum(axis=0)
         np.testing.assert_allclose(F[k], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
         assert np.abs(F[k] - undamped[k]).min() > 1e-6 * np.abs(expected).max()
@@ -766,9 +778,8 @@ def test_reaction_zero_state():
     mesh = _unit_cube()
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
-    op = reaction_operator([mesh.node_sets["top"]], 3 * mesh.n_nodes)
-    F = reaction_sums(op, np.repeat(mass, 3), quad.forces(np.zeros((quad.n_gauss, 6))),
-                      np.zeros((mesh.n_nodes, 3)))
+    F = _set_reactions(mesh, ["top"], mass, quad.forces(np.zeros((quad.n_gauss, 6))),
+                       np.zeros((mesh.n_nodes, 3)))
     assert np.all(F == 0.0)
 
 
@@ -787,14 +798,15 @@ def _block_product_reactions(sets, mass3, f_int, accel, velocity, alpha):
 
 @pytest.mark.parametrize("preset", DESK_PRESETS)
 def test_one_pass_reactions_are_the_block_product_bitwise(preset):
-    """The products straight on the nodal vectors give the bits of the
-    gathered block product, on a damped random state and on a zero state.
-    The operator's entries are all 1.0, so the kernel only adds."""
+    """``reaction_sums``, one product of the stacked-term operator on the
+    terms gathered at the sets' dofs, gives the bits of the block product
+    with one term per column, on a damped and an undamped random state and
+    on a zero state, signs of zero included.  The operator's entries are
+    all 1.0, so the kernel only adds."""
     mesh = _desk_mesh(preset)
     quad = ElementQuadrature.build(mesh)
-    mass3 = np.repeat(lumped_mass(mesh, PARAMS.rho, quad), 3)
+    mass = lumped_mass(mesh, PARAMS.rho, quad)
     names = sorted(mesh.node_sets)
-    op = reaction_operator([mesh.node_sets[n] for n in names], mass3.size)
     sets = set_sum_operator([mesh.node_sets[n] for n in names])
     rng = np.random.default_rng(5)
     f_int = quad.forces(rng.normal(0.0, 1e6, (quad.n_gauss, 6))).reshape(-1, 3)
@@ -802,8 +814,8 @@ def test_one_pass_reactions_are_the_block_product_bitwise(preset):
     zero = np.zeros((mesh.n_nodes, 3))
     for state, alpha in (((f_int, accel, velocity), 50.0),
                          ((f_int, accel, velocity), 0.0), ((zero, zero, zero), 50.0)):
-        got = reaction_sums(op, mass3, *state, alpha)
-        want = _block_product_reactions(sets, mass3, *state, alpha)
+        got = _set_reactions(mesh, names, mass, *state, alpha)
+        want = _block_product_reactions(sets, np.repeat(mass, 3), *state, alpha)
         assert got.shape == want.shape == (len(names), 3)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -814,7 +826,10 @@ def test_dirichlet_rows_are_the_ramp_formula(amp, scale):
     """The rows of the constraint table are the bits of the elementwise
     ramp formula, the sign of zero included, at t = 0 (where t - dt < 0),
     at dt, mid-ramp, at the ramp end and after it, for zero and nonzero
-    amplitudes at scale 1 and at scale 0 (the first-order problem)."""
+    amplitudes at scale 1 and at scale 0 (the first-order problem): the
+    velocity and value rows, all a step that records no reactions reads,
+    and the acceleration row at every dof and at chosen ones, read before
+    or after them.  A zero amplitude's rows have the same bits at every t."""
     mesh = _unit_cube()
     t_end, dt = 0.5, 1e-3
     lc = LoadCase(dirichlet=(DirichletRamp("bottom", 1, 0.0, t_end),
@@ -822,6 +837,7 @@ def test_dirichlet_rows_are_the_ramp_formula(amp, scale):
     table = _Dirichlet(mesh, lc, scale)
     amps = np.where(np.isin(table.dofs, 3 * mesh.node_sets["top"] + 1), scale * amp,
                     scale * 0.0)
+    some = np.arange(0, table.dofs.size, 3)
 
     def ramp(t):
         return amps * np.minimum(t, t_end) / t_end
@@ -829,11 +845,23 @@ def test_dirichlet_rows_are_the_ramp_formula(amp, scale):
     def same_bits(a, b):
         return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
-    for t in (0.0, dt, 0.25, t_end, 0.7):
-        accel, velocity, value = table.at(t, dt)
-        assert same_bits(accel, (ramp(t + dt) - 2.0 * ramp(t) + ramp(t - dt)) / dt**2)
+    rows = []
+    for i, t in enumerate((0.0, dt, 0.25, t_end, 0.7)):
+        if i % 2:  # a recording step reads the acceleration first
+            accel = table.acceleration(t, dt)
+        velocity, value = table.update(t, dt)
         assert same_bits(velocity, (ramp(t + dt) - ramp(t)) / dt)
         assert same_bits(value, ramp(t + dt))
+        if not i % 2:
+            accel = table.acceleration(t, dt)
+        assert same_bits(accel, (ramp(t + dt) - 2.0 * ramp(t) + ramp(t - dt)) / dt**2)
+        assert same_bits(table.acceleration(t, dt, table._which[some]), accel[some])
+        rows.append((accel, velocity, value))
+    zero = amps == 0.0
+    assert zero.any()
+    for row in rows:
+        for a, a0 in zip(row, rows[0]):
+            assert same_bits(a[zero], a0[zero])
 
 
 # ---------------------------------------------------------------------------
@@ -867,16 +895,23 @@ def test_run_deterministic_reproducible_bitwise():
 def test_force_schedule_is_every_stride_th_step_and_the_last():
     """Reactions are recorded at steps 0, s, 2s, ... and at the last step,
     for s = 1, a stride that does not divide the step count, the step count
-    and larger ones: rows, ``force_times`` and ``forces`` are bitwise those
-    of a list of the recorded steps s and their times s * dt, with the
-    reactions of a stride-1 run at those steps."""
+    and larger ones, with mass damping and snapshots: rows, ``force_times``
+    and ``forces`` are bitwise those of a list of the recorded steps s and
+    their times s * dt, with the reactions of a stride-1 run at those
+    steps, and the snapshots of u, d and sigma are bitwise the same at
+    every stride (accelerations are formed only on recording steps, and
+    recording never changes the trajectory)."""
     mesh, loads, params = _coarse_plate_problem(T=4e-4)
     dt = stable_timestep(mesh, params, 0.5)
-    every = run_deterministic(mesh, loads, params, 0.0, dt, [])
+    alpha = 3.0e4
+    snaps = [0.0, 0.37 * loads.total_time, 0.8 * loads.total_time, loads.total_time]
+    every = run_deterministic(mesh, loads, params, 0.0, dt, snaps, mass_damping=alpha)
     n_steps = every.n_steps
+    assert every.d[-1].max() > 0.0 and len(every.times) == len(snaps)
     odd = next(s for s in range(3, n_steps) if n_steps % s)
     for stride in (1, odd, n_steps, n_steps + 1, 10**30):
-        hist = run_deterministic(mesh, loads, params, 0.0, dt, [], force_stride=stride)
+        hist = run_deterministic(mesh, loads, params, 0.0, dt, snaps, force_stride=stride,
+                                 mass_damping=alpha)
         steps = [s for s in range(n_steps + 1) if s % stride == 0 or s == n_steps]
         times = np.asarray([s * dt for s in steps])
         assert hist.force_times.dtype == times.dtype and np.array_equal(hist.force_times, times)
@@ -885,6 +920,9 @@ def test_force_schedule_is_every_stride_th_step_and_the_last():
             assert series.shape == (len(steps), 3)
             assert np.array_equal(series, every.forces[name][steps])
             assert np.array_equal(np.signbit(series), np.signbit(every.forces[name][steps]))
+        for field in ("times", "u", "d", "sigma"):
+            a, b = getattr(hist, field), getattr(every, field)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), field
 
 
 def test_finish_hands_out_views_of_the_reaction_rows():
@@ -987,6 +1025,17 @@ def test_run_engines_needs_one_step_grid():
     with pytest.raises(ValueError, match="one step grid"):
         run_engines(first, _coarse_engine(dt=0.5 * first.dt))
     assert first.n == 0
+
+
+def test_engine_rejects_a_damping_factor_of_modulus_one():
+    """mass_damping * dt >= 2 makes |1 - mass_damping * dt| >= 1, so the
+    engine rejects it at set-up, naming both values; below 2 it is
+    accepted."""
+    dt = _coarse_engine().dt
+    with pytest.raises(ValueError, match="mass_damping \\* dt must be < 2") as err:
+        _coarse_engine(mass_damping=2.5 / dt)
+    assert f"mass_damping={2.5 / dt} and dt={dt}" in str(err.value)
+    assert _coarse_engine(mass_damping=1.5 / dt).alpha == 1.5 / dt
 
 
 _NAN, _INF = float("nan"), float("inf")
