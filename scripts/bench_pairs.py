@@ -2,10 +2,11 @@
 
     python3 scripts/bench_pairs.py --ref <git-ref> --workload <name> --pairs N
 
-extracts ``<git-ref>`` with ``git archive`` into a temporary directory, as
-``scripts/bitwise.py`` does, and runs ``bench/run.py --trace 0`` on the
-workload N times in each tree (the working tree is "this tree",
-uncommitted changes included).  The runs alternate between the trees, and
+extracts ``<git-ref>`` with ``git archive`` into a temporary directory,
+with ``scripts/bitwise.py``'s extraction, and runs ``bench/run.py --trace
+0`` on the workload N times in each tree, for the benchmark's own run
+length (the working tree, uncommitted changes included, is "this tree").
+The runs alternate between the trees, and
 so does which tree runs first in a pair, so a drift of the host's speed
 falls on both sides alike.  For each gated end-to-end metric of
 ``BENCHMARK.json`` it prints the median of each side, the ref's quartiles
@@ -18,32 +19,23 @@ that is not ``correct`` or a failed operation.  It writes nothing under
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bitwise import REPO, _extract  # noqa: E402
 
 
-def _extract(ref: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", ref],
-                         check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
-
-
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+def _run(tree: Path, workload: str, seed: int) -> dict | None:
     """The result line of one untraced benchmark run in ``tree``, or None
     when the run failed."""
     proc = subprocess.run([sys.executable, str(tree / "bench" / "run.py"),
-                           "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--workload", workload, "--seed", str(seed), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -75,8 +67,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, help="a workload of bench/run.py")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
-    ap.add_argument("--seconds", type=float, default=30.0,
-                    help="the benchmark's measuring time per run")
     args = ap.parse_args(argv)
     spec = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
     results = {"ref": [], "this": []}
@@ -85,7 +75,7 @@ def main(argv=None) -> int:
         _extract(args.ref, trees["ref"])
         for i in range(args.pairs):
             for side in ("ref", "this") if i % 2 == 0 else ("this", "ref"):
-                line = _run(trees[side], args.workload, args.seed, args.seconds)
+                line = _run(trees[side], args.workload, args.seed)
                 if line is None:
                     print(f"FAILED: pair {i + 1}, {side} run")
                     return 1

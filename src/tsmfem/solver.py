@@ -81,11 +81,12 @@ overwrite of the velocity and displacement after the update, with the
 boundary velocity taken from a finite difference of the ramp.  Reactions
 are formed only on the steps that record them, and only at the reaction
 sets' dofs, where the acceleration, and at the constrained dofs the
-ramp's central-difference acceleration, is formed.  Ramps of zero
-amplitude are never re-evaluated.  The program starts no thread of its
-own, and its results are bitwise reproducible.  Set-up follows the mesh
-and the output, not the step count: the reaction schedule is arithmetic
-on the step number.
+ramp's central-difference acceleration, is formed; the dofs a
+zero-amplitude ramp holds, whose inertial terms are +0.0, are skipped.
+Ramps of zero amplitude are never re-evaluated.  The program starts no
+thread of its own, and its results are bitwise reproducible.  Set-up
+follows the mesh and the output, not the step count: the reaction
+schedule is arithmetic on the step number.
 """
 
 from __future__ import annotations
@@ -368,14 +369,13 @@ def stable_timestep(mesh: Mesh, params: MaterialParams, safety: float = 0.5) -> 
     return float(safety * edges.min() / v)
 
 
-def set_sum_operator(node_sets, terms: int = 1) -> tuple[sp.csr_matrix, np.ndarray]:
+def set_sum_operator(node_sets, last=()) -> tuple[sp.csr_matrix, np.ndarray]:
     """Per-set sums of a nodal vector (3 entries per node), as
-    ``(op, dofs)``: ``dofs`` is the ascending union of the sets' dofs, and
-    rows 3k, 3k+1 and 3k+2 of the 0/1 matrix ``op`` sum the x, y and z
-    entries of ``vector[dofs]`` over node_sets[k], in ascending order.
-    With ``terms`` > 1, ``op`` sums ``terms`` such vectors, stacked, each
-    on its own: ``terms`` copies of that matrix on the block diagonal, so
-    one product gives each term's sums."""
+    ``(op, dofs)``: ``dofs`` is the union of the sets' dofs, ascending,
+    except that the dofs ``last`` names follow the others (ascending among
+    themselves), and rows 3k, 3k+1 and 3k+2 of the 0/1 matrix ``op`` sum
+    the x, y and z entries of ``vector[dofs]`` over node_sets[k], in
+    ascending dof order whatever the columns' order."""
     ids = [np.asarray(n, dtype=np.int64) for n in node_sets]
     nodes = np.concatenate([np.zeros(0, dtype=np.int64), *ids])
     owner = np.repeat(np.arange(len(ids)), [n.size for n in ids])
@@ -384,29 +384,25 @@ def set_sum_operator(node_sets, terms: int = 1) -> tuple[sp.csr_matrix, np.ndarr
     dofs = np.unique(cols)
     op = sp.csr_matrix((np.ones(rows.size), (rows, np.searchsorted(dofs, cols))),
                        shape=(3 * len(ids), dofs.size))
-    if terms > 1:  # each row's entries in op's order
-        n_rows, n_cols = op.shape
-        indptr = np.concatenate([op.indptr[:-1] + i * op.nnz for i in range(terms)]
-                                + [[terms * op.nnz]])
-        op = sp.csr_matrix((np.tile(op.data, terms),
-                            np.concatenate([op.indices + i * n_cols for i in range(terms)]),
-                            indptr), shape=(terms * n_rows, terms * n_cols))
-    return op, dofs
+    order = np.argsort(np.isin(dofs, last), kind="stable")
+    # the columns renumbered, each row's entries left in ascending dof order
+    op = sp.csr_matrix((op.data, np.argsort(order)[op.indices], op.indptr), shape=op.shape)
+    return op, dofs[order]
 
 
 def reaction_sums(op: sp.csr_matrix, terms: np.ndarray,
                   mass_damping: float = 0.0) -> np.ndarray:
     """Reactions (n_sets, 3): internal plus inertial (plus damping, when
     active) nodal forces.  ``terms`` holds, at the dofs of
-    ``set_sum_operator(node_sets, terms=len(terms))``, whose ``op`` it
-    takes, the rows f_int, m * a and, with ``mass_damping``, m * v.
+    ``set_sum_operator``, whose ``op`` it takes, the rows f_int, m * a
+    and, with ``mass_damping``, m * v.
 
     Each term is summed on its own, over the set's nodes in ascending
     order, before the terms are added; summing the combined vector instead
     moves finite-difference quotients of reactions by roundoff amplified
     1/(2h).  The products ``m * a`` and ``m * v`` are formed before the
     sums, so the 0/1 kernel only adds."""
-    sums = _csr_product(op, terms.ravel()).reshape(len(terms), -1)
+    sums = [_csr_product(op, term) for term in terms]
     r = sums[0] + sums[1]
     if mass_damping:
         r += mass_damping * sums[2]
@@ -446,8 +442,9 @@ class _Dirichlet:
     nonzero amplitude are evaluated, once per step for every read: for
     t >= 0 a zero amplitude's rows are constant, acceleration and velocity
     +0.0 and the value the amplitude, its sign of zero kept (so 0.0 and
-    -0.0 are distinct pairs).  Without a nonzero amplitude, as in the
-    first-order problem (scale 0), the rows are formed once."""
+    -0.0 are distinct pairs); ``still`` marks the dofs such a ramp holds.
+    Without a nonzero amplitude, as in the first-order problem (scale 0),
+    the rows are formed once."""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
         self.dofs, owner = constrained_dofs(loads, mesh)
@@ -463,6 +460,7 @@ class _Dirichlet:
         self._slots[2] = [amp for amp, _ in self._ramps]
         self._moving = [(k, amp, t_end) for k, (amp, t_end) in enumerate(self._ramps)
                         if amp != 0.0]
+        self.still = np.array([amp == 0.0 for amp, _ in self._ramps], dtype=bool)[self._which]
         self._rows = self._slots[1:].take(self._which, axis=1)
         self._t, self._now = None, []  # the step of the rows; (u(t + dt), u(t)) per moving ramp
 
@@ -536,15 +534,15 @@ class ExplicitEngine:
     (Belytschko, Liu & Moran, 2000), rearranged into one fused velocity
     update, v' = c * v + w * (f_body - f_int), with the per-dof
     w = dt / m and c = 1 - alpha * dt formed at set-up (dt / 2m and
-    1 - alpha * dt / 2 for the first half step); with no body force the
-    subtraction is skipped, w being stored negated.  This is
+    1 - alpha * dt / 2 for the first half step).  This is
     v + dt * ((f_body - f_int) / m - alpha * v) rearranged, and no
     acceleration vector is formed.  The constrained dofs are then
     overwritten with the ramp's velocity and value (``_Dirichlet``).
     Reactions are formed only on the steps that record them, at the dofs
-    of the reaction sets: the acceleration (f_body - f_int) / m - alpha * v
-    there, the ramp's acceleration at the constrained ones, and each term
-    summed by ``reaction_sums``.
+    of the reaction sets: f_int there and, except at the dofs a
+    zero-amplitude ramp holds, where m * a and m * v stay +0.0, the
+    acceleration (f_body - f_int) / m - alpha * v, the ramp's at the
+    constrained dofs, each term summed by ``reaction_sums``.
     """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
@@ -577,12 +575,8 @@ class ExplicitEngine:
         self.mass3 = np.repeat(mass, 3)
         self.bc = _Dirichlet(mesh, loads, dirichlet_scale)
         self.alpha = mass_damping
-        b = np.asarray(loads.body_force)
-        self.f_body = (mass[:, None] / rho * b[None, :]).ravel()
-        self._body = bool(b.any())
-        w = dt / self.mass3
-        self._w = w if self._body else np.negative(w, out=w)
-        self._c = 1.0 - mass_damping * dt
+        self.f_body = (mass[:, None] / rho * np.asarray(loads.body_force)[None, :]).ravel()
+        self._w, self._c = dt / self.mass3, 1.0 - mass_damping * dt
 
         self.n_steps = n_steps = step_at(loads.total_time, dt)
         snap_steps = sorted({s for s in (min(n_steps, step_at(t, dt)) for t in output_times)
@@ -593,15 +587,16 @@ class ExplicitEngine:
         self._force_stride = s = min(force_stride, n_steps)
         force_times = np.minimum(np.arange(0.0, n_steps + s, s), n_steps) * dt
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
-        # the reaction terms f_int, m * a and, with damping, m * v
+        # the reaction terms f_int, m * a and, with damping, m * v at the sets'
+        # dofs; those a zero-amplitude ramp holds come last, where m * a and
+        # m * v are +0.0 on every step: their entries of the terms stay +0.0
+        still = self.bc.dofs[self.bc.still]
         self._set_sums, k = set_sum_operator([mesh.node_sets[name]
-                                              for name in self._set_names],
-                                             terms=3 if mass_damping else 2)
-        self._set_dofs, self._set_mass = k, self.mass3[k]
-        # (f_body - f) / m at the sets' dofs: f / (-m) without body force
-        self._set_body = self.f_body[k] if self._body else None
-        self._set_mass_neg = -self._set_mass
-        # the sets' constrained dofs: their positions in k and their ramps' slots
+                                              for name in self._set_names], last=still)
+        self._terms = np.zeros((3 if mass_damping else 2, k.size))
+        self._set_dofs, k = k, k[:k.size - np.count_nonzero(np.isin(k, still))]
+        self._set_moving, self._set_mass, self._set_body = k, self.mass3[k], self.f_body[k]
+        # the sets' dofs a moving ramp holds: their positions in k and their slots
         at = np.minimum(np.searchsorted(self.bc.dofs, k), self.bc.dofs.size - 1)
         self._set_fixed = np.nonzero(self.bc.dofs[at] == k)[0]
         self._set_fixed_slots = self.bc._which[at[self._set_fixed]]
@@ -641,11 +636,8 @@ class ExplicitEngine:
         bc_v, bc_u = self.bc.update(t, dt)
         # half-step start: the very first update advances v by dt/2
         w, c = (self._w, self._c) if self.n else (0.5 * self._w, 1.0 - self.alpha * (0.5 * dt))
-        if self._body:
-            v = self.f_body - f_int
-            v *= w
-        else:
-            v = w * f_int
+        v = self.f_body - f_int
+        v *= w
         v += c * self.v.ravel() if self.alpha else self.v.ravel()
         v[self.bc.dofs] = bc_v
         u = dt * v
@@ -657,25 +649,20 @@ class ExplicitEngine:
 
     def reactions(self, f_int) -> np.ndarray:
         """The reactions (n_sets, 3) of the current step, from its internal
-        forces: each term at the sets' dofs, the acceleration
-        (f_body - f_int) / m - alpha * v formed there, f_int / (-m) without
-        body force, and overwritten with the ramp's at the constrained
-        ones."""
-        k, m = self._set_dofs, self._set_mass
-        terms = np.empty((3 if self.alpha else 2, k.size))
-        # k lies in range: "clip" only spares the bounds check's buffered copy
-        f = f_int.take(k, out=terms[0], mode="clip")
-        if self._body:
-            a = self._set_body - f
-            a /= m
-        else:
-            a = f / self._set_mass_neg
+        forces: f_int at the sets' dofs and, at those no zero-amplitude ramp
+        holds, the acceleration (f_body - f_int) / m - alpha * v, overwritten
+        with the ramp's at the constrained ones, times m, and m * v."""
+        k, m, terms = self._set_moving, self._set_mass, self._terms
+        # the dofs lie in range: "clip" only spares the bounds check's buffered copy
+        f = f_int.take(self._set_dofs, out=terms[0], mode="clip")
+        a = self._set_body - f[:k.size]
+        a /= m
         if self.alpha:
-            v = self.v.ravel().take(k, out=terms[2], mode="clip")
+            v = self.v.ravel().take(k, out=terms[2, :k.size], mode="clip")
             a -= self.alpha * v
             v *= m
         a[self._set_fixed] = self.bc.acceleration(self.time, self.dt, self._set_fixed_slots)
-        np.multiply(m, a, out=terms[1])
+        np.multiply(m, a, out=terms[1, :k.size])
         return reaction_sums(self._set_sums, terms, self.alpha)
 
     def step(self):

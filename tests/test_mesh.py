@@ -177,10 +177,13 @@ def test_ramp_value_piecewise_linear():
 def test_compiled_ramp_table_is_the_closed_form(scale):
     """``value``, ``update`` and ``acceleration`` give, dof by dof, the
     bits of the numpy closed form amp * min(t, t_end) / t_end and of its
-    differences, ``value`` also before the start, the rows of a step at its
-    start (t = 0), mid-ramp, at a ramp end and past it, for zero, positive
-    and negative amplitudes; a zero amplitude keeps its sign (scale 0 times
-    a negative amplitude is -0.0)."""
+    differences before the start, at the start (t = 0), mid-ramp, at a
+    ramp end and past it, for zero, positive and negative amplitudes; a
+    zero amplitude keeps its sign (scale 0 times a negative amplitude is
+    -0.0).  A zero amplitude's step rows are constant, acceleration and
+    velocity +0.0 and the value the amplitude; before the start, where
+    steps never begin, they differ from the closed form's in the sign of
+    zero."""
     m = _unit_cube()
     lc = LoadCase(dirichlet=(DirichletRamp("bottom", 0, 0.0, 0.5),
                              DirichletRamp("bottom", 1, 0.0, 0.5),
@@ -201,14 +204,21 @@ def test_compiled_ramp_table_is_the_closed_form(scale):
     def same_bits(a, b):
         return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
+    zero = amp == 0.0
+    assert zero.any() and (scale == 0.0 or not zero.all())
+    constant = (np.zeros_like(amp), np.zeros_like(amp), amp)
     for t in (-0.1, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7):
         assert same_bits(table.value(t), closed(t))
-        for dt in () if t < 0.0 else (1e-3, 0.07):  # steps start at t >= 0
+        for dt in (1e-3, 0.07):
             velocity, value = table.update(t, dt)
             accel = table.acceleration(t, dt)
-            assert same_bits(accel, (closed(t + dt) - 2.0 * closed(t) + closed(t - dt)) / dt**2)
-            assert same_bits(velocity, (closed(t + dt) - closed(t)) / dt)
-            assert same_bits(value, closed(t + dt))
+            want = ((closed(t + dt) - 2.0 * closed(t) + closed(t - dt)) / dt**2,
+                    (closed(t + dt) - closed(t)) / dt, closed(t + dt))
+            for got, w, c in zip((accel, velocity, value), want, constant):
+                assert same_bits(got[~zero], w[~zero])
+                assert same_bits(got[zero], c[zero])
+                if t >= 0.0:
+                    assert same_bits(got, w)
     assert np.array_equal(np.signbit(table.value(0.3)), np.signbit(amp))
 
 

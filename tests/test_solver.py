@@ -725,10 +725,10 @@ def test_step_is_bitwise_the_formulas(product):
 # ---------------------------------------------------------------------------
 
 
-def _set_reactions(mesh, names, mass, f_int, accel, velocity=None, alpha=0.0):
+def _set_reactions(mesh, names, mass, f_int, accel, velocity=None, alpha=0.0, last=()):
     """``reaction_sums`` of nodal vectors (nn, 3) on the sets ``names``:
-    each term gathered at the sets' dofs."""
-    op, k = set_sum_operator([mesh.node_sets[n] for n in names], terms=3 if alpha else 2)
+    each term gathered at the sets' dofs, those ``last`` names last."""
+    op, k = set_sum_operator([mesh.node_sets[n] for n in names], last)
     m = np.repeat(mass, 3)[k]
     terms = [f_int.ravel()[k], m * accel.ravel()[k]]
     if alpha:
@@ -798,11 +798,13 @@ def _block_product_reactions(sets, mass3, f_int, accel, velocity, alpha):
 
 @pytest.mark.parametrize("preset", DESK_PRESETS)
 def test_one_pass_reactions_are_the_block_product_bitwise(preset):
-    """``reaction_sums``, one product of the stacked-term operator on the
-    terms gathered at the sets' dofs, gives the bits of the block product
-    with one term per column, on a damped and an undamped random state and
-    on a zero state, signs of zero included.  The operator's entries are
-    all 1.0, so the kernel only adds."""
+    """``reaction_sums``, one product of the set-sum operator per term
+    gathered at the sets' dofs, gives the bits of the block product with
+    one term per column over the ascending dofs, on a damped and an
+    undamped random state and on a zero state, signs of zero included,
+    also with every other dof, or every dof, moved last: the columns are
+    renumbered, each row's sum keeps its ascending order.  The operator's
+    entries are all 1.0, so the kernel only adds."""
     mesh = _desk_mesh(preset)
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
@@ -814,10 +816,12 @@ def test_one_pass_reactions_are_the_block_product_bitwise(preset):
     zero = np.zeros((mesh.n_nodes, 3))
     for state, alpha in (((f_int, accel, velocity), 50.0),
                          ((f_int, accel, velocity), 0.0), ((zero, zero, zero), 50.0)):
-        got = _set_reactions(mesh, names, mass, *state, alpha)
         want = _block_product_reactions(sets, np.repeat(mass, 3), *state, alpha)
-        assert got.shape == want.shape == (len(names), 3)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert want.shape == (len(names), 3)
+        for last in ((), sets[1][::2], sets[1]):
+            got = _set_reactions(mesh, names, mass, *state, alpha, last)
+            assert np.array_equal(got, want), len(last)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.0])
