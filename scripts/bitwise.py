@@ -36,7 +36,8 @@ checks a stated bound instead, for changes that move outputs at roundoff.
 Arrays are grouped into families by the last result field on their path
 (``u``, ``d``, ``sigma``, ``forces``, ``d_std``, ...; dict keys and list
 indices do not count).  For each family it prints the largest
-``max|a - b| / max|b|`` over its arrays, ``b`` from the ref, and lists the
+``max|a - b| / max|b|`` over its arrays, ``b`` from the ref, the run that
+sets it and the largest over the other runs, and lists the
 exchange records and artifacts whose sha256 changed (a hash cannot be
 bounded), and names the protocol's runs whose every array, record and
 artifact stayed bitwise equal.  It exits 1 naming the worst family when
@@ -314,14 +315,36 @@ def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
     return float(gap / scale) if np.isfinite(gap) and scale > 0.0 else np.inf
 
 
+def run_deviations(ref: dict, new: dict) -> dict[str, dict[str, float]]:
+    """The largest ``relative_difference`` of each family's arrays in each
+    run, by family and then run (``run_of``), in the protocol's order; both
+    trees hold the same names."""
+    worst: dict[str, dict[str, float]] = {}
+    for name, b in ref.items():
+        runs = worst.setdefault(family(name), {})
+        run = run_of(name)
+        runs[run] = max(runs.get(run, 0.0), relative_difference(new[name], b))
+    return worst
+
+
 def deviations(ref: dict, new: dict) -> dict[str, float]:
     """The largest ``relative_difference`` of each family's arrays, by
-    family, in the protocol's order; both trees hold the same names."""
-    worst: dict[str, float] = {}
-    for name, b in ref.items():
-        key = family(name)
-        worst[key] = max(worst.get(key, 0.0), relative_difference(new[name], b))
-    return worst
+    family, in the protocol's order."""
+    return {key: max(runs.values()) for key, runs in run_deviations(ref, new).items()}
+
+
+def family_line(name: str, runs: dict[str, float]) -> str:
+    """A family's report line from its ``run_deviations``: the largest
+    deviation and the run that sets it, then the largest of the other
+    runs, so one run's amplified roundoff hides no other run's."""
+    ranked = sorted(runs, key=runs.get, reverse=True)
+    line = f"{name}: {runs[ranked[0]]:.3g}"
+    if runs[ranked[0]] > 0.0:
+        line += f" in {ranked[0]}"
+        if len(ranked) > 1:
+            rest = runs[ranked[1]]
+            line += f"; the other runs {rest:.3g}" + (f" in {ranked[1]}" if rest > 0.0 else "")
+    return line
 
 
 def bound_failure(worst: dict[str, float], rtol: float) -> str | None:
@@ -388,9 +411,9 @@ def _report_bound(ref: tuple[dict, dict], new: tuple[dict, dict], rtol: float) -
         print(f"DIFFERENT: {structural}")
         return 1
     worst = deviations(ref[0], new[0])
-    print("largest max|a - b| / max|b| per array family:")
-    for name, dev in worst.items():
-        print(f"  {name}: {dev:.3g}")
+    print("largest max|a - b| / max|b| per array family, and the run that sets it:")
+    for name, runs in run_deviations(ref[0], new[0]).items():
+        print(f"  {family_line(name, runs)}")
     changed = changed_digests(ref[1], new[1])
     artifacts = [name for name in changed if not name.startswith("exchange/")]
     print(f"changed: {len(changed) - len(artifacts)} exchange records, "

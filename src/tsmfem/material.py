@@ -205,7 +205,7 @@ class Order1Law:
 
     def rate(self, d1, eps1):
         r = self._one_minus(d1) * self.psi0
-        r += _dot6(np.asarray(eps1), self.s0)
+        r += np.add.reduce(np.asarray(eps1) * self.s0, axis=-1)  # as _law_products
         r *= self._expd0_eta
         return r
 

@@ -47,16 +47,25 @@ class Mesh:
         return self.element_coords().mean(axis=1)
 
 
-def validate_mesh(mesh: Mesh) -> None:
-    """Check connectivity bounds, Jacobian positivity, and set sanity.
+def validate_mesh(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Check connectivity bounds, Jacobian positivity, set sanity and that
+    no element repeats a node; returns the Jacobians J (n_elements, 8, 3,
+    3) at the Gauss points and their determinants detJ (n_elements, 8).
 
-    Raises ValueError naming the first offending element or set.
-    ``solver.ElementQuadrature.build`` makes the same checks, in the same
-    order, on the Jacobians it computes anyway.
+    Raises ValueError naming the first offending element or set.  A
+    collapsed hexahedron can keep positive Jacobians at the Gauss points,
+    hence the last check.
     """
     validate_connectivity(mesh)
-    validate_jacobians(np.linalg.det(hexa.jacobians(mesh.element_coords())))
+    J = hexa.jacobians(mesh.element_coords())
+    detJ = np.linalg.det(J)
+    validate_jacobians(detJ)
     validate_sets(mesh)
+    repeats = np.nonzero((np.diff(np.sort(mesh.elements, axis=1), axis=1) == 0)
+                         .any(axis=1))[0]
+    if repeats.size:
+        raise ValueError(f"element {int(repeats[0])} repeats a node")
+    return J, detJ
 
 
 def validate_connectivity(mesh: Mesh) -> None:

@@ -63,13 +63,13 @@ scipy's ``@`` for a CSR matrix and a dense vector is exactly a zeroed
 output plus the same kernel call; skipping its dispatch saves a few
 microseconds per product.  So the CSR form is bitwise ``op @ x``.
 Reactions, and the element gemm form's per-dof sums, are such products of
-0/1 operators: the reaction set-sum operator over the reaction sets' dofs
-(``set_sum_operator``), on each term gathered there (the internal forces
-and the numpy products ``m * a`` and ``m * v``), and the element-force
-assembly operator.  Each row is the same ascending sequential sum of the
-same rounded terms as summing the gathered terms; as the operators'
-entries are 1.0, a kernel compiled with fused multiply-adds computes the
-same sums.
+0/1 operators: the reaction set-sum operator (``set_sum_operator``) on
+the reaction sets' constrained dofs, on each term gathered there (the
+internal forces and the numpy products ``m * a`` and ``m * v``), and the
+element-force assembly operator.  Each row is the same ascending
+sequential sum of the same rounded terms as summing the gathered terms;
+as the operators' entries are 1.0, a kernel compiled with fused
+multiply-adds computes the same sums.
 
 The explicit update is one fused velocity update per step,
 v' = c * v + w * (f_body - f_int), with the per-dof w = dt / m and
@@ -80,13 +80,13 @@ acceleration vector is formed.  Dirichlet ramps are imposed by direct
 overwrite of the velocity and displacement after the update, with the
 boundary velocity taken from a finite difference of the ramp.  Reactions
 are formed only on the steps that record them, and only at the reaction
-sets' dofs, where the acceleration, and at the constrained dofs the
-ramp's central-difference acceleration, is formed; the dofs a
-zero-amplitude ramp holds, whose inertial terms are +0.0, are skipped.
-Ramps of zero amplitude are never re-evaluated.  The program starts no
-thread of its own, and its results are bitwise reproducible.  Set-up
-follows the mesh and the output, not the step count: the reaction
-schedule is arithmetic on the step number.
+sets' constrained dofs, with the ramp's central-difference acceleration;
+at a free dof the momentum balance makes the reaction f_body, whose
+per-set sum is a constant formed at set-up.  Ramps of zero amplitude are
+never re-evaluated.  The program starts no thread of its own, and its
+results are bitwise reproducible.  Set-up follows the mesh and the
+output, not the step count: the reaction schedule is arithmetic on the
+step number.
 """
 
 from __future__ import annotations
@@ -103,15 +103,7 @@ from scipy.sparse import _sparsetools
 from . import hexa
 from .material import MaterialParams, characteristic_scales
 from .material import Order0Law as DeterministicKernels  # order-0 step callbacks
-from .mesh import (
-    LoadCase,
-    Mesh,
-    constrained_dofs,
-    validate_connectivity,
-    validate_jacobians,
-    validate_load_case,
-    validate_sets,
-)
+from .mesh import LoadCase, Mesh, constrained_dofs, validate_load_case, validate_mesh
 
 _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
           (0, 4), (1, 5), (2, 6), (3, 7)]
@@ -214,18 +206,9 @@ class ElementQuadrature:
 
     @classmethod
     def build(cls, mesh: Mesh) -> "ElementQuadrature":
-        """The quadrature of ``mesh``, which it validates first: the checks
-        and messages of ``mesh.validate_mesh``, on its own Jacobians, then
-        a check that no element repeats a node."""
-        validate_connectivity(mesh)
-        J = hexa.jacobians(mesh.element_coords())
-        detJ = np.linalg.det(J)
-        validate_jacobians(detJ)
-        validate_sets(mesh)
-        repeats = np.nonzero((np.diff(np.sort(mesh.elements, axis=1), axis=1) == 0)
-                             .any(axis=1))[0]
-        if repeats.size:
-            raise ValueError(f"element {int(repeats[0])} repeats a node")
+        """The quadrature of ``mesh``, which ``mesh.validate_mesh`` checks
+        first, its Jacobians then reused."""
+        J, detJ = validate_mesh(mesh)
         dNdx = _gradients(J)
         detJw = detJ * hexa.GAUSS_WEIGHTS[None, :]
         if _one_shape(dNdx) and _one_shape(detJw):
@@ -369,13 +352,12 @@ def stable_timestep(mesh: Mesh, params: MaterialParams, safety: float = 0.5) -> 
     return float(safety * edges.min() / v)
 
 
-def set_sum_operator(node_sets, last=()) -> tuple[sp.csr_matrix, np.ndarray]:
+def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
     """Per-set sums of a nodal vector (3 entries per node), as
-    ``(op, dofs)``: ``dofs`` is the union of the sets' dofs, ascending,
-    except that the dofs ``last`` names follow the others (ascending among
-    themselves), and rows 3k, 3k+1 and 3k+2 of the 0/1 matrix ``op`` sum
-    the x, y and z entries of ``vector[dofs]`` over node_sets[k], in
-    ascending dof order whatever the columns' order."""
+    ``(op, dofs)``: ``dofs`` is the union of the sets' dofs, ascending, and
+    rows 3k, 3k+1 and 3k+2 of the 0/1 matrix ``op`` sum the x, y and z
+    entries of ``vector[dofs]`` over node_sets[k], in ascending dof
+    order."""
     ids = [np.asarray(n, dtype=np.int64) for n in node_sets]
     nodes = np.concatenate([np.zeros(0, dtype=np.int64), *ids])
     owner = np.repeat(np.arange(len(ids)), [n.size for n in ids])
@@ -384,18 +366,15 @@ def set_sum_operator(node_sets, last=()) -> tuple[sp.csr_matrix, np.ndarray]:
     dofs = np.unique(cols)
     op = sp.csr_matrix((np.ones(rows.size), (rows, np.searchsorted(dofs, cols))),
                        shape=(3 * len(ids), dofs.size))
-    order = np.argsort(np.isin(dofs, last), kind="stable")
-    # the columns renumbered, each row's entries left in ascending dof order
-    op = sp.csr_matrix((op.data, np.argsort(order)[op.indices], op.indptr), shape=op.shape)
-    return op, dofs[order]
+    return op, dofs
 
 
 def reaction_sums(op: sp.csr_matrix, terms: np.ndarray,
                   mass_damping: float = 0.0) -> np.ndarray:
     """Reactions (n_sets, 3): internal plus inertial (plus damping, when
-    active) nodal forces.  ``terms`` holds, at the dofs of
-    ``set_sum_operator``, whose ``op`` it takes, the rows f_int, m * a
-    and, with ``mass_damping``, m * v.
+    active) nodal forces.  ``terms`` holds, at the dofs of the columns of
+    ``op`` (a set-sum operator of ``set_sum_operator``, or some of its
+    columns), the rows f_int, m * a and, with ``mass_damping``, m * v.
 
     Each term is summed on its own, over the set's nodes in ascending
     order, before the terms are added; summing the combined vector instead
@@ -442,9 +421,8 @@ class _Dirichlet:
     nonzero amplitude are evaluated, once per step for every read: for
     t >= 0 a zero amplitude's rows are constant, acceleration and velocity
     +0.0 and the value the amplitude, its sign of zero kept (so 0.0 and
-    -0.0 are distinct pairs); ``still`` marks the dofs such a ramp holds.
-    Without a nonzero amplitude, as in the first-order problem (scale 0),
-    the rows are formed once."""
+    -0.0 are distinct pairs).  Without a nonzero amplitude, as in the
+    first-order problem (scale 0), the rows are formed once."""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
         self.dofs, owner = constrained_dofs(loads, mesh)
@@ -460,7 +438,6 @@ class _Dirichlet:
         self._slots[2] = [amp for amp, _ in self._ramps]
         self._moving = [(k, amp, t_end) for k, (amp, t_end) in enumerate(self._ramps)
                         if amp != 0.0]
-        self.still = np.array([amp == 0.0 for amp, _ in self._ramps], dtype=bool)[self._which]
         self._rows = self._slots[1:].take(self._which, axis=1)
         self._t, self._now = None, []  # the step of the rows; (u(t + dt), u(t)) per moving ramp
 
@@ -538,17 +515,23 @@ class ExplicitEngine:
     v + dt * ((f_body - f_int) / m - alpha * v) rearranged, and no
     acceleration vector is formed.  The constrained dofs are then
     overwritten with the ramp's velocity and value (``_Dirichlet``).
-    Reactions are formed only on the steps that record them, at the dofs
-    of the reaction sets: f_int there and, except at the dofs a
-    zero-amplitude ramp holds, where m * a and m * v stay +0.0, the
-    acceleration (f_body - f_int) / m - alpha * v, the ramp's at the
-    constrained dofs, each term summed by ``reaction_sums``.
+    ``load_scale`` multiplies the ramp amplitudes and the body force: 1
+    for a realization, 0 for the first-order problem, whose loads do not
+    depend on xi.
+
+    A set's reaction is the sum of f_int + m * a + alpha * m * v over its
+    dofs.  At a free dof the update's momentum balance makes that f_body,
+    so the reaction is formed where the supports act (Belytschko, Liu &
+    Moran, 2000): on the steps that record it, f_int, m times the ramp's
+    central-difference acceleration and, when damped, m * v at the set's
+    constrained dofs, each term summed by ``reaction_sums``, plus the sum
+    of f_body over the set's free dofs, formed once at set-up.
     """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
                  output_times, stress_fn, damage_fn, *,
                  quad: ElementQuadrature | None = None,
-                 dirichlet_scale: float = 1.0,
+                 load_scale: float = 1.0,
                  force_stride: int = 1,
                  mass_damping: float = 0.0,
                  exchange_hook=None,
@@ -573,9 +556,10 @@ class ExplicitEngine:
         self.quad = quad
         mass = lumped_mass(mesh, rho, quad)
         self.mass3 = np.repeat(mass, 3)
-        self.bc = _Dirichlet(mesh, loads, dirichlet_scale)
+        self.bc = _Dirichlet(mesh, loads, load_scale)
         self.alpha = mass_damping
-        self.f_body = (mass[:, None] / rho * np.asarray(loads.body_force)[None, :]).ravel()
+        body = load_scale * np.asarray(loads.body_force)
+        self.f_body = (mass[:, None] / rho * body[None, :]).ravel()
         self._w, self._c = dt / self.mass3, 1.0 - mass_damping * dt
 
         self.n_steps = n_steps = step_at(loads.total_time, dt)
@@ -587,19 +571,15 @@ class ExplicitEngine:
         self._force_stride = s = min(force_stride, n_steps)
         force_times = np.minimum(np.arange(0.0, n_steps + s, s), n_steps) * dt
         self._set_names = sorted({r.node_set for r in loads.dirichlet})
-        # the reaction terms f_int, m * a and, with damping, m * v at the sets'
-        # dofs; those a zero-amplitude ramp holds come last, where m * a and
-        # m * v are +0.0 on every step: their entries of the terms stay +0.0
-        still = self.bc.dofs[self.bc.still]
-        self._set_sums, k = set_sum_operator([mesh.node_sets[name]
-                                              for name in self._set_names], last=still)
-        self._terms = np.zeros((3 if mass_damping else 2, k.size))
-        self._set_dofs, k = k, k[:k.size - np.count_nonzero(np.isin(k, still))]
-        self._set_moving, self._set_mass, self._set_body = k, self.mass3[k], self.f_body[k]
-        # the sets' dofs a moving ramp holds: their positions in k and their slots
-        at = np.minimum(np.searchsorted(self.bc.dofs, k), self.bc.dofs.size - 1)
-        self._set_fixed = np.nonzero(self.bc.dofs[at] == k)[0]
-        self._set_fixed_slots = self.bc._which[at[self._set_fixed]]
+        # the reaction terms are summed at the sets' constrained dofs; their
+        # free dofs add the constant sum of f_body
+        op, k = set_sum_operator([mesh.node_sets[name] for name in self._set_names])
+        fixed = np.isin(k, self.bc.dofs)
+        self._set_sums, self._set_dofs = op[:, fixed], k[fixed]
+        self._set_mass = self.mass3[self._set_dofs]
+        self._set_slots = self.bc._which[np.searchsorted(self.bc.dofs, self._set_dofs)]
+        free = ~fixed
+        self._free_body = _csr_product(op[:, free], self.f_body[k[free]]).reshape(-1, 3)
         # one contiguous (rows, 3) series per set, handed out by finish()
         self._forces = np.zeros((len(self._set_names), force_times.size, 3))
         self.history = History(
@@ -649,21 +629,14 @@ class ExplicitEngine:
 
     def reactions(self, f_int) -> np.ndarray:
         """The reactions (n_sets, 3) of the current step, from its internal
-        forces: f_int at the sets' dofs and, at those no zero-amplitude ramp
-        holds, the acceleration (f_body - f_int) / m - alpha * v, overwritten
-        with the ramp's at the constrained ones, times m, and m * v."""
-        k, m, terms = self._set_moving, self._set_mass, self._terms
-        # the dofs lie in range: "clip" only spares the bounds check's buffered copy
-        f = f_int.take(self._set_dofs, out=terms[0], mode="clip")
-        a = self._set_body - f[:k.size]
-        a /= m
+        forces (see the class docstring)."""
+        k, m = self._set_dofs, self._set_mass
+        terms = [f_int.take(k), m * self.bc.acceleration(self.time, self.dt, self._set_slots)]
         if self.alpha:
-            v = self.v.ravel().take(k, out=terms[2, :k.size], mode="clip")
-            a -= self.alpha * v
-            v *= m
-        a[self._set_fixed] = self.bc.acceleration(self.time, self.dt, self._set_fixed_slots)
-        np.multiply(m, a, out=terms[1, :k.size])
-        return reaction_sums(self._set_sums, terms, self.alpha)
+            terms.append(m * self.v.ravel().take(k))
+        r = reaction_sums(self._set_sums, terms, self.alpha)
+        r += self._free_body
+        return r
 
     def step(self):
         """Run the current step (see the class docstring); returns its

@@ -425,8 +425,9 @@ def run_order1(problem: Problem, reader: ExchangeFileReader, dt: float, output_t
     or live.  The history's ``wall_time`` leaves out the time spent waiting
     for a live file's records: that time is order 0's.
 
-    All Dirichlet values are homogeneous (the prescribed ramp does not
-    depend on the random variable, so its derivative vanishes).
+    All Dirichlet values are homogeneous and the body force is zero
+    (neither the prescribed ramp nor the body force depends on the random
+    variable, so their derivatives vanish).
     """
     quad = quad or ElementQuadrature.build(problem.mesh)
     if reader.gp_count != quad.n_gauss:
@@ -446,7 +447,7 @@ def run_order1(problem: Problem, reader: ExchangeFileReader, dt: float, output_t
     waited = reader.wait_s
     hist = run_with_kernels(problem.mesh, problem.loads, problem.params.rho, dt,
                             output_times, kern.stress, kern.damage, quad=quad,
-                            dirichlet_scale=0.0, force_stride=force_stride,
+                            load_scale=0.0, force_stride=force_stride,
                             mass_damping=problem.mass_damping,
                             meta={"kind": "order1", "order": 1, "K": reader.K})
     hist.wall_time -= reader.wait_s - waited
@@ -650,7 +651,7 @@ def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
                         mass_damping=p.mass_damping, exchange_hook=mailbox.hook,
                         meta=_ORDER0_META)
     e1 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
-                        kern1.stress, kern1.damage, quad=quad, dirichlet_scale=0.0,
+                        kern1.stress, kern1.damage, quad=quad, load_scale=0.0,
                         force_stride=force_stride, mass_damping=p.mass_damping,
                         meta={"kind": "order1", "order": 1, "K": K})
     return run_engines(e0, e1)

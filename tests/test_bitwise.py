@@ -127,6 +127,24 @@ def test_bound_passes_within_and_names_the_family_above(bitwise):
     assert bitwise.changed_digests(ref[1], new[1]) == ["cli/det/forces_top.csv"]
 
 
+def test_bound_names_the_run_that_spends_it(bitwise):
+    """Each family's line names the run of its largest deviation and gives
+    the largest of the other runs, so an amplified run hides no other."""
+    ref = _outputs()
+    ref[0]["fd_oracle/u"] = ref[0]["det/u"] * 3.0
+    new = _copy(ref)
+    new[0]["det/u"] = ref[0]["det/u"] * (1.0 + 1e-14)
+    new[0]["fd_oracle/u"] = ref[0]["fd_oracle/u"] * (1.0 + 1e-11)
+    by_run = bitwise.run_deviations(ref[0], new[0])
+    assert list(by_run["u"]) == ["det", "fd_oracle"]
+    assert 0.0 < by_run["u"]["det"] <= 2e-14 < 5e-12 < by_run["u"]["fd_oracle"] <= 2e-11
+    assert bitwise.deviations(ref[0], new[0])["u"] == by_run["u"]["fd_oracle"]
+    line = bitwise.family_line("u", by_run["u"])
+    assert line.startswith("u: ") and " in fd_oracle; the other runs " in line, line
+    assert line.endswith(f"{by_run['u']['det']:.3g} in det"), line
+    assert bitwise.family_line("forces", by_run["forces"]) == "forces: 0"
+
+
 @pytest.mark.parametrize("change, named", [
     (_dtype, "mc/xis: dtype int64 != int32"),
     (_shape, "det/u: shape (4, 5, 3) != (3, 5, 3)"),

@@ -379,6 +379,18 @@ def test_load_rejects_out_of_range_element(tmp_path):
         load_mesh(p)
 
 
+def test_load_rejects_an_element_that_repeats_a_node(tmp_path):
+    """A collapsed hexahedron (node 6 listed twice) keeps positive
+    Jacobians at the Gauss points, so only the repeat check catches it."""
+    m = generate_double_notch(width=2, height=1, thickness=1,
+                              notch_depth=0, notch_height=0, nx=2, ny=1)
+    m.elements[1, 6] = m.elements[1, 7]
+    p = tmp_path / "collapsed.mesh"
+    save_mesh(m, p)
+    with pytest.raises(ValueError, match="element 1 repeats a node"):
+        load_mesh(p)
+
+
 def test_load_rejects_malformed_records(tmp_path):
     p = tmp_path / "junk.mesh"
     p.write_text("# tsmfem mesh 1\nNODES 2\n0 0 0\n1 0\n")

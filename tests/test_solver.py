@@ -205,7 +205,8 @@ def test_operators_store_only_structural_nonzeros(preset):
 def test_element_with_a_repeated_node_rejected():
     """A collapsed hexahedron (node 6 listed twice) can keep positive
     Jacobians at the Gauss points; each strain row would then hold two
-    entries for one column, so the operators reject it by element."""
+    entries for one column, so the build's validation rejects it by
+    element."""
     mesh = _box_mesh(2, 1, 1, 2.0, 1.0, 1.0)
     mesh.elements[1, 6] = mesh.elements[1, 7]
     with pytest.raises(ValueError, match="element 1 repeats a node"):
@@ -584,25 +585,32 @@ class _ReferenceStep:
     with the CSR operators), the closed-form ramp
     amp * min(t, t_end) / t_end, the velocity update
     v' = c * v + w * (f_body - f) with w = dt / m and c = 1 - alpha * dt
-    (dt / 2 in both at the first step), the three reaction terms
-    (f, m * a and m * v, a = (f_body - f) / m - alpha * v) summed by three
-    separate products, and each law evaluated from scratch.
-    ``stress(d, eps)`` and ``damage(d, eps)`` are the law; ``self.u``,
-    ``self.v``, ``self.d`` the state after ``step()``."""
+    (dt / 2 in both at the first step), f_body from the body force times
+    ``scale``, as the ramps, the three reaction terms at the sets'
+    constrained dofs (f, m * a and m * v, a the ramp's central difference)
+    summed by three separate products of the set-sum operator's columns
+    there, plus the sum of f_body over the sets' free dofs, and each law
+    evaluated from scratch.  ``stress(d, eps)`` and ``damage(d, eps)`` are
+    the law; ``self.u``, ``self.v``, ``self.d`` the state after
+    ``step()``."""
 
     def __init__(self, mesh, loads, rho, dt, stress, damage, scale, alpha, quad):
         self.quad, self.dt, self.alpha = quad, dt, alpha
         self.stress, self.damage = stress, damage
         mass = lumped_mass(mesh, rho, quad)
         self.mass3 = np.repeat(mass, 3)
-        self.f_body = (mass[:, None] / rho * np.asarray(loads.body_force)[None, :]).ravel()
+        body = scale * np.asarray(loads.body_force)
+        self.f_body = (mass[:, None] / rho * body[None, :]).ravel()
         ramp_of = {3 * int(n) + r.axis: (scale * r.amplitude, r.ramp_end)
                    for r in loads.dirichlet for n in mesh.node_sets[r.node_set]}
         self.dofs = np.array(sorted(ramp_of))
         self.amp = np.array([ramp_of[k][0] for k in self.dofs])
         self.t_end = np.array([ramp_of[k][1] for k in self.dofs])
         names = sorted({r.node_set for r in loads.dirichlet})
-        self.sums, self.sum_dofs = set_sum_operator([mesh.node_sets[n] for n in names])
+        op, dofs = set_sum_operator([mesh.node_sets[n] for n in names])
+        fixed = np.isin(dofs, self.dofs)
+        self.sums, self.sum_dofs = op[:, fixed], dofs[fixed]
+        self.free_body = (op[:, ~fixed] @ self.f_body[dofs[~fixed]]).reshape(-1, 3)
         self.u = np.zeros(3 * mesh.n_nodes)
         self.u[self.dofs] = self.ramp(0.0)
         self.v = np.zeros(3 * mesh.n_nodes)
@@ -625,11 +633,11 @@ class _ReferenceStep:
         else:
             block = np.ascontiguousarray(sigma.T).reshape(48, -1)  # (component, q, e)
             f = q.assembly @ (q.force_block @ block).ravel()
-        a = (self.f_body - f) / self.mass3 - alpha * self.v
-        a[self.dofs] = (self.ramp(t + dt) - 2.0 * self.ramp(t) + self.ramp(t - dt)) / dt**2
+        a = (self.ramp(t + dt) - 2.0 * self.ramp(t) + self.ramp(t - dt)) / dt**2
         k, m = self.sum_dofs, self.mass3[self.sum_dofs]
-        reactions = (self.sums @ f[k] + self.sums @ (m * a[k])
-                     + alpha * (self.sums @ (m * self.v[k]))).reshape(-1, 3)
+        a = a[np.searchsorted(self.dofs, k)]
+        reactions = (self.sums @ f[k] + self.sums @ (m * a)
+                     + alpha * (self.sums @ (m * self.v[k]))).reshape(-1, 3) + self.free_body
         h = 0.5 * dt if self.n == 0 else dt
         v = (1.0 - alpha * h) * self.v + h / self.mass3 * (self.f_body - f)
         v[self.dofs] = (self.ramp(t + dt) - self.ramp(t)) / dt
@@ -655,14 +663,14 @@ def test_step_is_bitwise_the_formulas(product):
     the law products order 0 formed (``Order0Law.products``), run
     in lockstep on plate_coarse_desk (one element shape: element gemm
     products) and on its copy with one node moved (CSR products), with
-    ramps that end at step 20: u, v, d, sigma and the reactions equal
-    ``_ReferenceStep`` bit for bit at each of 50 steps."""
+    ramps that end at step 20 and a body force: u, v, d, sigma and the
+    reactions equal ``_ReferenceStep`` bit for bit at each of 50 steps."""
     c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
     p, dt = c.problem, c.dt
     if product == "csr":
         p = replace(p, mesh=_distorted(p.mesh))
-    loads = replace(p.loads, dirichlet=tuple(replace(r, ramp_end=20.5 * dt)
-                                             for r in p.loads.dirichlet))
+    loads = replace(p.loads, body_force=(1e5, -2e5, 3e4),
+                    dirichlet=tuple(replace(r, ramp_end=20.5 * dt) for r in p.loads.dirichlet))
     quad = ElementQuadrature.build(p.mesh)
     assert quad.product == product
     E0, eta, alpha, K = p.params.stiffness, p.params.eta, p.mass_damping, 3
@@ -677,7 +685,7 @@ def test_step_is_bitwise_the_formulas(product):
                        kern0.damage, quad=quad, mass_damping=alpha,
                        exchange_hook=mailbox.hook),
         ExplicitEngine(p.mesh, loads, p.params.rho, dt, [], _recorded(kern1.stress, sig1),
-                       kern1.damage, quad=quad, dirichlet_scale=0.0, mass_damping=alpha),
+                       kern1.damage, quad=quad, load_scale=0.0, mass_damping=alpha),
     ]
 
     def stress0(d, eps):
@@ -725,10 +733,10 @@ def test_step_is_bitwise_the_formulas(product):
 # ---------------------------------------------------------------------------
 
 
-def _set_reactions(mesh, names, mass, f_int, accel, velocity=None, alpha=0.0, last=()):
+def _set_reactions(mesh, names, mass, f_int, accel, velocity=None, alpha=0.0):
     """``reaction_sums`` of nodal vectors (nn, 3) on the sets ``names``:
-    each term gathered at the sets' dofs, those ``last`` names last."""
-    op, k = set_sum_operator([mesh.node_sets[n] for n in names], last)
+    each term gathered at every dof of the sets."""
+    op, k = set_sum_operator([mesh.node_sets[n] for n in names])
     m = np.repeat(mass, 3)[k]
     terms = [f_int.ravel()[k], m * accel.ravel()[k]]
     if alpha:
@@ -783,10 +791,9 @@ def test_reaction_zero_state():
     assert np.all(F == 0.0)
 
 
-def _block_product_reactions(sets, mass3, f_int, accel, velocity, alpha):
-    """Reactions as a gather of each term at the sets' dofs, summed by one
-    block product with one term per column."""
-    op, dofs = sets
+def _block_product_reactions(op, dofs, mass3, f_int, accel, velocity, alpha):
+    """Reactions as a gather of each term at ``dofs``, the columns of
+    ``op``, summed by one block product with one term per column."""
     terms = np.stack([f_int.ravel()[dofs], mass3[dofs] * accel.ravel()[dofs],
                       mass3[dofs] * velocity.ravel()[dofs]], axis=1)
     sums = op @ terms
@@ -802,26 +809,76 @@ def test_one_pass_reactions_are_the_block_product_bitwise(preset):
     gathered at the sets' dofs, gives the bits of the block product with
     one term per column over the ascending dofs, on a damped and an
     undamped random state and on a zero state, signs of zero included,
-    also with every other dof, or every dof, moved last: the columns are
-    renumbered, each row's sum keeps its ascending order.  The operator's
-    entries are all 1.0, so the kernel only adds."""
+    also on every other column of the operator, as the engine sums its
+    constrained dofs: each row's sum keeps its ascending order.  The
+    operator's entries are all 1.0, so the kernel only adds."""
     mesh = _desk_mesh(preset)
     quad = ElementQuadrature.build(mesh)
     mass = lumped_mass(mesh, PARAMS.rho, quad)
+    mass3 = np.repeat(mass, 3)
     names = sorted(mesh.node_sets)
-    sets = set_sum_operator([mesh.node_sets[n] for n in names])
+    op, dofs = set_sum_operator([mesh.node_sets[n] for n in names])
     rng = np.random.default_rng(5)
     f_int = quad.forces(rng.normal(0.0, 1e6, (quad.n_gauss, 6))).reshape(-1, 3)
     accel, velocity = rng.normal(0.0, 1e2, (2, mesh.n_nodes, 3))
     zero = np.zeros((mesh.n_nodes, 3))
     for state, alpha in (((f_int, accel, velocity), 50.0),
                          ((f_int, accel, velocity), 0.0), ((zero, zero, zero), 50.0)):
-        want = _block_product_reactions(sets, np.repeat(mass, 3), *state, alpha)
+        want = _block_product_reactions(op, dofs, mass3, *state, alpha)
         assert want.shape == (len(names), 3)
-        for last in ((), sets[1][::2], sets[1]):
-            got = _set_reactions(mesh, names, mass, *state, alpha, last)
-            assert np.array_equal(got, want), len(last)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        got = _set_reactions(mesh, names, mass, *state, alpha)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        some = np.arange(dofs.size) % 2 == 0
+        k = dofs[some]
+        want = _block_product_reactions(op[:, some], k, mass3, *state, alpha)
+        f, a, v = (x.ravel()[k] for x in state)
+        got = reaction_sums(op[:, some], np.array([f, mass3[k] * a, mass3[k] * v]), alpha)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _full_set_reactions(eng, f_int):
+    """The reactions as the sum of f_int + m * a + alpha * m * v over every
+    dof of each set, a the update's acceleration (f_body - f_int) / m -
+    alpha * v at the free dofs and the ramp's central difference at the
+    constrained ones, each term summed on its own."""
+    mesh, mass3, bc = eng.mesh, eng.mass3, eng.bc
+    a = (eng.f_body - f_int) / mass3 - eng.alpha * eng.v.ravel()
+    a[bc.dofs] = bc.acceleration(eng.time, eng.dt)
+    return _set_reactions(mesh, eng._set_names, mass3[::3], f_int, a, eng.v, eng.alpha)
+
+
+@pytest.mark.parametrize("preset", DESK_PRESETS)
+def test_constrained_dof_reactions_are_the_full_set_sums(preset):
+    """Summing only the constrained dofs, plus the sets' free-dof f_body,
+    gives the reactions of the sums over every set dof within 1e-12 of
+    each set's largest, under mass damping and a body force, at each of
+    40 steps of a run whose ramps end at step 20; a component whose set
+    dofs are all constrained is bitwise the same."""
+    c = load_config(overrides={"problem": {"preset": preset}})
+    p, dt = c.problem, c.dt
+    loads = replace(p.loads, body_force=(1e5, -2e5, 3e4),
+                    dirichlet=tuple(replace(r, ramp_end=20.5 * dt) for r in p.loads.dirichlet))
+    kern = deterministic_kernels(p.params, 0.0, dt)
+    eng = ExplicitEngine(p.mesh, loads, p.params.rho, dt, [], kern.stress, kern.damage,
+                         mass_damping=p.mass_damping)
+    assert eng.alpha > 0.0 and np.abs(eng._free_body).max() > 0.0
+    names = eng._set_names
+    constrained = np.zeros(3 * p.mesh.n_nodes, dtype=bool)
+    constrained[eng.bc.dofs] = True
+    pinned = np.array([[constrained[3 * p.mesh.node_sets[n] + j].all() for j in range(3)]
+                       for n in names])
+    assert pinned.any() and not pinned.all()
+    for _ in range(40):
+        eps, sigma, f_int = eng.evaluate()
+        got, want = eng.reactions(f_int), _full_set_reactions(eng, f_int)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
+        assert np.array_equal(got[pinned], want[pinned])
+        assert np.array_equal(np.signbit(got[pinned]), np.signbit(want[pinned]))
+        eng.advance(eps, f_int)
+    assert np.abs(want).max() > 0.0
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.0])
