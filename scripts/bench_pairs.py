@@ -6,14 +6,23 @@ extracts ``<git-ref>`` with ``git archive`` into a temporary directory,
 with ``scripts/bitwise.py``'s extraction, and runs ``bench/run.py --trace
 0`` on the workload N times in each tree, for the benchmark's own run
 length (the working tree, uncommitted changes included, is "this tree").
-The runs alternate between the trees, and
-so does which tree runs first in a pair, so a drift of the host's speed
-falls on both sides alike.  For each gated end-to-end metric of
-``BENCHMARK.json`` it prints the median of each side, the ref's quartiles
-and the number of pairs this tree won (its value better by the metric's
-``better``).  It exits 1 if any run fails: a nonzero exit code, a result
-that is not ``correct`` or a failed operation.  It writes nothing under
-``bench/``; each tree's benchmark keeps its work files in that tree.
+Pair i runs both trees on the input seed ``--seed + i``, so a claim rests
+on inputs other than the one a change was tuned on.  The runs alternate
+between the trees, and so does which tree runs first in a pair, so a
+drift of the host's speed falls on both sides alike.  For each gated
+end-to-end metric of ``BENCHMARK.json`` it prints the median of each
+side, the ref's quartiles, the number of pairs this tree won (its value
+better by the metric's ``better``) and a verdict:
+
+* ``gain``: this tree won at least 9 in 10 of the pairs, and its median
+  is better than the ref's by more than the ref's interquartile range;
+* ``worse``: this tree's median is worse than the ref's by more than the
+  metric's relative ``bound``;
+* ``unresolved``: neither.
+
+It exits 1 if any run fails: a nonzero exit code, a result that is not
+``correct`` or a failed operation.  It writes nothing under ``bench/``;
+each tree's benchmark keeps its work files in that tree.
 """
 
 from __future__ import annotations
@@ -45,19 +54,39 @@ def _run(tree: Path, workload: str, seed: int) -> dict | None:
     return line if line["correct"] and not line["failed"] else None
 
 
+def pairs_won(ref: np.ndarray, new: np.ndarray, better: str) -> int:
+    """The pairs i whose ``new[i]`` is better than ``ref[i]``; a tie is no win."""
+    return int(np.sum(new < ref if better == "lower" else new > ref))
+
+
+def verdict(ref: np.ndarray, new: np.ndarray, better: str, bound: float) -> str:
+    """``gain``, ``worse`` or ``unresolved`` for one metric's paired values
+    (see the module docstring)."""
+    q1, q3 = np.percentile(ref, [25, 75])
+    gain = np.median(ref) - np.median(new)  # > 0: new is better
+    if better != "lower":
+        gain = -gain
+    if pairs_won(ref, new, better) >= 0.9 * len(ref) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * np.median(ref):
+        return "worse"
+    return "unresolved"
+
+
 def summary(ref: list[dict], new: list[dict], spec: list[dict]) -> list[str]:
-    """One line per gated metric: both medians, the ref's quartiles and the
-    pairs won by ``new``."""
+    """One line per gated metric: both medians, the ref's quartiles, the
+    pairs won by ``new`` and the verdict."""
     out = []
     for entry in spec:
         name, unit = entry["name"], entry["unit"]
         a = np.array([r["metrics"][name]["value"] for r in ref])
         b = np.array([r["metrics"][name]["value"] for r in new])
-        won = int(np.sum(b < a if entry["better"] == "lower" else b > a))
+        won = pairs_won(a, b, entry["better"])
         q1, q3 = np.percentile(a, [25, 75])
         out.append(f"{name}: ref median {np.median(a):.6g} {unit} (quartiles {q1:.6g} to "
                    f"{q3:.6g}), this tree {np.median(b):.6g} {unit} "
-                   f"({np.median(b) / np.median(a) - 1.0:+.1%}), won {won} of {len(a)}")
+                   f"({np.median(b) / np.median(a) - 1.0:+.1%}), won {won} of {len(a)}: "
+                   f"{verdict(a, b, entry['better'], entry['bound'])}")
     return out
 
 
@@ -66,7 +95,8 @@ def main(argv=None) -> int:
     ap.add_argument("--ref", required=True, help="git ref to compare this tree with")
     ap.add_argument("--workload", required=True, help="a workload of bench/run.py")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1, help="the benchmark's input seed")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="the input seed of the first pair; pair i runs on seed + i")
     args = ap.parse_args(argv)
     spec = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
     results = {"ref": [], "this": []}
@@ -75,13 +105,13 @@ def main(argv=None) -> int:
         _extract(args.ref, trees["ref"])
         for i in range(args.pairs):
             for side in ("ref", "this") if i % 2 == 0 else ("this", "ref"):
-                line = _run(trees[side], args.workload, args.seed)
+                line = _run(trees[side], args.workload, args.seed + i)
                 if line is None:
                     print(f"FAILED: pair {i + 1}, {side} run")
                     return 1
                 results[side].append(line)
                 wall = line["metrics"].get("wall_s", {}).get("value")
-                print(f"pair {i + 1} {side}: wall_s {wall}", flush=True)
+                print(f"pair {i + 1} (seed {args.seed + i}) {side}: wall_s {wall}", flush=True)
     print(f"{args.workload}, {args.pairs} pairs, {args.ref} against this tree:")
     for line in summary(results["ref"], results["this"], spec):
         print(f"  {line}")

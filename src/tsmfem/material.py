@@ -13,7 +13,11 @@ strain/stress arrays shape (n, 6).  The laws accept strains in any memory
 order and return component-major stresses (the transpose of a C-ordered
 (6, n) array), so each elementwise pass runs along rows of n entries; the
 values do not depend on the order (``(E @ eps.T).T`` is the same dgemm as
-``eps @ E.T``).
+``eps @ E.T``, and ``_contract`` copies a Gauss-point-major operand into
+component-major order before it sums).  A step of either law allocates its
+results and nothing of full (n, 6) size beside them: the Voigt contractions
+form no product array, and each stress is scaled in the output of its 6x6
+product.
 """
 
 from __future__ import annotations
@@ -84,13 +88,20 @@ def characteristic_scales(params: MaterialParams) -> dict[str, float]:
     }
 
 
-def _dot6(a, b) -> np.ndarray:
-    """a : b over the last (Voigt) axis, added left to right: bitwise what
-    ``(a * b).sum(axis=-1)`` gives for 6 terms, without numpy's generic
-    reduction machinery, which costs about 3x as much per call on C-ordered
-    (n, 6) arrays (on the engine's component-major ones it is the faster)."""
-    p = a * b
-    return ((((p[..., 0] + p[..., 1]) + p[..., 2]) + p[..., 3]) + p[..., 4]) + p[..., 5]
+def _contract(a, b) -> np.ndarray:
+    """a : b over the Voigt axis of two (n, 6) arrays in one pass:
+    ((((0 + a0 b0) + a1 b1) + ...) + a5 b5) per point, the sum numpy's
+    add reduction of the products gives, without forming an (n, 6) array
+    of products.
+
+    Both operands are brought into component-major (6, n) C order first (a
+    copy only of a Gauss-point-major one), where numpy's einsum adds the
+    six rows into the result one after another.  It would sum a single
+    point's six products with SIMD partial sums instead, so one point is
+    contracted as two equal points."""
+    if len(a) == 1:
+        return _contract(np.repeat(a, 2, axis=0), np.repeat(b, 2, axis=0))[:1]
+    return np.einsum("ij,ij->j", np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
 
 
 def _elastic(E, eps) -> np.ndarray:
@@ -104,19 +115,19 @@ def free_energy(eps: np.ndarray, E0: np.ndarray) -> np.ndarray:
     ``eps`` may be a single 6-vector or an (n, 6) batch.
     """
     eps = np.asarray(eps)
-    return 0.5 * _dot6(eps, eps @ E0.T)
+    points = eps.reshape(-1, 6)
+    return 0.5 * _contract(points, points @ E0.T).reshape(eps.shape[:-1])
 
 
 def _law_products(E, d, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(-d), E : eps and eps : E : eps (twice the strain energy) of one
-    state, the products both laws read; the Voigt reduction adds the same
-    terms in the same order as ``_dot6``, and on the engine's
-    component-major strains takes less time."""
+    """exp(-d), E : eps (component-major) and eps : E : eps (twice the
+    strain energy) of one state, the products both laws read; the energy is
+    ``_contract``'s one-pass sum."""
     eps = np.asarray(eps)
     expd = np.negative(d)
     np.exp(expd, out=expd)
     s = _elastic(E, eps)
-    return expd, s, np.add.reduce(eps * s, axis=-1)
+    return expd, s, _contract(eps, s)
 
 
 class Order0Law:
@@ -125,6 +136,14 @@ class Order0Law:
     d + dt * exp(-d) * Psi(eps) / eta, which never decreases d, formed as
     d + (0.5 * dt / eta) * (exp(-d) * eps : E : eps).  The two calls of a
     step share exp(-d), E : eps and eps : E : eps (``products``).
+
+    Who holds which array: the step's E : eps is scaled in place into the
+    stress the first time ``stress`` is called, unless ``products`` handed
+    it out before; then, and on a second ``stress`` call, the stress is
+    formed in a new array.  Once the stress has consumed E : eps,
+    ``products`` forms it again, with the same 6x6 product and so the same
+    bits.  So an array ``products`` returned is never written, and the
+    caller owns each stress.
     """
 
     def __init__(self, E: np.ndarray, eta: float, dt: float):
@@ -138,17 +157,30 @@ class Order0Law:
         if step != self._step:
             self._expd, self._s, self._energy2 = _law_products(self.E, d, eps)
             self._step = step
+            self._s_held = False  # whether products() handed out self._s
 
     def products(self, d, eps, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exp(-d), E : eps, eps : E : eps) of the state (d, eps) of
         ``step``, formed once per step and never changed afterwards: what
         ``Order1Law.hold`` reads."""
         self._prep(d, eps, step)
+        if self._s is None:  # the stress scaled it
+            self._s = _elastic(self.E, eps)
+        self._s_held = True
         return self._expd, self._s, self._energy2
 
     def stress(self, d, eps, step):
+        """exp(-d) * E : eps, scaled in the array that holds E : eps when no
+        one else holds it (see the class docstring)."""
         self._prep(d, eps, step)
-        return (self._expd * self._s.T).T
+        s = self._s
+        if s is None or self._s_held:
+            s = _elastic(self.E, eps)
+        else:
+            self._s = None
+        rows = s.T  # (6, n), C-ordered
+        rows *= self._expd
+        return s
 
     def damage(self, d, eps, step):
         """d + (0.5 * dt / eta) * (exp(-d) * eps : E : eps), into a new
@@ -164,10 +196,12 @@ class Order1Law:
     """Order-1 law: the exact xi-derivative of ``Order0Law`` with stiffness
     (1 + xi) * E0 at xi = 0, for the order-0 state ``hold(eps0, d0)`` caches.
 
-        sigma1 = exp(-d0) * [ (1 - d1) * E0 : eps0 + E0 : eps1 ]
+        sigma1 = exp(-d0) * [ E0 : eps1 + (1 - d1) * E0 : eps0 ]
         d1'    = exp(-d0) / eta * [ (1 - d1) * Psi0(eps0) + eps1 : E0 : eps0 ]
 
     (The cross term carries no 1/2: d/dxi of the quadratic form doubles it.)
+    The stress is formed in the output of its 6x6 product; (1 - d1) * E0 :
+    eps0 goes through a scratch array the law keeps between steps.
     """
 
     def __init__(self, E0: np.ndarray, eta: float, dt: float):
@@ -176,12 +210,13 @@ class Order1Law:
         self.dt = dt
         self.expd0 = self.s0 = self.psi0 = None
         self._d1 = self._omd1 = None
+        self._scratch = np.empty((6, 0))
 
     def hold(self, eps0, d0, products=None) -> "Order1Law":
         """Hold the order-0 state (eps0, d0).  ``products``, when given, is
         ``Order0Law.products`` of that state at the stiffness E0, whose
-        arrays are held as they are; otherwise the same operations form
-        them here, so either way the bits are the same."""
+        arrays are held as they are and only read; otherwise the same
+        operations form them here, so either way the bits are the same."""
         if products is None:
             products = _law_products(self.E0, d0, eps0)
         self.expd0, self.s0, energy2 = products
@@ -198,14 +233,17 @@ class Order1Law:
         return self._omd1
 
     def stress(self, d1, eps1):
-        s = self._one_minus(d1) * self.s0.T
-        s += _elastic(self.E0, eps1).T
-        s *= self.expd0
-        return s.T
+        s = _elastic(self.E0, eps1)
+        rows = s.T  # (6, n), C-ordered
+        if self._scratch.shape != rows.shape:
+            self._scratch = np.empty_like(rows)
+        rows += np.multiply(self._one_minus(d1), self.s0.T, out=self._scratch)
+        rows *= self.expd0
+        return s
 
     def rate(self, d1, eps1):
         r = self._one_minus(d1) * self.psi0
-        r += np.add.reduce(np.asarray(eps1) * self.s0, axis=-1)  # as _law_products
+        r += _contract(np.asarray(eps1), self.s0)
         r *= self._expd0_eta
         return r
 

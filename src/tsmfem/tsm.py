@@ -128,10 +128,12 @@ class InMemoryExchange:
     """The in-memory exchange stream: a one-record mailbox from order 0 to
     order 1 in lockstep.  ``hook``, order 0's exchange hook, posts the live
     strain and damage of every K-th step without a copy, and order 1 takes
-    the record in the same step.  (Order 0's update makes new arrays, so
-    the posted ones stay intact.)  ``products``, when given, is order 0's
+    the record in the same step.  (Order 0's update makes new arrays, and
+    its law never writes an array its ``products`` handed out, so the
+    posted ones stay intact.)  ``products``, when given, is order 0's
     ``Order0Law.products``: each record then carries the law products
-    order 0 formed for its state, so order 1's hold forms none."""
+    order 0 formed for its state, so order 1's hold forms none.  Order 1
+    holds a record's arrays until the next record and only reads them."""
 
     def __init__(self, exchange_interval: int, products=None):
         self.K = exchange_interval

@@ -16,9 +16,9 @@ from scipy.integrate import solve_ivp
 
 from tsmfem.material import (
     MaterialParams,
-    _dot6,
     Order0Law,
     Order1Law,
+    _contract,
     characteristic_scales,
     free_energy,
     stiffness_voigt,
@@ -109,21 +109,85 @@ def test_free_energy_nonnegative(eps):
     assert free_energy(eps, stiffness_voigt(LAM, MU)) >= 0.0
 
 
-voigt_shapes = st.one_of(st.just((6,)), st.integers(1, 40).map(lambda n: (n, 6)))
+def dot6(a, b):
+    """a : b over the last (Voigt) axis, the reference the laws' one-pass
+    contraction is checked against: the six products added left to right,
+    starting from +0.0 as ``np.add.reduce`` does (so a point whose six
+    products are all -0.0 sums to +0.0)."""
+    p = np.asarray(a) * np.asarray(b)
+    return (((((0.0 + p[..., 0]) + p[..., 1]) + p[..., 2]) + p[..., 3]) + p[..., 4]) + p[..., 5]
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bit patterns, signbits of zeros included."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+voigt_shapes = st.integers(1, 40).map(lambda n: (n, 6))
 voigt_entries = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+def _memory_orders(a):
+    """``a`` as drawn (Gauss-point-major) and component-major."""
+    return (a, np.ascontiguousarray(a.T).T)
 
 
 @given(shape=voigt_shapes, data=st.data())
 def test_voigt_contraction_is_bitwise_the_numpy_sum(shape, data):
-    """The unrolled contraction the laws use adds the six products in the
-    order numpy's ``sum(axis=-1)`` does; this fails if numpy changes its
-    reduction order for short rows."""
+    """The laws' contraction adds the six products in the reference order,
+    which is numpy's ``sum(axis=-1)``'s, for any number of points, one
+    included, in either memory order; this fails if numpy's einsum
+    reorders or fuses the sum."""
     a, b = (data.draw(hnp.arrays(np.float64, shape, elements=voigt_entries))
             for _ in range(2))
-    ref = (a * b).sum(axis=-1)
-    got = _dot6(a, b)
-    assert got.shape == ref.shape
-    assert np.array_equal(got, ref)
+    ref = dot6(a, b)
+    assert np.array_equal(ref, (a * b).sum(axis=-1))
+    for x in _memory_orders(a):
+        for y in _memory_orders(b):
+            assert _same_bits(_contract(x, y), ref)
+
+
+def test_voigt_contraction_of_one_point_is_the_reference():
+    """One point at a time, over products of mixed magnitudes whose sum
+    depends on the order of addition, the contraction is the reference."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((200, 6)) * 10.0 ** rng.integers(-5, 6, (200, 6))
+    b = rng.standard_normal((200, 6))
+    for i in range(200):
+        assert _same_bits(_contract(a[i:i + 1], b[i:i + 1]), dot6(a[i:i + 1], b[i:i + 1])), i
+
+
+def _signed_zero_and_subnormal_rows(n, rng):
+    """(n, 6) operands with whole Voigt components of +0.0, of -0.0 and of
+    subnormals next to normal ones; every 7th point has six products of
+    -0.0, and the points 3 past those have subnormal products only."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    a, b = rng.standard_normal((2, n, 6)) * 1e-3
+    a[:, 1], b[:, 2] = 0.0, -0.0
+    a[:, 3] = tiny * rng.integers(-64, 64, n)
+    b[:, 4] = tiny * rng.integers(1, 8, n)
+    a[::7], b[::7] = -0.0, 1.0 + rng.random((len(b[::7]), 6))
+    a[3::7] = rng.integers(-3, 4, (len(a[3::7]), 6))
+    b[3::7] = tiny * rng.integers(-5, 6, (len(b[3::7]), 6))
+    return a, b
+
+
+@pytest.mark.parametrize("n", [4752, 5168])
+def test_voigt_contraction_keeps_signed_zeros_and_subnormals(n):
+    """At the desk meshes' Gauss-point counts, the contraction equals the
+    reference bit for bit, signbits of zeros included, on rows of +-0.0 and
+    of subnormals, for component-major and Gauss-point-major operands."""
+    a, b = _signed_zero_and_subnormal_rows(n, np.random.default_rng(n))
+    p = a * b
+    assert (p[::7] == 0.0).all() and np.signbit(p[::7]).all()
+    ref = dot6(a, b)
+    assert (ref[::7] == 0.0).all() and not np.signbit(ref[::7]).any()
+    subnormal = ref[3::7][ref[3::7] != 0.0]
+    assert subnormal.size > n // 8 and (np.abs(subnormal) < np.finfo(np.float64).tiny).all()
+    for x in _memory_orders(a):
+        for y in _memory_orders(b):
+            assert _same_bits(_contract(x, y), ref)
 
 
 def test_free_energy_of_one_vector_is_a_scalar():
@@ -132,6 +196,7 @@ def test_free_energy_of_one_vector_is_a_scalar():
     psi = free_energy(eps, E)
     assert np.ndim(psi) == 0
     assert psi == free_energy(eps[None, :], E)[0]
+    assert _same_bits(psi, 0.5 * dot6(eps, eps @ E.T))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +426,7 @@ def _check_order0_bits(E, d, eps, eta=1e3, dt=1e-6):
     same dgemm as eps @ E.T.  The stress comes out component-major."""
     s = eps @ E.T
     stress = np.exp(-d)[:, None] * s
-    damage = d + (0.5 * dt / eta) * (np.exp(-d) * _dot6(eps, s))
+    damage = d + (0.5 * dt / eta) * (np.exp(-d) * dot6(eps, s))
     for e in (eps, np.asfortranarray(eps)):
         law = Order0Law(E, eta, dt)
         out = law.stress(d, e, 0)
@@ -374,7 +439,7 @@ def _check_order1_bits(E0, d0, d1, eps0, eps1, eta=1e3, dt=1e-6):
     s0, s1 = eps0 @ E0.T, eps1 @ E0.T
     expd0 = np.exp(-d0)
     stress = expd0[:, None] * ((1.0 - d1)[:, None] * s0 + s1)
-    rate = expd0 / eta * ((1.0 - d1) * (0.5 * _dot6(eps0, s0)) + _dot6(eps1, s0))
+    rate = expd0 / eta * ((1.0 - d1) * (0.5 * dot6(eps0, s0)) + dot6(eps1, s0))
     damage = d1 + dt * rate
     for e0 in (eps0, np.asfortranarray(eps0)):
         for e1 in (eps1, np.asfortranarray(eps1)):
@@ -396,6 +461,57 @@ def test_order0_law_same_bits_for_c_and_f_order(inputs):
 @settings(max_examples=60, deadline=None)
 def test_order1_law_same_bits_for_c_and_f_order(inputs):
     _check_order1_bits(*inputs)
+
+
+def _desk_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return stiffness_voigt(LAM, MU) * 1.15, rng.random(n) * 3.0, rng.standard_normal((n, 6)) * 1e-3
+
+
+@pytest.mark.parametrize("layout", ["gauss_point_major", "component_major"])
+@pytest.mark.parametrize("products_first", [True, False])
+def test_order0_products_are_never_written(products_first, layout):
+    """Every array ``Order0Law.products`` returned keeps its bits through
+    the step's stress and damage calls, whichever of products and stress
+    comes first, and through the next step's; they are the products formed
+    from scratch, and each stress is the formula's."""
+    E, d, eps = _desk_state(4752, 1)
+    if layout == "component_major":
+        eps = np.ascontiguousarray(eps.T).T
+    s = (E @ eps.T).T
+    sigma = (np.exp(-d) * (E @ eps.T)).T
+    law = Order0Law(E, 1e3, 1e-6)
+    if products_first:
+        products = law.products(d, eps, 0)
+        stresses = [law.stress(d, eps, 0)]
+    else:
+        stresses = [law.stress(d, eps, 0)]
+        products = law.products(d, eps, 0)
+    kept = [a.copy() for a in products]
+    stresses.append(law.stress(d, eps, 0))
+    law.damage(d, eps, 0)
+    assert all(a is b for a, b in zip(law.products(d, eps, 0), products))
+    _, d_next, eps_next = _desk_state(4752, 2)
+    law.stress(d_next, eps_next, 1)
+    law.damage(d_next, eps_next, 1)
+    for a, b in zip(products, kept):
+        assert _same_bits(a, b)
+    for a, b in zip(products, (np.exp(-d), s, dot6(eps, s))):
+        assert _same_bits(a, b)
+    for a in stresses:
+        assert _same_bits(a, sigma)
+        assert not any(np.shares_memory(a, b) for b in products)
+
+
+def test_order0_repeated_stress_is_the_formula():
+    """A second stress call in one step forms its own array, with the same
+    bits as the first: exp(-d) * (E @ eps.T).T."""
+    E, d, eps = _desk_state(5168, 3)
+    law = Order0Law(E, 1e3, 1e-6)
+    first, second = law.stress(d, eps, 0), law.stress(d, eps, 0)
+    sigma = (np.exp(-d) * (E @ eps.T)).T
+    assert _same_bits(first, sigma) and _same_bits(second, sigma)
+    assert not np.shares_memory(first, second)
 
 
 @pytest.mark.parametrize("n", [4752, 5168])

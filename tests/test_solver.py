@@ -10,7 +10,7 @@ import pytest
 
 from tsmfem import hexa
 from tsmfem.config import load_config
-from tsmfem.material import MaterialParams, Order0Law, _dot6
+from tsmfem.material import MaterialParams, Order0Law
 from tsmfem.mesh import DirichletRamp, LoadCase, Mesh, _structured_box, generate_plate_with_hole
 from tsmfem.montecarlo import XiDistribution, run_mc
 from tsmfem.solver import (
@@ -29,6 +29,8 @@ from tsmfem.solver import (
     to_public_order,
 )
 from tsmfem.tsm import FirstOrderKernels, InMemoryExchange, Problem, TsmConfig
+
+from test_material import dot6
 
 PARAMS = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e9)
 RIGID = MaterialParams(lam=1.0e9, mu=0.8e9, rho=1000.0, eta=1e30)  # damage off
@@ -692,7 +694,7 @@ def test_step_is_bitwise_the_formulas(product):
         return np.exp(-d)[:, None] * (E0 @ eps.T).T
 
     def damage0(d, eps):
-        return d + (0.5 * dt / eta) * (np.exp(-d) * _dot6(eps, (E0 @ eps.T).T))
+        return d + (0.5 * dt / eta) * (np.exp(-d) * dot6(eps, (E0 @ eps.T).T))
 
     held = {}
 
@@ -702,8 +704,8 @@ def test_step_is_bitwise_the_formulas(product):
 
     def damage1(d1, eps1):
         s0 = (E0 @ held["eps"].T).T
-        psi0 = 0.5 * _dot6(held["eps"], s0)
-        rate = np.exp(-held["d"]) / eta * ((1.0 - d1) * psi0 + _dot6(eps1, s0))
+        psi0 = 0.5 * dot6(held["eps"], s0)
+        rate = np.exp(-held["d"]) / eta * ((1.0 - d1) * psi0 + dot6(eps1, s0))
         return d1 + dt * rate
 
     refs = [_ReferenceStep(p.mesh, loads, p.params.rho, dt, stress0, damage0, 1.0, alpha, quad),
@@ -1025,6 +1027,34 @@ def test_engine_set_up_follows_the_mesh_and_the_output_not_the_step_count():
         tracemalloc.stop()
     assert engine.n_steps == 714921
     assert peak <= engine._forces.nbytes + engine.history.force_times.nbytes + 8e6
+
+
+def test_order0_step_allocates_under_three_gauss_point_arrays():
+    """After warm-up, a step of order 0 on double_notch_desk, reactions
+    recorded, peaks less than three (6, ngp) float arrays above where it
+    started: the strains, the stress scaled in place in the law's E : eps,
+    the element forces (half an array) and arrays of one row each.  A law
+    that forms an (ngp, 6) product array and a fresh stress each step
+    peaks at about 3.34."""
+    c = load_config(overrides={"problem": {"preset": "double_notch_desk"}})
+    p = c.problem
+    kern = deterministic_kernels(p.params, 0.0, c.dt)
+    eng = ExplicitEngine(p.mesh, p.loads, p.params.rho, c.dt, [], kern.stress, kern.damage,
+                         mass_damping=p.mass_damping)
+    full = 6 * eng.quad.n_gauss * 8
+    peaks = []
+    tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+    try:
+        for n in range(8):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            eng.step()
+            if n >= 4:
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert eng._force_stride == 1
+    assert max(peaks) < 3 * full, max(peaks) / full
 
 
 def test_xi_runs_bracket_damage():
