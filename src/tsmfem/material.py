@@ -1,6 +1,8 @@
 """Isotropic elasticity and the viscous damage law.  ``Order0Law`` and its
 exact first-order sensitivity ``Order1Law`` are the only code that evaluates
-the law; simulations call them every step.
+the law; simulations call them every step.  Each law forms its own products
+of the state it reads: order 1 receives only order 0's strain and damage
+(``Order1Law.hold``), whichever way they are exchanged.
 
 Conventions
 -----------
@@ -135,14 +137,10 @@ class Order0Law:
     stress exp(-d) * E : eps and the forward-Euler damage step
     d + dt * exp(-d) * Psi(eps) / eta, which never decreases d, formed as
     d + (0.5 * dt / eta) * (exp(-d) * eps : E : eps).  The two calls of a
-    step share exp(-d), E : eps and eps : E : eps (``products``).
+    step share exp(-d), E : eps and eps : E : eps, formed once per step.
 
-    Who holds which array: the step's E : eps is scaled in place into the
-    stress the first time ``stress`` is called, unless ``products`` handed
-    it out before; then, and on a second ``stress`` call, the stress is
-    formed in a new array.  Once the stress has consumed E : eps,
-    ``products`` forms it again, with the same 6x6 product and so the same
-    bits.  So an array ``products`` returned is never written, and the
+    The first ``stress`` of a step scales that step's E : eps in place into
+    the stress; a second one in the same step forms E : eps again.  So the
     caller owns each stress.
     """
 
@@ -157,27 +155,14 @@ class Order0Law:
         if step != self._step:
             self._expd, self._s, self._energy2 = _law_products(self.E, d, eps)
             self._step = step
-            self._s_held = False  # whether products() handed out self._s
-
-    def products(self, d, eps, step) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(exp(-d), E : eps, eps : E : eps) of the state (d, eps) of
-        ``step``, formed once per step and never changed afterwards: what
-        ``Order1Law.hold`` reads."""
-        self._prep(d, eps, step)
-        if self._s is None:  # the stress scaled it
-            self._s = _elastic(self.E, eps)
-        self._s_held = True
-        return self._expd, self._s, self._energy2
 
     def stress(self, d, eps, step):
-        """exp(-d) * E : eps, scaled in the array that holds E : eps when no
-        one else holds it (see the class docstring)."""
+        """exp(-d) * E : eps, scaled in the array that holds the step's
+        E : eps, or in a new one once the step's stress has consumed it."""
         self._prep(d, eps, step)
-        s = self._s
-        if s is None or self._s_held:
+        s, self._s = self._s, None
+        if s is None:
             s = _elastic(self.E, eps)
-        else:
-            self._s = None
         rows = s.T  # (6, n), C-ordered
         rows *= self._expd
         return s
@@ -200,8 +185,10 @@ class Order1Law:
         d1'    = exp(-d0) / eta * [ (1 - d1) * Psi0(eps0) + eps1 : E0 : eps0 ]
 
     (The cross term carries no 1/2: d/dxi of the quadratic form doubles it.)
-    The stress is formed in the output of its 6x6 product; (1 - d1) * E0 :
-    eps0 goes through a scratch array the law keeps between steps.
+    ``hold`` forms exp(-d0), E0 : eps0 and Psi0 from the strain and damage
+    alone, as one order-0 step would, and the law owns those arrays.  The
+    stress is formed in the output of its 6x6 product; (1 - d1) * E0 : eps0
+    goes through a scratch array the law keeps between steps.
     """
 
     def __init__(self, E0: np.ndarray, eta: float, dt: float):
@@ -212,16 +199,13 @@ class Order1Law:
         self._d1 = self._omd1 = None
         self._scratch = np.empty((6, 0))
 
-    def hold(self, eps0, d0, products=None) -> "Order1Law":
-        """Hold the order-0 state (eps0, d0).  ``products``, when given, is
-        ``Order0Law.products`` of that state at the stiffness E0, whose
-        arrays are held as they are and only read; otherwise the same
-        operations form them here, so either way the bits are the same."""
-        if products is None:
-            products = _law_products(self.E0, d0, eps0)
-        self.expd0, self.s0, energy2 = products
+    def hold(self, eps0, d0) -> "Order1Law":
+        """Hold the order-0 state (eps0, d0): form and keep exp(-d0),
+        E0 : eps0 and Psi0(eps0), read by every step until the next hold."""
+        self.expd0, self.s0, psi0 = _law_products(self.E0, d0, eps0)
         self._expd0_eta = self.expd0 / self.eta
-        self.psi0 = 0.5 * energy2
+        psi0 *= 0.5
+        self.psi0 = psi0
         return self
 
     def _one_minus(self, d1) -> np.ndarray:

@@ -430,7 +430,8 @@ def load_mesh(path) -> Mesh:
                 raise MeshFormatError(f"line {lineno}: expected '<name> <count> ids...'")
             name, (n,) = parts[0], _ints(parts[1:2], lineno, f"count of '{parts[0]}'")
             if len(parts) != 2 + n:
-                raise MeshFormatError(f"line {lineno}: '{name}' lists {len(parts) - 2} ids, header says {n}")
+                raise MeshFormatError(f"line {lineno}: '{name}' lists {len(parts) - 2} ids, "
+                                      f"header says {n}")
             out[name] = np.asarray(_ints(parts[2:], lineno, f"id in '{name}'"), dtype=np.int64)
         return out
 

@@ -34,10 +34,11 @@ from the mesh:
 records it.  ``ElementQuadrature.build`` validates the mesh, so a
 simulation validates it once per quadrature.  Stress and damage laws enter
 as per-Gauss-point callbacks, so the deterministic and the first-order
-(sensitivity) problems share one integrator, ``ExplicitEngine``: one object per simulation that holds the
-state, records the history and times itself, driven one ``step()`` at a
-time by ``run_engines``, the one integrator loop, for one simulation
-(``run_with_kernels``) or two in lockstep (``tsm.run_tsm``).
+(sensitivity) problems share one integrator, ``ExplicitEngine``: one object
+per simulation that holds the state, records the history and times itself,
+driven one ``step()`` at a time by ``run_engines``, the one integrator
+loop, for one simulation (``run_with_kernels``) or two in lockstep
+(``tsm.run_tsm``).
 
 Memory layout: Gauss-point strains and stresses are (ngp, 6) arrays stored
 component-major, i.e. as the transpose of a C-ordered (6, ngp) array, so

@@ -19,8 +19,9 @@ reads each record once it is announced, after checking its CRC
 (``run_order1``, ``ExchangeFileReader``).  In-memory mode advances both
 orders in lockstep, one ``ExplicitEngine`` step each, and order 0's live
 state reaches order 1 through a one-record mailbox (``InMemoryExchange``),
-so nothing is copied and memory is O(1) in K.  Both modes give bitwise
-equal results.
+so nothing is copied and memory is O(1) in K.  In both modes order 1
+reads only order 0's strain and damage and forms its own law products from
+them (``Order1Law.hold``), so both modes give bitwise equal results.
 
 Exchange file, format version 4 (little-endian): a 24-byte header (magic
 ``TSMX``, u32 version, u64 Gauss-point count, u64 K); then one record per
@@ -120,30 +121,23 @@ class ExchangeRecord:
     time: float
     eps: np.ndarray  # (ngp, 6) order-0 strain
     d: np.ndarray  # (ngp,) order-0 damage
-    # order 0's law products of (eps, d), ``Order0Law.products``; None in a file
-    products: tuple | None = None
 
 
 class InMemoryExchange:
     """The in-memory exchange stream: a one-record mailbox from order 0 to
     order 1 in lockstep.  ``hook``, order 0's exchange hook, posts the live
     strain and damage of every K-th step without a copy, and order 1 takes
-    the record in the same step.  (Order 0's update makes new arrays, and
-    its law never writes an array its ``products`` handed out, so the
-    posted ones stay intact.)  ``products``, when given, is order 0's
-    ``Order0Law.products``: each record then carries the law products
-    order 0 formed for its state, so order 1's hold forms none.  Order 1
-    holds a record's arrays until the next record and only reads them."""
+    the record in the same step.  (Order 0's update makes new arrays, so
+    the posted ones stay intact.)  Order 1 holds a record's arrays until
+    the next record and only reads them, as it reads a file's."""
 
-    def __init__(self, exchange_interval: int, products=None):
+    def __init__(self, exchange_interval: int):
         self.K = exchange_interval
-        self._products = products
         self._record = None
 
     def hook(self, step, time, eps, d):
         if step % self.K == 0:
-            products = None if self._products is None else self._products(d, eps, step)
-            self._record = ExchangeRecord(step, time, eps, d, products)
+            self._record = ExchangeRecord(step, time, eps, d)
 
     def __iter__(self):
         return self
@@ -383,7 +377,7 @@ class FirstOrderKernels:
                 found = "none" if rec is None else f"step {rec.step}"
                 raise ExchangeFormatError(f"step {step} needs its exchange record, "
                                           f"found {found}")
-            self.law.hold(rec.eps, rec.d, rec.products)
+            self.law.hold(rec.eps, rec.d)
         return self.law.stress(d1, eps1)
 
     def damage(self, d1, eps1, step):
@@ -553,12 +547,16 @@ class _Order1Process:
             raise
 
     def announce(self, n: int) -> None:
+        """Send ``n``, first raising the child's failure if it has sent one.
+        Polling before the send means the failure raised is never one the
+        child met on record n, so it cannot displace an order-0 error that
+        order 0 raises right after announcing record n."""
+        if n != _SEALED and self._conn.poll():  # before the seal, only a failure
+            self.result()
         try:
             self._conn.send(n)
         except ConnectionError:  # the child has ended; what it sent says why
             pass
-        if n != _SEALED and self._conn.poll():  # before the seal, only a failure
-            self.result()
 
     def result(self):
         try:
@@ -639,14 +637,14 @@ def _run_lockstep(problem: Problem, K: int, dt: float, output_times,
     """Order 0 and order 1 advanced in one loop; returns both histories.
 
     At step n, order 0 steps first and its exchange hook posts its strain
-    and damage, with the law products order 0 formed for them, to an
-    ``InMemoryExchange`` when n % K == 0; then order 1 steps and holds
-    them.  Each engine times its own set-up, steps and finish, so the hold
-    counts as order 1's time.
+    and damage to an ``InMemoryExchange`` when n % K == 0; then order 1
+    steps, holds them and forms its law products from them, as it does
+    from a file record.  Each engine times its own set-up, steps and
+    finish, so the hold counts as order 1's time.
     """
     p = problem
     kern0 = deterministic_kernels(p.params, 0.0, dt)
-    mailbox = InMemoryExchange(K, products=kern0.products)
+    mailbox = InMemoryExchange(K)
     kern1 = FirstOrderKernels(p.params.stiffness, p.params.eta, dt, mailbox)
     e0 = ExplicitEngine(p.mesh, p.loads, p.params.rho, dt, output_times,
                         kern0.stress, kern0.damage, quad=quad, force_stride=force_stride,

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used, no
 module reaches into another module's private (single-underscore) names, and
-no public function or class exists only for the tests to call, and every
-exception class survives a pickle round trip.
+no public function or class exists only for the tests to call, every
+exception class survives a pickle round trip, and no source line is longer
+than 100 characters.
 
 ``__init__.py`` is exempt from the import check because its imports are the
 package's re-exports.
@@ -44,6 +45,12 @@ def test_no_unused_module_imports(path):
     unused = sorted(f"{name} (line {line})"
                     for name, line in _imported_names(tree).items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_line_over_100_characters():
+    long = [f"{path.name}:{i}" for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert not long, f"lines over 100 characters: {long}"
 
 
 def _is_private(name: str) -> bool:

@@ -468,41 +468,6 @@ def _desk_state(n, seed):
     return stiffness_voigt(LAM, MU) * 1.15, rng.random(n) * 3.0, rng.standard_normal((n, 6)) * 1e-3
 
 
-@pytest.mark.parametrize("layout", ["gauss_point_major", "component_major"])
-@pytest.mark.parametrize("products_first", [True, False])
-def test_order0_products_are_never_written(products_first, layout):
-    """Every array ``Order0Law.products`` returned keeps its bits through
-    the step's stress and damage calls, whichever of products and stress
-    comes first, and through the next step's; they are the products formed
-    from scratch, and each stress is the formula's."""
-    E, d, eps = _desk_state(4752, 1)
-    if layout == "component_major":
-        eps = np.ascontiguousarray(eps.T).T
-    s = (E @ eps.T).T
-    sigma = (np.exp(-d) * (E @ eps.T)).T
-    law = Order0Law(E, 1e3, 1e-6)
-    if products_first:
-        products = law.products(d, eps, 0)
-        stresses = [law.stress(d, eps, 0)]
-    else:
-        stresses = [law.stress(d, eps, 0)]
-        products = law.products(d, eps, 0)
-    kept = [a.copy() for a in products]
-    stresses.append(law.stress(d, eps, 0))
-    law.damage(d, eps, 0)
-    assert all(a is b for a, b in zip(law.products(d, eps, 0), products))
-    _, d_next, eps_next = _desk_state(4752, 2)
-    law.stress(d_next, eps_next, 1)
-    law.damage(d_next, eps_next, 1)
-    for a, b in zip(products, kept):
-        assert _same_bits(a, b)
-    for a, b in zip(products, (np.exp(-d), s, dot6(eps, s))):
-        assert _same_bits(a, b)
-    for a in stresses:
-        assert _same_bits(a, sigma)
-        assert not any(np.shares_memory(a, b) for b in products)
-
-
 def test_order0_repeated_stress_is_the_formula():
     """A second stress call in one step forms its own array, with the same
     bits as the first: exp(-d) * (E @ eps.T).T."""

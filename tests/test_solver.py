@@ -661,12 +661,14 @@ def _recorded(fn, log):
 @pytest.mark.parametrize("product", ["element_gemm", "csr"])
 def test_step_is_bitwise_the_formulas(product):
     """Order 0 with mass damping, an exchange hook and reactions at every
-    step, and order 1 fed through ``FirstOrderKernels`` every 3rd step with
-    the law products order 0 formed (``Order0Law.products``), run
-    in lockstep on plate_coarse_desk (one element shape: element gemm
-    products) and on its copy with one node moved (CSR products), with
-    ramps that end at step 20 and a body force: u, v, d, sigma and the
-    reactions equal ``_ReferenceStep`` bit for bit at each of 50 steps."""
+    step, and order 1 fed through ``FirstOrderKernels`` and a plain
+    ``InMemoryExchange`` every K-th step, K = 1 and 3, run in lockstep on
+    plate_coarse_desk (one element shape: element gemm products) and on
+    its copy with one node moved (CSR products), with ramps that end at
+    step 20 and a body force: u, v, d, sigma and the reactions equal
+    ``_ReferenceStep`` bit for bit at each of 50 steps.  At K = 1 order 0
+    scales its E : eps in place into the stress at every step while order
+    1 holds that step's strain."""
     c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
     p, dt = c.problem, c.dt
     if product == "csr":
@@ -675,11 +677,18 @@ def test_step_is_bitwise_the_formulas(product):
                     dirichlet=tuple(replace(r, ramp_end=20.5 * dt) for r in p.loads.dirichlet))
     quad = ElementQuadrature.build(p.mesh)
     assert quad.product == product
-    E0, eta, alpha, K = p.params.stiffness, p.params.eta, p.mass_damping, 3
+    for K in (1, 3):
+        _check_lockstep_step(p, loads, quad, dt, K)
+
+
+def _check_lockstep_step(p, loads, quad, dt, K):
+    """One lockstep run of ``test_step_is_bitwise_the_formulas`` at
+    exchange interval K."""
+    E0, eta, alpha = p.params.stiffness, p.params.eta, p.mass_damping
     assert alpha > 0.0
 
     kern0 = deterministic_kernels(p.params, 0.0, dt)
-    mailbox = InMemoryExchange(K, products=kern0.products)
+    mailbox = InMemoryExchange(K)
     kern1 = FirstOrderKernels(E0, eta, dt, mailbox)
     sig0, sig1 = [], []
     engines = [

@@ -574,6 +574,34 @@ def test_tsm_instability_names_the_order(monkeypatch, mode, order, start_method)
     assert not multiprocessing.active_children()
 
 
+def test_file_mode_names_order0_when_order1_could_fail_first(monkeypatch):
+    """Order 0 diverges at its step-64 scan, right after announcing the
+    record of step 63, from which order 1 would fail at its own step-64
+    scan.  However long the parent is descheduled around that announcement
+    (here 0.5 s, in the parent's poll for the child's failure), the error
+    is order 0's: the parent polls before it sends the record.  The parent
+    polls once per announcement: the header's, then one per record, so
+    the 65th poll is the announcement of the record of step 63."""
+    parent, polls = os.getpid(), []
+    poll = multiprocessing.connection.Connection.poll
+
+    def delayed(self, *args):
+        if os.getpid() == parent:
+            polls.append(None)
+            if len(polls) == 65:
+                time.sleep(0.5)
+        return poll(self, *args)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "poll", delayed)
+    problem = coarse_plate_problem(T=1000.0, eta=1e300)
+    config = TsmConfig(exchange_interval=1, exchange_mode="file")
+    with pytest.raises(InstabilityError) as err, np.errstate(over="ignore", invalid="ignore"):
+        run_tsm(problem, config, 1.0, [problem.loads.total_time])
+    assert len(polls) == 65
+    assert (err.value.step, err.value.xi, err.value.order) == (64, None, 0)
+    assert not multiprocessing.active_children()
+
+
 def test_file_mode_runs_order1_in_a_child_that_is_joined(tmp_path, monkeypatch):
     """File mode runs order 1 in a child process (its kernels never run in
     this one) and joins it before returning."""
