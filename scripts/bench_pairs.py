@@ -1,6 +1,6 @@
 """Paired benchmark runs of this tree against a git ref.
 
-    python3 scripts/bench_pairs.py --ref <git-ref> --workload <name> --pairs N
+    python3 scripts/bench_pairs.py --ref <git-ref> --workload <name|all> --pairs N
 
 extracts ``<git-ref>`` with ``git archive`` into a temporary directory,
 with ``scripts/bitwise.py``'s extraction, and runs ``bench/run.py --trace
@@ -20,9 +20,12 @@ better by the metric's ``better``) and a verdict:
   metric's relative ``bound``;
 * ``unresolved``: neither.
 
-It exits 1 if any run fails: a nonzero exit code, a result that is not
-``correct`` or a failed operation.  It writes nothing under ``bench/``;
-each tree's benchmark keeps its work files in that tree.
+``--workload all`` runs the pairs on each workload of ``BENCHMARK.json``
+in turn and prints one such table per workload.  A failed run (a nonzero
+exit code, a result that is not ``correct`` or a failed operation) ends
+its workload's pairs with no table; the other workloads still run, and
+the script exits 1.  It writes nothing under ``bench/``; each tree's
+benchmark keeps its work files in that tree.
 """
 
 from __future__ import annotations
@@ -90,32 +93,48 @@ def summary(ref: list[dict], new: list[dict], spec: list[dict]) -> list[str]:
     return out
 
 
+def _pairs(trees: dict, workload: str, n: int, seed: int) -> dict | None:
+    """Each side's result lines of ``n`` alternating pairs on ``workload``,
+    or None when a run failed."""
+    results = {"ref": [], "this": []}
+    for i in range(n):
+        for side in ("ref", "this") if i % 2 == 0 else ("this", "ref"):
+            line = _run(trees[side], workload, seed + i)
+            if line is None:
+                print(f"FAILED: {workload}, pair {i + 1}, {side} run")
+                return None
+            results[side].append(line)
+            wall = line["metrics"].get("wall_s", {}).get("value")
+            print(f"{workload} pair {i + 1} (seed {seed + i}) {side}: wall_s {wall}",
+                  flush=True)
+    return results
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--ref", required=True, help="git ref to compare this tree with")
-    ap.add_argument("--workload", required=True, help="a workload of bench/run.py")
+    ap.add_argument("--workload", required=True,
+                    help="a workload of bench/run.py, or all of BENCHMARK.json's")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1,
                     help="the input seed of the first pair; pair i runs on seed + i")
     args = ap.parse_args(argv)
-    spec = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
-    results = {"ref": [], "this": []}
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+                 else [args.workload])
+    failed = False
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"ref": Path(tmp) / "ref", "this": REPO}
         _extract(args.ref, trees["ref"])
-        for i in range(args.pairs):
-            for side in ("ref", "this") if i % 2 == 0 else ("this", "ref"):
-                line = _run(trees[side], args.workload, args.seed + i)
-                if line is None:
-                    print(f"FAILED: pair {i + 1}, {side} run")
-                    return 1
-                results[side].append(line)
-                wall = line["metrics"].get("wall_s", {}).get("value")
-                print(f"pair {i + 1} (seed {args.seed + i}) {side}: wall_s {wall}", flush=True)
-    print(f"{args.workload}, {args.pairs} pairs, {args.ref} against this tree:")
-    for line in summary(results["ref"], results["this"], spec):
-        print(f"  {line}")
-    return 0
+        for workload in workloads:
+            results = _pairs(trees, workload, args.pairs, args.seed)
+            if results is None:
+                failed = True
+                continue
+            print(f"{workload}, {args.pairs} pairs, {args.ref} against this tree:")
+            for line in summary(results["ref"], results["this"], bench["end_to_end"]):
+                print(f"  {line}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

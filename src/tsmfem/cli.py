@@ -111,27 +111,30 @@ def cmd_run_tsm(args) -> int:
     sol = run_tsm(cfg.problem, cfg.tsm, cfg.dt, cfg.snapshot_times,
                   exchange_path=exchange_path, force_stride=cfg.force_stride)
     t1 = _time.perf_counter()
-    _export_summary(outdir, cfg.problem.mesh, uq_summary(sol))
+    summary = uq_summary(sol)
+    # the scalars read below, so the solution can go before the export: the
+    # summary's means are order 0's own arrays, and the rest of both
+    # histories (displacements, order 1's fields) is freed
+    wall0, wall1, wait = sol.history0.wall_time, sol.history1.wall_time, sol.order1_wait
+    n_steps, product = sol.history0.n_steps, sol.history0.meta["product"]
+    rss1 = sol.order1_peak_rss_mb
+    del sol
+    _export_summary(outdir, cfg.problem.mesh, summary)
     t2 = _time.perf_counter()
     post = t2 - t1
     # total is cost, the two orders' engine times plus post-processing;
     # elapsed is the wall clock, shorter when the orders overlap
-    walls = {"order0": sol.history0.wall_time, "order1": sol.history1.wall_time,
-             "order1_wait": sol.order1_wait, "post": post,
-             "total": sol.history0.wall_time + sol.history1.wall_time + post,
-             "elapsed": t2 - t0}
+    walls = {"order0": wall0, "order1": wall1, "order1_wait": wait, "post": post,
+             "total": wall0 + wall1 + post, "elapsed": t2 - t0}
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),
                           command="run-tsm", wall_times=walls,
-                          extra={"kind": "tsm", "dt": cfg.dt,
-                                 "n_steps": sol.history0.n_steps,
+                          extra={"kind": "tsm", "dt": cfg.dt, "n_steps": n_steps,
                                  "exchange_interval": cfg.tsm.exchange_interval,
                                  "exchange_mode": cfg.tsm.exchange_mode,
-                                 "product": sol.history0.meta["product"],
-                                 "peak_rss_mb": {"parent": peak_rss_mb(),
-                                                 "order1": sol.order1_peak_rss_mb}})
-    print(f"tsm: 2 runs ({walls['order0']:.2f}s + {walls['order1']:.2f}s, "
-          f"order 1 waited {sol.order1_wait:.2f}s) + post {post:.2f}s, "
-          f"elapsed {walls['elapsed']:.2f}s -> {outdir}")
+                                 "product": product,
+                                 "peak_rss_mb": {"parent": peak_rss_mb(), "order1": rss1}})
+    print(f"tsm: 2 runs ({wall0:.2f}s + {wall1:.2f}s, order 1 waited {wait:.2f}s) "
+          f"+ post {post:.2f}s, elapsed {walls['elapsed']:.2f}s -> {outdir}")
     return 0
 
 

@@ -26,7 +26,7 @@ from .montecarlo import ComparisonReport, LineTable, element_average, sigma_norm
 from .solver import History
 from .tsm import UqSummary
 
-_BLOCK_ROWS = 4096  # rows of text formatted and written at a time
+_BLOCK_ROWS = 1024  # rows of text formatted and written at a time
 _G = "%.17g"  # a float's text, the same as f"{v:.17g}" gives
 
 

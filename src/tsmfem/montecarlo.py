@@ -194,9 +194,12 @@ def element_average(gp_field: np.ndarray) -> np.ndarray:
 
 def sigma_norm(sigma: np.ndarray) -> np.ndarray:
     """Frobenius norm of the stress tensor from its Voigt vector
-    (shear components enter twice)."""
-    w = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-    return np.sqrt((sigma**2 * w).sum(axis=-1))
+    (shear components enter twice).  The squares are weighted in place, in
+    one temporary of sigma's shape: the same bits as
+    ``np.sqrt((sigma**2 * w).sum(axis=-1))``."""
+    sq = np.square(sigma)
+    sq *= (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
+    return np.sqrt(sq.sum(axis=-1))
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -693,21 +693,35 @@ def uq_summary(solution: TsmSolution) -> UqSummary:
     deviations are sqrt(<xi^2>) (``solution.config.xi_second_moment``) times
     |first-order field| (first-order terms can be negative, e.g. the
     damage-function sensitivity -exp(-d0)*d1, so the absolute value keeps
-    Std nonnegative)."""
+    Std nonnegative).
+
+    The means alias ``solution.history0``: ``times``, ``d_mean``,
+    ``sigma_mean``, ``force_times`` and ``force_mean`` are its own arrays,
+    not copies, so the summary adds only <f> and the Std fields to what
+    the solution holds.  Nothing is written into the solution; each Std
+    field is one new array, |field| scaled in place (the same bits as
+    ``s * np.abs(field)``)."""
     xi2 = solution.config.xi_second_moment
     s = float(np.sqrt(xi2))
     h0, h1 = solution.history0, solution.history1
     f_mean = np.exp(-h0.d)
-    f1 = -f_mean * h1.d  # chain rule on f = exp(-d)
+    minus_f1 = np.multiply(f_mean, h1.d)  # f1 = -f0 * d1: the chain rule on f = exp(-d)
     name = loaded_set_name(h0)
+
+    def std(first_order, out=None):
+        """s |first_order|, formed in ``out`` or in one new array."""
+        out = np.abs(first_order, out=out)
+        out *= s
+        return out
+
     return UqSummary(
-        times=h0.times.copy(),
-        d_mean=h0.d.copy(), d_std=s * np.abs(h1.d),
-        f_mean=f_mean, f_std=s * np.abs(f1),
-        sigma_mean=h0.sigma.copy(), sigma_std=s * np.abs(h1.sigma),
-        force_times=h0.force_times.copy(),
-        force_mean=h0.forces[name].copy(),
-        force_std=s * np.abs(h1.forces[name]),
+        times=h0.times,
+        d_mean=h0.d, d_std=std(h1.d),
+        f_mean=f_mean, f_std=std(minus_f1, out=minus_f1),
+        sigma_mean=h0.sigma, sigma_std=std(h1.sigma),
+        force_times=h0.force_times,
+        force_mean=h0.forces[name],
+        force_std=std(h1.forces[name]),
         force_set=name,
         meta={"method": "tsm", "xi_second_moment": xi2,
               "wall_order0": h0.wall_time, "wall_order1": h1.wall_time},

@@ -67,3 +67,63 @@ def test_worse_is_a_median_past_the_bound(bench_pairs, better):
     assert bench_pairs.verdict(ref, slower, better, 0.25) == "unresolved"
     assert bench_pairs.verdict(ref, slower, better, 0.1) == "worse"
     assert bench_pairs.verdict(ref, ref.copy(), better, 0.0) == "unresolved"
+
+
+WORKLOADS = ["coarse_campaign", "plate_tsm_file", "dns_det"]  # BENCHMARK.json's order
+
+
+@pytest.fixture
+def stubbed(bench_pairs, monkeypatch):
+    """``bench_pairs`` with no git extraction and a ``_run`` that records
+    its calls and returns a correct result line, or None for the runs in
+    ``fail`` ((workload, seed, side) triples)."""
+    calls, fail = [], set()
+    names = [e["name"] for e in bench_pairs.json.loads(
+        (bench_pairs.REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run(tree, workload, seed):
+        side = "this" if tree == bench_pairs.REPO else "ref"
+        calls.append((workload, seed, side))
+        if (workload, seed, side) in fail:
+            return None
+        value = 1.0 if side == "ref" else 0.9
+        return {"correct": True, "failed": 0,
+                "metrics": {n: {"value": value + 0.01 * seed} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "_extract", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    return bench_pairs, calls, fail
+
+
+def test_all_runs_the_pairs_on_every_workload_in_turn(stubbed, capsys):
+    bench_pairs, calls, _fail = stubbed
+    assert bench_pairs.main(["--ref", "HEAD", "--workload", "all", "--pairs", "2",
+                             "--seed", "5"]) == 0
+    assert calls == [(w, seed, side) for w in WORKLOADS
+                     for seed, sides in ((5, ("ref", "this")), (6, ("this", "ref")))
+                     for side in sides]
+    out = capsys.readouterr().out
+    tables = [line for line in out.splitlines() if line.endswith("against this tree:")]
+    assert tables == [f"{w}, 2 pairs, HEAD against this tree:" for w in WORKLOADS]
+    assert out.count("peak_rss_mb: ref median") == 3
+    assert "won 2 of 2" in out
+
+
+def test_a_failed_run_ends_its_workload_and_exits_1(stubbed, capsys):
+    """The failed workload prints no table; the others still run."""
+    bench_pairs, calls, fail = stubbed
+    fail.add(("plate_tsm_file", 1, "ref"))
+    assert bench_pairs.main(["--ref", "HEAD", "--workload", "all", "--pairs", "3"]) == 1
+    assert [c for c in calls if c[0] == "plate_tsm_file"] == [("plate_tsm_file", 1, "ref")]
+    assert sum(c[0] == "dns_det" for c in calls) == 6
+    out = capsys.readouterr().out
+    assert "FAILED: plate_tsm_file, pair 1, ref run" in out
+    assert "plate_tsm_file, 3 pairs" not in out
+    assert "coarse_campaign, 3 pairs" in out and "dns_det, 3 pairs" in out
+
+
+def test_one_named_workload_runs_alone(stubbed, capsys):
+    bench_pairs, calls, _fail = stubbed
+    assert bench_pairs.main(["--ref", "HEAD", "--workload", "dns_det", "--pairs", "1"]) == 0
+    assert calls == [("dns_det", 1, "ref"), ("dns_det", 1, "this")]
+    assert capsys.readouterr().out.count("against this tree:") == 1

@@ -649,6 +649,47 @@ def test_cli_tsm_file_mode_manifest_keeps_the_wait_out_of_the_cost(tmp_path, mon
     assert rss["parent"] > 0.0 and rss["order1"] == sol.order1_peak_rss_mb > 0.0
 
 
+def test_cli_tsm_post_processing_holds_each_field_once(tmp_path, monkeypatch):
+    """From run_tsm's return to the end of run-tsm (file mode), the traced
+    peak stays within the two histories, the summary's new arrays (<f> and
+    the four Std fields; its means are order 0's own arrays) and a slack of
+    0.4 MB for one text block of ``export._BLOCK_ROWS`` rows in flight,
+    because the solution is released before the export.  Copying the
+    means and holding the solution through the export peaks about 1.1 MB
+    higher here."""
+    import tracemalloc
+
+    import tsmfem.cli as cli
+
+    def nbytes(h):
+        return sum(a.nbytes for a in (h.times, h.u, h.d, h.sigma, h.force_times,
+                                      *h.forces.values()))
+
+    seen = {}
+
+    def traced_run_tsm(*args, **kwargs):
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        sol = cli_run_tsm(*args, **kwargs)
+        h0, h1 = sol.history0, sol.history1
+        seen["held"] = nbytes(h0) + nbytes(h1)
+        loaded = h0.forces[sorted(h0.meta["loaded_sets"])[0]]
+        seen["new"] = 3 * h0.d.nbytes + h0.sigma.nbytes + loaded.nbytes
+        tracemalloc.reset_peak()
+        return sol
+
+    cli_run_tsm = cli.run_tsm
+    monkeypatch.setattr(cli, "run_tsm", traced_run_tsm)
+    tracemalloc.start()
+    try:
+        assert main(["run-tsm", "--preset", "plate_coarse_desk", "--out", str(tmp_path),
+                     "--set", "tsm.exchange_mode=file",
+                     "--set", "tsm.exchange_interval=4"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - seen["before"]
+    finally:
+        tracemalloc.stop()
+    assert peak <= seen["held"] + seen["new"] + 0.4e6, (peak, seen)
+
+
 @pytest.mark.parametrize("command, setting", [("run-mc", "mc.workers=2"),
                                               ("run-tsm", "tsm.exchange_mode=file")])
 def test_cli_unstable_run_prints_one_error_line(tmp_path, command, setting):

@@ -1005,3 +1005,34 @@ def test_uq_std_scales_linearly():
     np.testing.assert_allclose(b.d_std, 2.0 * a.d_std, rtol=1e-14)
     np.testing.assert_allclose(b.f_std, 2.0 * a.f_std, rtol=1e-14)
     np.testing.assert_allclose(b.force_std, 2.0 * a.force_std, rtol=1e-14)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _fields(h):
+    return [h.times, h.u, h.d, h.sigma, h.force_times, *h.forces.values()]
+
+
+def test_uq_means_are_order0s_arrays_and_std_fields_are_new(plate_tsm_and_oracle):
+    """The means alias history0 (no copies); each Std field is bitwise
+    sqrt(<xi^2>) |first-order field|, in an array of its own; and the
+    solution is left bitwise as it was."""
+    _problem, sol, _oracles = plate_tsm_and_oracle
+    h0, h1 = sol.history0, sol.history1
+    held = _fields(h0) + _fields(h1)
+    before = [a.copy() for a in held]
+    uq = uq_summary(sol)
+    name = uq.force_set
+    for mean, own in ((uq.times, h0.times), (uq.d_mean, h0.d), (uq.sigma_mean, h0.sigma),
+                      (uq.force_times, h0.force_times), (uq.force_mean, h0.forces[name])):
+        assert np.shares_memory(mean, own)
+    s = np.sqrt(sol.config.xi_second_moment)
+    f1 = -np.exp(-h0.d) * h1.d
+    for std, first in ((uq.d_std, h1.d), (uq.f_std, f1), (uq.sigma_std, h1.sigma),
+                       (uq.force_std, h1.forces[name])):
+        assert np.array_equal(_bits(std), _bits(s * np.abs(first)))
+        assert not any(np.shares_memory(std, a) for a in held)
+    assert np.any(f1 < 0.0) and np.any(h1.sigma < 0.0)  # the absolute value is exercised
+    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(held, before))
