@@ -17,6 +17,7 @@ Two preset families exist for each geometry:
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,7 +289,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"load.body_force must be 3 numbers, got {body!r}")
     loads = LoadCase(dirichlet=tuple(ramps), total_time=total_time,
                      body_force=tuple(_number(v, "load.body_force") for v in body))
-    try:  # the mesh itself was validated by its generator or load_mesh
+    try:  # the mesh itself is validated by load_mesh or ElementQuadrature.build
         validate_load_case(loads, mesh)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -335,7 +336,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                              seed=_count(mc["seed"], "mc.seed", minimum=0))
     return RunConfig(
         raw=cfg, problem=problem, dt=dt, snapshot_times=snaps, tsm=tsm_cfg,
-        xi_dist=xi_dist, mc_n=mc_n, mc_workers=_count(mc["workers"], "mc.workers"),
+        xi_dist=xi_dist, mc_n=mc_n,
+        # one process per core at most: a pool starts all its processes at once
+        mc_workers=_count(mc["workers"], "mc.workers", maximum=os.cpu_count() or 1),
         force_stride=_count(mc["force_stride"], "mc.force_stride"),
         output_dir=str(out["dir"]),
     )

@@ -283,8 +283,6 @@ def generate_double_notch(
     mid_row = int(np.round(0.5 * height / (height / ny) - 0.5))
     on_line = np.nonzero(rows == mid_row)[0]
     mesh.element_paths["centerline"] = on_line[np.argsort(cent[on_line, 0])]
-
-    validate_mesh(mesh)
     return mesh
 
 
@@ -332,8 +330,6 @@ def generate_plate_with_hole(
     cent = mesh.element_centroids()
     bottom_row = np.nonzero(np.abs(cent[:, 1] - 0.5 * height / ny) < tol)[0]
     mesh.element_paths["midline"] = bottom_row[np.argsort(cent[bottom_row, 0])]
-
-    validate_mesh(mesh)
     return mesh
 
 
@@ -342,25 +338,35 @@ def generate_plate_with_hole(
 # ---------------------------------------------------------------------------
 
 _MAGIC = "# tsmfem mesh 1"
+_BLOCK_ROWS = 1024  # records formatted and written at a time
 
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the mesh as diffable plain text (floats via repr: the
-    round trip reproduces coordinates bit-exactly)."""
-    lines = [_MAGIC, f"NODES {mesh.n_nodes}"]
-    for p in mesh.nodes:
-        lines.append(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
-    lines.append(f"ELEMENTS {mesh.n_elements}")
-    for e in mesh.elements:
-        lines.append(" ".join(str(int(v)) for v in e))
-    lines.append(f"SETS {len(mesh.node_sets)}")
-    for name, ids in mesh.node_sets.items():
-        lines.append(f"{name} {len(ids)} " + " ".join(str(int(v)) for v in ids))
-    lines.append(f"ELEMENT_PATHS {len(mesh.element_paths)}")
-    for name, ids in mesh.element_paths.items():
-        lines.append(f"{name} {len(ids)} " + " ".join(str(int(v)) for v in ids))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    round trip reproduces coordinates bit-exactly), streamed through
+    ``export.atomic_write`` ``_BLOCK_ROWS`` nodes, elements or set ids at
+    a time, so memory does not grow with the mesh."""
+    from .export import atomic_write  # export imports this module
+
+    def blocks(a):
+        return (a[lo:lo + _BLOCK_ROWS].tolist() for lo in range(0, len(a), _BLOCK_ROWS))
+
+    with atomic_write(path) as fh:
+        fh.write(f"{_MAGIC}\nNODES {mesh.n_nodes}\n")
+        for rows in blocks(np.asarray(mesh.nodes, dtype=float)):
+            fh.write("".join(["%r %r %r\n" % tuple(p) for p in rows]))
+        fh.write(f"ELEMENTS {mesh.n_elements}\n")
+        for rows in blocks(np.asarray(mesh.elements, dtype=np.int64)):
+            fh.write("".join([" ".join(map(str, e)) + "\n" for e in rows]))
+        for keyword, named in (("SETS", mesh.node_sets), ("ELEMENT_PATHS", mesh.element_paths)):
+            fh.write(f"{keyword} {len(named)}\n")
+            for name, ids in named.items():
+                ids = np.asarray(ids, dtype=np.int64)
+                text = (" ".join(map(str, b)) for b in blocks(ids))
+                fh.write(f"{name} {ids.size} " + next(text, ""))
+                for more in text:
+                    fh.write(" " + more)
+                fh.write("\n")
 
 
 def _ints(tokens, lineno, what) -> list[int]:

@@ -73,10 +73,19 @@ class McEnsemble:
         return np.asarray([h.wall_time for h in self.histories])
 
 
+# a worker process's quadrature, set once by the pool's initializer
+_worker_quad: ElementQuadrature | None = None
+
+
+def _set_worker_quad(quad: ElementQuadrature) -> None:
+    global _worker_quad
+    _worker_quad = quad
+
+
 def _run_sample(args, quad: ElementQuadrature | None = None):
     problem, xi, dt, output_times, force_stride = args
     return run_deterministic(problem.mesh, problem.loads, problem.params,
-                             xi, dt, output_times, quad=quad,
+                             xi, dt, output_times, quad=quad or _worker_quad,
                              force_stride=force_stride,
                              mass_damping=problem.mass_damping)
 
@@ -87,24 +96,27 @@ def run_mc(problem: Problem, samples, dt: float, output_times, *,
     """One deterministic run per sample, all on an identical step grid.
 
     Runs are independent; with workers > 1 they execute in separate
-    processes but the ensemble order (and therefore every statistic) is
-    that of ``samples``.  An unstable run aborts the whole ensemble; its
-    ``InstabilityError`` names the first unstable realization in that
-    order, for any number of workers; the samples not yet handed to a
-    worker by then are cancelled.
+    processes, at most one per sample, but the ensemble order (and
+    therefore every statistic) is that of ``samples``.  The quadrature is
+    built once (unless given) and handed to each worker once, so every
+    sample's set-up is the same work for any number of workers.  An
+    unstable run aborts the whole ensemble; its ``InstabilityError`` names
+    the first unstable realization in that order, for any number of
+    workers; the samples not yet handed to a worker by then are cancelled.
     """
     samples = np.asarray(samples, dtype=float)
     for xi in samples:
         check_xi(xi)
     jobs = [(problem, float(xi), dt, output_times, force_stride) for xi in samples]
+    quad = quad or ElementQuadrature.build(problem.mesh)
     if workers <= 1:
-        quad = quad or ElementQuadrature.build(problem.mesh)
         histories = [_run_sample(job, quad) for job in jobs]
     else:
         # one sample per task: tasks already handed to a worker cannot be
         # cancelled, and chunks of several samples would hand over most of
         # a small ensemble at once
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                                 initializer=_set_worker_quad, initargs=(quad,)) as pool:
             try:
                 histories = list(pool.map(_run_sample, jobs))
             except BaseException:

@@ -24,11 +24,11 @@ from the mesh:
   another routine).  The number of BLAS threads does not change the bits
   (1 and 2 OpenBLAS threads are tested).
 * **CSR** otherwise (a distorted or unstructured mesh): the
-  pre-assembled sparse operators ``strain_op`` and ``force_op``, which
-  store only the structural nonzeros of the strain-displacement matrix B,
-  72 per Gauss point (8 in each normal-strain row, 16 in each shear row).
-  They exist on every mesh, as the fallback and as the reference; on a
-  mesh of one element shape they are built on first access only.
+  pre-assembled sparse operators ``strain_op``, which stores only the
+  structural nonzeros of the strain-displacement matrix B, 72 per Gauss
+  point (8 in each normal-strain row, 16 in each shear row), and
+  ``force_op``, its detJw-weighted transpose: on every mesh, as the
+  fallback and the reference (see ``ElementQuadrature``).
 
 ``ElementQuadrature.product`` names the form, and ``History.meta["product"]``
 records it.  ``ElementQuadrature.build`` validates the mesh, so a
@@ -46,17 +46,13 @@ each Voigt component is one contiguous row and the laws run long inner
 loops.  Inside each component row the engine numbers Gauss point q of
 element e as g = q * n_elements + e, in both forms, so a component-major
 array is the C-ordered (48, n_elements) block (component, point,
-element) that the element gemm products read and write.  ``strain_op``
-row ``c * ngp + g`` holds component c of Gauss point g, its columns
-ascending; ``force_op`` column ``c * ngp + g`` matches it.  Inside each
-``force_op`` row the entries stay in the public Gauss-point-major order
-(8 e + q, c), so its indices are deliberately unsorted, and each CSR row
-is the same sum in the same order as with the public numbering.  The
-laws act point by point and never see the order.  ``History``, and
-everything built on it, keeps the public order g = 8 e + q:
-``ExplicitEngine`` permutes ``d`` and ``sigma`` to it (``to_public_order``)
-only when it records a snapshot.  The exchange stream carries the
-engine's order (``tsm``, format version 4).
+element) that the element gemm products read and write; ``strain_op``
+row ``c * ngp + g`` holds component c of Gauss point g, columns
+ascending.  The laws act point by point and never see the order.
+``History``, and everything built on it, keeps the public order
+g = 8 e + q: ``ExplicitEngine`` permutes ``d`` and ``sigma`` to it
+(``to_public_order``) only when it records a snapshot.  The exchange
+stream carries the engine's order (``tsm``).
 
 Sparse products call scipy's CSR kernel ``csr_matvec`` directly, through
 ``_csr_product``.  That is bitwise what ``op @ x`` computes, because
@@ -124,10 +120,6 @@ _B_ROW, _B_AXIS, _B_DERIV = np.array([
     (4, 0, 2), (4, 2, 0),  # gamma_xz
     (5, 0, 1), (5, 1, 0),  # gamma_xy
 ]).T
-# the B-table entries of each strain row, axes ascending
-_ROW_ENTRIES = [np.nonzero(_B_ROW == c)[0] for c in range(6)]
-_ROW_NNZ = np.array([8 * b.size for b in _ROW_ENTRIES])  # 8, 8, 8, 16, 16, 16
-_ROW_START = np.concatenate([[0], np.cumsum(_ROW_NNZ)])  # offsets in a gp's 72
 
 
 class InstabilityError(RuntimeError):
@@ -165,9 +157,8 @@ def _one_shape(a: np.ndarray) -> bool:
 
 @dataclass
 class ElementQuadrature:
-    """Per-element 2x2x2 Gauss data of a validated mesh, the two products
-    in one of two forms, and the Gauss-point order they share (see the
-    module docstring for the selection and the layout).
+    """Per-element 2x2x2 Gauss data of a validated mesh and its two
+    products, in one of two forms (the module docstring has the layout).
 
     ``strains`` and ``forces`` are the two products.  On the CSR path they
     are bitwise ``strain_op @ u`` and ``force_op @ sigma``; on the element
@@ -254,50 +245,29 @@ def _index_type(mesh: Mesh):
 
 def _csr_operators(mesh: Mesh, dNdx: np.ndarray,
                    detJw: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``strain_op`` and ``force_op`` from every element's dN/dx and detJ * w."""
-    ne = mesh.n_elements
-    ngp, ndof = 8 * ne, 3 * mesh.n_nodes
-    nnz = 72 * ngp
-    idx_t = _index_type(mesh)
+    """``strain_op`` and its detJw-weighted transpose ``force_op`` from every
+    element's dN/dx and detJ * w (the layout is the module docstring's)."""
+    ne, ngp, ndof, idx_t = mesh.n_elements, detJw.size, 3 * mesh.n_nodes, _index_type(mesh)
     # each element's nodes by ascending id, so every row's columns ascend
     order = np.argsort(mesh.elements, axis=1)
     nodes = np.take_along_axis(mesh.elements, order, axis=1)
-    dNdx = np.take_along_axis(dNdx, order[:, None, :, None], axis=2)
+    dNdx = np.take_along_axis(dNdx, order[:, None, :, None], axis=2).transpose(1, 0, 2, 3)
+    # component c's rows: (8 gp, ne, 8 nodes, its B-table entries, axes ascending)
+    indptr = np.insert(np.cumsum(np.repeat(8 * np.bincount(_B_ROW), ngp)), 0, 0).astype(idx_t)
+    blocks = [(_B_ROW == c, slice(indptr[c * ngp], indptr[(c + 1) * ngp])) for c in range(6)]
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=idx_t)
 
-    def row_blocks():
-        """Per strain component: the 9-per-node structural nonzeros of
-        the 6x24 B blocks, node by node (ne, 8 gp, n) and their columns
-        (ne, 1, n)."""
-        for b in _ROW_ENTRIES:
-            yield (dNdx[..., _B_DERIV[b]].reshape(ne, 8, -1),
-                   (3 * nodes[:, None, :, None] + _B_AXIS[b]).reshape(ne, 1, -1))
+    def operator(weight) -> sp.csr_matrix:
+        """B times the per-Gauss-point ``weight``, in ``data`` and ``indices``."""
+        for t, rows in blocks:
+            np.multiply(dNdx[..., _B_DERIV[t]], weight, out=data[rows].reshape(8, ne, 8, -1))
+            indices[rows].reshape(8, ne, 8, -1)[...] = 3 * nodes[:, :, None] + _B_AXIS[t]
+        return sp.csr_matrix((data, indices, indptr), shape=(6 * ngp, ndof))
 
-    # force_op: the transpose of the detJw-weighted B in Gauss-point-major
-    # row order 6 (8e + q) + c, then renumbered to the component-major
-    # columns of the engine's order
-    w = np.empty((ne, 8, 72))
-    cols = np.empty((ne, 8, 72), dtype=idx_t)
-    for (vals, col), lo, hi in zip(row_blocks(), _ROW_START[:-1], _ROW_START[1:]):
-        w[:, :, lo:hi] = vals * detJw[:, :, None]
-        cols[:, :, lo:hi] = col
-    indptr = np.concatenate([[0], np.cumsum(np.tile(_ROW_NNZ, ngp))]).astype(idx_t)
-    force_op = sp.csr_matrix((w.reshape(nnz), cols.reshape(nnz), indptr),
-                             shape=(6 * ngp, ndof)).T.tocsr()
-    del w, cols
-    position = to_public_order(np.arange(ngp, dtype=idx_t))  # of Gauss point 8e + q
-    gp_major_to_cm = (position[:, None] + ngp * np.arange(6, dtype=idx_t)).ravel()
-    force_op.indices[:] = gp_major_to_cm[force_op.indices]
-    force_op.has_sorted_indices = False  # never sort: it would reorder each sum
-
-    # strain_op: component-major rows c * ngp + q * ne + e
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=idx_t)
-    for (vals, col), lo, hi in zip(row_blocks(), ngp * _ROW_START[:-1],
-                                   ngp * _ROW_START[1:]):
-        data[lo:hi].reshape(8, ne, -1)[...] = vals.transpose(1, 0, 2)
-        indices[lo:hi].reshape(8, ne, -1)[...] = col.transpose(1, 0, 2)
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(_ROW_NNZ, ngp))]).astype(idx_t)
-    return sp.csr_matrix((data, indices, indptr), shape=(6 * ngp, ndof)), force_op
+    # the transpose copies the weighted entries out; the same buffers then
+    # take strain_op's, so no third operator-sized array is ever held
+    force_op = operator(detJw.T[:, :, None, None]).T.tocsr()
+    return operator(1.0), force_op
 
 
 def _element_blocks(mesh: Mesh, dNdx0: np.ndarray, detJw0: np.ndarray) -> dict:

@@ -30,11 +30,11 @@ f64: every xx, then every yy, ...), the (ngp,) damage as f64, and the u32
 CRC32 of those bytes; then a 12-byte trailer: u64 record count and the u32
 stream CRC, the CRC32 of the header followed by every record's CRC.  Only
 a writer that finished writes the trailer.  The record layout is the
-engine's own, Gauss points in the engine's order q * n_elements + e
-(version 3 held them in the public order 8 e + q): the writer writes the
-bytes of the engine's strains and damage without a copy, and the reader
-yields the strains as a component-major (ngp, 6) view of the buffer each
-record is read into.
+engine's own, Gauss points in the engine's order q * n_elements + e: the
+writer writes the bytes of the engine's strains and damage without a
+copy, and the reader yields the strains as a component-major (ngp, 6)
+view of the buffer each record is read into.  A file of another version,
+3 or earlier, is rejected with an error that names its version.
 """
 
 from __future__ import annotations

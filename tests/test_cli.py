@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import tsmfem
+from tsmfem import cli
 from tsmfem.cli import main
 from tsmfem.config import ConfigError, PRESETS, load_config
 from tsmfem.export import (
@@ -451,6 +452,24 @@ def test_cli_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem: {preset: plate_coarse_desk}\nmc: {bogus: 1}\n")
     assert main(["run-det", "--config", str(bad)]) == 1
+
+
+def test_mc_workers_above_the_cpu_count_rejected_at_config_time(monkeypatch, tmp_path):
+    """A pool starts all its processes at once, so ``mc.workers`` above
+    ``os.cpu_count()`` is a config error, exit code 1, before any run: a
+    run that got past the config would reach the stand-in ``run_mc``."""
+    too_many = (os.cpu_count() or 1) + 1
+    preset = {"preset": "plate_coarse_desk"}
+    with pytest.raises(ConfigError, match="mc.workers must be in"):
+        load_config(overrides={"problem": preset, "mc": {"workers": too_many}})
+    load_config(overrides={"problem": preset, "mc": {"workers": too_many - 1}})
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_mc", reached)
+    assert main(["run-mc", "--preset", "plate_coarse_desk", "--out", str(tmp_path),
+                 "--set", f"mc.workers={too_many}"]) == 1
 
 
 @pytest.mark.parametrize("setting", [

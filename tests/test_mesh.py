@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,28 @@ def test_centerline_is_ordered_and_contiguous():
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", ["plate_coarse_desk", "double_notch_desk"])
+def test_a_preset_mesh_is_validated_once_per_set_up(monkeypatch, preset):
+    """A generator's mesh is valid by construction: ``load_config`` does
+    not check it, and ``ElementQuadrature.build``, which every run calls,
+    checks it once."""
+    from tsmfem import mesh as mesh_module
+    from tsmfem import solver
+
+    calls = []
+
+    def counted(mesh):
+        calls.append(mesh)
+        return validate_mesh(mesh)
+
+    for module in (mesh_module, solver):
+        monkeypatch.setattr(module, "validate_mesh", counted)
+    cfg = load_config(overrides={"problem": {"preset": preset}})
+    assert calls == []
+    solver.ElementQuadrature.build(cfg.problem.mesh)
+    assert len(calls) == 1 and calls[0] is cfg.problem.mesh
 
 
 def _unit_cube():
@@ -359,6 +382,38 @@ def test_save_load_stable(tmp_path):
     save_mesh(m, p1)
     save_mesh(load_mesh(p1), p2)
     assert p1.read_text() == p2.read_text()
+
+
+def test_save_streams_in_bounded_memory(tmp_path):
+    """A 38,034-element mesh, a 4.3 MB file, is formatted and written in
+    blocks: its traced peak stays under 4 MB (joining every line first
+    took 19.4 MB), and the text round-trips."""
+    m = generate_plate_with_hole(nx=200, ny=200)
+    p = tmp_path / "big.mesh"
+    tracemalloc.start()
+    try:
+        save_mesh(m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.stat().st_size > 4e6
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert np.array_equal(load_mesh(p).nodes, m.nodes)
+
+
+def test_save_is_atomic(tmp_path):
+    """The text goes to ``<path>.tmp`` and is renamed onto ``path`` when
+    complete; a save that fails part-way leaves the old file as it was and
+    no ``.tmp``."""
+    p = tmp_path / "cube.mesh"
+    save_mesh(_unit_cube(), p)
+    before = p.read_bytes()
+    bad = _unit_cube()
+    bad.node_sets["broken"] = ["not an id"]
+    with pytest.raises(ValueError):
+        save_mesh(bad, p)
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["cube.mesh"]
 
 
 def test_single_cube_file(tmp_path):

@@ -21,7 +21,12 @@ from tsmfem.montecarlo import (
     sample_xi,
     sigma_norm,
 )
-from tsmfem.solver import InstabilityError, run_deterministic, stable_timestep
+from tsmfem.solver import (
+    ElementQuadrature,
+    InstabilityError,
+    run_deterministic,
+    stable_timestep,
+)
 from tsmfem.tsm import TsmConfig, run_tsm, uq_summary
 
 from test_tsm import coarse_plate_problem
@@ -205,6 +210,50 @@ def test_run_mc_does_not_run_queued_samples_after_an_unstable_one(monkeypatch, t
         run_mc(problem, samples, dt, [problem.loads.total_time], workers=2)
     assert (err.value.xi, err.value.step) == (0.5, 256)
     assert len(os.listdir(tmp_path)) <= len(samples) // 2
+
+
+def test_parallel_run_mc_builds_one_quadrature(monkeypatch):
+    """``run_mc`` builds the quadrature once and hands it to each worker,
+    so no sample builds its own: with every later build failing, two
+    workers still run all four samples, bitwise as one process does."""
+    build = ElementQuadrature.build.__func__
+    calls = []
+
+    def build_once(cls, mesh):
+        calls.append(os.getpid())
+        if len(calls) > 1:
+            raise RuntimeError("a sample built its own quadrature")
+        return build(cls, mesh)
+
+    monkeypatch.setattr(ElementQuadrature, "build", classmethod(build_once))
+    problem = coarse_plate_problem(T=2e-4)
+    dt = stable_timestep(problem.mesh, problem.params, 0.5)
+    samples, times = [-0.2, -0.1, 0.1, 0.2], [problem.loads.total_time]
+    par = run_mc(problem, samples, dt, times, workers=2)
+    assert calls == [os.getpid()]
+    ser = run_mc(problem, samples, dt, times, quad=build(ElementQuadrature, problem.mesh))
+    for a, b in zip(par.histories, ser.histories):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a.forces["top"], b.forces["top"])
+
+
+def test_run_mc_starts_at_most_one_process_per_sample(monkeypatch):
+    """A pool of ``workers`` processes starts them all at once, so
+    ``run_mc`` asks for no more than there are samples.  A stand-in
+    executor records the request; no process is started."""
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers, **kwargs):
+            asked.append(max_workers)
+            raise RuntimeError("recorded")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+    problem = coarse_plate_problem()
+    for workers, n in [(64, 3), (2, 5)]:
+        with pytest.raises(RuntimeError, match="recorded"):
+            run_mc(problem, [0.0] * n, 1e-6, [], workers=workers)
+    assert asked == [3, 2]
 
 
 def test_fd_oracle_instability_names_the_plus_h_run():

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tsmfem import hexa
 from tsmfem.config import load_config
@@ -173,11 +174,9 @@ def test_operators_store_only_structural_nonzeros(preset):
     """Each Gauss point's 6 strain rows (row c * ngp + g for component c of
     Gauss point g = q * nelem + e) hold 8 (normal) or 16 (shear) entries,
     columns ascending, none an explicit zero; force_op is bitwise the
-    detJw-weighted transpose of strain_op, each of its rows in the public
-    Gauss-point-major (8 e + q, c) order, so every CSR sum is the one the
-    public numbering gives."""
+    canonical (sorted) transpose of the detJw-weighted strain_op."""
     quad = ElementQuadrature.build(_desk_mesh(preset))
-    ngp, ne = quad.n_gauss, quad.n_gauss // 8
+    ngp = quad.n_gauss
     S = quad.strain_op
     assert S.nnz == S.count_nonzero() == 72 * ngp
     per_row = np.diff(S.indptr).reshape(6, ngp)
@@ -189,19 +188,14 @@ def test_operators_store_only_structural_nonzeros(preset):
     assert (steps[within_row] > 0).all()
 
     F = quad.force_op
-    back = F.T.tocsr()  # strain_op's layout
-    assert F.nnz == S.nnz
-    assert np.array_equal(back.indptr, S.indptr)
-    assert np.array_equal(back.indices, S.indices)
     w = np.tile(quad.detJw.T.ravel(), 6)  # detJw[e, q] at q * nelem + e
     rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-    assert np.array_equal(back.data, S.data * w[rows])
-    g = F.indices % ngp  # column c * ngp + g, g = q * nelem + e
-    gp_major = 6 * (8 * (g % ne) + g // ne) + F.indices // ngp  # 6 (8 e + q) + c
-    steps = np.diff(gp_major)
-    within_row = np.ones(steps.size, dtype=bool)
-    within_row[F.indptr[1:-1] - 1] = False
-    assert (steps[within_row] > 0).all()
+    weighted = sp.csr_matrix((S.data * w[rows], S.indices, S.indptr), shape=S.shape)
+    expected = weighted.T.tocsr()
+    assert F.shape == expected.shape and F.has_canonical_format
+    for a, b in ((F.indptr, expected.indptr), (F.indices, expected.indices),
+                 (F.data, expected.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_element_with_a_repeated_node_rejected():
@@ -408,8 +402,9 @@ print(digest.hexdigest())
 
 def test_direct_kernel_is_the_scipy_product():
     """``_csr_product`` gives the bits of ``op @ x`` for strain_op, for
-    force_op (whose indices are deliberately unsorted), for a set-sum
-    operator, and for an int64-indexed operator."""
+    force_op, for the element-force assembly (whose indices are
+    deliberately unsorted), for a set-sum operator, and for an
+    int64-indexed operator."""
     mesh = _desk_mesh("plate_coarse_desk")
     quad = ElementQuadrature.build(mesh)
     rng = np.random.default_rng(11)
@@ -419,11 +414,12 @@ def test_direct_kernel_is_the_scipy_product():
     wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
     op, dofs = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["symmetry_x"]])
     cases = [(quad.strain_op, u), (quad.force_op, s), (wide, u),
+             (quad.assembly, rng.standard_normal(quad.assembly.shape[1])),
              (op, rng.standard_normal(dofs.size))]
     for a, x in cases:
         got = _csr_product(a, x)
         assert got.dtype == np.float64 and np.array_equal(got, a @ x)
-    assert not quad.force_op.has_sorted_indices
+    assert not quad.assembly.has_sorted_indices
     assert wide.indices.dtype == wide.indptr.dtype == np.int64
 
 
