@@ -275,7 +275,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MeshFormatError, ExchangeFormatError, OSError, yaml.YAMLError) as exc:
+    except (MeshFormatError, ExchangeFormatError, export.ArtifactFormatError, OSError,
+            yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

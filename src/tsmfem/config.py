@@ -17,6 +17,7 @@ Two preset families exist for each geometry:
 from __future__ import annotations
 
 import copy
+import inspect
 import os
 from dataclasses import dataclass
 
@@ -55,19 +56,19 @@ def _plate_pattern(amplitude, ramp_end):
     ]
 
 
-def _preset(generator, material, dirichlet, total_time, snapshots=8):
+def _preset(generator, material, dirichlet, total_time, mass_damping=0.0):
     return {
         "problem": {"preset": None},  # filled by caller
         "generator": generator,
         "material": material,
         "load": {"dirichlet": dirichlet, "total_time": total_time,
                  "body_force": [0.0, 0.0, 0.0]},
-        "timestep": {"dt": None, "cfl_safety": 0.5, "mass_damping": 0.0},
+        "timestep": {"dt": None, "cfl_safety": 0.5, "mass_damping": mass_damping},
         "tsm": {"exchange_interval": 1000, "exchange_mode": "in_memory",
                 "xi_second_moment": None},
         "mc": {"n": 500, "kind": "normal", "std": 0.1, "truncation": 0.9,
                "seed": 20241, "workers": 1, "force_stride": 1},
-        "output": {"dir": "out", "snapshot_times": None, "n_snapshots": snapshots},
+        "output": {"dir": "out", "snapshot_times": None, "n_snapshots": 8},
     }
 
 
@@ -92,31 +93,27 @@ PRESETS: dict[str, dict] = {
     "double_notch_desk": _preset(
         {"kind": "double_notch"},
         dict(_REFERENCE_MATERIAL, eta=2.0e4),
-        _dns_pattern(0.01, 0.012), total_time=0.012),
+        _dns_pattern(0.01, 0.012), total_time=0.012, mass_damping=3.0e4),
     "plate_hole_desk": _preset(
         {"kind": "plate_hole"},
         dict(_REFERENCE_MATERIAL, eta=1.2e4),
-        _plate_pattern(0.01, 0.008), total_time=0.008),
+        _plate_pattern(0.01, 0.008), total_time=0.008, mass_damping=3.0e4),
     # 44-element plate for fast studies and oracle comparisons
     "plate_coarse_desk": _preset(
         {"kind": "plate_hole",
          "width": 0.1, "height": 0.075, "thickness": 0.0125,
          "hole_radius": 0.03125, "nx": 8, "ny": 6},
         dict(_REFERENCE_MATERIAL, eta=8.0e3),
-        _plate_pattern(0.005, 0.008), total_time=0.008),
+        _plate_pattern(0.005, 0.008), total_time=0.008, mass_damping=3.0e4),
 }
-for _name in ("double_notch_desk", "plate_hole_desk", "plate_coarse_desk"):
-    PRESETS[_name]["timestep"]["mass_damping"] = 3.0e4
 
 _GENERATORS = {"double_notch": generate_double_notch,
                "plate_hole": generate_plate_with_hole}
-# the settings each generator kind takes: counts nx and ny, and lengths,
-# of which width, height and thickness must be > 0 and the others >= 0
-_GENERATOR_KEYS = {
-    "double_notch": ("width", "height", "thickness", "notch_depth", "notch_height",
-                     "nx", "ny"),
-    "plate_hole": ("width", "height", "thickness", "hole_radius", "nx", "ny"),
-}
+# each generator kind's settings, from its signature: True for a count (an int
+# default), else a length; width, height and thickness > 0, the others >= 0
+_SETTINGS = {kind: {k: isinstance(p.default, int)
+                    for k, p in inspect.signature(gen).parameters.items()}
+             for kind, gen in _GENERATORS.items()}
 
 
 class ConfigError(ValueError):
@@ -228,11 +225,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         cfg = _merge_into(copy.deepcopy(_TEMPLATE), user)
         cfg["problem"] = {"mesh_file": mesh_file}
 
-    _check_keys(cfg["generator"], ["kind", *{k for keys in _GENERATOR_KEYS.values()
-                                             for k in keys}], "generator")
+    _check_keys(cfg["generator"], ["kind", *set().union(*_SETTINGS.values())], "generator")
     _check_keys(cfg["material"], ["lam", "mu", "rho", "eta"], "material")
-    _check_keys(cfg["load"], ["dirichlet", "total_time", "body_force",
-                              "amplitude", "ramp_end"], "load")
+    _check_keys(cfg["load"], [*_TEMPLATE["load"], "amplitude", "ramp_end"], "load")
     for section in ("timestep", "tsm", "mc", "output"):
         _check_keys(cfg[section], _TEMPLATE[section], section)
 
@@ -245,9 +240,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         if not isinstance(kind, str) or kind not in _GENERATORS:
             raise ConfigError(f"generator.kind must be one of {sorted(_GENERATORS)}, "
                               f"got {kind!r}")
-        _check_keys(gen, _GENERATOR_KEYS[kind], f"generator (kind {kind})")
+        _check_keys(gen, _SETTINGS[kind], f"generator (kind {kind})")
         mesh = _GENERATORS[kind](**{
-            k: (_count(v, f"generator.{k}") if k in ("nx", "ny") else
+            k: (_count(v, f"generator.{k}") if _SETTINGS[kind][k] else
                 _real(v, f"generator.{k}", positive=k in ("width", "height", "thickness")))
             for k, v in gen.items()})
 

@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import hashlib
 import os
+import zipfile
 
 import numpy as np
 import yaml
@@ -28,6 +29,10 @@ from .tsm import UqSummary
 
 _BLOCK_ROWS = 1024  # rows of text formatted and written at a time
 _G = "%.17g"  # a float's text, the same as f"{v:.17g}" gives
+
+
+class ArtifactFormatError(Exception):
+    """A summary npz or manifest that is not one, or lacks a field."""
 
 
 @contextlib.contextmanager
@@ -212,8 +217,18 @@ def save_summary(path, uq: UqSummary):
 
 
 def load_summary(path) -> UqSummary:
-    with np.load(path, allow_pickle=False) as z:
-        members = {f.name: z[f.name] for f in dataclasses.fields(UqSummary)}
+    try:
+        z = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # not an npz, or cut short
+        z = None
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ArtifactFormatError(f"{path}: not an npz summary")
+    with z:
+        names = [f.name for f in dataclasses.fields(UqSummary)]
+        for name in names:
+            if name not in z.files:
+                raise ArtifactFormatError(f"{path}: no field '{name}'")
+        members = {name: z[name] for name in names}
     members["force_set"] = str(members["force_set"])
     members["meta"] = yaml.safe_load(str(members["meta"]))
     return UqSummary(**members)
@@ -262,4 +277,7 @@ def write_manifest(path, config: dict, *, command: str, wall_times: dict,
 
 def read_manifest(path) -> dict:
     with open(path) as fh:
-        return yaml.safe_load(fh)
+        man = yaml.safe_load(fh)
+    if not isinstance(man, dict) or not isinstance(man.get("wall_times_s"), dict):
+        raise ArtifactFormatError(f"{path}: no field 'wall_times_s'")
+    return man

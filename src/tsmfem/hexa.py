@@ -28,33 +28,13 @@ GAUSS_POINTS = CORNERS * _g  # tensor 2x2x2 rule, shape (8, 3)
 GAUSS_WEIGHTS = np.ones(8)
 
 
-def shape_functions(points: np.ndarray) -> np.ndarray:
-    """N_a at reference points; shape (npts, 8)."""
-    p = np.atleast_2d(points)
-    return (
-        (1.0 + p[:, None, 0] * CORNERS[None, :, 0])
-        * (1.0 + p[:, None, 1] * CORNERS[None, :, 1])
-        * (1.0 + p[:, None, 2] * CORNERS[None, :, 2])
-        / 8.0
-    )
-
-
-def shape_gradients(points: np.ndarray) -> np.ndarray:
-    """dN_a/dxi_k at reference points; shape (npts, 8, 3)."""
-    p = np.atleast_2d(points)
-    fx = 1.0 + p[:, None, 0] * CORNERS[None, :, 0]
-    fy = 1.0 + p[:, None, 1] * CORNERS[None, :, 1]
-    fz = 1.0 + p[:, None, 2] * CORNERS[None, :, 2]
-    g = np.empty((p.shape[0], 8, 3))
-    g[:, :, 0] = CORNERS[None, :, 0] * fy * fz / 8.0
-    g[:, :, 1] = CORNERS[None, :, 1] * fx * fz / 8.0
-    g[:, :, 2] = CORNERS[None, :, 2] * fx * fy / 8.0
-    return g
-
-
-# evaluated once at the Gauss points: (8 gp, 8 nodes) and (8 gp, 8 nodes, 3)
-N_AT_GP = shape_functions(GAUSS_POINTS)
-DN_AT_GP = shape_gradients(GAUSS_POINTS)
+# each node's shape-function factors 1 + xi_k * corner_k, k = x, y, z, at
+# each Gauss point: (8 gp, 8 nodes) each
+_FX, _FY, _FZ = 1.0 + GAUSS_POINTS.T[:, :, None] * CORNERS.T[:, None, :]
+# N_a and dN_a/dxi_k at the Gauss points: (8 gp, 8 nodes) and (8 gp, 8 nodes, 3)
+N_AT_GP = _FX * _FY * _FZ / 8.0
+DN_AT_GP = np.stack([CORNERS[:, 0] * _FY * _FZ, CORNERS[:, 1] * _FX * _FZ,
+                     CORNERS[:, 2] * _FX * _FY], axis=2) / 8.0
 
 
 def jacobians(coords: np.ndarray) -> np.ndarray:

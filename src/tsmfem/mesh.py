@@ -202,8 +202,6 @@ def _structured_box(nx: int, ny: int, nz: int, width: float, height: float, thic
     """
     if min(nx, ny, nz) < 1:
         raise ValueError("resolution must be at least 1 in every direction")
-    if min(width, height, thickness) <= 0.0:
-        raise ValueError("box dimensions must be positive")
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     zs = np.linspace(0.0, thickness, nz + 1)

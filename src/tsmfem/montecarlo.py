@@ -171,14 +171,11 @@ def fd_oracle(problem: Problem, h: float, dt: float, output_times, *,
               quad: ElementQuadrature | None = None) -> History:
     """Central finite difference (field(+h) - field(-h)) / (2h) of the full
     deterministic solution: the independent reference for every first-order
-    field (u, d, sigma, and reaction forces)."""
+    field (u, d, sigma, and reaction forces).  The two runs are the
+    ensemble ``run_mc`` gives for the samples +h and -h."""
     if not 0.0 < h < 1.0:
         raise ValueError("need 0 < h < 1 so both perturbed runs are admissible")
-    quad = quad or ElementQuadrature.build(problem.mesh)
-    hp = run_deterministic(problem.mesh, problem.loads, problem.params, +h,
-                           dt, output_times, quad=quad, mass_damping=problem.mass_damping)
-    hm = run_deterministic(problem.mesh, problem.loads, problem.params, -h,
-                           dt, output_times, quad=quad, mass_damping=problem.mass_damping)
+    hp, hm = run_mc(problem, [+h, -h], dt, output_times, quad=quad).histories
     inv = 0.5 / h
     return History(
         times=hp.times.copy(),

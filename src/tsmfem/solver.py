@@ -88,7 +88,6 @@ step number.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -378,39 +377,34 @@ class History:
 
 class _Dirichlet:
     """Compiled constraint table: the constrained flat dofs, ascending, and
-    the ramp each follows, value(t) = amplitude * min(t, ramp_end) / ramp_end
-    (the ramp of the last row that names the dof, ``mesh.constrained_dofs``).
+    the row of the load table each follows (``_which``, the last row that
+    names the dof, ``mesh.constrained_dofs``), whose ramp is
+    value(t) = amplitude * min(t, ramp_end) / ramp_end.
 
     For the step from t to t + dt (t >= 0) the engine reads ``update``,
     the rows (velocity, value) at the dofs: (u(t + dt) - u(t)) / dt and
     u(t + dt); on a step that records reactions it also reads
     ``acceleration``, the central difference
     (u(t + dt) - 2 u(t) + u(t - dt)) / dt**2.  The ramp law is evaluated in
-    Python floats once per distinct (amplitude, ramp_end) pair and spread
-    to the dofs with one ``take``; each value is the same IEEE expression,
-    in the same order, as the elementwise numpy form.  Only ramps of
-    nonzero amplitude are evaluated, once per step for every read: for
-    t >= 0 a zero amplitude's rows are constant, acceleration and velocity
-    +0.0 and the value the amplitude, its sign of zero kept (so 0.0 and
-    -0.0 are distinct pairs).  Without a nonzero amplitude, as in the
-    first-order problem (scale 0), the rows are formed once."""
+    Python floats once per row of the load table and spread to the dofs
+    with one ``take``; each value is the same IEEE expression, in the same
+    order, as the elementwise numpy form.  Only rows of nonzero amplitude
+    are evaluated, once per step for every read: for t >= 0 a zero
+    amplitude's rows are constant, acceleration and velocity +0.0 and the
+    value the amplitude, its sign of zero kept.  Without a nonzero
+    amplitude, as in the first-order problem (scale 0), the rows are
+    formed once."""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
-        self.dofs, owner = constrained_dofs(loads, mesh)
-        keys = [(a, r.ramp_end, math.copysign(1.0, a))
-                for r in loads.dirichlet for a in [scale * r.amplitude]]
-        slots = {}  # ramp -> its slot; a row that owns no dof gets none (-1 below)
-        for k in owner[np.sort(np.unique(owner, return_index=True)[1])]:  # rows along the dofs
-            slots.setdefault(keys[k], len(slots))
-        self._which = np.array([slots.get(key, -1) for key in keys], dtype=np.intp)[owner]
-        self._ramps = [(amp, t_end) for amp, t_end, _ in slots]
-        # per slot: acceleration, velocity and value, the moving ramps' set per step
+        self.dofs, self._which = constrained_dofs(loads, mesh)
+        self._ramps = [(scale * r.amplitude, r.ramp_end) for r in loads.dirichlet]
+        # per row: acceleration, velocity and value, the moving rows' set per step
         self._slots = np.zeros((3, len(self._ramps)))
         self._slots[2] = [amp for amp, _ in self._ramps]
         self._moving = [(k, amp, t_end) for k, (amp, t_end) in enumerate(self._ramps)
                         if amp != 0.0]
         self._rows = self._slots[1:].take(self._which, axis=1)
-        self._t, self._now = None, []  # the step of the rows; (u(t + dt), u(t)) per moving ramp
+        self._t, self._now = None, []  # the step of the rows; (u(t + dt), u(t)) per moving row
 
     def value(self, t: float) -> np.ndarray:
         """The prescribed displacements at time t."""
@@ -434,8 +428,8 @@ class _Dirichlet:
 
     def acceleration(self, t: float, dt: float, slots=None) -> np.ndarray:
         """The acceleration row at t, the central difference of the ramp:
-        at every dof, or at the dofs whose slots (``_which[positions]``)
-        ``slots`` lists."""
+        at every dof, or at the dofs whose load-table rows
+        (``_which[positions]``) ``slots`` lists."""
         self.update(t, dt)
         for (k, amp, t_end), (up, u0) in zip(self._moving, self._now):
             um = amp * min(t - dt, t_end) / t_end

@@ -732,6 +732,71 @@ def test_cli_io_error_exit_code(tmp_path):
                  "--mc", str(tmp_path / "nope2")]) == 3
 
 
+def _manifest_without_wall_times(src, dst):
+    man = yaml.safe_load(open(os.path.join(src, "manifest.yaml")))
+    del man["wall_times_s"]
+    with open(os.path.join(dst, "manifest.yaml"), "w") as fh:
+        yaml.safe_dump(man, fh)
+
+
+def _summary_without_d_mean(src, dst):
+    with np.load(os.path.join(src, "uq_summary.npz")) as z:
+        members = {name: z[name] for name in z.files if name != "d_mean"}
+    np.savez(os.path.join(dst, "uq_summary.npz"), **members)
+
+
+def _not_an_npz(src, dst):
+    with open(os.path.join(dst, "uq_summary.npz"), "w") as fh:
+        fh.write("time,d\n0.0,0.0\n")
+
+
+# (command, what the broken artifact lacks, its file, how it is made from run-tsm's)
+_MALFORMED = {
+    "report_timing_manifest_without_wall_times":
+        ("report-timing", "no field 'wall_times_s'", "manifest.yaml",
+         _manifest_without_wall_times),
+    "report_timing_empty_manifest":
+        ("report-timing", "no field 'wall_times_s'", "manifest.yaml",
+         lambda src, dst: open(os.path.join(dst, "manifest.yaml"), "w").close()),
+    "compare_summary_without_d_mean":
+        ("compare", "no field 'd_mean'", "uq_summary.npz", _summary_without_d_mean),
+    "compare_summary_that_is_not_an_npz":
+        ("compare", "not an npz summary", "uq_summary.npz", _not_an_npz),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_malformed_artifact_exits_3_naming_file_and_field(cli_artifacts, tmp_path,
+                                                              capsys, case):
+    """A manifest or summary that lacks what the command reads, or is not
+    one, exits 3 (a file-format error) with one error line naming the file
+    and the missing field, not a traceback or exit 1."""
+    command, lacks, name, make = _MALFORMED[case]
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    make(os.path.join(cli_artifacts, "tsm"), str(broken))
+    argv = (["report-timing", str(broken)] if command == "report-timing" else
+            ["compare", "--tsm", str(broken), "--mc", os.path.join(cli_artifacts, "mc"),
+             "--out", str(tmp_path / "cmp")])
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {broken / name}: {lacks}\n"
+
+
+def test_plate_study_script_smoke(tmp_path):
+    """``scripts/run_plate_study.py``, as README documents it, with a
+    two-sample ensemble: it exits 0 and writes the timing table and the
+    comparison summary."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "run_plate_study.py")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsmfem.__file__)))
+    proc = subprocess.run([sys.executable, script, "--out", str(tmp_path), "--mc-n", "2"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "timing.txt").is_file()
+    assert (tmp_path / "compare" / "comparison_summary.yaml").is_file()
+
+
 def test_cli_run_mc_instability_in_a_worker_names_the_sample(tmp_path):
     """An ensemble that diverges in a worker process exits 2 with one error
     line naming the first sample, as with one worker, not with a broken

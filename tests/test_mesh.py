@@ -1,6 +1,5 @@
 """Mesh generators, validation, load cases, and the text file round trip."""
 
-import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -247,27 +246,26 @@ def test_compiled_ramp_table_is_the_closed_form(scale):
 
 def _per_node_table(mesh, loads, scale):
     """The constraint table as a per-node dict builds it: dofs ascending,
-    the last row naming a dof wins, one slot per distinct (amplitude,
-    ramp end, sign of the amplitude), numbered along the dofs."""
-    ramp_of = {}
-    for r in loads.dirichlet:
+    each following the last row of the load table that names it, and the
+    rows' ramps, amplitudes scaled."""
+    row_of = {}
+    for k, r in enumerate(loads.dirichlet):
         for n in mesh.node_sets[r.node_set]:
-            ramp_of[3 * int(n) + r.axis] = (scale * r.amplitude, r.ramp_end)
-    items = sorted(ramp_of.items())
-    slots = {}
-    which = [slots.setdefault((amp, t_end, math.copysign(1.0, amp)), len(slots))
-             for _, (amp, t_end) in items]
-    return (np.asarray([k for k, _ in items], dtype=np.int64),
-            np.asarray(which, dtype=np.intp), [(amp, t_end) for amp, t_end, _ in slots])
+            row_of[3 * int(n) + r.axis] = k
+    items = sorted(row_of.items())
+    return (np.asarray([dof for dof, _ in items], dtype=np.int64),
+            np.asarray([k for _, k in items], dtype=np.intp),
+            [(scale * r.amplitude, r.ramp_end) for r in loads.dirichlet])
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.0])
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_constraint_table_is_the_per_node_construction(preset, scale):
     """On every preset's load case, and on one where later rows name dofs
-    of earlier ones (a -0.0 hold over every node's z, a pull of 'top' in
-    x), the dofs, each dof's slot and the slots' ramps, the sign of a zero
-    amplitude included, are bitwise those of the per-node construction."""
+    of earlier ones (a -0.0 hold over every node's z, two pulls of 'top'
+    in x), the dofs, each dof's row and the rows' ramps, the sign of a zero
+    amplitude included, are bitwise those of the per-node construction;
+    each dof's ramp is that of the last row naming it."""
     cfg = load_config(overrides={"problem": {"preset": preset}})
     mesh, loads = cfg.problem.mesh, cfg.problem.loads
     mesh.node_sets["all"] = np.arange(mesh.n_nodes)
@@ -282,8 +280,11 @@ def test_constraint_table_is_the_per_node_construction(preset, scale):
         assert table._which.dtype == which.dtype and np.array_equal(table._which, which)
         assert [tuple(map(float.hex, r)) for r in table._ramps] == \
             [tuple(map(float.hex, r)) for r in ramps]
-    # 0.0, -0.0 and, at scale 1, the pulls in y and in x; the later x pull wins
-    assert len(table._ramps) == (4 if scale else 2)
+    # every z follows the -0.0 hold, and the later x pull wins 'top'
+    ramp_of = {3 * int(n) + r.axis: (scale * r.amplitude, r.ramp_end)
+               for r in overlapping.dirichlet for n in mesh.node_sets[r.node_set]}
+    assert [tuple(map(float.hex, table._ramps[k])) for k in table._which] == \
+        [tuple(map(float.hex, ramp_of[dof])) for dof in table.dofs.tolist()]
 
 
 def test_ramp_end_beyond_total_time_rejected():

@@ -3,6 +3,7 @@
 import functools
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_sampling_moments_and_truncation():
     assert xi.var() == pytest.approx(0.01, rel=0.02)
 
 
+def test_truncation_near_std_resamples_until_every_draw_is_inside():
+    """With the bound at 1.1 std most first draws lie outside it: each is
+    drawn again, in place, until none does; the draws inside the bound
+    are kept, and a seed gives the same sample every time."""
+    d = XiDistribution(std=0.1, truncation=0.11, seed=3)
+    first = np.random.default_rng(d.seed).normal(0.0, d.std, size=1000)
+    outside = np.abs(first) > d.truncation
+    assert outside.sum() > 200  # the resampling loop has work to do
+    xi = sample_xi(d, 1000)
+    assert np.abs(xi).max() <= d.truncation
+    assert np.array_equal(xi[~outside], first[~outside])
+    assert np.array_equal(sample_xi(d, 1000), xi)
+    assert not np.array_equal(sample_xi(replace(d, seed=4), 1000), xi)
+
+
 def test_uniform_kind_bounds_and_variance():
     d = XiDistribution(kind="uniform", std=0.1, seed=11)
     xi = sample_xi(d, 100_000)
@@ -68,6 +84,9 @@ def test_distribution_validation():
         XiDistribution(kind="cauchy")
     with pytest.raises(ValueError):
         XiDistribution(truncation=1.5)
+    XiDistribution(kind="uniform", std=0.1, truncation=0.18)  # sqrt(3) * 0.1 = 0.173
+    with pytest.raises(ValueError, match=r"uniform half-width sqrt\(3\)\*std exceeds"):
+        XiDistribution(kind="uniform", std=0.1, truncation=0.17)
     with pytest.raises(ValueError):
         sample_xi(XiDistribution(), 0)
 

@@ -5,6 +5,7 @@ post-processing."""
 import multiprocessing
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -289,6 +290,53 @@ def test_exchange_version_3_rejected_by_name(tmp_path):
     with pytest.raises(ExchangeFormatError,
                        match=r"unsupported version 3 \(this reader reads version 4\)"):
         read_exchange(p)
+
+
+def test_exchange_shorter_than_its_header_rejected(tmp_path):
+    p = tmp_path / "x.tsmx"
+    p.write_bytes(struct.pack("<4sIQQ", b"TSMX", 4, 7, 3)[:23])
+    with pytest.raises(ExchangeFormatError, match=f"^{re.escape(str(p))}: truncated header$"):
+        read_exchange(p)
+
+
+def test_exchange_trailer_count_disagreeing_rejected(tmp_path):
+    """A trailer that counts another number of records than the file holds
+    is rejected, though every record and the stream CRC are intact."""
+    p = tmp_path / "x.tsmx"
+    write_exchange(_random_records(np.random.default_rng(17)), p, exchange_interval=3)
+    data = bytearray(p.read_bytes())
+    struct.pack_into("<Q", data, _record_offset(5), 4)
+    p.write_bytes(bytes(data))
+    with pytest.raises(ExchangeFormatError,
+                       match="trailer counts 4 records, the stream holds 5$"):
+        read_exchange(p)
+
+
+def test_exchange_swapped_records_fail_the_stream_checksum(tmp_path):
+    """Two equal-size records swapped keep their own CRCs; the stream CRC
+    over them, in order, catches it before any record is read."""
+    p = tmp_path / "x.tsmx"
+    write_exchange(_random_records(np.random.default_rng(18)), p, exchange_interval=3)
+    data = p.read_bytes()
+    r1, r2, r3 = _record_offset(1), _record_offset(2), _record_offset(3)
+    p.write_bytes(data[:r1] + data[r2:r3] + data[r1:r2] + data[r3:])
+    with pytest.raises(ExchangeFormatError, match="stream checksum mismatch$"):
+        ExchangeFileReader(p)
+
+
+def test_exchange_steps_not_increasing_rejected(tmp_path):
+    p = tmp_path / "x.tsmx"
+    records = _random_records(np.random.default_rng(19), n_rec=2)
+    write_exchange([records[0], replace(records[1], step=0)], p)
+    with pytest.raises(ExchangeFormatError, match="steps not increasing at 0$"):
+        read_exchange(p)
+
+
+def test_empty_exchange_stream_not_written(tmp_path):
+    p = tmp_path / "x.tsmx"
+    with pytest.raises(ValueError, match="^cannot write an empty exchange stream$"):
+        write_exchange([], p)
+    assert not p.exists()
 
 
 def test_exchange_bad_magic_rejected(tmp_path):
