@@ -20,7 +20,9 @@ tree", uncommitted changes included).  The protocol:
   products: ``run_deterministic`` (xi = 0.15, force stride 7) and
   file-mode ``run_tsm`` (K = 7);
 * the CLI's ``mesh-gen``, ``run-det``, ``run-tsm`` in both exchange modes
-  and ``run-mc`` (4 samples) on ``plate_coarse_desk``.
+  and ``run-mc`` (4 samples) on ``plate_coarse_desk``, and ``mesh-gen`` on
+  ``plate_hole_desk`` and ``double_notch_desk``, so each generator's
+  ``mesh.txt``, its node sets' order included, is hashed.
 
 It compares every array of every result (dtype, shape, ``np.array_equal``
 and, for floats, ``signbit``), every decoded record of every exchange file
@@ -222,7 +224,9 @@ def produce(out: Path) -> None:
                      ["run-tsm", *base, "--out", "cli/tsm_mem"],
                      ["run-tsm", *base, "--out", "cli/tsm_file", "--set",
                       "tsm.exchange_mode=file", "--set", "tsm.exchange_interval=7"],
-                     ["run-mc", *base, "--out", "cli/mc", "--set", "mc.n=4"]):
+                     ["run-mc", *base, "--out", "cli/mc", "--set", "mc.n=4"],
+                     ["mesh-gen", "--preset", "plate_hole_desk", "--out", "cli/mesh_plate"],
+                     ["mesh-gen", "--preset", "double_notch_desk", "--out", "cli/mesh_dns"]):
             if cli.main(argv) != 0:
                 raise RuntimeError(f"tsmfem {' '.join(argv)} failed")
     _artifact_digests(out / "cli", digests)

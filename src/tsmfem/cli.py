@@ -15,7 +15,7 @@ import yaml
 
 from . import export
 from .config import ConfigError, PRESETS, RunConfig, load_config
-from .mesh import MeshFormatError, save_mesh
+from .mesh import MeshFormatError, load_mesh, save_mesh
 from .montecarlo import compare, extract_line, mc_statistics, run_mc, sample_xi
 from .solver import InstabilityError, check_xi, run_deterministic
 from .tsm import ExchangeFormatError, peak_rss_mb, run_tsm, uq_summary
@@ -165,19 +165,25 @@ def cmd_run_mc(args) -> int:
     return 0
 
 
+def _total_s(run_dir) -> float:
+    """The ``wall_times_s.total`` of the manifest in ``run_dir``."""
+    path = os.path.join(run_dir, "manifest.yaml")
+    walls = export.read_manifest(path)["wall_times_s"]
+    if "total" not in walls:
+        raise export.ArtifactFormatError(f"{path}: no field 'wall_times_s.total'")
+    return walls["total"]
+
+
 def cmd_compare(args) -> int:
+    t0 = _time.perf_counter()
     tsm_uq = export.load_summary(os.path.join(args.tsm, "uq_summary.npz"))
     mc_uq = export.load_summary(os.path.join(args.mc, "uq_summary.npz"))
-    tsm_man = export.read_manifest(os.path.join(args.tsm, "manifest.yaml"))
-    mc_man = export.read_manifest(os.path.join(args.mc, "manifest.yaml"))
-    timings = {"tsm_total_s": tsm_man["wall_times_s"]["total"],
-               "mc_total_s": mc_man["wall_times_s"]["total"]}
+    timings = {"tsm_total_s": _total_s(args.tsm), "mc_total_s": _total_s(args.mc)}
     report = compare(tsm_uq, mc_uq, mask_threshold=float(args.mask),
                      timings=timings)
     outdir = _ensure_dir(args.out or "compare")
     export.write_comparison_csv(outdir, report)
 
-    from .mesh import load_mesh
     mesh_path = os.path.join(args.tsm, "mesh.txt")
     if os.path.exists(mesh_path):
         mesh = load_mesh(mesh_path)
@@ -186,10 +192,14 @@ def cmd_compare(args) -> int:
                 table = extract_line(uq, mesh, path_name)
                 export.write_line_csv(
                     os.path.join(outdir, f"line_{path_name}_{tag}.csv"), table)
+    # total is this comparison's own seconds, so report-timing lists it
+    # beside the runs it compares
     export.write_manifest(os.path.join(outdir, "manifest.yaml"),
                           {"tsm_dir": args.tsm, "mc_dir": args.mc,
                            "mask": float(args.mask)},
-                          command="compare", wall_times=timings)
+                          command="compare",
+                          wall_times={**timings, "total": _time.perf_counter() - t0},
+                          extra={"kind": "compare"})
     for key, val in sorted(report.summary.items()):
         print(f"{key}: {val}")
     return 0

@@ -38,22 +38,18 @@ from .solver import stable_timestep
 from .tsm import Problem, TsmConfig
 
 
-def _dns_pattern(amplitude, ramp_end):
-    return [
-        {"set": "bottom", "axis": 0, "amplitude": 0.0, "ramp_end": ramp_end},
-        {"set": "bottom", "axis": 1, "amplitude": 0.0, "ramp_end": ramp_end},
-        {"set": "bottom", "axis": 2, "amplitude": 0.0, "ramp_end": ramp_end},
-        {"set": "top", "axis": 1, "amplitude": amplitude, "ramp_end": ramp_end},
-    ]
+def _load_table(fixed, amplitude, ramp_end):
+    """Dirichlet rows: each fixed (set, axis) held at 0, then "top" pulled
+    along y to ``amplitude``, all ramped over ``ramp_end``."""
+    rows = [*((name, axis, 0.0) for name, axis in fixed), ("top", 1, amplitude)]
+    return [{"set": name, "axis": axis, "amplitude": amp, "ramp_end": ramp_end}
+            for name, axis, amp in rows]
 
 
-def _plate_pattern(amplitude, ramp_end):
-    return [
-        {"set": "symmetry_x", "axis": 0, "amplitude": 0.0, "ramp_end": ramp_end},
-        {"set": "symmetry_y", "axis": 1, "amplitude": 0.0, "ramp_end": ramp_end},
-        {"set": "front", "axis": 2, "amplitude": 0.0, "ramp_end": ramp_end},
-        {"set": "top", "axis": 1, "amplitude": amplitude, "ramp_end": ramp_end},
-    ]
+# the supports: the double notch clamps its bottom, the quarter plate holds
+# its two symmetry planes and its front face
+_DNS_FIXED = (("bottom", 0), ("bottom", 1), ("bottom", 2))
+_PLATE_FIXED = (("symmetry_x", 0), ("symmetry_y", 1), ("front", 2))
 
 
 def _preset(generator, material, dirichlet, total_time, mass_damping=0.0):
@@ -82,29 +78,29 @@ PRESETS: dict[str, dict] = {
     "double_notch": _preset(
         {"kind": "double_notch"},
         dict(_REFERENCE_MATERIAL, eta=1.0e9),
-        _dns_pattern(0.01, 1.0), total_time=1.0),
+        _load_table(_DNS_FIXED, 0.01, 1.0), total_time=1.0),
     "plate_hole": _preset(
         {"kind": "plate_hole"},
         dict(_REFERENCE_MATERIAL, eta=5.0e9),
-        _plate_pattern(0.001, 1.0), total_time=1.0),
+        _load_table(_PLATE_FIXED, 0.001, 1.0), total_time=1.0),
     # desk-scale variants: same meshes, shortened horizon, reduced viscosity,
     # and the mass-proportional transient damping explicit runs need for
     # clean reaction output
     "double_notch_desk": _preset(
         {"kind": "double_notch"},
         dict(_REFERENCE_MATERIAL, eta=2.0e4),
-        _dns_pattern(0.01, 0.012), total_time=0.012, mass_damping=3.0e4),
+        _load_table(_DNS_FIXED, 0.01, 0.012), total_time=0.012, mass_damping=3.0e4),
     "plate_hole_desk": _preset(
         {"kind": "plate_hole"},
         dict(_REFERENCE_MATERIAL, eta=1.2e4),
-        _plate_pattern(0.01, 0.008), total_time=0.008, mass_damping=3.0e4),
+        _load_table(_PLATE_FIXED, 0.01, 0.008), total_time=0.008, mass_damping=3.0e4),
     # 44-element plate for fast studies and oracle comparisons
     "plate_coarse_desk": _preset(
         {"kind": "plate_hole",
          "width": 0.1, "height": 0.075, "thickness": 0.0125,
          "hole_radius": 0.03125, "nx": 8, "ny": 6},
         dict(_REFERENCE_MATERIAL, eta=8.0e3),
-        _plate_pattern(0.005, 0.008), total_time=0.008, mass_damping=3.0e4),
+        _load_table(_PLATE_FIXED, 0.005, 0.008), total_time=0.008, mass_damping=3.0e4),
 }
 
 _GENERATORS = {"double_notch": generate_double_notch,

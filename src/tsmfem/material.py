@@ -146,8 +146,6 @@ class Order0Law:
 
     def __init__(self, E: np.ndarray, eta: float, dt: float):
         self.E = E
-        self.eta = eta
-        self.dt = dt
         self._rate_dt = 0.5 * dt / eta
         self._step = -1
 

@@ -48,28 +48,17 @@ class Mesh:
 
 
 def validate_mesh(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Check connectivity bounds, Jacobian positivity, set sanity and that
-    no element repeats a node; returns the Jacobians J (n_elements, 8, 3,
-    3) at the Gauss points and their determinants detJ (n_elements, 8).
+    """Check, in this order, array shapes and that every element's nodes
+    lie within the mesh, positive Jacobian determinants at the Gauss
+    points, node sets of distinct existing nodes, element paths of existing
+    elements whose consecutive pairs share a face, and that no element
+    repeats a node; returns the Jacobians J (n_elements, 8, 3, 3) at the
+    Gauss points and their determinants detJ (n_elements, 8).
 
     Raises ValueError naming the first offending element or set.  A
     collapsed hexahedron can keep positive Jacobians at the Gauss points,
     hence the last check.
     """
-    validate_connectivity(mesh)
-    J = hexa.jacobians(mesh.element_coords())
-    detJ = np.linalg.det(J)
-    validate_jacobians(detJ)
-    validate_sets(mesh)
-    repeats = np.nonzero((np.diff(np.sort(mesh.elements, axis=1), axis=1) == 0)
-                         .any(axis=1))[0]
-    if repeats.size:
-        raise ValueError(f"element {int(repeats[0])} repeats a node")
-    return J, detJ
-
-
-def validate_connectivity(mesh: Mesh) -> None:
-    """Array shapes, and every element's nodes within the mesh."""
     n = mesh.n_nodes
     if mesh.nodes.ndim != 2 or mesh.nodes.shape[1] != 3:
         raise ValueError("nodes must be an (n, 3) array")
@@ -82,19 +71,11 @@ def validate_connectivity(mesh: Mesh) -> None:
             f"element {e} references node {int(mesh.elements[e].max())} "
             f"but the mesh has {n} nodes"
         )
-
-
-def validate_jacobians(detJ: np.ndarray) -> None:
-    """Positive Jacobian determinants (n_elements, 8) at the Gauss points."""
+    J = hexa.jacobians(mesh.element_coords())
+    detJ = np.linalg.det(J)
     nonpos = np.nonzero((detJ <= 0.0).any(axis=1))[0]
     if nonpos.size:
         raise ValueError(f"element {int(nonpos[0])} has non-positive Jacobian")
-
-
-def validate_sets(mesh: Mesh) -> None:
-    """Node sets of distinct existing nodes, and element paths of existing
-    elements, each consecutive pair sharing a face."""
-    n, m = mesh.n_nodes, mesh.n_elements
     for name, ids in mesh.node_sets.items():
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= n):
@@ -103,13 +84,18 @@ def validate_sets(mesh: Mesh) -> None:
             raise ValueError(f"node set '{name}' contains duplicate nodes")
     for name, ids in mesh.element_paths.items():
         ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= m):
+        if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_elements):
             raise ValueError(f"element path '{name}' references nonexistent elements")
         # contiguity: consecutive path elements share a face (4 common nodes)
         for a, b in zip(ids[:-1], ids[1:]):
             shared = np.intersect1d(mesh.elements[a], mesh.elements[b]).size
             if shared < 4:
                 raise ValueError(f"element path '{name}' is not contiguous at {int(a)}->{int(b)}")
+    repeats = np.nonzero((np.diff(np.sort(mesh.elements, axis=1), axis=1) == 0)
+                         .any(axis=1))[0]
+    if repeats.size:
+        raise ValueError(f"element {int(repeats[0])} repeats a node")
+    return J, detJ
 
 
 @dataclass(frozen=True)
@@ -221,18 +207,37 @@ def _structured_box(nx: int, ny: int, nz: int, width: float, height: float, thic
     return nodes, (first[:, None] + corners).astype(np.int64)
 
 
-def _compact(nodes, elements, keep_mask):
-    """Drop removed cells and orphan nodes, renumbering both; also returns
-    the old -> new node map (-1 for dropped nodes)."""
-    kept = elements[keep_mask]
+def _slab(width, height, thickness, nx, ny, cut, faces, edge=None) -> Mesh:
+    """The structured grid over [0,W]x[0,H]x[0,T], one element thick,
+    without the cells whose centroid coordinates (x, y) ``cut`` selects;
+    the rest keep their grid order, their nodes renumbered ascending from
+    0.  Node sets, in this order: one per ``faces`` entry (name, axis,
+    value), the nodes within 0.25 * min(W/nx, H/ny) of the plane
+    x[axis] = value; then, named ``edge`` if given, the nodes shared by a
+    cut and a kept cell, ascending."""
+    nodes, cells = _structured_box(nx, ny, 1, width, height, thickness)
+    cent = nodes[cells].mean(axis=1)
+    dropped = cut(cent[:, 0], cent[:, 1])
+    kept = cells[~dropped]
     used = np.unique(kept)
     remap = -np.ones(nodes.shape[0], dtype=np.int64)
     remap[used] = np.arange(used.size)
-    return nodes[used], remap[kept], remap
+    mesh = Mesh(nodes[used], remap[kept])
+    tol = 0.25 * min(width / nx, height / ny)
+    for name, axis, value in faces:
+        near = np.abs(mesh.nodes[:, axis] - value) < tol
+        mesh.node_sets[name] = np.nonzero(near)[0].astype(np.int64)
+    if edge is not None:
+        mesh.node_sets[edge] = remap[np.intersect1d(cells[dropped], kept)]
+    return mesh
 
 
-def _nodes_where(nodes, predicate) -> np.ndarray:
-    return np.nonzero(predicate(nodes))[0].astype(np.int64)
+def _row_path(mesh: Mesh, height: float, ny: int, row: int) -> np.ndarray:
+    """The elements of grid row ``row`` (0 at y = 0), by ascending x."""
+    cent = mesh.element_centroids()
+    rows = np.round((cent[:, 1] - 0.5 * height / ny) / (height / ny)).astype(int)
+    on_row = np.nonzero(rows == row)[0]
+    return on_row[np.argsort(cent[on_row, 0])]
 
 
 def generate_double_notch(
@@ -262,25 +267,14 @@ def generate_double_notch(
     if notch_height >= height:
         raise ValueError("notch height must be smaller than the specimen height")
 
-    nodes, cells = _structured_box(nx, ny, 1, width, height, thickness)
-    cent = nodes[cells].mean(axis=1)
-    cx, cy = cent[:, 0], cent[:, 1]
-    in_band = np.abs(cy - 0.5 * height) < 0.5 * notch_height
-    in_notch = in_band & ((cx < notch_depth) | (cx > width - notch_depth))
-    keep = ~in_notch
-    nodes, elements, _ = _compact(nodes, cells, keep)
+    def in_notch(x, y):
+        in_band = np.abs(y - 0.5 * height) < 0.5 * notch_height
+        return in_band & ((x < notch_depth) | (x > width - notch_depth))
 
-    tol = 0.25 * min(width / nx, height / ny)
-    mesh = Mesh(nodes, elements)
-    mesh.node_sets["top"] = _nodes_where(nodes, lambda p: np.abs(p[:, 1] - height) < tol)
-    mesh.node_sets["bottom"] = _nodes_where(nodes, lambda p: np.abs(p[:, 1]) < tol)
-    mesh.node_sets["front"] = _nodes_where(nodes, lambda p: np.abs(p[:, 2]) < tol)
-
-    cent = mesh.element_centroids()
-    rows = np.round((cent[:, 1] - 0.5 * height / ny) / (height / ny)).astype(int)
+    mesh = _slab(width, height, thickness, nx, ny, in_notch,
+                 [("top", 1, height), ("bottom", 1, 0.0), ("front", 2, 0.0)])
     mid_row = int(np.round(0.5 * height / (height / ny) - 0.5))
-    on_line = np.nonzero(rows == mid_row)[0]
-    mesh.element_paths["centerline"] = on_line[np.argsort(cent[on_line, 0])]
+    mesh.element_paths["centerline"] = _row_path(mesh, height, ny, mid_row)
     return mesh
 
 
@@ -309,25 +303,11 @@ def generate_plate_with_hole(
             f"hole radius {hole_radius} must be smaller than the quarter dimensions"
         )
 
-    nodes, cells = _structured_box(nx, ny, 1, width, height, thickness)
-    cent = nodes[cells].mean(axis=1)
-    in_hole = cent[:, 0] ** 2 + cent[:, 1] ** 2 < hole_radius**2
-    keep = ~in_hole
-    # nodes shared by a removed and a kept cell, ascending
-    interface = np.intersect1d(cells[in_hole], cells[keep])
-    nodes, elements, remap = _compact(nodes, cells, keep)
-
-    tol = 0.25 * min(width / nx, height / ny)
-    mesh = Mesh(nodes, elements)
-    mesh.node_sets["top"] = _nodes_where(nodes, lambda p: np.abs(p[:, 1] - height) < tol)
-    mesh.node_sets["symmetry_x"] = _nodes_where(nodes, lambda p: np.abs(p[:, 0]) < tol)
-    mesh.node_sets["symmetry_y"] = _nodes_where(nodes, lambda p: np.abs(p[:, 1]) < tol)
-    mesh.node_sets["front"] = _nodes_where(nodes, lambda p: np.abs(p[:, 2]) < tol)
-    mesh.node_sets["hole_edge"] = remap[interface]
-
-    cent = mesh.element_centroids()
-    bottom_row = np.nonzero(np.abs(cent[:, 1] - 0.5 * height / ny) < tol)[0]
-    mesh.element_paths["midline"] = bottom_row[np.argsort(cent[bottom_row, 0])]
+    mesh = _slab(width, height, thickness, nx, ny,
+                 lambda x, y: x**2 + y**2 < hole_radius**2,
+                 [("top", 1, height), ("symmetry_x", 0, 0.0), ("symmetry_y", 1, 0.0),
+                  ("front", 2, 0.0)], edge="hole_edge")
+    mesh.element_paths["midline"] = _row_path(mesh, height, ny, 0)
     return mesh
 
 
@@ -400,28 +380,23 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return item
 
-    lineno, header = take()
-    n_nodes = _expect_header(header.split(), "NODES", lineno)
-    nodes = np.empty((n_nodes, 3))
-    for i in range(n_nodes):
-        lineno, ln = take()
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MeshFormatError(f"line {lineno}: node record needs 3 coordinates")
-        try:
-            nodes[i] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise MeshFormatError(f"line {lineno}: bad coordinate") from exc
-
-    lineno, header = take()
-    n_elem = _expect_header(header.split(), "ELEMENTS", lineno)
-    elements = np.empty((n_elem, 8), dtype=np.int64)
-    for i in range(n_elem):
-        lineno, ln = take()
-        parts = ln.split()
-        if len(parts) != 8:
-            raise MeshFormatError(f"line {lineno}: element record needs 8 node ids")
-        elements[i] = _ints(parts, lineno, "node id")
+    records = []
+    for keyword, kind, width, parse, dtype, what in (
+            ("NODES", "node", 3, float, np.float64, "coordinate"),
+            ("ELEMENTS", "element", 8, int, np.int64, "node id")):
+        lineno, header = take()
+        rows = np.empty((_expect_header(header.split(), keyword, lineno), width), dtype=dtype)
+        for i in range(rows.shape[0]):
+            lineno, ln = take()
+            parts = ln.split()
+            if len(parts) != width:
+                raise MeshFormatError(f"line {lineno}: {kind} record needs {width} {what}s")
+            try:
+                rows[i] = [parse(v) for v in parts]
+            except ValueError as exc:
+                raise MeshFormatError(f"line {lineno}: bad {what}") from exc
+        records.append(rows)
+    nodes, elements = records
 
     def read_named(keyword):
         lineno, header = take()

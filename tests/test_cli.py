@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import shutil
 import subprocess
 import sys
 
@@ -448,6 +449,25 @@ def test_cli_compare_and_timing(cli_artifacts, tmp_path):
     assert "speedup mc / tsm" in text
 
 
+def test_report_timing_lists_compare_as_a_row_of_its_own(cli_artifacts, tmp_path, capsys):
+    """A ``compare`` directory is one more row, its kind and its own
+    seconds, and leaves the tsm / det and mc / tsm ratio lines as they
+    read without it."""
+    runs = [os.path.join(cli_artifacts, d) for d in ("det_xi+0", "tsm", "mc")]
+    cdir = str(tmp_path / "cmp")
+    assert main(["compare", "--tsm", runs[1], "--mc", runs[2], "--out", cdir]) == 0
+    man = read_manifest(os.path.join(cdir, "manifest.yaml"))
+    assert man["kind"] == "compare" and man["wall_times_s"]["total"] > 0.0
+    capsys.readouterr()
+    assert main(["report-timing", *runs]) == 0
+    without = capsys.readouterr().out.splitlines()
+    assert main(["report-timing", *runs, cdir]) == 0
+    row = f"compare  total {man['wall_times_s']['total']:10.2f} s   {cdir}"
+    assert capsys.readouterr().out.splitlines() == [*without[:5], row, *without[5:]]
+    assert [line.split("=")[0] for line in without[5:]] == ["tsm / det        ",
+                                                            "speedup mc / tsm "]
+
+
 def test_cli_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem: {preset: plate_coarse_desk}\nmc: {bogus: 1}\n")
@@ -739,6 +759,14 @@ def _manifest_without_wall_times(src, dst):
         yaml.safe_dump(man, fh)
 
 
+def _manifest_without_total(src, dst):
+    shutil.copy(os.path.join(src, "uq_summary.npz"), dst)
+    man = yaml.safe_load(open(os.path.join(src, "manifest.yaml")))
+    del man["wall_times_s"]["total"]
+    with open(os.path.join(dst, "manifest.yaml"), "w") as fh:
+        yaml.safe_dump(man, fh)
+
+
 def _summary_without_d_mean(src, dst):
     with np.load(os.path.join(src, "uq_summary.npz")) as z:
         members = {name: z[name] for name in z.files if name != "d_mean"}
@@ -760,6 +788,8 @@ _MALFORMED = {
          lambda src, dst: open(os.path.join(dst, "manifest.yaml"), "w").close()),
     "compare_summary_without_d_mean":
         ("compare", "no field 'd_mean'", "uq_summary.npz", _summary_without_d_mean),
+    "compare_manifest_without_total":
+        ("compare", "no field 'wall_times_s.total'", "manifest.yaml", _manifest_without_total),
     "compare_summary_that_is_not_an_npz":
         ("compare", "not an npz summary", "uq_summary.npz", _not_an_npz),
 }
