@@ -27,7 +27,7 @@ tree", uncommitted changes included).  The protocol:
 It compares every array of every result (dtype, shape, ``np.array_equal``
 and, for floats, ``signbit``), every decoded record of every exchange file
 (the sha256 of its step, time, strains and damage, Gauss points in the
-public order whatever the file's format version), and the sha256 of every
+public order), and the sha256 of every
 CLI artifact, of each npz member on its own; manifests and a summary's
 ``meta`` are hashed without their wall-time, elapsed and peak-RSS fields.  It prints the counts, and
 exits 1 naming the first difference.
@@ -57,7 +57,6 @@ import hashlib
 import io
 import json
 import os
-import struct
 import subprocess
 import sys
 import tarfile
@@ -97,31 +96,19 @@ def _flatten(name: str, obj, arrays: dict) -> None:
             _flatten(f"{name}[{i}]", value, arrays)
 
 
-def _public_order(a: np.ndarray) -> np.ndarray:
-    """Gauss-point values (ngp, ...) from the engine's order q * nelem + e
-    to the public order 8 e + q (``solver.to_public_order``, which a ref
-    from before format version 4 does not have)."""
-    ne = a.shape[0] // 8
-    return a.reshape(8, ne, *a.shape[1:]).swapaxes(0, 1).reshape(a.shape)
-
-
 def _record_digests(name: str, path, digests: dict) -> None:
     """One sha256 per decoded exchange record: step, time, then the strains
-    (Gauss-point-major) and damage as float64 bytes, Gauss points in the
-    public order 8 e + q.  The file header's version says the order:
-    version 4 records hold the engine's, earlier ones the public order.  So
-    a change that only renumbers Gauss points changes no record digest."""
+    (Gauss-point-major) and damage as float64 bytes, Gauss points moved
+    from the engine's order, which the records hold, to the public order
+    8 e + q by ``solver.to_public_order``.  So a change that only
+    renumbers Gauss points changes no record digest."""
+    from tsmfem.solver import to_public_order
     from tsmfem.tsm import ExchangeFileReader
 
-    with open(path, "rb") as fh:
-        _magic, version = struct.unpack("<4sI", fh.read(8))
     for i, rec in enumerate(ExchangeFileReader(path)):
-        eps, d = rec.eps, rec.d
-        if version >= 4:
-            eps, d = _public_order(eps), _public_order(d)
         h = hashlib.sha256(f"{rec.step} {float(rec.time).hex()}".encode())
-        h.update(np.ascontiguousarray(eps, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(d, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(to_public_order(rec.eps), dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(to_public_order(rec.d), dtype="<f8").tobytes())
         digests[f"{name}/record{i}"] = h.hexdigest()
 
 

@@ -64,12 +64,14 @@ def _export_summary(outdir, mesh, summary) -> None:
 
 
 def cmd_mesh_gen(args) -> int:
-    cfg = _config_from_args(args)
+    t0 = _time.perf_counter()
+    cfg = _config_from_args(args)  # generates the mesh
     outdir = _ensure_dir(cfg.output_dir)
     mesh_path = os.path.join(outdir, "mesh.txt")
     save_mesh(cfg.problem.mesh, mesh_path)
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),
-                          command="mesh-gen", wall_times={},
+                          command="mesh-gen", kind="mesh",
+                          wall_times={"total": _time.perf_counter() - t0},
                           extra={"n_nodes": cfg.problem.mesh.n_nodes,
                                  "n_elements": cfg.problem.mesh.n_elements})
     print(f"mesh: {cfg.problem.mesh.n_elements} elements, "
@@ -92,9 +94,9 @@ def cmd_run_det(args) -> int:
                                hist.force_times, series)
     save_mesh(cfg.problem.mesh, os.path.join(outdir, "mesh.txt"))
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),
-                          command=f"run-det --xi {xi}",
+                          command=f"run-det --xi {xi}", kind="det",
                           wall_times={"run": hist.wall_time, "total": hist.wall_time},
-                          extra={"kind": "det", "xi": xi, "dt": cfg.dt,
+                          extra={"xi": xi, "dt": cfg.dt,
                                  "n_steps": hist.n_steps, "product": hist.meta["product"],
                                  "peak_rss_mb": peak_rss_mb()})
     print(f"deterministic run (xi={xi:+g}): {hist.n_steps} steps, "
@@ -127,8 +129,8 @@ def cmd_run_tsm(args) -> int:
     walls = {"order0": wall0, "order1": wall1, "order1_wait": wait, "post": post,
              "total": wall0 + wall1 + post, "elapsed": t2 - t0}
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),
-                          command="run-tsm", wall_times=walls,
-                          extra={"kind": "tsm", "dt": cfg.dt, "n_steps": n_steps,
+                          command="run-tsm", kind="tsm", wall_times=walls,
+                          extra={"dt": cfg.dt, "n_steps": n_steps,
                                  "exchange_interval": cfg.tsm.exchange_interval,
                                  "exchange_mode": cfg.tsm.exchange_mode,
                                  "product": product,
@@ -154,9 +156,9 @@ def cmd_run_mc(args) -> int:
     walls = {"total": float(ens.wall_times.sum()), "observed_wall": wall,
              "per_sample_mean": float(ens.wall_times.mean())}
     export.write_manifest(os.path.join(outdir, "manifest.yaml"), cfg.as_dict(),
-                          command=f"run-mc (n={cfg.mc_n})", wall_times=walls,
+                          command=f"run-mc (n={cfg.mc_n})", kind="mc", wall_times=walls,
                           seeds={"xi": cfg.xi_dist.seed},
-                          extra={"kind": "mc", "n": cfg.mc_n, "dt": cfg.dt,
+                          extra={"n": cfg.mc_n, "dt": cfg.dt,
                                  "xi_second_moment_empirical": float((xis**2).mean()),
                                  "product": ens.histories[0].meta["product"],
                                  "peak_rss_mb": peak_rss_mb()})
@@ -165,22 +167,15 @@ def cmd_run_mc(args) -> int:
     return 0
 
 
-def _total_s(run_dir) -> float:
-    """The ``wall_times_s.total`` of the manifest in ``run_dir``."""
-    path = os.path.join(run_dir, "manifest.yaml")
-    walls = export.read_manifest(path)["wall_times_s"]
-    if "total" not in walls:
-        raise export.ArtifactFormatError(f"{path}: no field 'wall_times_s.total'")
-    return walls["total"]
-
-
 def cmd_compare(args) -> int:
     t0 = _time.perf_counter()
     tsm_uq = export.load_summary(os.path.join(args.tsm, "uq_summary.npz"))
     mc_uq = export.load_summary(os.path.join(args.mc, "uq_summary.npz"))
-    timings = {"tsm_total_s": _total_s(args.tsm), "mc_total_s": _total_s(args.mc)}
-    report = compare(tsm_uq, mc_uq, mask_threshold=float(args.mask),
-                     timings=timings)
+    for run_dir, role in ((args.tsm, "tsm"), (args.mc, "mc")):
+        kind = export.read_manifest(os.path.join(run_dir, "manifest.yaml"))["kind"]
+        if kind != role:
+            raise ValueError(f"--{role} {run_dir}: a '{kind}' run, expected a '{role}' run")
+    report = compare(tsm_uq, mc_uq, mask_threshold=float(args.mask))
     outdir = _ensure_dir(args.out or "compare")
     export.write_comparison_csv(outdir, report)
 
@@ -192,32 +187,24 @@ def cmd_compare(args) -> int:
                 table = extract_line(uq, mesh, path_name)
                 export.write_line_csv(
                     os.path.join(outdir, f"line_{path_name}_{tag}.csv"), table)
-    # total is this comparison's own seconds, so report-timing lists it
-    # beside the runs it compares
     export.write_manifest(os.path.join(outdir, "manifest.yaml"),
                           {"tsm_dir": args.tsm, "mc_dir": args.mc,
                            "mask": float(args.mask)},
-                          command="compare",
-                          wall_times={**timings, "total": _time.perf_counter() - t0},
-                          extra={"kind": "compare"})
+                          command="compare", kind="compare",
+                          wall_times={"total": _time.perf_counter() - t0})
     for key, val in sorted(report.summary.items()):
         print(f"{key}: {val}")
     return 0
 
 
 def cmd_report_timing(args) -> int:
-    rows = []
+    lines = ["timing report", "=============="]
+    by_kind: dict[str, float] = {}
     for d in args.dirs:
         man = export.read_manifest(os.path.join(d, "manifest.yaml"))
-        rows.append({"dir": d, "kind": man.get("kind", "?"),
-                     "total_s": man["wall_times_s"].get("total", 0.0),
-                     "wall_times": man["wall_times_s"]})
-    lines = ["timing report", "=============="]
-    for r in rows:
-        lines.append(f"{r['kind']:>4}  total {r['total_s']:10.2f} s   {r['dir']}")
-    by_kind: dict[str, float] = {}
-    for r in rows:
-        by_kind.setdefault(r["kind"], r["total_s"])
+        kind, total = man["kind"], man["wall_times_s"]["total"]
+        lines.append(f"{kind:>4}  total {total:10.2f} s   {d}")
+        by_kind.setdefault(kind, total)
     if "tsm" in by_kind and "det" in by_kind and by_kind["det"] > 0:
         lines.append(f"tsm / det        = {by_kind['tsm'] / by_kind['det']:8.2f}x")
     if "tsm" in by_kind and "mc" in by_kind and by_kind["tsm"] > 0:

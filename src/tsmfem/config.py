@@ -35,7 +35,7 @@ from .mesh import (
 )
 from .montecarlo import XiDistribution
 from .solver import stable_timestep
-from .tsm import Problem, TsmConfig
+from .tsm import K_MAX, Problem, TsmConfig
 
 
 def _load_table(fixed, amplitude, ramp_end):
@@ -127,7 +127,7 @@ def _count(value, key: str, minimum: int = 1, maximum: float = np.inf) -> int:
     rejected, not truncated."""
     try:
         n = int(value)
-        if n != float(value):
+        if not isinstance(value, int) and n != float(value):  # float() rounds past 2**53
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
@@ -316,7 +316,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     std = _real(mc["std"], "mc.std", positive=True)
     xi2 = cfg["tsm"]["xi_second_moment"]
     tsm_cfg = TsmConfig(
-        exchange_interval=_count(cfg["tsm"]["exchange_interval"], "tsm.exchange_interval"),
+        exchange_interval=_count(cfg["tsm"]["exchange_interval"], "tsm.exchange_interval",
+                                 maximum=K_MAX),
         exchange_mode=cfg["tsm"]["exchange_mode"],
         xi_second_moment=(std**2 if xi2 is None
                           else _real(xi2, "tsm.xi_second_moment", positive=False)),

@@ -193,11 +193,8 @@ def write_comparison_csv(outdir, report: ComparisonReport):
               "snorm_mean_rel_err", "snorm_std_rel_err"]
     _write_csv(os.path.join(outdir, "comparison_elements.csv"), header,
                [_G, "%d", "%d", *[_G] * 4], S * ne, columns)
-    summary = dict(report.summary)
-    if report.timings:
-        summary["timings"] = report.timings
     with atomic_write(os.path.join(outdir, "comparison_summary.yaml")) as fh:
-        yaml.safe_dump(summary, fh, sort_keys=True)
+        yaml.safe_dump(report.summary, fh, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +249,19 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def write_manifest(path, config: dict, *, command: str, wall_times: dict,
+def write_manifest(path, config: dict, *, command: str, kind: str, wall_times: dict,
                    seeds: dict | None = None, extra: dict | None = None):
-    """Everything needed to reproduce the run: resolved config and its hash,
-    code/library versions, seeds, and wall-clock accounting."""
+    """Everything needed to reproduce the run, in the one schema that
+    ``read_manifest`` checks: its ``kind`` (``mesh``, ``det``, ``tsm``, ``mc``
+    or ``compare``), resolved config and its hash, code/library versions,
+    seeds, and ``wall_times``, whose ``total`` is the run's own seconds,
+    stated nowhere else."""
     import scipy
 
     from . import __version__
 
     manifest = {
+        "kind": kind,
         "command": command,
         "config": _plain(config),
         "config_sha256": config_hash(config),
@@ -276,8 +277,16 @@ def write_manifest(path, config: dict, *, command: str, wall_times: dict,
 
 
 def read_manifest(path) -> dict:
+    """The manifest at ``path``, checked against ``write_manifest``'s
+    schema: an ``ArtifactFormatError`` names the first of ``wall_times_s``,
+    a numeric ``wall_times_s.total`` and ``kind`` that it lacks."""
     with open(path) as fh:
         man = yaml.safe_load(fh)
-    if not isinstance(man, dict) or not isinstance(man.get("wall_times_s"), dict):
+    walls = man.get("wall_times_s") if isinstance(man, dict) else None
+    if not isinstance(walls, dict):
         raise ArtifactFormatError(f"{path}: no field 'wall_times_s'")
+    if not isinstance(walls.get("total"), (int, float)):
+        raise ArtifactFormatError(f"{path}: no field 'wall_times_s.total'")
+    if not isinstance(man.get("kind"), str):
+        raise ArtifactFormatError(f"{path}: no field 'kind'")
     return man

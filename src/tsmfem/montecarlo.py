@@ -5,7 +5,7 @@ reports against the time-separated solution."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,8 +162,7 @@ def mc_statistics(ensemble: McEnsemble) -> UqSummary:
         force_times=h0.force_times.copy(),
         force_mean=force.mean(axis=0), force_std=force.std(axis=0, ddof=1),
         force_set=name,
-        meta={"method": "mc", "n": ensemble.n,
-              "wall_total": float(ensemble.wall_times.sum())},
+        meta={"method": "mc", "n": ensemble.n},
     )
 
 
@@ -234,13 +233,12 @@ class ComparisonReport:
     snorm_mean_rel_err: np.ndarray  # (S, ne)
     snorm_std_rel_err: np.ndarray  # (S, ne)
     summary: dict
-    timings: dict = field(default_factory=dict)
 
 
-def compare(tsm: UqSummary, mc: UqSummary, mask_threshold: float = 0.5,
-            timings: dict | None = None) -> ComparisonReport:
+def compare(tsm: UqSummary, mc: UqSummary, mask_threshold: float = 0.5) -> ComparisonReport:
     """Componentwise errors on the common grid; scalars aggregate the worst
-    case above and below the mask separately.
+    case above and below the mask separately.  The report holds errors
+    only: each run's seconds stay in its own manifest.
 
     The damage-function mean is compared absolutely (it is already a
     fraction in (0, 1]); standard deviations and stress norms relatively.
@@ -290,7 +288,7 @@ def compare(tsm: UqSummary, mc: UqSummary, mask_threshold: float = 0.5,
         times=tsm.times.copy(), mask_threshold=mask_threshold, masked=masked,
         f_mean_abs_err=f_mean_err, f_std_rel_err=f_std_err,
         snorm_mean_rel_err=sn_mean_err, snorm_std_rel_err=sn_std_err,
-        summary=summary, timings=dict(timings or {}),
+        summary=summary,
     )
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import numbers
 import os
 import pickle
 import struct
@@ -67,6 +68,7 @@ from .solver import (
 _MAGIC = b"TSMX"
 _VERSION = 4
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, gp_count, K
+K_MAX = 2**64 - 1  # the largest K the header's u64 holds
 _REC_HEAD = struct.Struct("<Qd")  # step, time
 _CRC = struct.Struct("<I")  # a record's CRC32, after its payload
 _TRAILER = struct.Struct("<QI")  # record count, stream CRC
@@ -105,8 +107,9 @@ class TsmConfig:
     xi_second_moment: float = 0.01
 
     def __post_init__(self):
-        if not self.exchange_interval >= 1:
-            raise ValueError("exchange_interval must be >= 1")
+        K = self.exchange_interval
+        if not (isinstance(K, numbers.Integral) and 1 <= K <= K_MAX):
+            raise ValueError(f"exchange_interval must be an integer in [1, {K_MAX}], got {K!r}")
         if self.exchange_mode not in ("in_memory", "file"):
             raise ValueError(f"unknown exchange_mode '{self.exchange_mode}'")
         if not self.xi_second_moment >= 0.0:
@@ -723,6 +726,5 @@ def uq_summary(solution: TsmSolution) -> UqSummary:
         force_mean=h0.forces[name],
         force_std=std(h1.forces[name]),
         force_set=name,
-        meta={"method": "tsm", "xi_second_moment": xi2,
-              "wall_order0": h0.wall_time, "wall_order1": h1.wall_time},
+        meta={"method": "tsm", "xi_second_moment": xi2},
     )

@@ -179,9 +179,9 @@ def test_bitwise_equal_runs_leave_out_any_changed_array_or_digest(bitwise):
 
 
 def test_record_digest_is_that_of_the_public_gauss_point_order(bitwise, tmp_path):
-    """A version-4 record holds Gauss point q of element e at q * nelem + e;
-    its digest hashes the values at 8 e + q, as a version-3 record held
-    them, so renumbering Gauss points changes no digest."""
+    """A record holds Gauss point q of element e at q * nelem + e, the
+    engine's order; its digest hashes the values at 8 e + q, the public
+    order, so renumbering Gauss points changes no digest."""
     import hashlib
 
     from tsmfem.tsm import ExchangeRecord, write_exchange

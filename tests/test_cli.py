@@ -282,7 +282,7 @@ def test_streamed_writers_cross_block_boundaries_byte_for_byte(tmp_path):
                               f_std_rel_err=_awkward_random(rng, S, m),
                               snorm_mean_rel_err=_awkward_random(rng, S, m),
                               snorm_std_rel_err=_awkward_random(rng, S, m),
-                              summary={"n": 1}, timings={"tsm_total_s": 2.5})
+                              summary={"n": 1})
     write_comparison_csv(tmp_path / "cmp", report)
     assert (tmp_path / "cmp" / "comparison_elements.csv").read_bytes().decode() == \
         _numpy_scalar_csv(
@@ -293,7 +293,7 @@ def test_streamed_writers_cross_block_boundaries_byte_for_byte(tmp_path):
               _g(report.snorm_mean_rel_err[i, e]), _g(report.snorm_std_rel_err[i, e]))
              for i in range(S) for e in range(m)])
     assert yaml.safe_load((tmp_path / "cmp" / "comparison_summary.yaml").read_text()) == \
-        {"n": 1, "timings": {"tsm_total_s": 2.5}}
+        {"n": 1}
 
     mesh = Mesh(_awkward_random(rng, n, 3), rng.integers(0, n, size=(n, 8)))
     disp, cell = _awkward_random(rng, n, 3), _awkward_random(rng, n)
@@ -385,8 +385,8 @@ def test_summary_npz_round_trip(tmp_path):
 def test_manifest_round_trip(tmp_path):
     p = tmp_path / "manifest.yaml"
     cfg = {"a": 1, "b": {"c": np.float64(2.5)}}
-    write_manifest(p, cfg, command="test", wall_times={"total": np.float64(1.25)},
-                   seeds={"xi": 7}, extra={"kind": "det"})
+    write_manifest(p, cfg, command="test", kind="det",
+                   wall_times={"total": np.float64(1.25)}, seeds={"xi": 7})
     man = read_manifest(p)
     assert man["config"]["b"]["c"] == 2.5
     assert man["config_sha256"] == config_hash(cfg)
@@ -449,6 +449,49 @@ def test_cli_compare_and_timing(cli_artifacts, tmp_path):
     assert "speedup mc / tsm" in text
 
 
+def test_every_cli_manifest_reads_back_its_kind_and_total(cli_artifacts, tmp_path, capsys):
+    """The manifest of each command, run-tsm in both exchange modes, passes
+    ``read_manifest`` with its kind and a numeric ``wall_times_s.total``,
+    and ``report-timing`` lists a ``mesh-gen`` directory as a ``mesh`` row
+    with its own seconds."""
+    short = ["--preset", "plate_coarse_desk", "--set", "load.total_time=0.001",
+             "--set", "load.ramp_end=0.001"]
+    mdir, fdir, cdir = (str(tmp_path / name) for name in ("mesh", "file", "cmp"))
+    assert main(["mesh-gen", *short, "--out", mdir]) == 0
+    assert main(["run-tsm", *short, "--out", fdir, "--set", "tsm.exchange_mode=file",
+                 "--set", "tsm.exchange_interval=1"]) == 0
+    assert main(["compare", "--tsm", os.path.join(cli_artifacts, "tsm"),
+                 "--mc", os.path.join(cli_artifacts, "mc"), "--out", cdir]) == 0
+    kinds = {mdir: "mesh", os.path.join(fdir, "tsm"): "tsm", cdir: "compare",
+             **{os.path.join(cli_artifacts, run): kind
+                for run, kind in (("det_xi+0", "det"), ("tsm", "tsm"), ("mc", "mc"))}}
+    for run_dir, kind in kinds.items():
+        man = read_manifest(os.path.join(run_dir, "manifest.yaml"))
+        assert man["kind"] == kind, run_dir
+        assert isinstance(man["wall_times_s"]["total"], float), run_dir
+        assert man["wall_times_s"]["total"] > 0.0, run_dir
+    total = read_manifest(os.path.join(mdir, "manifest.yaml"))["wall_times_s"]["total"]
+    capsys.readouterr()
+    assert main(["report-timing", mdir]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == f"mesh  total {total:10.2f} s   {mdir}"
+
+
+@pytest.mark.parametrize("tsm_run, mc_run, role, kind", [("mc", "tsm", "tsm", "mc"),
+                                                        ("tsm", "tsm", "mc", "tsm")])
+def test_compare_rejects_a_run_in_the_wrong_role(cli_artifacts, tmp_path, capsys,
+                                                 tsm_run, mc_run, role, kind):
+    """``--tsm`` must name a ``tsm`` run and ``--mc`` an ``mc`` run: a run
+    in the other role exits 1 with one error line naming the directory,
+    its kind and the kind expected, before anything is written."""
+    dirs = {"tsm": os.path.join(cli_artifacts, tsm_run), "mc": os.path.join(cli_artifacts, mc_run)}
+    cdir = tmp_path / "cmp"
+    capsys.readouterr()
+    assert main(["compare", "--tsm", dirs["tsm"], "--mc", dirs["mc"], "--out", str(cdir)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --{role} {dirs[role]}: a '{kind}' run, expected a '{role}' run\n"
+    assert not cdir.exists()
+
+
 def test_report_timing_lists_compare_as_a_row_of_its_own(cli_artifacts, tmp_path, capsys):
     """A ``compare`` directory is one more row, its kind and its own
     seconds, and leaves the tsm / det and mc / tsm ratio lines as they
@@ -492,9 +535,22 @@ def test_mc_workers_above_the_cpu_count_rejected_at_config_time(monkeypatch, tmp
                  "--set", f"mc.workers={too_many}"]) == 1
 
 
+def test_load_config_takes_every_exchange_interval_the_header_holds():
+    """K up to 2**64 - 1, the exchange header's u64, passes ``load_config``
+    unchanged, also past 2**53, where a float would round it; 2**64 is a
+    config error."""
+    preset = {"preset": "plate_coarse_desk"}
+    for K in (2**53 + 1, 2**64 - 1):
+        cfg = load_config(overrides={"problem": preset, "tsm": {"exchange_interval": K}})
+        assert cfg.tsm.exchange_interval == K
+    with pytest.raises(ConfigError, match="tsm.exchange_interval must be in"):
+        load_config(overrides={"problem": preset, "tsm": {"exchange_interval": 2**64}})
+
+
 @pytest.mark.parametrize("setting", [
     "mc.force_stride=0", "mc.force_stride=-3", "mc.force_stride=2.5",
     "output.n_snapshots=0", "output.n_snapshots=2.5", "tsm.exchange_interval=2.7",
+    "tsm.exchange_interval=100000000000000000000",
     "mc.n=1", "mc.workers=0", "mc.workers=2.5", "mc.seed=3.7", "mc.seed=-1",
     "timestep.dt=0", "timestep.dt=-1e-6", "timestep.dt=.nan", "timestep.dt=.inf",
     "timestep.cfl_safety=.inf", "timestep.cfl_safety=0", "timestep.cfl_safety=-0.5",
@@ -767,6 +823,13 @@ def _manifest_without_total(src, dst):
         yaml.safe_dump(man, fh)
 
 
+def _manifest_without_kind(src, dst):
+    man = yaml.safe_load(open(os.path.join(src, "manifest.yaml")))
+    del man["kind"]
+    with open(os.path.join(dst, "manifest.yaml"), "w") as fh:
+        yaml.safe_dump(man, fh)
+
+
 def _summary_without_d_mean(src, dst):
     with np.load(os.path.join(src, "uq_summary.npz")) as z:
         members = {name: z[name] for name in z.files if name != "d_mean"}
@@ -783,6 +846,11 @@ _MALFORMED = {
     "report_timing_manifest_without_wall_times":
         ("report-timing", "no field 'wall_times_s'", "manifest.yaml",
          _manifest_without_wall_times),
+    "report_timing_manifest_without_kind":
+        ("report-timing", "no field 'kind'", "manifest.yaml", _manifest_without_kind),
+    "report_timing_manifest_without_total":
+        ("report-timing", "no field 'wall_times_s.total'", "manifest.yaml",
+         _manifest_without_total),
     "report_timing_empty_manifest":
         ("report-timing", "no field 'wall_times_s'", "manifest.yaml",
          lambda src, dst: open(os.path.join(dst, "manifest.yaml"), "w").close()),

@@ -71,6 +71,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TsmConfig(exchange_interval=0)
     with pytest.raises(ValueError):
+        TsmConfig(exchange_interval=2.5)
+    with pytest.raises(ValueError):
+        TsmConfig(exchange_interval=2**64)
+    assert TsmConfig(exchange_interval=2**64 - 1).exchange_interval == 2**64 - 1
+    with pytest.raises(ValueError):
         TsmConfig(exchange_mode="carrier_pigeon")
     with pytest.raises(ValueError):
         TsmConfig(xi_second_moment=-0.1)
@@ -911,8 +916,6 @@ def test_lockstep_wall_times_add_up_to_the_observed_time():
     h0, h1 = sol.history0, sol.history1
     assert h0.wall_time > 0.0 and h1.wall_time > 0.0
     assert h0.wall_time + h1.wall_time <= elapsed
-    meta = uq_summary(sol).meta
-    assert (meta["wall_order0"], meta["wall_order1"]) == (h0.wall_time, h1.wall_time)
 
 
 def test_first_order_kernels_match_reference_ops(tmp_path):
