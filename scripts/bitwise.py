@@ -9,6 +9,10 @@ tree", uncommitted changes included).  The protocol:
 
 * ``run_deterministic`` on ``plate_coarse_desk``: xi = 0 at force stride 1
   and xi = 0.15 at force stride 7;
+* on ``plate_coarse_desk`` with every ramp ending at 0.37 of the total
+  time, so a ramp ends inside a run and inside a block of steps:
+  ``run_deterministic`` (xi = 0, force stride 3, mass damping on) and
+  in-memory ``run_tsm`` (K = 7);
 * ``run_tsm`` on ``plate_coarse_desk`` in both exchange modes at K = 1, 7,
   25 and 1e9, with each run's ``uq_summary``;
 * ``fd_oracle`` and a serial 4-sample ``run_mc`` with its
@@ -190,6 +194,13 @@ def produce(out: Path) -> None:
     for mode in ("in_memory", "file"):
         for K in (1, 7, 25, 10**9):
             tsm_run(f"tsm/coarse_{mode}_K{K}", coarse, mode, K)
+    mid = dataclasses.replace(p.loads, dirichlet=tuple(
+        dataclasses.replace(r, ramp_end=0.37 * p.loads.total_time) for r in p.loads.dirichlet))
+    early = dataclasses.replace(coarse, problem=dataclasses.replace(p, loads=mid))
+    hist = run_deterministic(p.mesh, mid, p.params, 0.0, dt, times, quad=quad, force_stride=3,
+                             mass_damping=p.mass_damping)
+    _flatten("det/ramp_end0.37_stride3", hist, arrays)
+    tsm_run("tsm/ramp_end0.37_in_memory_K7", early, "in_memory", 7)
     _flatten("fd_oracle", fd_oracle(p, 1e-3, dt, times, quad=quad), arrays)
     ens = run_mc(p, sample_xi(coarse.xi_dist, 4), dt, times, quad=quad)
     _flatten("mc/ensemble", ens, arrays)

@@ -169,12 +169,12 @@ def cmd_run_mc(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = _time.perf_counter()
-    tsm_uq = export.load_summary(os.path.join(args.tsm, "uq_summary.npz"))
-    mc_uq = export.load_summary(os.path.join(args.mc, "uq_summary.npz"))
     for run_dir, role in ((args.tsm, "tsm"), (args.mc, "mc")):
         kind = export.read_manifest(os.path.join(run_dir, "manifest.yaml"))["kind"]
         if kind != role:
             raise ValueError(f"--{role} {run_dir}: a '{kind}' run, expected a '{role}' run")
+    tsm_uq = export.load_summary(os.path.join(args.tsm, "uq_summary.npz"))
+    mc_uq = export.load_summary(os.path.join(args.mc, "uq_summary.npz"))
     report = compare(tsm_uq, mc_uq, mask_threshold=float(args.mask))
     outdir = _ensure_dir(args.out or "compare")
     export.write_comparison_csv(outdir, report)

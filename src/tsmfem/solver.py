@@ -54,19 +54,22 @@ g = 8 e + q: ``ExplicitEngine`` permutes ``d`` and ``sigma`` to it
 (``to_public_order``) only when it records a snapshot.  The exchange
 stream carries the engine's order (``tsm``).
 
-Sparse products call scipy's CSR kernel ``csr_matvec`` directly, through
-``_csr_product``.  That is bitwise what ``op @ x`` computes, because
-scipy's ``@`` for a CSR matrix and a dense vector is exactly a zeroed
-output plus the same kernel call; skipping its dispatch saves a few
-microseconds per product.  So the CSR form is bitwise ``op @ x``.
-Reactions, and the element gemm form's per-dof sums, are such products of
-0/1 operators: the reaction set-sum operator (``set_sum_operator``) on
-the reaction sets' constrained dofs, on each term gathered there (the
-internal forces and the numpy products ``m * a`` and ``m * v``), and the
-element-force assembly operator.  Each row is the same ascending
-sequential sum of the same rounded terms as summing the gathered terms;
-as the operators' entries are 1.0, a kernel compiled with fused
-multiply-adds computes the same sums.
+Sparse products call scipy's CSR kernels ``csr_matvec`` (a vector) and
+``csr_matvecs`` (a column block) directly, through ``_csr_product``.
+That is bitwise what ``op @ x`` computes, because scipy's ``@`` for a CSR
+matrix and a dense vector or block is exactly a zeroed output plus the
+same kernel call; skipping its dispatch saves a few microseconds per
+product.  So the CSR form is bitwise ``op @ x``.  The block kernel sums
+each column in the vector kernel's order, so a column of a block product
+has the bits of the product of that column alone.  Reactions, and the
+element gemm form's per-dof sums, are such products of 0/1 operators:
+the reaction set-sum operator (``set_sum_operator``) on the reaction
+sets' constrained dofs, on each term gathered there (the internal forces
+and the numpy products ``m * a`` and ``m * v``), and the element-force
+assembly operator.  Each row is the same ascending sequential sum of the
+same rounded terms as summing the gathered terms; as the operators'
+entries are 1.0, a kernel compiled with fused multiply-adds computes the
+same sums.
 
 The explicit update is one fused velocity update per step,
 v' = c * v + w * (f_body - f_int), with the per-dof w = dt / m and
@@ -79,11 +82,21 @@ boundary velocity taken from a finite difference of the ramp.  Reactions
 are formed only on the steps that record them, and only at the reaction
 sets' constrained dofs, with the ramp's central-difference acceleration;
 at a free dof the momentum balance makes the reaction f_body, whose
-per-set sum is a constant formed at set-up.  Ramps of zero amplitude are
-never re-evaluated.  The program starts no thread of its own, and its
-results are bitwise reproducible.  Set-up follows the mesh and the
-output, not the step count: the reaction schedule is arithmetic on the
-step number.
+per-set sum is a constant formed at set-up.
+
+What a step does not draw from the state is formed a block of steps at a
+time, at most ``_BLOCK_STEPS`` steps whose rows take at most
+``_BLOCK_BYTES`` (1 MB) whatever the step count: the block's clock, one
+sequential sum of dt (``np.cumsum``) that the engine's time is read from,
+and the ramps' rows at its times; and the reactions of the recording
+steps, whose terms that depend on the state a step only gathers, summed
+when the block fills and on the last step, one set-sum product per term.
+Every number is the same IEEE expression, in the same order, as a step's
+own, so a run's outputs do not depend on the block's rows, and recording
+never changes the trajectory.  The program starts no thread of its own,
+and its results are bitwise reproducible.  Set-up follows the mesh and
+the output, not the step count: the reaction schedule is arithmetic on
+the step number.
 """
 
 from __future__ import annotations
@@ -105,6 +118,12 @@ _EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
           (0, 4), (1, 5), (2, 6), (3, 7)]
 
 _NAN_CHECK_INTERVAL = 64
+
+# An engine forms its boundary rows and sums its reactions a block of
+# steps at a time: at most _BLOCK_STEPS steps, whose rows and held terms
+# take at most _BLOCK_BYTES.
+_BLOCK_BYTES = 1 << 20
+_BLOCK_STEPS = 64
 
 # Relative spread across elements of dN/dx and of detJ * w under which a
 # mesh has one element shape and its products take the element gemm form.
@@ -138,12 +157,19 @@ class InstabilityError(RuntimeError):
 
 
 def _csr_product(op: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``op @ x`` for a float64 CSR matrix and a float64 vector (n,), into a
-    fresh array: scipy's own kernel on a zeroed output, as ``@`` does,
-    without its dispatch."""
+    """``op @ x`` for a float64 CSR matrix and a float64 vector (n,) or
+    column block (n, k), into a fresh array: scipy's own kernel on a zeroed
+    output, as ``@`` does, without its dispatch.  A block is read in C
+    order, copied first when it lies otherwise, as ``@`` does; each of its
+    columns is summed in the order the vector kernel sums a vector."""
     m, n = op.shape
-    out = np.zeros(m)
-    _sparsetools.csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
+    if x.ndim == 1:
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, op.indptr, op.indices, op.data, x, out)
+        return out
+    out = np.zeros((m, x.shape[1]))
+    _sparsetools.csr_matvecs(m, n, x.shape[1], op.indptr, op.indices, op.data,
+                             x.ravel(), out.ravel())
     return out
 
 
@@ -339,23 +365,26 @@ def set_sum_operator(node_sets) -> tuple[sp.csr_matrix, np.ndarray]:
     return op, dofs
 
 
-def reaction_sums(op: sp.csr_matrix, terms: np.ndarray,
-                  mass_damping: float = 0.0) -> np.ndarray:
-    """Reactions (n_sets, 3): internal plus inertial (plus damping, when
-    active) nodal forces.  ``terms`` holds, at the dofs of the columns of
-    ``op`` (a set-sum operator of ``set_sum_operator``, or some of its
-    columns), the rows f_int, m * a and, with ``mass_damping``, m * v.
+def reaction_sums(op: sp.csr_matrix, terms, mass_damping: float = 0.0) -> np.ndarray:
+    """Reactions: internal plus inertial (plus damping, when active) nodal
+    forces.  ``terms`` holds, at the dofs of the columns of ``op`` (a
+    set-sum operator of ``set_sum_operator``, or some of its columns), the
+    terms f_int, m * a and, with ``mass_damping``, m * v: each a row
+    (n_dofs,) of one step, giving (n_sets, 3), or a block (B, n_dofs) of B
+    steps, giving (n_sets, B, 3).
 
     Each term is summed on its own, over the set's nodes in ascending
     order, before the terms are added; summing the combined vector instead
     moves finite-difference quotients of reactions by roundoff amplified
-    1/(2h).  The products ``m * a`` and ``m * v`` are formed before the
-    sums, so the 0/1 kernel only adds."""
-    sums = [_csr_product(op, term) for term in terms]
+    1/(2h).  A block is summed by one product, whose every column is the
+    sum of that step's row (``_csr_product``), so a step's reactions have
+    the same bits in a block of any size.  The products ``m * a`` and
+    ``m * v`` are formed before the sums, so the 0/1 kernel only adds."""
+    sums = [_csr_product(op, np.asarray(term).T) for term in terms]
     r = sums[0] + sums[1]
     if mass_damping:
         r += mass_damping * sums[2]
-    return r.reshape(-1, 3)
+    return np.moveaxis(r.reshape(-1, 3, *r.shape[1:]), 1, -1)
 
 
 @dataclass
@@ -381,60 +410,62 @@ class _Dirichlet:
     names the dof, ``mesh.constrained_dofs``), whose ramp is
     value(t) = amplitude * min(t, ramp_end) / ramp_end.
 
-    For the step from t to t + dt (t >= 0) the engine reads ``update``,
-    the rows (velocity, value) at the dofs: (u(t + dt) - u(t)) / dt and
-    u(t + dt); on a step that records reactions it also reads
-    ``acceleration``, the central difference
-    (u(t + dt) - 2 u(t) + u(t - dt)) / dt**2.  The ramp law is evaluated in
-    Python floats once per row of the load table and spread to the dofs
-    with one ``take``; each value is the same IEEE expression, in the same
-    order, as the elementwise numpy form.  Only rows of nonzero amplitude
-    are evaluated, once per step for every read: for t >= 0 a zero
+    ``steps`` and ``acceleration`` evaluate the rows of a vector of step
+    times t >= 0 at once, one row per time: for the step from t to
+    t + dt the velocity (u(t + dt) - u(t)) / dt and the value u(t + dt),
+    and the central difference (u(t + dt) - 2 u(t) + u(t - dt)) / dt**2.
+    The ramp law is evaluated once per row of the load table and time, and
+    spread to the dofs with one ``take``; each value is the same IEEE
+    expression, in the same order, as the elementwise numpy form of one
+    time.  Only rows of nonzero amplitude are evaluated: for t >= 0 a zero
     amplitude's rows are constant, acceleration and velocity +0.0 and the
     value the amplitude, its sign of zero kept.  Without a nonzero
-    amplitude, as in the first-order problem (scale 0), the rows are
-    formed once."""
+    amplitude, as in the first-order problem (scale 0), no ramp is
+    evaluated."""
 
     def __init__(self, mesh: Mesh, loads: LoadCase, scale: float):
         self.dofs, self._which = constrained_dofs(loads, mesh)
         self._ramps = [(scale * r.amplitude, r.ramp_end) for r in loads.dirichlet]
-        # per row: acceleration, velocity and value, the moving rows' set per step
-        self._slots = np.zeros((3, len(self._ramps)))
-        self._slots[2] = [amp for amp, _ in self._ramps]
-        self._moving = [(k, amp, t_end) for k, (amp, t_end) in enumerate(self._ramps)
-                        if amp != 0.0]
-        self._rows = self._slots[1:].take(self._which, axis=1)
-        self._t, self._now = None, []  # the step of the rows; (u(t + dt), u(t)) per moving row
+        amp, t_end = np.array(self._ramps, dtype=float).reshape(-1, 2).T
+        self._moving = np.flatnonzero(amp != 0.0)
+        self._amp, self._t_end = amp[self._moving], t_end[self._moving]
+        self._rest = np.zeros((3, amp.size))  # per row: acceleration, velocity, value
+        self._rest[2] = amp
 
     def value(self, t: float) -> np.ndarray:
         """The prescribed displacements at time t."""
         return np.take([amp * min(t, t_end) / t_end for amp, t_end in self._ramps],
                        self._which)
 
-    def update(self, t: float, dt: float) -> np.ndarray:
-        """The rows (velocity, value) (2, n_dofs) of the step from t to
-        t + dt: the velocity of the update and the value at t + dt."""
-        if self._moving and (t, dt) != self._t:
-            self._now = []
-            for k, amp, t_end in self._moving:
-                up = amp * min(t + dt, t_end) / t_end
-                u0 = amp * min(t, t_end) / t_end
-                self._slots[1, k] = (up - u0) / dt
-                self._slots[2, k] = up
-                self._now.append((up, u0))
-            self._rows = self._slots[1:].take(self._which, axis=1)
-            self._t = (t, dt)
-        return self._rows
+    def _ramp(self, times: np.ndarray) -> np.ndarray:
+        """The moving rows' values (B, n_moving) at ``times`` (B,)."""
+        return self._amp * np.minimum(times[:, None], self._t_end) / self._t_end
 
-    def acceleration(self, t: float, dt: float, slots=None) -> np.ndarray:
-        """The acceleration row at t, the central difference of the ramp:
-        at every dof, or at the dofs whose load-table rows
-        (``_which[positions]``) ``slots`` lists."""
-        self.update(t, dt)
-        for (k, amp, t_end), (up, u0) in zip(self._moving, self._now):
-            um = amp * min(t - dt, t_end) / t_end
-            self._slots[0, k] = (up - 2.0 * u0 + um) / dt**2
-        return self._slots[0].take(self._which if slots is None else slots)
+    def _rows(self, times: np.ndarray, k: int) -> np.ndarray:
+        """Row ``k`` of ``_rest`` repeated for each of ``times``: (B, n_rows)."""
+        return np.repeat(self._rest[None, k], times.size, axis=0)
+
+    def steps(self, times: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rows (B, n_dofs) of the steps from ``times`` (B,) to
+        ``times`` + dt: the velocities of the updates and the values at
+        their ends."""
+        velocity, value = self._rows(times, 1), self._rows(times, 2)
+        if self._moving.size:
+            up = self._ramp(times + dt)
+            velocity[:, self._moving] = (up - self._ramp(times)) / dt
+            value[:, self._moving] = up
+        return velocity.take(self._which, axis=1), value.take(self._which, axis=1)
+
+    def acceleration(self, times: np.ndarray, dt: float, rows=None) -> np.ndarray:
+        """The acceleration rows (B, n) at ``times`` (B,), the central
+        difference of the ramp: at every dof, or at the dofs whose
+        load-table rows (``_which[positions]``) ``rows`` lists."""
+        accel = self._rows(times, 0)
+        if self._moving.size:
+            u0 = self._ramp(times)
+            accel[:, self._moving] = (self._ramp(times + dt) - 2.0 * u0
+                                      + self._ramp(times - dt)) / dt**2
+        return accel.take(self._which if rows is None else rows, axis=1)
 
 
 def step_at(t: float, dt: float) -> int:
@@ -453,8 +484,9 @@ class ExplicitEngine:
     the step count ``n``.  Each ``step()`` then runs step n = 0, 1, ...,
     ``n_steps``: ``evaluate()``, the optional
     ``exchange_hook(n, time, eps, d)``, the reactions (every
-    ``force_stride`` steps and at the last) and snapshot of step n (``d``
-    and ``sigma`` in the public order), then, except after the last step,
+    ``force_stride`` steps and at the last; see below) and snapshot of
+    step n (``d`` and ``sigma`` in the public order), then, except after
+    the last step,
     ``advance()`` to step n + 1 and, every ``_NAN_CHECK_INTERVAL`` steps, a
     scan for non-finite values.  ``finish()`` checks that the final state
     is finite and returns the ``History``, whose ``wall_time`` is the time
@@ -487,10 +519,20 @@ class ExplicitEngine:
     A set's reaction is the sum of f_int + m * a + alpha * m * v over its
     dofs.  At a free dof the update's momentum balance makes that f_body,
     so the reaction is formed where the supports act (Belytschko, Liu &
-    Moran, 2000): on the steps that record it, f_int, m times the ramp's
-    central-difference acceleration and, when damped, m * v at the set's
-    constrained dofs, each term summed by ``reaction_sums``, plus the sum
-    of f_body over the set's free dofs, formed once at set-up.
+    Moran, 2000): f_int, m times the ramp's central-difference
+    acceleration and, when damped, m * v at the set's constrained dofs,
+    each term summed by ``reaction_sums``, plus the sum of f_body over the
+    set's free dofs, formed once at set-up.
+
+    The steps run in blocks of ``_block`` steps, sized at set-up from the
+    constrained and reaction dofs within ``_BLOCK_BYTES`` (the module
+    docstring).  A block's first ``advance()`` forms its clock and its
+    ramps' velocity and value rows (``_Dirichlet.steps``); each step then
+    reads one row and takes its time from the clock.  A recording step
+    only holds f_int (and v, when damped) at the sets' constrained dofs and
+    its time; when ``_block`` steps are held, and on the last step, the
+    held steps' acceleration rows are formed and their reactions summed as
+    one block into the reaction rows, so ``finish()`` only hands them out.
     """
 
     def __init__(self, mesh: Mesh, loads: LoadCase, rho: float, dt: float,
@@ -547,6 +589,11 @@ class ExplicitEngine:
         self._free_body = _csr_product(op[:, free], self.f_body[k[free]]).reshape(-1, 3)
         # one contiguous (rows, 3) series per set, handed out by finish()
         self._forces = np.zeros((len(self._set_names), force_times.size, 3))
+        # a block's steps: its ramp rows and the terms held of its recording
+        # steps, within _BLOCK_BYTES whatever the step count
+        terms = 2 if self.alpha else 1
+        row_bytes = 8 * (1 + 2 * self.bc.dofs.size) + 8 * (1 + terms * self._set_dofs.size)
+        self._block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // row_bytes))
         self.history = History(
             times=np.asarray([s * dt for s in snap_steps]),
             u=np.zeros((S, nn, 3)), d=np.zeros((S, ngp)), sigma=np.zeros((S, ngp, 6)),
@@ -565,6 +612,9 @@ class ExplicitEngine:
         self.u, self.v, self.d = np.zeros((nn, 3)), np.zeros((nn, 3)), np.zeros(ngp)
         self.u.ravel()[self.bc.dofs] = self.bc.value(0.0)
         self.time, self.n = 0.0, 0
+        # the recording steps held since the last sum: f_int and v at the
+        # sets' constrained dofs, and the time
+        self._held, self._rows_summed = ([], [], []), 0
 
     def evaluate(self):
         """Top-of-step kinematics and kinetics: (eps, sigma, f_int), the
@@ -577,31 +627,53 @@ class ExplicitEngine:
         """One central-difference update into new arrays (see the class
         docstring); Dirichlet dofs are overwritten with the exact ramp
         values."""
-        dt, t = self.dt, self.time
-        bc_v, bc_u = self.bc.update(t, dt)
+        dt, j = self.dt, self.n % self._block
+        if j == 0:  # a block's first step: its clock and ramp rows
+            times = np.full(min(self._block, self.n_steps - self.n) + 1, dt)
+            times[0] = self.time
+            times = np.cumsum(times)
+            self._clock = times.tolist()
+            self._bc_v, self._bc_u = self.bc.steps(times[:-1], dt)
         # half-step start: the very first update advances v by dt/2
         w, c = (self._w, self._c) if self.n else (0.5 * self._w, 1.0 - self.alpha * (0.5 * dt))
         v = self.f_body - f_int
         v *= w
         v += c * self.v.ravel() if self.alpha else self.v.ravel()
-        v[self.bc.dofs] = bc_v
+        v[self.bc.dofs] = self._bc_v[j]
         u = dt * v
         u += self.u.ravel()
-        u[self.bc.dofs] = bc_u
+        u[self.bc.dofs] = self._bc_u[j]
         self.d = self.damage_fn(self.d, eps, self.n)
         self.u, self.v = u.reshape(-1, 3), v.reshape(-1, 3)
-        self.time, self.n = t + dt, self.n + 1
+        self.time, self.n = self._clock[j + 1], self.n + 1
 
-    def reactions(self, f_int) -> np.ndarray:
-        """The reactions (n_sets, 3) of the current step, from its internal
-        forces (see the class docstring)."""
-        k, m = self._set_dofs, self._set_mass
-        terms = [f_int.take(k), m * self.bc.acceleration(self.time, self.dt, self._set_slots)]
+    def _record(self, f_int) -> None:
+        """Hold the current step's reaction terms that depend on the state,
+        f_int (and v, when damped) at the sets' constrained dofs, and its
+        time; sum the held steps when they fill the block or the step is
+        the last."""
+        k, held = self._set_dofs, self._held
+        held[0].append(f_int[k])
         if self.alpha:
-            terms.append(m * self.v.ravel().take(k))
+            held[1].append(self.v.ravel()[k])
+        held[2].append(self.time)
+        if len(held[2]) == self._block or self.n == self.n_steps:
+            self._sum_held()
+
+    def _sum_held(self) -> None:
+        """The reactions of the held recording steps, summed as one block
+        into the rows that follow the rows summed before."""
+        f, v, times = (np.array(h) for h in self._held)
+        m = self._set_mass
+        terms = [f, m * self.bc.acceleration(times, self.dt, self._set_slots)]
+        if self.alpha:
+            terms.append(m * v)
         r = reaction_sums(self._set_sums, terms, self.alpha)
-        r += self._free_body
-        return r
+        r += self._free_body[:, None]
+        row = self._rows_summed
+        self._forces[:, row:row + times.size] = r
+        self._rows_summed = row + times.size
+        self._held = ([], [], [])
 
     def step(self):
         """Run the current step (see the class docstring); returns its
@@ -613,7 +685,7 @@ class ExplicitEngine:
         if self.exchange_hook is not None:
             self.exchange_hook(n, self.time, eps, d)
         if n % self._force_stride == 0 or n == self.n_steps:  # in row ceil(n / s)
-            self._forces[:, -(-n // self._force_stride)] = self.reactions(f_int)
+            self._record(f_int)
         i = self._snap_at.get(n)
         if i is not None:
             hist = self.history
@@ -633,10 +705,14 @@ class ExplicitEngine:
 
     def finish(self) -> History:
         """The history, once the final state is checked to be finite; each
-        set's reaction series is a view of the engine's own rows."""
+        set's reaction series is a view of the engine's own rows.  Steps
+        still held, when the run stopped before its last step, are summed
+        first."""
         t0 = _time.perf_counter()
         if not np.isfinite(self.u).all():
             raise self._instability()
+        if self._held[2]:  # a run stopped before its last step
+            self._sum_held()
         hist = self.history
         hist.forces = dict(zip(self._set_names, self._forces))
         hist.wall_time += _time.perf_counter() - t0

@@ -477,12 +477,16 @@ def test_every_cli_manifest_reads_back_its_kind_and_total(cli_artifacts, tmp_pat
 
 
 @pytest.mark.parametrize("tsm_run, mc_run, role, kind", [("mc", "tsm", "tsm", "mc"),
-                                                        ("tsm", "tsm", "mc", "tsm")])
+                                                        ("tsm", "tsm", "mc", "tsm"),
+                                                        ("det_xi+0", "mc", "tsm", "det"),
+                                                        ("tsm", "det_xi+0", "mc", "det")])
 def test_compare_rejects_a_run_in_the_wrong_role(cli_artifacts, tmp_path, capsys,
                                                  tsm_run, mc_run, role, kind):
     """``--tsm`` must name a ``tsm`` run and ``--mc`` an ``mc`` run: a run
-    in the other role exits 1 with one error line naming the directory,
-    its kind and the kind expected, before anything is written."""
+    in the other role, a ``run-det`` directory, which holds no summary,
+    included, exits 1 with one error line naming the directory, its kind
+    and the kind expected, read from the manifests before any summary and
+    before anything is written."""
     dirs = {"tsm": os.path.join(cli_artifacts, tsm_run), "mc": os.path.join(cli_artifacts, mc_run)}
     cdir = tmp_path / "cmp"
     capsys.readouterr()
@@ -831,12 +835,14 @@ def _manifest_without_kind(src, dst):
 
 
 def _summary_without_d_mean(src, dst):
+    shutil.copy(os.path.join(src, "manifest.yaml"), dst)
     with np.load(os.path.join(src, "uq_summary.npz")) as z:
         members = {name: z[name] for name in z.files if name != "d_mean"}
     np.savez(os.path.join(dst, "uq_summary.npz"), **members)
 
 
 def _not_an_npz(src, dst):
+    shutil.copy(os.path.join(src, "manifest.yaml"), dst)
     with open(os.path.join(dst, "uq_summary.npz"), "w") as fh:
         fh.write("time,d\n0.0,0.0\n")
 

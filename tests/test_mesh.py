@@ -197,15 +197,15 @@ def test_ramp_value_piecewise_linear():
 
 @pytest.mark.parametrize("scale", [1.0, 0.0, 1.7])
 def test_compiled_ramp_table_is_the_closed_form(scale):
-    """``value``, ``update`` and ``acceleration`` give, dof by dof, the
-    bits of the numpy closed form amp * min(t, t_end) / t_end and of its
-    differences before the start, at the start (t = 0), mid-ramp, at a
-    ramp end and past it, for zero, positive and negative amplitudes; a
-    zero amplitude keeps its sign (scale 0 times a negative amplitude is
-    -0.0).  A zero amplitude's step rows are constant, acceleration and
-    velocity +0.0 and the value the amplitude; before the start, where
-    steps never begin, they differ from the closed form's in the sign of
-    zero."""
+    """``value``, and the rows of ``steps`` and ``acceleration`` for a
+    block of times, give, dof by dof, the bits of the numpy closed form
+    amp * min(t, t_end) / t_end of each time and of its differences before
+    the start, at the start (t = 0), mid-ramp, at a ramp end and past it,
+    for zero, positive and negative amplitudes; a zero amplitude keeps its
+    sign (scale 0 times a negative amplitude is -0.0).  A zero amplitude's
+    step rows are constant, acceleration and velocity +0.0 and the value
+    the amplitude; before the start, where steps never begin, they differ
+    from the closed form's in the sign of zero."""
     m = _unit_cube()
     lc = LoadCase(dirichlet=(DirichletRamp("bottom", 0, 0.0, 0.5),
                              DirichletRamp("bottom", 1, 0.0, 0.5),
@@ -229,11 +229,12 @@ def test_compiled_ramp_table_is_the_closed_form(scale):
     zero = amp == 0.0
     assert zero.any() and (scale == 0.0 or not zero.all())
     constant = (np.zeros_like(amp), np.zeros_like(amp), amp)
-    for t in (-0.1, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7):
+    times = np.array([-0.1, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7])
+    block = {dt: (table.acceleration(times, dt), table.steps(times, dt)) for dt in (1e-3, 0.07)}
+    for i, t in enumerate(times.tolist()):
         assert same_bits(table.value(t), closed(t))
         for dt in (1e-3, 0.07):
-            velocity, value = table.update(t, dt)
-            accel = table.acceleration(t, dt)
+            accel, velocity, value = block[dt][0][i], block[dt][1][0][i], block[dt][1][1][i]
             want = ((closed(t + dt) - 2.0 * closed(t) + closed(t - dt)) / dt**2,
                     (closed(t + dt) - closed(t)) / dt, closed(t + dt))
             for got, w, c in zip((accel, velocity, value), want, constant):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tsmfem import hexa
+from tsmfem import hexa, solver
 from tsmfem.config import load_config
 from tsmfem.material import MaterialParams, Order0Law
 from tsmfem.mesh import DirichletRamp, LoadCase, Mesh, _structured_box, generate_plate_with_hole
@@ -29,7 +29,7 @@ from tsmfem.solver import (
     stable_timestep,
     to_public_order,
 )
-from tsmfem.tsm import FirstOrderKernels, InMemoryExchange, Problem, TsmConfig
+from tsmfem.tsm import FirstOrderKernels, InMemoryExchange, Problem, TsmConfig, run_tsm
 
 from test_material import dot6
 
@@ -404,7 +404,10 @@ def test_direct_kernel_is_the_scipy_product():
     """``_csr_product`` gives the bits of ``op @ x`` for strain_op, for
     force_op, for the element-force assembly (whose indices are
     deliberately unsorted), for a set-sum operator, and for an
-    int64-indexed operator."""
+    int64-indexed operator; on a column block (n, k), in C or Fortran
+    order, those of ``op @ x`` of each column and of the block, signs of
+    zero included, with -0.0 entries in the block and the operator and an
+    empty row, for int32 and int64 indices."""
     mesh = _desk_mesh("plate_coarse_desk")
     quad = ElementQuadrature.build(mesh)
     rng = np.random.default_rng(11)
@@ -412,7 +415,7 @@ def test_direct_kernel_is_the_scipy_product():
     s = rng.standard_normal(quad.force_op.shape[1])
     wide = quad.strain_op.copy()
     wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
-    op, dofs = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["symmetry_x"]])
+    op, dofs = set_sum_operator([mesh.node_sets["top"], mesh.node_sets["symmetry_x"], []])
     cases = [(quad.strain_op, u), (quad.force_op, s), (wide, u),
              (quad.assembly, rng.standard_normal(quad.assembly.shape[1])),
              (op, rng.standard_normal(dofs.size))]
@@ -421,6 +424,26 @@ def test_direct_kernel_is_the_scipy_product():
         assert got.dtype == np.float64 and np.array_equal(got, a @ x)
     assert not quad.assembly.has_sorted_indices
     assert wide.indices.dtype == wide.indptr.dtype == np.int64
+
+    def same_bits(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    signed = quad.force_op.copy()
+    signed.data[::7] = -0.0
+    assert (np.diff(op.indptr) == 0).any()  # the empty set's rows
+    for a in (quad.strain_op, wide, signed, quad.assembly, op):
+        for k in (1, 5):
+            x = rng.standard_normal((a.shape[1], k))
+            x[::3, 0] = -0.0
+            x[1::3, -1] = 0.0
+            for block in (x, np.asfortranarray(x)):
+                got = _csr_product(a, block)
+                assert got.shape == (a.shape[0], k) and got.flags.c_contiguous
+                assert same_bits(got, a @ block)
+                for j in range(k):
+                    assert same_bits(got[:, j], _csr_product(a, np.ascontiguousarray(x[:, j])))
+                    assert same_bits(got[:, j], a @ x[:, j])
+        assert a.indices.dtype == (np.int64 if a is wide else np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +875,7 @@ def _full_set_reactions(eng, f_int):
     constrained ones, each term summed on its own."""
     mesh, mass3, bc = eng.mesh, eng.mass3, eng.bc
     a = (eng.f_body - f_int) / mass3 - eng.alpha * eng.v.ravel()
-    a[bc.dofs] = bc.acceleration(eng.time, eng.dt)
+    a[bc.dofs] = bc.acceleration(np.array([eng.time]), eng.dt)[0]
     return _set_reactions(mesh, eng._set_names, mass3[::3], f_int, a, eng.v, eng.alpha)
 
 
@@ -861,43 +884,50 @@ def test_constrained_dof_reactions_are_the_full_set_sums(preset):
     """Summing only the constrained dofs, plus the sets' free-dof f_body,
     gives the reactions of the sums over every set dof within 1e-12 of
     each set's largest, under mass damping and a body force, at each of
-    40 steps of a run whose ramps end at step 20; a component whose set
-    dofs are all constrained is bitwise the same."""
+    the 40 steps of a run whose ramps end at step 20, all recorded and
+    summed as one block; a component whose set dofs are all constrained
+    is bitwise the same."""
     c = load_config(overrides={"problem": {"preset": preset}})
     p, dt = c.problem, c.dt
-    loads = replace(p.loads, body_force=(1e5, -2e5, 3e4),
+    loads = replace(p.loads, body_force=(1e5, -2e5, 3e4), total_time=39 * dt,
                     dirichlet=tuple(replace(r, ramp_end=20.5 * dt) for r in p.loads.dirichlet))
     kern = deterministic_kernels(p.params, 0.0, dt)
     eng = ExplicitEngine(p.mesh, loads, p.params.rho, dt, [], kern.stress, kern.damage,
                          mass_damping=p.mass_damping)
     assert eng.alpha > 0.0 and np.abs(eng._free_body).max() > 0.0
+    assert eng.n_steps + 1 == 40 <= eng._block
     names = eng._set_names
     constrained = np.zeros(3 * p.mesh.n_nodes, dtype=bool)
     constrained[eng.bc.dofs] = True
     pinned = np.array([[constrained[3 * p.mesh.node_sets[n] + j].all() for j in range(3)]
                        for n in names])
     assert pinned.any() and not pinned.all()
+    wants = []
     for _ in range(40):
         eps, sigma, f_int = eng.evaluate()
-        got, want = eng.reactions(f_int), _full_set_reactions(eng, f_int)
+        wants.append(_full_set_reactions(eng, f_int))
+        eng.step()
+    hist = eng.finish()
+    for n, want in enumerate(wants):
+        got = np.array([hist.forces[name][n] for name in names])
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert (np.abs(got - want) <= 1e-12 * scale).all()
         assert np.array_equal(got[pinned], want[pinned])
         assert np.array_equal(np.signbit(got[pinned]), np.signbit(want[pinned]))
-        eng.advance(eps, f_int)
     assert np.abs(want).max() > 0.0
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.0])
 @pytest.mark.parametrize("amp", [0.0, -0.0, 0.004])
 def test_dirichlet_rows_are_the_ramp_formula(amp, scale):
-    """The rows of the constraint table are the bits of the elementwise
-    ramp formula, the sign of zero included, at t = 0 (where t - dt < 0),
-    at dt, mid-ramp, at the ramp end and after it, for zero and nonzero
-    amplitudes at scale 1 and at scale 0 (the first-order problem): the
-    velocity and value rows, all a step that records no reactions reads,
-    and the acceleration row at every dof and at chosen ones, read before
-    or after them.  A zero amplitude's rows have the same bits at every t."""
+    """The rows of the constraint table for a block of times are the bits
+    of the elementwise ramp formula of each time, the sign of zero
+    included, at t = 0 (where t - dt < 0), at dt, mid-ramp, at the ramp
+    end and after it, for zero and nonzero amplitudes at scale 1 and at
+    scale 0 (the first-order problem): the velocity and value rows, all a
+    step that records no reactions reads, and the acceleration row at
+    every dof and at chosen ones.  A zero amplitude's rows have the same
+    bits at every t."""
     mesh = _unit_cube()
     t_end, dt = 0.5, 1e-3
     lc = LoadCase(dirichlet=(DirichletRamp("bottom", 1, 0.0, t_end),
@@ -913,23 +943,178 @@ def test_dirichlet_rows_are_the_ramp_formula(amp, scale):
     def same_bits(a, b):
         return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
+    times = np.array([0.0, dt, 0.25, t_end, 0.7])
+    steps, accels = table.steps(times, dt), table.acceleration(times, dt)
+    assert same_bits(table.acceleration(times, dt, table._which[some]), accels[:, some])
     rows = []
-    for i, t in enumerate((0.0, dt, 0.25, t_end, 0.7)):
-        if i % 2:  # a recording step reads the acceleration first
-            accel = table.acceleration(t, dt)
-        velocity, value = table.update(t, dt)
+    for t, velocity, value, accel in zip(times.tolist(), *steps, accels):
         assert same_bits(velocity, (ramp(t + dt) - ramp(t)) / dt)
         assert same_bits(value, ramp(t + dt))
-        if not i % 2:
-            accel = table.acceleration(t, dt)
         assert same_bits(accel, (ramp(t + dt) - 2.0 * ramp(t) + ramp(t - dt)) / dt**2)
-        assert same_bits(table.acceleration(t, dt, table._which[some]), accel[some])
         rows.append((accel, velocity, value))
     zero = amps == 0.0
     assert zero.any()
     for row in rows:
         for a, a0 in zip(row, rows[0]):
             assert same_bits(a[zero], a0[zero])
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _per_step_run(eng):
+    """The snapshots (u, d, sigma) and the reaction rows and their times of
+    ``eng``'s run, stepped here one step at a time from its set-up alone:
+    a Python-float clock t += dt, each step's ramp rows from the scalar
+    ramp law at t + dt, t and t - dt, and each recording step's reactions
+    from ``reaction_sums`` of that step's rows, recorded at n * dt.
+    ``eng`` is not stepped."""
+    bc, dt, alpha, k, m = eng.bc, eng.dt, eng.alpha, eng._set_dofs, eng._set_mass
+
+    def at(t):  # every load-table row's value at t
+        return np.array([amp * min(t, t_end) / t_end for amp, t_end in bc._ramps])
+
+    u, v, d, t = eng.u.ravel().copy(), eng.v.ravel().copy(), eng.d.copy(), eng.time
+    snaps, forces, force_times = [], [], []
+    for n in range(eng.n_steps + 1):
+        eps = eng.quad.strains(u.reshape(-1, 3))
+        sigma = eng.stress_fn(d, eps, n)
+        f_int = eng.quad.forces(sigma)
+        up, u0 = at(t + dt), at(t)
+        if n % eng._force_stride == 0 or n == eng.n_steps:
+            accel = ((up - 2.0 * u0 + at(t - dt)) / dt**2)[eng._set_slots]
+            terms = [f_int[k], m * accel] + ([m * v[k]] if alpha else [])
+            r = reaction_sums(eng._set_sums, terms, alpha)
+            r += eng._free_body
+            forces.append(r)
+            force_times.append(n * dt)
+        if n in eng._snap_at:
+            snaps.append((u.reshape(-1, 3), to_public_order(d), to_public_order(sigma)))
+        if n == eng.n_steps:
+            break
+        w, c = (eng._w, eng._c) if n else (0.5 * eng._w, 1.0 - alpha * (0.5 * dt))
+        v_next = eng.f_body - f_int
+        v_next *= w
+        v_next += c * v if alpha else v
+        v_next[bc.dofs] = ((up - u0) / dt)[bc._which]
+        u_next = dt * v_next
+        u_next += u
+        u_next[bc.dofs] = up[bc._which]
+        d = eng.damage_fn(d, eps, n)
+        u, v, t = u_next, v_next, t + dt
+    return snaps, np.array(forces).swapaxes(0, 1), np.array(force_times)
+
+
+def _desk_run(stride, ramp_end=1.0, damped=True, n_steps=None):
+    """An engine on ``plate_coarse_desk`` and one built alike for the
+    per-step reference: ramps ending at ``ramp_end`` of the total time, a
+    total time of ``n_steps`` steps when given."""
+    c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    p, dt = c.problem, c.dt
+    total = p.loads.total_time if n_steps is None else n_steps * dt
+    loads = replace(p.loads, total_time=total, dirichlet=tuple(
+        replace(r, ramp_end=ramp_end * total) for r in p.loads.dirichlet))
+    quad = ElementQuadrature.build(p.mesh)
+
+    def engine():
+        kern = deterministic_kernels(p.params, 0.0, dt)
+        return ExplicitEngine(p.mesh, loads, p.params.rho, dt, c.snapshot_times, kern.stress,
+                              kern.damage, quad=quad, force_stride=stride,
+                              mass_damping=p.mass_damping if damped else 0.0)
+
+    return engine(), engine()
+
+
+_BLOCK_CASES = {
+    # recordings not a multiple of the block's rows, damped and undamped
+    "stride7": dict(stride=7),
+    "stride7_undamped": dict(stride=7, damped=False),
+    # 63 steps, 64 recordings: exactly one block of each kind
+    "one_block": dict(stride=1, n_steps=63),
+    # two recordings, the first and the last step
+    "stride_past_the_end": dict(stride=10**9),
+    # every block one row
+    "one_row_blocks": dict(stride=3, block_bytes=1),
+    # ramps ending inside a block, damped and undamped
+    "ramp_ends_mid_block": dict(stride=8, ramp_end=0.37),
+    "ramp_ends_mid_block_undamped": dict(stride=1, ramp_end=0.37, damped=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_block_runs_are_the_per_step_run_bitwise(case, monkeypatch):
+    """A run whose ramp rows and reaction sums are formed a block of steps
+    at a time gives the bits, signs of zero included, of the per-step loop
+    (``_per_step_run``): every reaction row, ``force_times`` and the
+    snapshots of u, d and sigma, across block boundaries, with a last
+    block part full, one block, one-row blocks and a ramp ending inside a
+    block, damped and undamped.  At every step the engine's clock is the
+    sequential sum of dt and the time its block's rows were formed for."""
+    options = dict(_BLOCK_CASES[case])
+    if "block_bytes" in options:
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", options.pop("block_bytes"))
+    eng, ref = _desk_run(**options)
+    snaps, forces, force_times = _per_step_run(ref)
+    recordings = force_times.size
+    if case == "stride7":
+        assert eng._block == 64 and recordings % eng._block
+    if case == "one_block":
+        assert eng.n_steps + 1 == recordings == eng._block
+    if case == "one_row_blocks":
+        assert eng._block == 1
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(eng.n_steps + 1):
+            assert eng.time.hex() == t.hex()
+            eng.step()
+            if n < eng.n_steps:
+                t += eng.dt
+                assert eng.time == eng._clock[n % eng._block + 1]
+    hist = eng.finish()
+    assert _same_bits(hist.force_times, force_times)
+    for name, want in zip(eng._set_names, forces):
+        assert _same_bits(hist.forces[name], want), name
+    assert np.abs(forces).max() > 0.0
+    assert len(snaps) == len(hist.times) >= 1
+    for i, snap in enumerate(snaps):
+        for field, want in zip(("u", "d", "sigma"), snap):
+            assert _same_bits(getattr(hist, field)[i], want), (field, i)
+
+
+def test_lockstep_tsm_blocks_are_the_one_row_blocks_bitwise(monkeypatch):
+    """Both orders of a lockstep TSM run (K = 7, force stride 3, ramps ending at
+    0.37 of the total time, mass damping) give the same bits, signs of zero
+    included, with the engines' own blocks as with one-row blocks, which
+    form each step's rows and sum each recording step alone; order 0's
+    reactions and snapshots are those of the per-step loop."""
+    c = load_config(overrides={"problem": {"preset": "plate_coarse_desk"}})
+    p = c.problem
+    loads = replace(p.loads, dirichlet=tuple(
+        replace(r, ramp_end=0.37 * p.loads.total_time) for r in p.loads.dirichlet))
+    problem = replace(p, loads=loads)
+    cfg = TsmConfig(exchange_interval=7, exchange_mode="in_memory",
+                    xi_second_moment=c.tsm.xi_second_moment)
+    blocks = run_tsm(problem, cfg, c.dt, c.snapshot_times, force_stride=3)
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 1)
+    rows = run_tsm(problem, cfg, c.dt, c.snapshot_times, force_stride=3)
+    for got, want in ((blocks.history0, rows.history0), (blocks.history1, rows.history1)):
+        for field in ("times", "u", "d", "sigma", "force_times"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), field
+        assert got.forces.keys() == want.forces.keys()
+        for name in want.forces:
+            assert _same_bits(got.forces[name], want.forces[name]), name
+    kern = deterministic_kernels(p.params, 0.0, c.dt)
+    ref = ExplicitEngine(p.mesh, loads, p.params.rho, c.dt, c.snapshot_times, kern.stress,
+                         kern.damage, force_stride=3, mass_damping=p.mass_damping)
+    snaps, forces, force_times = _per_step_run(ref)
+    h0 = blocks.history0
+    assert _same_bits(h0.force_times, force_times)
+    for name, want in zip(ref._set_names, forces):
+        assert _same_bits(h0.forces[name], want), name
+    for i, snap in enumerate(snaps):
+        for field, want in zip(("u", "d", "sigma"), snap):
+            assert _same_bits(getattr(h0, field)[i], want), (field, i)
 
 
 # ---------------------------------------------------------------------------
